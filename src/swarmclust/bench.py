@@ -14,7 +14,7 @@ import os
 import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -33,11 +33,11 @@ from .data import (
     registry_spec,
 )
 from .metrics import evaluation_report
-from .pipelines import (
-    ADAPTIVE_PSO,
+from .pipelines import (  # noqa: F401  (run_cell calls the run_* by name)
     ALGORITHM_IDS,
+    ALGORITHMS,
     DEFAULTS_VERSION,
-    PLAIN_PSO,
+    PSO_PARAMS,
     run_brapso,
     run_kmeans,
     run_kmeans_pso,
@@ -46,7 +46,7 @@ from .pipelines import (
     run_subtractive_pso,
 )
 from .subtractive import DensityRatio, FixedK, SubtractiveConfig
-from .swarm import PsoConfig, exponential_literal, exponential_normalized, linear
+from .swarm import INERTIA_KINDS, Inertia, PsoConfig
 
 SCHEMA_VERSION = 1
 
@@ -171,13 +171,20 @@ class BenchReport:
 
 
 def parse_config(raw: dict) -> BenchConfig:
-    """Validate a parsed YAML/JSON mapping against the published schema and
+    """Validate a parsed YAML/JSON mapping against the published schema,
+    check each algorithm's param names against its ``ALGORITHMS`` row and
     build a BenchConfig. Raises ConfigError with a readable message."""
     try:
         validate(raw, CONFIG_SCHEMA)
     except ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from None
+    for i, entry in enumerate(raw["algorithms"]):
+        unknown = ALGORITHMS[entry["id"]].unknown_params(entry.get("params", {}))
+        if unknown:
+            raise ConfigError(
+                f"config invalid at algorithms/{i}/params: unknown keys {unknown}"
+            )
 
     data_dir = raw.get("data_dir")
     datasets = []
@@ -257,27 +264,15 @@ def load_config(path) -> BenchConfig:
 
 
 def _pso_config(base: PsoConfig, params: dict) -> PsoConfig:
-    overrides = {}
-    for key in ("c1", "c2", "max_iter", "swarm_size", "boundary",
-                "v_max_fraction", "stall_iters", "rel_tol"):
-        if key in params:
-            overrides[key] = params[key]
-    if "inertia" in params:
-        spec = params["inertia"]
+    overrides = {name: params[name] for name in PSO_PARAMS if name in params}
+    if "inertia" in overrides:
+        spec = overrides["inertia"]
         if isinstance(spec, str):
             spec = {"kind": spec}
-        kind = spec["kind"]
-        if kind == "linear":
-            overrides["inertia"] = linear(spec.get("w_max", 0.9), spec.get("w_min", 0.4))
-        elif kind == "exponential_literal":
-            overrides["inertia"] = exponential_literal(spec.get("w_max", 0.9))
-        elif kind == "exponential_normalized":
-            overrides["inertia"] = exponential_normalized(spec.get("w_max", 0.9))
-        else:
-            raise ConfigError(f"unknown inertia kind {kind!r}")
-    from dataclasses import replace
-
-    return replace(base, **overrides) if overrides else base
+        if spec["kind"] not in INERTIA_KINDS:
+            raise ConfigError(f"unknown inertia kind {spec['kind']!r}")
+        overrides["inertia"] = Inertia(**spec)
+    return replace(base, **overrides)
 
 
 def _sub_config(params: dict, k: Optional[int]) -> SubtractiveConfig:
@@ -290,47 +285,29 @@ def _sub_config(params: dict, k: Optional[int]) -> SubtractiveConfig:
         rule = DensityRatio(params.get("epsilon", 0.15))
     else:
         raise ConfigError(f"unknown stop rule {stop!r}")
-    return SubtractiveConfig(
-        r_a=params.get("r_a", 0.5),
-        r_b=params.get("r_b"),
-        stop_rule=rule,
-        max_centers=params.get("max_centers", 64),
-    )
+    knobs = {f.name: params[f.name] for f in fields(SubtractiveConfig) if f.name in params}
+    return SubtractiveConfig(stop_rule=rule, **knobs)
 
 
 def run_cell(dataset: Dataset, algo: AlgorithmSpec, seed: int):
     """Run one grid cell; pure function of its arguments."""
+    row = ALGORITHMS[algo.id]
+    # Looked up in this module's namespace at call time, not bound in the
+    # table, so that perfbench/tracer.py can wrap the entry points here.
+    entry = globals()[row.entry]
     params = algo.params
     k = params.get("k", dataset.k_true)
     rng = Rng(seed)
-    if algo.id == "kmeans":
-        if k is None:
-            raise ConfigError("kmeans needs k (param or dataset k_true)")
-        return run_kmeans(dataset, k, "random_points", rng, params.get("max_iter", 100))
-    if algo.id == "pso":
-        if k is None:
-            raise ConfigError("pso needs k (param or dataset k_true)")
-        return run_pso(dataset, k, _pso_config(PLAIN_PSO, params), rng)
-    if algo.id == "kmeans_pso":
-        if k is None:
-            raise ConfigError("kmeans_pso needs k (param or dataset k_true)")
-        return run_kmeans_pso(
-            dataset, k, _pso_config(PLAIN_PSO, params), rng,
-            params.get("kmeans_max_iter", 100),
-        )
-    if algo.id == "sub_pso":
-        return run_subtractive_pso(
-            dataset, _sub_config(params, k), _pso_config(PLAIN_PSO, params), rng
-        )
-    if algo.id == "brapso":
-        if k is None:
-            raise ConfigError("brapso needs k (param or dataset k_true)")
-        return run_brapso(dataset, k, _pso_config(ADAPTIVE_PSO, params), rng)
-    if algo.id == "sc_br_apso":
-        return run_sc_br_apso(
-            dataset, _sub_config(params, k), _pso_config(ADAPTIVE_PSO, params), rng
-        )
-    raise ConfigError(f"unknown algorithm id {algo.id!r}")
+    if row.seeding == "subtractive":
+        return entry(dataset, _sub_config(params, k), _pso_config(row.pso, params), rng)
+    if k is None:
+        raise ConfigError(f"{algo.id} needs k (param or dataset k_true)")
+    if row.pso is None:
+        return entry(dataset, k, "random_points", rng, params.get("max_iter", 100))
+    pso = _pso_config(row.pso, params)
+    if row.seeding == "kmeans":
+        return entry(dataset, k, pso, rng, params.get("kmeans_max_iter", 100))
+    return entry(dataset, k, pso, rng)
 
 
 def _execute_cell(args):
@@ -345,8 +322,8 @@ def _execute_cell(args):
     start = time.perf_counter()
     try:
         outcome = run_cell(dataset, algo, seed)
-        stall = algo.params.get("stall_iters", 25)
-        rel_tol = algo.params.get("rel_tol", 1e-8)
+        stall = algo.params.get("stall_iters", PsoConfig.stall_iters)
+        rel_tol = algo.params.get("rel_tol", PsoConfig.rel_tol)
         report = evaluation_report(outcome, dataset, "optimal", rel_tol, stall)
         record.update(
             k=int(outcome.centroids.shape[0]),

@@ -22,16 +22,7 @@ import click
 
 from .bench import ConfigError, emit_report, load_config, run_grid
 from .data import LoadError, REGISTRY, default_data_dir, registry_available
-from .pipelines import ALGORITHM_IDS
-
-ALGORITHM_SUMMARY = {
-    "kmeans": "Lloyd's algorithm from random data-point centers",
-    "pso": "plain particle swarm over centroid sets (linear inertia)",
-    "kmeans_pso": "k-means result seeds one particle of a plain swarm",
-    "sub_pso": "subtractive seeding, then a plain swarm",
-    "brapso": "boundary-restricted swarm with exponential inertia",
-    "sc_br_apso": "subtractive seeding plus the boundary-restricted swarm",
-}
+from .pipelines import ALGORITHMS
 
 
 def _resolve_config(name: str) -> Path:
@@ -147,8 +138,8 @@ def list_datasets():
 @main.command("list-algorithms")
 def list_algorithms():
     """Show available algorithm ids."""
-    for algo_id in ALGORITHM_IDS:
-        click.echo(f"{algo_id:12s} {ALGORITHM_SUMMARY[algo_id]}")
+    for row in ALGORITHMS.values():
+        click.echo(f"{row.id:12s} {row.summary}")
 
 
 if __name__ == "__main__":

@@ -117,10 +117,6 @@ class SearchBounds:
         """Bounds for k centroids flattened row-major into one k*d vector."""
         return np.tile(self.lower, k), np.tile(self.upper, k)
 
-    def contains(self, points: np.ndarray) -> bool:
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        return bool(np.all(pts >= self.lower) and np.all(pts <= self.upper))
-
 
 @dataclass(frozen=True)
 class Assignment:

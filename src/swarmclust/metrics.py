@@ -92,6 +92,14 @@ def error_rate(
     return percent, mapping, conf
 
 
+def stalled(prev: float, cur: float, rel_tol: float) -> bool:
+    """True when the step from ``prev`` to ``cur`` improves the cost by less
+    than ``rel_tol`` relative to ``prev`` (absolute when ``prev`` is 0)."""
+    den = abs(prev)
+    rel = (prev - cur) / den if den > 0 else (prev - cur)
+    return rel < rel_tol
+
+
 def convergence_stats(sicd_trace, rel_tol: float = 1e-8, stall_iters: int = 25) -> int:
     """First index after which relative improvement stays below ``rel_tol``
     for ``stall_iters`` consecutive entries; the trace length if that never
@@ -99,14 +107,11 @@ def convergence_stats(sicd_trace, rel_tol: float = 1e-8, stall_iters: int = 25) 
     trace = np.asarray(sicd_trace, dtype=np.float64)
     if stall_iters < 1:
         raise ContractViolation("stall_iters must be >= 1")
-    stalled = np.zeros(trace.size, dtype=bool)
+    flags = np.zeros(trace.size, dtype=bool)
     for j in range(1, trace.size):
-        prev, cur = trace[j - 1], trace[j]
-        den = abs(prev)
-        rel = (prev - cur) / den if den > 0 else (prev - cur)
-        stalled[j] = rel < rel_tol
+        flags[j] = stalled(trace[j - 1], trace[j], rel_tol)
     for i in range(trace.size):
-        window = stalled[i + 1 : i + 1 + stall_iters]
+        window = flags[i + 1 : i + 1 + stall_iters]
         if window.size == stall_iters and window.all():
             return i
     return int(trace.size)

@@ -4,16 +4,10 @@ Every ``run_*`` function returns a :class:`ClusteringOutcome` whose
 ``sicd_trace`` is the per-iteration best cost (non-increasing for the swarm
 family, and per-iteration cost for Lloyd's algorithm).
 
-Frozen baseline defaults (version 1) so ablations vary only the documented
-dimensions:
-
-    algorithm    seeding       boundary    inertia                  gbest refine
-    kmeans       random rows   -           -                        -
-    pso          random        none        linear 0.9 -> 0.4        no
-    kmeans_pso   k-means       none        linear 0.9 -> 0.4        no
-    sub_pso      subtractive   none        linear 0.9 -> 0.4        no
-    brapso       random        restricted  exponential (normalized) yes
-    sc_br_apso   subtractive   restricted  exponential (normalized) yes
+The algorithms differ only in seeding, boundary, inertia and gbest refine.
+:data:`ALGORITHMS` holds one row per algorithm with those choices; the
+frozen baseline defaults (version 1) let ablations vary only these
+dimensions. The five swarm entry points all run one shared body.
 
 "gbest refine" is the adaptive family's per-iteration nearest-assignment /
 center-recalculation pass: the swarm's best centroid set is refined by one
@@ -24,7 +18,7 @@ gbest = min pbest bookkeeping).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -37,9 +31,10 @@ from .core import (
     DegenerateInput,
     Rng,
 )
-from .metrics import sicd
+from .metrics import sicd, stalled
 from .subtractive import SubtractiveConfig, select_centers
 from .swarm import (
+    Inertia,
     PsoConfig,
     decode,
     encode,
@@ -54,7 +49,61 @@ DEFAULTS_VERSION = 1
 PLAIN_PSO = PsoConfig(inertia=linear(0.9, 0.4), boundary="none")
 ADAPTIVE_PSO = PsoConfig(inertia=exponential_normalized(0.9), boundary="restricted")
 
-ALGORITHM_IDS = ("kmeans", "pso", "kmeans_pso", "sub_pso", "brapso", "sc_br_apso")
+# Benchmark-config param names each seeding accepts besides ``k``. For
+# random rows (Lloyd's algorithm) ``max_iter`` counts Lloyd iterations.
+SEEDING_PARAMS = {
+    "random_rows": ("max_iter",), "random": (), "kmeans": ("kmeans_max_iter",),
+    "subtractive": ("stop", "epsilon", "r_a", "r_b", "max_centers"),
+}
+PSO_PARAMS = tuple(f.name for f in fields(PsoConfig))
+INERTIA_PARAMS = frozenset(f.name for f in fields(Inertia))
+
+
+@dataclass(frozen=True)
+class AlgorithmDef:
+    """One benchmark algorithm. ``entry`` names its public ``run_*``
+    function; ``pso`` is the base swarm config, which fixes boundary and
+    inertia (None for Lloyd's algorithm); ``refine`` turns on gbest refine."""
+
+    id: str
+    entry: str
+    seeding: str
+    pso: Optional[PsoConfig]
+    refine: bool
+    summary: str
+
+    @property
+    def param_names(self) -> frozenset:
+        """Keys a benchmark config may set in this algorithm's ``params``."""
+        swarm = PSO_PARAMS if self.pso is not None else ()
+        return frozenset(("k", *SEEDING_PARAMS[self.seeding], *swarm))
+
+    def unknown_params(self, params: dict) -> list:
+        """Sorted keys of ``params`` this algorithm does not take; keys of an
+        ``inertia`` mapping are checked too and reported as ``inertia.<key>``."""
+        unknown = sorted(set(params) - self.param_names)
+        inertia = params.get("inertia")
+        if isinstance(inertia, dict):
+            unknown += sorted(f"inertia.{key}" for key in set(inertia) - INERTIA_PARAMS)
+        return unknown
+
+
+ALGORITHMS = {row.id: row for row in (
+    AlgorithmDef("kmeans", "run_kmeans", "random_rows", None, False,
+                 "Lloyd's algorithm from random data-point centers"),
+    AlgorithmDef("pso", "run_pso", "random", PLAIN_PSO, False,
+                 "plain particle swarm over centroid sets (linear inertia)"),
+    AlgorithmDef("kmeans_pso", "run_kmeans_pso", "kmeans", PLAIN_PSO, False,
+                 "k-means result seeds one particle of a plain swarm"),
+    AlgorithmDef("sub_pso", "run_subtractive_pso", "subtractive", PLAIN_PSO, False,
+                 "subtractive seeding, then a plain swarm"),
+    AlgorithmDef("brapso", "run_brapso", "random", ADAPTIVE_PSO, True,
+                 "boundary-restricted swarm with exponential inertia"),
+    AlgorithmDef("sc_br_apso", "run_sc_br_apso", "subtractive", ADAPTIVE_PSO, True,
+                 "subtractive seeding plus the boundary-restricted swarm"),
+)}
+
+ALGORITHM_IDS = tuple(ALGORITHMS)
 
 
 @dataclass(frozen=True)
@@ -114,20 +163,26 @@ def _fitness_for(dataset: Dataset, k: int):
     return fitness
 
 
-def _stalled(prev: float, cur: float, rel_tol: float) -> bool:
-    den = abs(prev)
-    rel = (prev - cur) / den if den > 0 else (prev - cur)
-    return rel < rel_tol
-
-
-def _run_swarm_pipeline(
-    dataset: Dataset,
-    k: int,
-    seed_centers: Optional[np.ndarray],
-    config: PsoConfig,
-    rng: Rng,
-    refine_gbest: bool,
+def _run_swarm(
+    algo_id: str, dataset: Dataset, k: Optional[int], config: Optional[PsoConfig],
+    rng: Optional[Rng], sub_config: Optional[SubtractiveConfig] = None,
+    kmeans_max_iter: int = 100,
 ) -> ClusteringOutcome:
+    """Seed and run the swarm of ``ALGORITHMS[algo_id]``. Subtractive
+    seeding picks k itself, so ``k`` is unused there."""
+    algo = ALGORITHMS[algo_id]
+    if rng is None:
+        raise ContractViolation(f"{algo.entry} needs an rng")
+    seed_centers = None
+    if algo.seeding == "subtractive":
+        seeding = select_centers(dataset, sub_config or SubtractiveConfig())
+        k, seed_centers = seeding.k, seeding.centers
+    elif not 1 <= k <= dataset.n:
+        raise DegenerateInput(f"k={k} outside [1, {dataset.n}]")
+    elif algo.seeding == "kmeans":
+        seed_centers = run_kmeans(dataset, k, "random_points", rng, kmeans_max_iter).centroids
+    config = config or algo.pso
+
     fitness = _fitness_for(dataset, k)
     swarm = init_swarm(seed_centers, k, dataset, config, rng, fitness)
     trace = [swarm.gbest_fitness]
@@ -136,7 +191,7 @@ def _run_swarm_pipeline(
 
     for _ in range(config.max_iter):
         step(swarm, fitness, config, rng)
-        if refine_gbest:
+        if algo.refine:
             centroids = decode(swarm.gbest_position, k, dataset.d)
             refined = recompute_centroids(dataset, assign_nearest(dataset, centroids))
             refined_pos = encode(refined)
@@ -152,7 +207,7 @@ def _run_swarm_pipeline(
                 swarm.gbest_fitness = refined_fit
         iterations += 1
         trace.append(swarm.gbest_fitness)
-        stall_streak = stall_streak + 1 if _stalled(trace[-2], trace[-1], config.rel_tol) else 0
+        stall_streak = stall_streak + 1 if stalled(trace[-2], trace[-1], config.rel_tol) else 0
         if stall_streak >= config.stall_iters:
             break
 
@@ -227,11 +282,7 @@ def run_pso(
     rng: Optional[Rng] = None,
 ) -> ClusteringOutcome:
     """Plain PSO over centroid sets, random initialization."""
-    if not 1 <= k <= dataset.n:
-        raise DegenerateInput(f"k={k} outside [1, {dataset.n}]")
-    return _run_swarm_pipeline(
-        dataset, k, None, config or PLAIN_PSO, rng, refine_gbest=False
-    )
+    return _run_swarm("pso", dataset, k, config, rng)
 
 
 def run_kmeans_pso(
@@ -243,10 +294,7 @@ def run_kmeans_pso(
 ) -> ClusteringOutcome:
     """Sequential hybrid: k-means first, its centroids seed one particle of a
     plain PSO which refines them."""
-    km = run_kmeans(dataset, k, "random_points", rng, kmeans_max_iter)
-    return _run_swarm_pipeline(
-        dataset, k, km.centroids, config or PLAIN_PSO, rng, refine_gbest=False
-    )
+    return _run_swarm("kmeans_pso", dataset, k, config, rng, kmeans_max_iter=kmeans_max_iter)
 
 
 def run_subtractive_pso(
@@ -256,15 +304,7 @@ def run_subtractive_pso(
     rng: Optional[Rng] = None,
 ) -> ClusteringOutcome:
     """Subtractive seeding determines k and the seeds; plain PSO refines."""
-    seeding = select_centers(dataset, sub_config or SubtractiveConfig())
-    return _run_swarm_pipeline(
-        dataset,
-        seeding.k,
-        seeding.centers,
-        pso_config or PLAIN_PSO,
-        rng,
-        refine_gbest=False,
-    )
+    return _run_swarm("sub_pso", dataset, None, pso_config, rng, sub_config)
 
 
 def run_brapso(
@@ -275,11 +315,7 @@ def run_brapso(
 ) -> ClusteringOutcome:
     """Boundary-restricted adaptive PSO: random initialization, exponential
     inertia, boundary restriction, per-iteration gbest refinement."""
-    if not 1 <= k <= dataset.n:
-        raise DegenerateInput(f"k={k} outside [1, {dataset.n}]")
-    return _run_swarm_pipeline(
-        dataset, k, None, config or ADAPTIVE_PSO, rng, refine_gbest=True
-    )
+    return _run_swarm("brapso", dataset, k, config, rng)
 
 
 def run_sc_br_apso(
@@ -291,12 +327,4 @@ def run_sc_br_apso(
     """The full pipeline: subtractive seeding supplies k and the initial
     centers, then boundary-restricted adaptive PSO with per-iteration center
     recalculation refines them until convergence."""
-    seeding = select_centers(dataset, sub_config or SubtractiveConfig())
-    return _run_swarm_pipeline(
-        dataset,
-        seeding.k,
-        seeding.centers,
-        pso_config or ADAPTIVE_PSO,
-        rng,
-        refine_gbest=True,
-    )
+    return _run_swarm("sc_br_apso", dataset, None, pso_config, rng, sub_config)

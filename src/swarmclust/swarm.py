@@ -39,6 +39,7 @@ from .core import ContractViolation, Dataset, bounds_of
 LINEAR = "linear"
 EXPONENTIAL_LITERAL = "exponential_literal"
 EXPONENTIAL_NORMALIZED = "exponential_normalized"
+INERTIA_KINDS = (LINEAR, EXPONENTIAL_LITERAL, EXPONENTIAL_NORMALIZED)
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,7 @@ class Inertia:
     w_min: float = 0.4
 
     def __post_init__(self):
-        if self.kind not in (LINEAR, EXPONENTIAL_LITERAL, EXPONENTIAL_NORMALIZED):
+        if self.kind not in INERTIA_KINDS:
             raise ContractViolation(f"unknown inertia schedule {self.kind!r}")
         if self.w_max < 0 or self.w_min < 0:
             raise ContractViolation("inertia weights must be nonnegative")

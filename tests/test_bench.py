@@ -15,6 +15,7 @@ from swarmclust.bench import (
 )
 from swarmclust.cli import main
 from swarmclust.core import derive_seed
+from swarmclust.pipelines import ALGORITHMS
 
 
 def fixture_config(reps=2, algorithms=None, base_seed=4242):
@@ -66,6 +67,39 @@ class TestConfigParsing:
         raw = fixture_config(algorithms=[{"id": "dbscan"}])
         with pytest.raises(ConfigError):
             parse_config(raw)
+
+    def test_accepted_param_names(self):
+        pso = {"c1", "c2", "inertia", "max_iter", "swarm_size", "boundary",
+               "v_max_fraction", "stall_iters", "rel_tol"}
+        sub = {"stop", "epsilon", "r_a", "r_b", "max_centers"}
+        expected = {
+            "kmeans": {"k", "max_iter"},
+            "pso": {"k"} | pso,
+            "kmeans_pso": {"k", "kmeans_max_iter"} | pso,
+            "sub_pso": {"k"} | pso | sub,
+            "brapso": {"k"} | pso,
+            "sc_br_apso": {"k"} | pso | sub,
+        }
+        assert {algo_id: row.param_names for algo_id, row in ALGORITHMS.items()} == expected
+        parse_config(fixture_config(algorithms=[
+            {"id": algo_id, "params": dict.fromkeys(names, 1)}
+            for algo_id, names in expected.items()
+        ]))
+
+    @pytest.mark.parametrize("algo_id, params, unknown", [
+        ("pso", {"swarmsize": 500, "max_itr": 1}, "['max_itr', 'swarmsize']"),
+        ("kmeans", {"max_iter": 5, "c1": 1.0}, "['c1']"),
+        ("brapso", {"stop": "fixed_k"}, "['stop']"),
+        ("sub_pso", {"kmeans_max_iter": 5}, "['kmeans_max_iter']"),
+        ("sc_br_apso", {"inertia": {"kind": "linear", "wmax": 0.5}}, "['inertia.wmax']"),
+    ])
+    def test_unknown_params_rejected(self, algo_id, params, unknown):
+        raw = fixture_config(algorithms=[{"id": "kmeans"}, {"id": algo_id, "params": params}])
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == (
+            f"config invalid at algorithms/1/params: unknown keys {unknown}"
+        )
 
     def test_duplicate_dataset_names(self):
         raw = fixture_config()
@@ -147,6 +181,35 @@ class TestRunGrid:
         assert by_algo["pso"]["error_percent"] is None
         assert report.failed_cells == 1
 
+    def test_unknown_stop_and_inertia_kind_fail_the_cell(self):
+        raw = fixture_config(reps=1, algorithms=[
+            {"id": "sc_br_apso", "params": {"stop": "bogus"}},
+            {"id": "brapso", "params": {"inertia": {"kind": "bogus"}}},
+        ])
+        report = run_grid(parse_config(raw))
+        assert {r["algorithm"]: r["error"] for r in report.records} == {
+            "sc_br_apso": "ConfigError: unknown stop rule 'bogus'",
+            "brapso": "ConfigError: unknown inertia kind 'bogus'",
+        }
+
+    @pytest.mark.parametrize("row", ALGORITHMS.values(), ids=lambda row: row.id)
+    def test_cells_call_entry_points_through_bench(self, row, monkeypatch):
+        # perfbench/tracer.py times each cell by wrapping these names in bench
+        import swarmclust.bench as bench_mod
+
+        real = getattr(bench_mod, row.entry)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bench_mod, row.entry, spy)
+        raw = fixture_config(reps=2, algorithms=[{"id": row.id}])
+        report = run_grid(parse_config(raw))
+        assert report.failed_cells == 0
+        assert calls == ["two_blob", "two_blob"]
+
     def test_aggregates_match_recomputation(self):
         cfg = parse_config(fixture_config(reps=4))
         report = run_grid(cfg)
@@ -225,6 +288,19 @@ class TestCli:
         result = CliRunner().invoke(main, ["validate", "--config", path])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unknown_param_exits_2(self, tmp_path, command):
+        raw = fixture_config(reps=1, algorithms=[
+            {"id": "pso", "params": {"swarmsize": 500, "max_itr": 1}},
+        ])
+        args = [command, "--config", self.write_config(tmp_path, raw)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert "algorithms/0/params: unknown keys ['max_itr', 'swarmsize']" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_exits_2(self):
         result = CliRunner().invoke(main, ["run", "--config", "no-such-file.yaml"])
         assert result.exit_code == 2
@@ -279,4 +355,5 @@ class TestCli:
         assert "iris" in datasets.output
         algos = runner.invoke(main, ["list-algorithms"])
         assert algos.exit_code == 0
-        assert "sc_br_apso" in algos.output
+        for row in ALGORITHMS.values():
+            assert f"{row.id:12s} {row.summary}\n" in algos.output

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from swarmclust.core import Assignment, Dataset, DegenerateInput, Rng, derive_seed
+from swarmclust.core import (
+    Assignment,
+    ContractViolation,
+    Dataset,
+    DegenerateInput,
+    Rng,
+    derive_seed,
+)
 from swarmclust.data import make_blobs, normalize_minmax
 from swarmclust.metrics import sicd
 from swarmclust.pipelines import (
@@ -221,3 +228,13 @@ class TestHybrids:
             ds, SubtractiveConfig(stop_rule=DensityRatio(0.15)), FAST_PLAIN, Rng(5)
         )
         assert out.centroids.shape[0] == 2
+
+
+@pytest.mark.parametrize("entry", [
+    run_pso, run_kmeans_pso, run_subtractive_pso, run_brapso, run_sc_br_apso,
+], ids=lambda entry: entry.__name__)
+def test_swarm_entry_point_without_rng_is_a_contract_violation(entry):
+    ds = blob_fixture()
+    args = (ds,) if entry in (run_subtractive_pso, run_sc_br_apso) else (ds, 2)
+    with pytest.raises(ContractViolation, match=f"{entry.__name__} needs an rng"):
+        entry(*args)
