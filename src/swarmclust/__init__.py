@@ -69,8 +69,5 @@ from .swarm import (
     inertia_weight,
     init_swarm,
     linear,
-    restrict_boundary,
     step,
-    update_position,
-    update_velocity,
 )

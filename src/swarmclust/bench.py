@@ -38,6 +38,7 @@ from .pipelines import (  # noqa: F401  (run_cell calls the run_* by name)
     ALGORITHMS,
     DEFAULTS_VERSION,
     PSO_PARAMS,
+    mistyped_params,
     run_brapso,
     run_kmeans,
     run_kmeans_pso,
@@ -173,17 +174,25 @@ class BenchReport:
 def parse_config(raw: dict) -> BenchConfig:
     """Validate a parsed YAML/JSON mapping against the published schema,
     check each algorithm's param names against its ``ALGORITHMS`` row and
-    build a BenchConfig. Raises ConfigError with a readable message."""
+    their value types against ``PARAM_TYPES``, and build a BenchConfig.
+    Raises ConfigError with a readable message."""
     try:
         validate(raw, CONFIG_SCHEMA)
     except ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {exc.message}") from None
     for i, entry in enumerate(raw["algorithms"]):
-        unknown = ALGORITHMS[entry["id"]].unknown_params(entry.get("params", {}))
+        params = entry.get("params", {})
+        unknown = ALGORITHMS[entry["id"]].unknown_params(params)
         if unknown:
             raise ConfigError(
                 f"config invalid at algorithms/{i}/params: unknown keys {unknown}"
+            )
+        mistyped = mistyped_params(params)
+        if mistyped:
+            key, value, expected = mistyped[0]
+            raise ConfigError(
+                f"config invalid at algorithms/{i}/params/{key}: {value!r} is not {expected}"
             )
 
     data_dir = raw.get("data_dir")

@@ -58,6 +58,36 @@ SEEDING_PARAMS = {
 PSO_PARAMS = tuple(f.name for f in fields(PsoConfig))
 INERTIA_PARAMS = frozenset(f.name for f in fields(Inertia))
 
+# The value type each benchmark-config param takes, by name; the values of an
+# ``inertia`` mapping go by ``inertia/<key>``. A bool is never a number here.
+_INTEGER = ("an integer", (int,))
+_NUMBER = ("a number", (int, float))
+_STRING = ("a string", (str,))
+PARAM_TYPES = {
+    **dict.fromkeys(("k", "max_iter", "swarm_size", "stall_iters", "kmeans_max_iter",
+                     "max_centers"), _INTEGER),
+    **dict.fromkeys(("c1", "c2", "rel_tol", "epsilon", "r_a", "r_b",
+                     "inertia/w_max", "inertia/w_min"), _NUMBER),
+    **dict.fromkeys(("boundary", "stop", "inertia/kind"), _STRING),
+    "v_max_fraction": ("a number or null", (int, float, type(None))),
+    "inertia": ("a string or a mapping", (str, dict)),
+}
+
+
+def mistyped_params(params: dict) -> list:
+    """(key, value, expected type) for each value of ``params`` or of its
+    ``inertia`` mapping that has the wrong type, sorted by key."""
+    values = dict(params)
+    if isinstance(params.get("inertia"), dict):
+        values.update((f"inertia/{key}", value) for key, value in params["inertia"].items())
+    bad = []
+    for key in sorted(values):
+        if key in PARAM_TYPES:
+            expected, types = PARAM_TYPES[key]
+            if isinstance(values[key], bool) or not isinstance(values[key], types):
+                bad.append((key, values[key], expected))
+    return bad
+
 
 @dataclass(frozen=True)
 class AlgorithmDef:
@@ -151,14 +181,28 @@ def recompute_centroids(dataset: Dataset, assignment: Assignment) -> np.ndarray:
     return centroids
 
 
-def _fitness_for(dataset: Dataset, k: int):
-    x = dataset.points
-    d = dataset.d
+# Distances the batched fitness holds at once (float64 entries, 32 MB): a
+# large swarm over a large dataset is evaluated in blocks of rows.
+FITNESS_BLOCK = 1 << 22
 
-    def fitness(position: np.ndarray) -> float:
-        c = position.reshape(k, d)
-        dists = cdist(x, c)
-        return float(dists.min(axis=1).sum())
+
+def _fitness_for(dataset: Dataset, k: int):
+    """Batched SICD fitness: an (m, k*d) block of flattened centroid sets to
+    the (m,) vector of their sums of nearest-center distances. Each row's
+    sum runs over one contiguous length-N vector, so it is bit-identical to
+    ``cdist(x, c).min(axis=1).sum()`` for that row alone."""
+    x = dataset.points
+    n, d = dataset.n, dataset.d
+    rows = max(1, FITNESS_BLOCK // (k * n))
+
+    def fitness(positions: np.ndarray) -> np.ndarray:
+        m = positions.shape[0]
+        out = np.empty(m)
+        for lo in range(0, m, rows):
+            block = positions[lo:lo + rows]
+            dists = cdist(block.reshape(-1, d), x)
+            out[lo:lo + rows] = dists.reshape(len(block), k, n).min(axis=1).sum(axis=1)
+        return out
 
     return fitness
 
@@ -195,14 +239,11 @@ def _run_swarm(
             centroids = decode(swarm.gbest_position, k, dataset.d)
             refined = recompute_centroids(dataset, assign_nearest(dataset, centroids))
             refined_pos = encode(refined)
-            refined_fit = float(fitness(refined_pos))
+            refined_fit = float(fitness(refined_pos[None])[0])
             if refined_fit < swarm.gbest_fitness:
-                owner = min(
-                    range(len(swarm.particles)),
-                    key=lambda i: swarm.particles[i].pbest_fitness,
-                )
-                swarm.particles[owner].pbest_position = refined_pos.copy()
-                swarm.particles[owner].pbest_fitness = refined_fit
+                owner = int(np.argmin(swarm.pbest_fitness))
+                swarm.pbest_position[owner] = refined_pos
+                swarm.pbest_fitness[owner] = refined_fit
                 swarm.gbest_position = refined_pos
                 swarm.gbest_fitness = refined_fit
         iterations += 1

@@ -13,17 +13,32 @@ literal decay drives w below 1e-4 within nine iterations, effectively
 removing inertia, so the normalized variant is the default.
 
 Boundary handling ("restricted"): a component that leaves the search box is
-reverted to its pre-update value (position - velocity); a component that was
-already out of bounds before the update is clamped to the nearer bound.
+reverted to its pre-update value; a component that was already out of
+bounds before the update is clamped to the nearer bound.
+
+Array layout: a :class:`Swarm` holds the whole swarm as arrays with one row
+per particle, ``position``, ``velocity`` and ``pbest_position`` of shape
+(S, k*d) and ``pbest_fitness`` of shape (S,). A step is a handful of
+whole-swarm array operations; every update is elementwise, so each row gets
+exactly the floating-point operations a lone particle would.
 
 Draw order is part of the engine contract so runs are reproducible and can
-be replayed against a straight-line reference with a stubbed stream:
-unseeded init draws one k*d block per particle in particle order; seeded
-init draws one jitter block per non-seed particle; each step draws, per
-particle in order, first the rand1 block then the rand2 block. Any object
-with a ``random(size)`` method returning draws in [0, 1) can stand in for
-the stream. pbest/gbest updates happen after all of a step's evaluations,
-so fitness may be evaluated in any order within one step.
+be replayed against a straight-line reference with a stubbed stream.
+Unseeded init draws one S*k*d block, row by row; seeded init draws one
+(S-1)*k*d jitter block for the non-seed particles. Each step draws one flat
+S*2*k*d block and reads it as (S, 2, k*d): per particle in order, first the
+rand1 block, then the rand2 block, which is the same stream as drawing
+rand1 and rand2 particle by particle. Any object with a ``random(size)``
+method taking an int and returning draws in [0, 1) can stand in for the
+stream.
+
+Fitness is batched: ``fitness(positions)`` maps an (m, k*d) block of
+positions to an (m,) vector, lower is better. The engine makes one call per
+init and one per step, and updates pbest and gbest only after it returns.
+The SICD fitness built in :mod:`swarmclust.pipelines` sums each row's N
+nearest-center distances as one contiguous length-N vector, the same
+summation numpy does for a single particle, so a row's value is
+bit-identical to evaluating that particle alone.
 """
 
 from __future__ import annotations
@@ -100,8 +115,10 @@ class PsoConfig:
             raise ContractViolation("v_max_fraction must lie in (0, 1]")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Particle:
+    """One particle's state, as copied out by :attr:`Swarm.particles`."""
+
     position: np.ndarray
     velocity: np.ndarray
     pbest_position: np.ndarray
@@ -110,7 +127,12 @@ class Particle:
 
 @dataclass
 class Swarm:
-    particles: list[Particle]
+    """Whole-swarm state, one row per particle (see the module docstring)."""
+
+    position: np.ndarray
+    velocity: np.ndarray
+    pbest_position: np.ndarray
+    pbest_fitness: np.ndarray
     gbest_position: np.ndarray
     gbest_fitness: float
     iter: int
@@ -118,6 +140,18 @@ class Swarm:
     upper: np.ndarray
     k: int
     d: int
+
+    @property
+    def particles(self) -> list[Particle]:
+        """Read-only snapshot: a copy of each particle's row, in order.
+        Writing to it does not change the swarm."""
+        return [
+            Particle(pos, vel, pbest, f)
+            for pos, vel, pbest, f in zip(
+                self.position.copy(), self.velocity.copy(), self.pbest_position.copy(),
+                self.pbest_fitness.tolist(),
+            )
+        ]
 
 
 def encode(centroids: np.ndarray) -> np.ndarray:
@@ -146,37 +180,6 @@ def inertia_weight(config: PsoConfig, iter: int) -> float:
     return sched.w_max * math.exp(-iter / config.max_iter)
 
 
-def update_velocity(
-    particle: Particle,
-    gbest_position: np.ndarray,
-    w: float,
-    config: PsoConfig,
-    rng,
-    v_max: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """New velocity from inertia plus cognitive and social attraction.
-
-    Draws one rand block per attraction term (per dimension). ``v_max`` is
-    the precomputed per-dimension clamp, or None for no clamp.
-    """
-    kd = particle.position.shape[0]
-    rand1 = rng.random(kd)
-    rand2 = rng.random(kd)
-    vel = (
-        w * particle.velocity
-        + config.c1 * rand1 * (particle.pbest_position - particle.position)
-        + config.c2 * rand2 * (gbest_position - particle.position)
-    )
-    if v_max is not None:
-        vel = np.clip(vel, -v_max, v_max)
-    return vel
-
-
-def update_position(particle: Particle) -> np.ndarray:
-    """Componentwise position shift by the current velocity."""
-    return particle.position + particle.velocity
-
-
 def _apply_boundary(
     position: np.ndarray,
     previous: np.ndarray,
@@ -193,16 +196,16 @@ def _apply_boundary(
     return restored
 
 
-def restrict_boundary(
-    position: np.ndarray,
-    velocity: np.ndarray,
-    lower: np.ndarray,
-    upper: np.ndarray,
-) -> np.ndarray:
-    """Per-component boundary restriction: in-bounds components stay, the
-    rest revert to position - velocity (clamped if even that is outside,
-    which can only happen from an out-of-bounds start)."""
-    return _apply_boundary(position, position - velocity, lower, upper)
+def _evaluate(fitness: Callable[[np.ndarray], np.ndarray], positions: np.ndarray,
+              when: str) -> np.ndarray:
+    """One batched fitness call; a NaN names the first particle that gave it."""
+    evals = np.asarray(fitness(positions), dtype=np.float64)
+    nan = np.isnan(evals)
+    if nan.any():
+        raise RuntimeError(
+            f"fitness returned NaN {when}, particle {int(np.argmax(nan))}"
+        )
+    return evals
 
 
 def init_swarm(
@@ -211,7 +214,7 @@ def init_swarm(
     dataset: Dataset,
     config: PsoConfig,
     rng,
-    fitness: Callable[[np.ndarray], float],
+    fitness: Callable[[np.ndarray], np.ndarray],
 ) -> Swarm:
     """Build and evaluate the initial swarm.
 
@@ -227,8 +230,8 @@ def init_swarm(
     lower, upper = bounds.tiled(k)
     span = upper - lower
     kd = k * dataset.d
+    size = config.swarm_size
 
-    positions = []
     if seed_centers is not None:
         seeds = np.asarray(seed_centers, dtype=np.float64)
         if seeds.shape != (k, dataset.d):
@@ -236,33 +239,21 @@ def init_swarm(
                 f"seed_centers shape {seeds.shape} != ({k}, {dataset.d})"
             )
         base = encode(seeds)
-        positions.append(base.copy())
-        for _ in range(1, config.swarm_size):
-            jitter = (rng.random(kd) * 2.0 - 1.0) * 0.05 * span
-            positions.append(np.clip(base + jitter, lower, upper))
+        draws = rng.random((size - 1) * kd).reshape(size - 1, kd)
+        jitter = (draws * 2.0 - 1.0) * 0.05 * span
+        position = np.vstack([base, np.clip(base + jitter, lower, upper)])
     else:
-        for _ in range(config.swarm_size):
-            positions.append(lower + rng.random(kd) * span)
+        position = lower + rng.random(size * kd).reshape(size, kd) * span
 
-    particles = []
-    for pos in positions:
-        f = float(fitness(pos))
-        if math.isnan(f):
-            raise RuntimeError("fitness returned NaN during swarm initialization")
-        particles.append(
-            Particle(
-                position=pos,
-                velocity=np.zeros(kd),
-                pbest_position=pos.copy(),
-                pbest_fitness=f,
-            )
-        )
-
-    best = min(range(len(particles)), key=lambda i: particles[i].pbest_fitness)
+    evals = _evaluate(fitness, position, "during swarm initialization")
+    best = int(np.argmin(evals))
     return Swarm(
-        particles=particles,
-        gbest_position=particles[best].pbest_position.copy(),
-        gbest_fitness=particles[best].pbest_fitness,
+        position=position,
+        velocity=np.zeros_like(position),
+        pbest_position=position.copy(),
+        pbest_fitness=evals,
+        gbest_position=position[best].copy(),
+        gbest_fitness=float(evals[best]),
         iter=0,
         lower=lower,
         upper=upper,
@@ -273,49 +264,45 @@ def init_swarm(
 
 def step(
     swarm: Swarm,
-    fitness: Callable[[np.ndarray], float],
+    fitness: Callable[[np.ndarray], np.ndarray],
     config: PsoConfig,
     rng,
 ) -> Swarm:
     """Advance the swarm one iteration in place (and return it).
 
     Every particle moves against the previous iteration's gbest; pbest and
-    gbest refresh only on strict improvement, after all evaluations. The
-    boundary revert restores the saved pre-update component exactly, which
-    keeps in-bounds swarms in bounds without float round-off.
+    gbest refresh only on strict improvement, after the swarm's one fitness
+    call. gbest ties go to the lowest particle index. The boundary revert
+    restores the saved pre-update component exactly, which keeps in-bounds
+    swarms in bounds without float round-off.
     """
     w = inertia_weight(config, swarm.iter)
-    v_max = None
+    previous = swarm.position
+    size, kd = previous.shape
+    rand = rng.random(size * 2 * kd).reshape(size, 2, kd)
+    velocity = (
+        w * swarm.velocity
+        + config.c1 * rand[:, 0] * (swarm.pbest_position - previous)
+        + config.c2 * rand[:, 1] * (swarm.gbest_position - previous)
+    )
     if config.v_max_fraction is not None:
         v_max = config.v_max_fraction * (swarm.upper - swarm.lower)
-    gbest_prev = swarm.gbest_position
-    restricted = config.boundary == "restricted"
+        velocity = np.clip(velocity, -v_max, v_max)
+    position = previous + velocity
+    if config.boundary == "restricted":
+        position = _apply_boundary(position, previous, swarm.lower, swarm.upper)
+    swarm.velocity = velocity
+    swarm.position = position
 
-    evals = np.empty(len(swarm.particles))
-    for i, p in enumerate(swarm.particles):
-        vel = update_velocity(p, gbest_prev, w, config, rng, v_max)
-        prev = p.position
-        p.velocity = vel
-        pos = update_position(p)
-        if restricted:
-            pos = _apply_boundary(pos, prev, swarm.lower, swarm.upper)
-        p.position = pos
-        f = float(fitness(pos))
-        if math.isnan(f):
-            raise RuntimeError(
-                f"fitness returned NaN at iteration {swarm.iter}, particle {i}"
-            )
-        evals[i] = f
+    evals = _evaluate(fitness, position, f"at iteration {swarm.iter}")
+    improved = evals < swarm.pbest_fitness
+    swarm.pbest_fitness = np.where(improved, evals, swarm.pbest_fitness)
+    swarm.pbest_position = np.where(improved[:, None], position, swarm.pbest_position)
 
-    for p, f in zip(swarm.particles, evals):
-        if f < p.pbest_fitness:
-            p.pbest_fitness = float(f)
-            p.pbest_position = p.position.copy()
-
-    best = min(range(len(swarm.particles)), key=lambda i: swarm.particles[i].pbest_fitness)
-    if swarm.particles[best].pbest_fitness < swarm.gbest_fitness:
-        swarm.gbest_fitness = swarm.particles[best].pbest_fitness
-        swarm.gbest_position = swarm.particles[best].pbest_position.copy()
+    best = int(np.argmin(swarm.pbest_fitness))
+    if swarm.pbest_fitness[best] < swarm.gbest_fitness:
+        swarm.gbest_fitness = float(swarm.pbest_fitness[best])
+        swarm.gbest_position = swarm.pbest_position[best].copy()
 
     swarm.iter += 1
     return swarm

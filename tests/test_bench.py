@@ -15,7 +15,15 @@ from swarmclust.bench import (
 )
 from swarmclust.cli import main
 from swarmclust.core import derive_seed
-from swarmclust.pipelines import ALGORITHMS
+from swarmclust.pipelines import ALGORITHMS, PARAM_TYPES
+
+# A value of the right type for every benchmark-config param name
+VALID_PARAM_VALUES = {
+    "k": 2, "max_iter": 5, "swarm_size": 4, "stall_iters": 3, "kmeans_max_iter": 5,
+    "max_centers": 8, "c1": 1.5, "c2": 2, "rel_tol": 1e-6, "epsilon": 0.2, "r_a": 0.5,
+    "r_b": 0.75, "v_max_fraction": None, "inertia": "linear", "boundary": "none",
+    "stop": "fixed_k",
+}
 
 
 def fixture_config(reps=2, algorithms=None, base_seed=4242):
@@ -82,9 +90,35 @@ class TestConfigParsing:
         }
         assert {algo_id: row.param_names for algo_id, row in ALGORITHMS.items()} == expected
         parse_config(fixture_config(algorithms=[
-            {"id": algo_id, "params": dict.fromkeys(names, 1)}
+            {"id": algo_id, "params": {name: VALID_PARAM_VALUES[name] for name in names}}
             for algo_id, names in expected.items()
         ]))
+
+    def test_every_accepted_param_has_a_type(self):
+        names = set().union(*(row.param_names for row in ALGORITHMS.values()))
+        assert names == set(VALID_PARAM_VALUES)
+        assert names <= set(PARAM_TYPES)
+
+    @pytest.mark.parametrize("params, key, message", [
+        ({"inertia": 0.5}, "inertia", "0.5 is not a string or a mapping"),
+        ({"k": "2"}, "k", "'2' is not an integer"),
+        ({"swarm_size": 2.5}, "swarm_size", "2.5 is not an integer"),
+        ({"k": True}, "k", "True is not an integer"),
+        ({"c1": False}, "c1", "False is not a number"),
+        ({"rel_tol": "1e-6"}, "rel_tol", "'1e-6' is not a number"),
+        ({"v_max_fraction": "off"}, "v_max_fraction", "'off' is not a number or null"),
+        ({"boundary": 1}, "boundary", "1 is not a string"),
+        ({"stop": None}, "stop", "None is not a string"),
+        ({"epsilon": [0.1]}, "epsilon", "[0.1] is not a number"),
+        ({"inertia": {"kind": "linear", "w_max": "0.9"}}, "inertia/w_max",
+         "'0.9' is not a number"),
+        ({"max_centers": 3.0, "c2": "x"}, "c2", "'x' is not a number"),
+    ])
+    def test_mistyped_params_rejected(self, params, key, message):
+        raw = fixture_config(algorithms=[{"id": "kmeans"}, {"id": "sub_pso", "params": params}])
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == f"config invalid at algorithms/1/params/{key}: {message}"
 
     @pytest.mark.parametrize("algo_id, params, unknown", [
         ("pso", {"swarmsize": 500, "max_itr": 1}, "['max_itr', 'swarmsize']"),
@@ -299,6 +333,17 @@ class TestCli:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2
         assert "algorithms/0/params: unknown keys ['max_itr', 'swarmsize']" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_mistyped_param_exits_2(self, tmp_path, command):
+        raw = fixture_config(reps=1, algorithms=[{"id": "pso", "params": {"k": "2"}}])
+        args = [command, "--config", self.write_config(tmp_path, raw)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert "algorithms/0/params/k: '2' is not an integer" in result.output
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self):

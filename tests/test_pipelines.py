@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
+
+from swarmclust import pipelines
 
 from swarmclust.core import (
     Assignment,
@@ -12,6 +15,7 @@ from swarmclust.core import (
 from swarmclust.data import make_blobs, normalize_minmax
 from swarmclust.metrics import sicd
 from swarmclust.pipelines import (
+    _fitness_for,
     assign_nearest,
     recompute_centroids,
     run_brapso,
@@ -37,6 +41,34 @@ def blob_fixture(seed=7, **overrides):
     params.update(overrides)
     ds, _ = normalize_minmax(make_blobs("two_blob", params, seed=seed))
     return ds
+
+
+class TestBatchedFitness:
+    """The batched fitness must equal the single-particle SICD bit for bit,
+    on both sides of numpy's pairwise-summation block (128 values)."""
+
+    @pytest.mark.parametrize("n,d,k,m", [
+        (1, 1, 1, 2), (5, 2, 3, 4), (7, 3, 1, 3), (150, 4, 1, 6),
+        (129, 2, 2, 20), (300, 3, 4, 20), (1000, 13, 3, 20),
+    ])
+    def test_rows_equal_per_particle_sicd(self, n, d, k, m):
+        rng = Rng(derive_seed(77, n, d, k, m))
+        x = rng.normal(size=(n, d)) * 3.0
+        positions = rng.uniform(-4, 4, size=(m, k * d))
+        batched = _fitness_for(Dataset(points=x), k)(positions)
+        assert batched.shape == (m,)
+        for i in range(m):
+            assert batched[i] == cdist(x, positions[i].reshape(k, d)).min(axis=1).sum()
+
+    # k*N = 400 distances per row: blocks of 1, 2 and 4 rows over 9 rows
+    @pytest.mark.parametrize("block", [1, 800, 1600])
+    def test_blocked_rows_equal_one_call(self, monkeypatch, block):
+        rng = Rng(5)
+        ds = Dataset(points=rng.normal(size=(200, 3)))
+        positions = rng.uniform(-2, 2, size=(9, 6))
+        whole = _fitness_for(ds, 2)(positions)
+        monkeypatch.setattr(pipelines, "FITNESS_BLOCK", block)
+        assert np.array_equal(_fitness_for(ds, 2)(positions), whole)
 
 
 class TestAssignNearest:

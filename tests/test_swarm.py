@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from swarmclust.core import ContractViolation, Dataset, Rng
 from swarmclust.swarm import (
-    Particle,
     PsoConfig,
+    Swarm,
     decode,
     encode,
     exponential_literal,
@@ -17,10 +18,7 @@ from swarmclust.swarm import (
     inertia_weight,
     init_swarm,
     linear,
-    restrict_boundary,
     step,
-    update_position,
-    update_velocity,
 )
 
 from oracles import StubStream, pso_replay
@@ -37,10 +35,35 @@ class ConstantStream:
 
 
 def quadratic_fitness(target):
-    def fitness(pos):
-        return float(np.sum((pos - target) ** 2))
+    """Batched: one squared distance to ``target`` per row."""
+    def fitness(positions):
+        return np.sum((positions - target) ** 2, axis=1)
 
     return fitness
+
+
+def one_step(position, velocity, pbest, gbest, *, w, c1=2.0, c2=2.0, v_max_fraction=None,
+             boundary="none", lower=(-100.0,), upper=(100.0,), rand=0.5):
+    """Run ``step`` on a hand-built one-particle swarm whose first-iteration
+    inertia weight is ``w``, drawing the constant ``rand``."""
+    position = np.array([position], dtype=np.float64)
+    swarm = Swarm(
+        position=position,
+        velocity=np.array([velocity], dtype=np.float64),
+        pbest_position=np.array([pbest], dtype=np.float64),
+        pbest_fitness=np.array([np.inf]),
+        gbest_position=np.array(gbest, dtype=np.float64),
+        gbest_fitness=np.inf,
+        iter=0,
+        lower=np.array(lower * position.shape[1]),
+        upper=np.array(upper * position.shape[1]),
+        k=position.shape[1],
+        d=1,
+    )
+    cfg = PsoConfig(c1=c1, c2=c2, inertia=exponential_literal(w),
+                    v_max_fraction=v_max_fraction, boundary=boundary)
+    assert inertia_weight(cfg, 0) == w
+    return step(swarm, quadratic_fitness(0.0), cfg, ConstantStream(rand))
 
 
 class TestEncodeDecode:
@@ -88,61 +111,74 @@ class TestInertiaWeight:
 
 class TestVelocityAndPosition:
     def test_all_terms_vanish(self):
-        p = Particle(np.array([1.0]), np.array([2.0]), np.array([5.0]), 0.0)
-        cfg = PsoConfig(c1=0.0, c2=0.0, v_max_fraction=None)
-        vel = update_velocity(p, np.array([7.0]), 0.0, cfg, ConstantStream(0.5))
-        assert np.array_equal(vel, [0.0])
+        swarm = one_step([1.0], [2.0], [5.0], [7.0], w=0.0, c1=0.0, c2=0.0)
+        assert np.array_equal(swarm.velocity, [[0.0]])
 
     def test_pure_inertia_when_at_both_bests(self):
-        x = np.array([2.0, -1.0])
-        p = Particle(x.copy(), np.array([0.5, 0.5]), x.copy(), 0.0)
-        cfg = PsoConfig(v_max_fraction=None)
-        vel = update_velocity(p, x.copy(), 0.9, cfg, ConstantStream(0.3))
-        assert np.allclose(vel, 0.9 * np.array([0.5, 0.5]))
+        x = [2.0, -1.0]
+        swarm = one_step(x, [0.5, 0.5], x, x, w=0.9, rand=0.3)
+        assert np.allclose(swarm.velocity[0], 0.9 * np.array([0.5, 0.5]))
 
     def test_hand_evaluated_1d_update(self):
         # v=0.5, x=1, pbest=2, gbest=3, w=0.9, c1=c2=2, rand=0.5
-        p = Particle(np.array([1.0]), np.array([0.5]), np.array([2.0]), 0.0)
-        cfg = PsoConfig(c1=2.0, c2=2.0, v_max_fraction=None)
-        vel = update_velocity(p, np.array([3.0]), 0.9, cfg, ConstantStream(0.5))
-        assert vel[0] == pytest.approx(3.45, rel=1e-15)
-        p.velocity = vel
-        assert update_position(p)[0] == pytest.approx(4.45, rel=1e-15)
+        swarm = one_step([1.0], [0.5], [2.0], [3.0], w=0.9, c1=2.0, c2=2.0)
+        assert swarm.velocity[0, 0] == pytest.approx(3.45, rel=1e-15)
+        assert swarm.position[0, 0] == pytest.approx(4.45, rel=1e-15)
 
     def test_v_max_clamp(self):
-        p = Particle(np.array([0.0]), np.array([100.0]), np.array([0.0]), 0.0)
-        cfg = PsoConfig(v_max_fraction=0.5)
-        vel = update_velocity(p, np.array([0.0]), 1.0, cfg, ConstantStream(0.0),
-                              v_max=np.array([2.0]))
-        assert vel[0] == 2.0
+        # span 4 and v_max_fraction 0.5 give v_max = 2
+        swarm = one_step([0.0], [100.0], [0.0], [0.0], w=1.0, v_max_fraction=0.5,
+                         lower=(-2.0,), upper=(2.0,), rand=0.0)
+        assert swarm.velocity[0, 0] == 2.0
+
+    def test_rows_update_independently(self):
+        # each row gets exactly the arithmetic a lone particle would
+        rng = Rng(4)
+        pos, vel, pbest = rng.uniform(-1, 1, size=(3, 5, 4))
+        gbest = rng.uniform(-1, 1, size=4)
+        draws = Rng(8).random(5 * 2 * 4).reshape(5, 2, 4)
+        cfg = PsoConfig(c1=1.3, c2=1.9, inertia=exponential_literal(0.7),
+                        v_max_fraction=None, boundary="none")
+        swarm = Swarm(pos.copy(), vel.copy(), pbest.copy(), np.full(5, np.inf),
+                      gbest.copy(), np.inf, 0, np.full(4, -9.0), np.full(4, 9.0), 2, 2)
+        step(swarm, quadratic_fitness(0.0), cfg, Rng(8))
+        for i in range(5):
+            v = (0.7 * vel[i] + 1.3 * draws[i, 0] * (pbest[i] - pos[i])
+                 + 1.9 * draws[i, 1] * (gbest - pos[i]))
+            assert np.array_equal(swarm.velocity[i], v)
+            assert np.array_equal(swarm.position[i], pos[i] + v)
 
 
 class TestRestrictBoundary:
-    lower = np.array([0.0])
-    upper = np.array([1.0])
+    """One step with w=1 and c1=c2=0 moves a particle by exactly its
+    velocity, so each case is (pre-update position, velocity)."""
+
+    @staticmethod
+    def restricted(previous, velocity, lower=(0.0,), upper=(1.0,)):
+        swarm = one_step(previous, velocity, previous, previous, w=1.0, c1=0.0, c2=0.0,
+                         boundary="restricted", lower=lower, upper=upper)
+        return swarm.position[0]
 
     def test_inside_unchanged(self):
-        pos = restrict_boundary(np.array([0.4]), np.array([0.2]), self.lower, self.upper)
+        pos = self.restricted([0.2], [0.2])
         assert pos[0] == 0.4
 
     def test_overshoot_reverts(self):
         # pre-update 0.8, velocity 0.5 -> 1.3 is out -> back to 0.8
-        pos = restrict_boundary(np.array([1.3]), np.array([0.5]), self.lower, self.upper)
+        pos = self.restricted([0.8], [0.5])
         assert pos[0] == pytest.approx(0.8)
 
     def test_exactly_on_bound_kept(self):
-        pos = restrict_boundary(np.array([1.0]), np.array([0.5]), self.lower, self.upper)
+        pos = self.restricted([0.5], [0.5])
         assert pos[0] == 1.0
 
     def test_out_of_bounds_start_clamped(self):
-        # position 2.0 with velocity 0.5 reverts to 1.5, still out -> clamp
-        pos = restrict_boundary(np.array([2.0]), np.array([0.5]), self.lower, self.upper)
+        # pre-update 1.5 with velocity 0.5 -> 2.0 reverts to 1.5, still out -> clamp
+        pos = self.restricted([1.5], [0.5])
         assert pos[0] == 1.0
 
     def test_per_component(self):
-        pos = restrict_boundary(
-            np.array([0.5, 1.2]), np.array([0.1, 0.4]), np.zeros(2), np.ones(2)
-        )
+        pos = self.restricted([0.4, 0.8], [0.1, 0.4])
         assert np.allclose(pos, [0.5, 0.8])
 
 
@@ -156,26 +192,25 @@ class TestInitSwarm:
         seeds = np.array([[0.5, 0.5], [4.5, 0.5]])
         cfg = PsoConfig(swarm_size=4)
         swarm = init_swarm(seeds, 2, ds, cfg, Rng(0), quadratic_fitness(0.0))
-        assert np.array_equal(decode(swarm.particles[0].position, 2, 2), seeds)
+        assert np.array_equal(decode(swarm.position[0], 2, 2), seeds)
 
     def test_positions_within_bounds(self):
         ds = tiny_dataset()
         cfg = PsoConfig(swarm_size=8)
         for seeds in (None, ds.points[:2].copy()):
             swarm = init_swarm(seeds, 2, ds, cfg, Rng(3), quadratic_fitness(1.0))
-            for p in swarm.particles:
-                assert np.all(p.position >= swarm.lower)
-                assert np.all(p.position <= swarm.upper)
-                assert np.array_equal(p.velocity, np.zeros(4))
-                assert np.array_equal(p.pbest_position, p.position)
+            assert swarm.position.shape == (8, 4)
+            assert np.all(swarm.position >= swarm.lower)
+            assert np.all(swarm.position <= swarm.upper)
+            assert np.array_equal(swarm.velocity, np.zeros((8, 4)))
+            assert np.array_equal(swarm.pbest_position, swarm.position)
 
     def test_equal_seeds_identical_swarms(self):
         ds = tiny_dataset()
         cfg = PsoConfig(swarm_size=5)
         a = init_swarm(None, 2, ds, cfg, Rng(42), quadratic_fitness(0.0))
         b = init_swarm(None, 2, ds, cfg, Rng(42), quadratic_fitness(0.0))
-        for pa, pb in zip(a.particles, b.particles):
-            assert np.array_equal(pa.position, pb.position)
+        assert np.array_equal(a.position, b.position)
         assert a.gbest_fitness == b.gbest_fitness
 
     def test_swarm_size_floor_enforced(self):
@@ -186,7 +221,43 @@ class TestInitSwarm:
         ds = tiny_dataset()
         swarm = init_swarm(None, 2, ds, PsoConfig(swarm_size=6), Rng(7),
                            quadratic_fitness(0.5))
-        assert swarm.gbest_fitness == min(p.pbest_fitness for p in swarm.particles)
+        assert swarm.gbest_fitness == min(swarm.pbest_fitness)
+
+    def test_gbest_ties_go_to_lowest_index(self):
+        ds = tiny_dataset()
+        swarm = init_swarm(None, 2, ds, PsoConfig(swarm_size=6), Rng(7),
+                           lambda positions: np.ones(len(positions)))
+        assert np.array_equal(swarm.gbest_position, swarm.position[0])
+
+    def test_one_fitness_call_per_init_and_step(self):
+        ds = tiny_dataset()
+        calls = []
+        base = quadratic_fitness(0.5)
+
+        def fitness(positions):
+            calls.append(positions.shape)
+            return base(positions)
+
+        cfg = PsoConfig(swarm_size=6)
+        swarm = init_swarm(None, 2, ds, cfg, Rng(7), fitness)
+        step(swarm, fitness, cfg, Rng(8))
+        assert calls == [(6, 4), (6, 4)]
+
+    def test_particles_is_a_snapshot(self):
+        ds = tiny_dataset()
+        swarm = init_swarm(None, 2, ds, PsoConfig(swarm_size=3), Rng(7),
+                           quadratic_fitness(0.5))
+        before = swarm.position.copy()
+        snapshot = swarm.particles
+        assert len(snapshot) == 3
+        for i, p in enumerate(snapshot):
+            assert np.array_equal(p.position, swarm.position[i])
+            assert np.array_equal(p.pbest_position, swarm.pbest_position[i])
+            assert p.pbest_fitness == swarm.pbest_fitness[i]
+            p.position[:] = 99.0
+        assert np.array_equal(swarm.position, before)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            snapshot[0].position = before[0]
 
 
 class TestStep:
@@ -197,14 +268,15 @@ class TestStep:
         cfg = PsoConfig(swarm_size=3, c1=1.0, c2=1.0)
         swarm = init_swarm(decode(target, 2, 2), 2, ds, cfg, Rng(1), fitness)
         # park every particle exactly at the optimum with zero velocity
-        for p in swarm.particles:
-            p.position = target.copy()
-            p.pbest_position = target.copy()
-            p.pbest_fitness = fitness(target)
+        at_target = np.tile(target, (3, 1))
+        swarm.position = at_target.copy()
+        swarm.velocity = np.zeros_like(at_target)
+        swarm.pbest_position = at_target.copy()
+        swarm.pbest_fitness = fitness(at_target)
         swarm.gbest_position = target.copy()
-        swarm.gbest_fitness = fitness(target)
+        swarm.gbest_fitness = float(fitness(target[None])[0])
         step(swarm, fitness, cfg, Rng(2))
-        assert swarm.gbest_fitness == fitness(target)
+        assert swarm.gbest_fitness == float(fitness(target[None])[0])
         assert np.array_equal(swarm.gbest_position, target)
 
     def test_gbest_never_worsens(self):
@@ -227,15 +299,15 @@ class TestStep:
         rng = Rng(10)
         for _ in range(10):
             step(swarm, fitness, cfg, rng)
-            for p in swarm.particles:
-                assert p.pbest_fitness == fitness(p.pbest_position)
+            for i in range(4):
+                assert swarm.pbest_fitness[i] == fitness(swarm.pbest_position[i:i + 1])[0]
 
     def test_nan_fitness_aborts(self):
         ds = tiny_dataset()
         cfg = PsoConfig(swarm_size=2)
         swarm = init_swarm(None, 2, ds, cfg, Rng(1), quadratic_fitness(0.0))
         with pytest.raises(RuntimeError, match="NaN"):
-            step(swarm, lambda pos: float("nan"), cfg, Rng(2))
+            step(swarm, lambda positions: np.full(len(positions), np.nan), cfg, Rng(2))
 
     def test_boundary_containment_under_steps(self):
         ds = tiny_dataset()
@@ -245,9 +317,23 @@ class TestStep:
         rng = Rng(22)
         for _ in range(50):
             step(swarm, fitness, cfg, rng)
-            for p in swarm.particles:
-                assert np.all(p.position >= swarm.lower)
-                assert np.all(p.position <= swarm.upper)
+            assert np.all(swarm.position >= swarm.lower)
+            assert np.all(swarm.position <= swarm.upper)
+
+
+class TestDrawOrder:
+    """The engine draws a step's rand1/rand2 for the whole swarm as one flat
+    block read as (S, 2, kd); that must be the stream sequential per-particle
+    draws would give."""
+
+    @pytest.mark.parametrize("size,kd", [(20, 12), (2, 1), (7, 52), (3, 4)])
+    @pytest.mark.parametrize("stream", [Rng, StubStream])
+    def test_block_equals_sequential_pairs(self, stream, size, kd):
+        block = stream(11).random(size * 2 * kd).reshape(size, 2, kd)
+        seq = stream(11)
+        for i in range(size):
+            assert np.array_equal(block[i, 0], seq.random(kd))
+            assert np.array_equal(block[i, 1], seq.random(kd))
 
 
 class TestLockstepOracle:
