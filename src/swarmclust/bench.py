@@ -20,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 import yaml
-from jsonschema import ValidationError, validate
+from jsonschema import Draft202012Validator, validators
+from jsonschema.exceptions import best_match
 
 from . import __version__
 from .core import Dataset, Rng, derive_seed
@@ -38,7 +39,6 @@ from .pipelines import (  # noqa: F401  (run_cell calls the run_* by name)
     ALGORITHMS,
     DEFAULTS_VERSION,
     PSO_PARAMS,
-    mistyped_params,
     run_brapso,
     run_kmeans,
     run_kmeans_pso,
@@ -125,12 +125,51 @@ CONFIG_SCHEMA = {
                 "properties": {
                     "id": {"enum": list(ALGORITHM_IDS)},
                     "label": {"type": "string"},
-                    "params": {"type": "object"},
+                    # value types only: the names each id accepts are checked
+                    # against its ALGORITHMS row in parse_config
+                    "params": {
+                        "type": "object",
+                        "properties": {
+                            "boundary": {"type": "string"},
+                            "c1": {"type": "number"},
+                            "c2": {"type": "number"},
+                            "epsilon": {"type": "number"},
+                            "inertia": {
+                                "type": ["string", "object"],
+                                "properties": {
+                                    "kind": {"type": "string"},
+                                    "w_max": {"type": "number"},
+                                    "w_min": {"type": "number"},
+                                },
+                            },
+                            "k": {"type": "integer"},
+                            "kmeans_max_iter": {"type": "integer"},
+                            "max_centers": {"type": "integer"},
+                            "max_iter": {"type": "integer"},
+                            "r_a": {"type": "number"},
+                            "r_b": {"type": "number"},
+                            "rel_tol": {"type": "number"},
+                            "stall_iters": {"type": "integer"},
+                            "stop": {"type": "string"},
+                            "swarm_size": {"type": "integer"},
+                            "v_max_fraction": {"type": ["number", "null"]},
+                        },
+                    },
                 },
             },
         },
     },
 }
+
+# JSON Schema counts 2.0 as an integer, but counts, sizes and seeds are used
+# as Python ints (range, slices, bit masks), so the config takes only ints.
+# Built once: the schema itself is checked by the tests, not on every parse.
+CONFIG_VALIDATOR = validators.extend(
+    Draft202012Validator,
+    type_checker=Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)
+    ),
+)(CONFIG_SCHEMA)
 
 
 class ConfigError(ValueError):
@@ -174,25 +213,16 @@ class BenchReport:
 def parse_config(raw: dict) -> BenchConfig:
     """Validate a parsed YAML/JSON mapping against the published schema,
     check each algorithm's param names against its ``ALGORITHMS`` row and
-    their value types against ``PARAM_TYPES``, and build a BenchConfig.
-    Raises ConfigError with a readable message."""
-    try:
-        validate(raw, CONFIG_SCHEMA)
-    except ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {exc.message}") from None
+    build a BenchConfig. Raises ConfigError with a readable message."""
+    error = best_match(CONFIG_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ConfigError(f"config invalid at {path}: {error.message}")
     for i, entry in enumerate(raw["algorithms"]):
-        params = entry.get("params", {})
-        unknown = ALGORITHMS[entry["id"]].unknown_params(params)
+        unknown = ALGORITHMS[entry["id"]].unknown_params(entry.get("params", {}))
         if unknown:
             raise ConfigError(
                 f"config invalid at algorithms/{i}/params: unknown keys {unknown}"
-            )
-        mistyped = mistyped_params(params)
-        if mistyped:
-            key, value, expected = mistyped[0]
-            raise ConfigError(
-                f"config invalid at algorithms/{i}/params/{key}: {value!r} is not {expected}"
             )
 
     data_dir = raw.get("data_dir")

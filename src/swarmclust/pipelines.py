@@ -58,36 +58,6 @@ SEEDING_PARAMS = {
 PSO_PARAMS = tuple(f.name for f in fields(PsoConfig))
 INERTIA_PARAMS = frozenset(f.name for f in fields(Inertia))
 
-# The value type each benchmark-config param takes, by name; the values of an
-# ``inertia`` mapping go by ``inertia/<key>``. A bool is never a number here.
-_INTEGER = ("an integer", (int,))
-_NUMBER = ("a number", (int, float))
-_STRING = ("a string", (str,))
-PARAM_TYPES = {
-    **dict.fromkeys(("k", "max_iter", "swarm_size", "stall_iters", "kmeans_max_iter",
-                     "max_centers"), _INTEGER),
-    **dict.fromkeys(("c1", "c2", "rel_tol", "epsilon", "r_a", "r_b",
-                     "inertia/w_max", "inertia/w_min"), _NUMBER),
-    **dict.fromkeys(("boundary", "stop", "inertia/kind"), _STRING),
-    "v_max_fraction": ("a number or null", (int, float, type(None))),
-    "inertia": ("a string or a mapping", (str, dict)),
-}
-
-
-def mistyped_params(params: dict) -> list:
-    """(key, value, expected type) for each value of ``params`` or of its
-    ``inertia`` mapping that has the wrong type, sorted by key."""
-    values = dict(params)
-    if isinstance(params.get("inertia"), dict):
-        values.update((f"inertia/{key}", value) for key, value in params["inertia"].items())
-    bad = []
-    for key in sorted(values):
-        if key in PARAM_TYPES:
-            expected, types = PARAM_TYPES[key]
-            if isinstance(values[key], bool) or not isinstance(values[key], types):
-                bad.append((key, values[key], expected))
-    return bad
-
 
 @dataclass(frozen=True)
 class AlgorithmDef:

@@ -6,6 +6,8 @@ import yaml
 from click.testing import CliRunner
 
 from swarmclust.bench import (
+    CONFIG_SCHEMA,
+    CONFIG_VALIDATOR,
     ConfigError,
     aggregate_records,
     emit_report,
@@ -15,7 +17,7 @@ from swarmclust.bench import (
 )
 from swarmclust.cli import main
 from swarmclust.core import derive_seed
-from swarmclust.pipelines import ALGORITHMS, PARAM_TYPES
+from swarmclust.pipelines import ALGORITHMS
 
 # A value of the right type for every benchmark-config param name
 VALID_PARAM_VALUES = {
@@ -71,6 +73,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="base_seed"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("key", ["base_seed", "repetitions"])
+    def test_integral_float_rejected(self, key):
+        raw = fixture_config()
+        raw[key] = 2.0
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == f"config invalid at {key}: 2.0 is not of type 'integer'"
+
     def test_unknown_algorithm_id(self):
         raw = fixture_config(algorithms=[{"id": "dbscan"}])
         with pytest.raises(ConfigError):
@@ -94,31 +104,42 @@ class TestConfigParsing:
             for algo_id, names in expected.items()
         ]))
 
+    def test_schema_is_valid(self):
+        CONFIG_VALIDATOR.check_schema(CONFIG_SCHEMA)
+
     def test_every_accepted_param_has_a_type(self):
         names = set().union(*(row.param_names for row in ALGORITHMS.values()))
         assert names == set(VALID_PARAM_VALUES)
-        assert names <= set(PARAM_TYPES)
+        params = CONFIG_SCHEMA["properties"]["algorithms"]["items"]["properties"]["params"]
+        assert names == set(params["properties"])
 
     @pytest.mark.parametrize("params, key, message", [
-        ({"inertia": 0.5}, "inertia", "0.5 is not a string or a mapping"),
-        ({"k": "2"}, "k", "'2' is not an integer"),
-        ({"swarm_size": 2.5}, "swarm_size", "2.5 is not an integer"),
-        ({"k": True}, "k", "True is not an integer"),
-        ({"c1": False}, "c1", "False is not a number"),
-        ({"rel_tol": "1e-6"}, "rel_tol", "'1e-6' is not a number"),
-        ({"v_max_fraction": "off"}, "v_max_fraction", "'off' is not a number or null"),
-        ({"boundary": 1}, "boundary", "1 is not a string"),
-        ({"stop": None}, "stop", "None is not a string"),
-        ({"epsilon": [0.1]}, "epsilon", "[0.1] is not a number"),
+        ({"inertia": 0.5}, "inertia", "0.5 is not of type 'string', 'object'"),
+        ({"k": "2"}, "k", "'2' is not of type 'integer'"),
+        ({"swarm_size": 2.5}, "swarm_size", "2.5 is not of type 'integer'"),
+        ({"swarm_size": 4.0}, "swarm_size", "4.0 is not of type 'integer'"),
+        ({"k": True}, "k", "True is not of type 'integer'"),
+        ({"c1": False}, "c1", "False is not of type 'number'"),
+        ({"rel_tol": "1e-6"}, "rel_tol", "'1e-6' is not of type 'number'"),
+        ({"v_max_fraction": "off"}, "v_max_fraction", "'off' is not of type 'number', 'null'"),
+        ({"boundary": 1}, "boundary", "1 is not of type 'string'"),
+        ({"stop": None}, "stop", "None is not of type 'string'"),
+        ({"epsilon": [0.1]}, "epsilon", "[0.1] is not of type 'number'"),
         ({"inertia": {"kind": "linear", "w_max": "0.9"}}, "inertia/w_max",
-         "'0.9' is not a number"),
-        ({"max_centers": 3.0, "c2": "x"}, "c2", "'x' is not a number"),
+         "'0.9' is not of type 'number'"),
     ])
     def test_mistyped_params_rejected(self, params, key, message):
         raw = fixture_config(algorithms=[{"id": "kmeans"}, {"id": "sub_pso", "params": params}])
         with pytest.raises(ConfigError) as info:
             parse_config(raw)
         assert str(info.value) == f"config invalid at algorithms/1/params/{key}: {message}"
+
+    def test_two_mistyped_params_name_one(self):
+        params = {"max_centers": 3.0, "c2": "x"}
+        raw = fixture_config(algorithms=[{"id": "kmeans"}, {"id": "sub_pso", "params": params}])
+        with pytest.raises(ConfigError, match=r"^config invalid at algorithms/1/params/"
+                                              r"(c2: 'x'|max_centers: 3\.0) is not of type"):
+            parse_config(raw)
 
     @pytest.mark.parametrize("algo_id, params, unknown", [
         ("pso", {"swarmsize": 500, "max_itr": 1}, "['max_itr', 'swarmsize']"),
@@ -343,7 +364,7 @@ class TestCli:
             args += ["--out", str(tmp_path / "out")]
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2
-        assert "algorithms/0/params/k: '2' is not an integer" in result.output
+        assert "algorithms/0/params/k: '2' is not of type 'integer'" in result.output
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self):
