@@ -125,34 +125,41 @@ CONFIG_SCHEMA = {
                 "properties": {
                     "id": {"enum": list(ALGORITHM_IDS)},
                     "label": {"type": "string"},
-                    # value types only: the names each id accepts are checked
-                    # against its ALGORITHMS row in parse_config
+                    # value types and ranges only: the names each id accepts
+                    # are checked against its ALGORITHMS row in parse_config.
+                    # The ranges are those PsoConfig, Inertia,
+                    # SubtractiveConfig and DensityRatio enforce, so a bad
+                    # value fails here instead of in every cell.
                     "params": {
                         "type": "object",
                         "properties": {
                             "boundary": {"type": "string"},
-                            "c1": {"type": "number"},
-                            "c2": {"type": "number"},
-                            "epsilon": {"type": "number"},
+                            "c1": {"type": "number", "minimum": 0},
+                            "c2": {"type": "number", "minimum": 0},
+                            "epsilon": {
+                                "type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1,
+                            },
                             "inertia": {
                                 "type": ["string", "object"],
                                 "properties": {
                                     "kind": {"type": "string"},
-                                    "w_max": {"type": "number"},
-                                    "w_min": {"type": "number"},
+                                    "w_max": {"type": "number", "minimum": 0},
+                                    "w_min": {"type": "number", "minimum": 0},
                                 },
                             },
-                            "k": {"type": "integer"},
-                            "kmeans_max_iter": {"type": "integer"},
-                            "max_centers": {"type": "integer"},
-                            "max_iter": {"type": "integer"},
-                            "r_a": {"type": "number"},
-                            "r_b": {"type": "number"},
+                            "k": {"type": "integer", "minimum": 1},
+                            "kmeans_max_iter": {"type": "integer", "minimum": 1},
+                            "max_centers": {"type": "integer", "minimum": 1},
+                            "max_iter": {"type": "integer", "minimum": 1},
+                            "r_a": {"type": "number", "exclusiveMinimum": 0},
+                            "r_b": {"type": "number", "exclusiveMinimum": 0},
                             "rel_tol": {"type": "number"},
-                            "stall_iters": {"type": "integer"},
+                            "stall_iters": {"type": "integer", "minimum": 1},
                             "stop": {"type": "string"},
-                            "swarm_size": {"type": "integer"},
-                            "v_max_fraction": {"type": ["number", "null"]},
+                            "swarm_size": {"type": "integer", "minimum": 2},
+                            "v_max_fraction": {
+                                "type": ["number", "null"], "exclusiveMinimum": 0, "maximum": 1,
+                            },
                         },
                     },
                 },

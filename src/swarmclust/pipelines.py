@@ -133,12 +133,14 @@ def recompute_centroids(dataset: Dataset, assignment: Assignment) -> np.ndarray:
     index); the point is then treated as reassigned so later repairs pick
     different points.
     """
-    k = assignment.k
+    k, d = assignment.k, dataset.d
     x = dataset.points
     cluster_of = assignment.cluster_of.copy()
     counts = np.bincount(cluster_of, minlength=k).astype(np.float64)
-    centroids = np.zeros((k, dataset.d))
-    np.add.at(centroids, cluster_of, x)
+    # Entry (cluster c, column j) is bin c*d + j. bincount walks the points
+    # in order, so each sum accumulates exactly as np.add.at would.
+    bins = (cluster_of[:, None] * d + np.arange(d)).ravel()
+    centroids = np.bincount(bins, weights=x.ravel(), minlength=k * d).reshape(k, d)
     nonempty = counts > 0
     centroids[nonempty] /= counts[nonempty, None]
 

@@ -134,6 +134,52 @@ class TestConfigParsing:
             parse_config(raw)
         assert str(info.value) == f"config invalid at algorithms/1/params/{key}: {message}"
 
+    @pytest.mark.parametrize("params, key, message", [
+        ({"swarm_size": 1}, "swarm_size", "1 is less than the minimum of 2"),
+        ({"max_iter": 0}, "max_iter", "0 is less than the minimum of 1"),
+        ({"stall_iters": 0}, "stall_iters", "0 is less than the minimum of 1"),
+        ({"k": 0}, "k", "0 is less than the minimum of 1"),
+        ({"c1": -1.0}, "c1", "-1.0 is less than the minimum of 0"),
+        ({"c2": -0.5}, "c2", "-0.5 is less than the minimum of 0"),
+        ({"v_max_fraction": 0.0}, "v_max_fraction",
+         "0.0 is less than or equal to the minimum of 0"),
+        ({"v_max_fraction": 1.5}, "v_max_fraction", "1.5 is greater than the maximum of 1"),
+        ({"r_a": 0.0}, "r_a", "0.0 is less than or equal to the minimum of 0"),
+        ({"r_b": -1.0}, "r_b", "-1.0 is less than or equal to the minimum of 0"),
+        ({"max_centers": 0}, "max_centers", "0 is less than the minimum of 1"),
+        ({"epsilon": 0.0}, "epsilon", "0.0 is less than or equal to the minimum of 0"),
+        ({"epsilon": 1.0}, "epsilon", "1.0 is greater than or equal to the maximum of 1"),
+        ({"inertia": {"kind": "linear", "w_max": -0.1}}, "inertia/w_max",
+         "-0.1 is less than the minimum of 0"),
+        ({"inertia": {"kind": "linear", "w_min": -0.1}}, "inertia/w_min",
+         "-0.1 is less than the minimum of 0"),
+    ])
+    def test_out_of_range_params_rejected(self, params, key, message):
+        raw = fixture_config(algorithms=[{"id": "kmeans"}, {"id": "sc_br_apso", "params": params}])
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == f"config invalid at algorithms/1/params/{key}: {message}"
+
+    def test_kmeans_iteration_limits_rejected(self):
+        for algo_id, key in (("kmeans", "max_iter"), ("kmeans_pso", "kmeans_max_iter")):
+            raw = fixture_config(algorithms=[{"id": algo_id, "params": {key: 0}}])
+            with pytest.raises(ConfigError, match=f"params/{key}: 0 is less than the minimum"):
+                parse_config(raw)
+
+    def test_range_edges_run(self):
+        # the edge values the schema lets through must not fail a cell either
+        edges = {"swarm_size": 2, "max_iter": 1, "stall_iters": 1, "c1": 0, "c2": 0.0,
+                 "v_max_fraction": 1, "r_a": 1e-3, "r_b": 1e-3, "max_centers": 1,
+                 "stop": "density_ratio", "epsilon": 0.999,
+                 "inertia": {"kind": "linear", "w_max": 0, "w_min": 0.0}}
+        raw = fixture_config(reps=1, algorithms=[
+            {"id": "kmeans", "params": {"k": 1, "max_iter": 1}},
+            {"id": "kmeans_pso", "params": {"k": 1, "kmeans_max_iter": 1}},
+            {"id": "sc_br_apso", "params": edges},
+        ])
+        report = run_grid(parse_config(raw))
+        assert report.failed_cells == 0, [r.get("error") for r in report.records]
+
     def test_two_mistyped_params_name_one(self):
         params = {"max_centers": 3.0, "c2": "x"}
         raw = fixture_config(algorithms=[{"id": "kmeans"}, {"id": "sub_pso", "params": params}])
@@ -365,6 +411,17 @@ class TestCli:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2
         assert "algorithms/0/params/k: '2' is not of type 'integer'" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_out_of_range_param_exits_2(self, tmp_path, command):
+        raw = fixture_config(reps=1, algorithms=[{"id": "pso", "params": {"swarm_size": 1}}])
+        args = [command, "--config", self.write_config(tmp_path, raw)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert "algorithms/0/params/swarm_size: 1 is less than the minimum of 2" in result.output
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self):

@@ -92,7 +92,35 @@ class TestAssignNearest:
         assert a.cluster_of.tolist() == assign_nearest_ref(pts.tolist(), centroids.tolist())
 
 
+def recompute_centroids_add_at(dataset, assignment):
+    """Reference: cluster sums by np.add.at, one point at a time."""
+    k, x = assignment.k, dataset.points
+    cluster_of = assignment.cluster_of.copy()
+    counts = np.bincount(cluster_of, minlength=k).astype(np.float64)
+    centroids = np.zeros((k, dataset.d))
+    np.add.at(centroids, cluster_of, x)
+    nonempty = counts > 0
+    centroids[nonempty] /= counts[nonempty, None]
+    for i in np.flatnonzero(~nonempty):
+        diffs = x - centroids[cluster_of]
+        farthest = int(np.argmax(np.sqrt(np.einsum("ij,ij->i", diffs, diffs))))
+        centroids[i] = x[farthest]
+        cluster_of[farthest] = i
+    return centroids
+
+
 class TestRecomputeCentroids:
+    @pytest.mark.parametrize("n, k, d, empty", [
+        (4000, 5, 8, 0), (150, 3, 4, 0), (178, 3, 13, 0), (1, 1, 2, 0),
+        (300, 6, 3, 2), (50, 4, 5, 3),
+    ])
+    def test_equals_add_at(self, n, k, d, empty):
+        rng = Rng(n + k + d)
+        ds = Dataset(points=rng.normal(0, 3, size=(n, d)))
+        # the last ``empty`` clusters get no points and go through repair
+        a = Assignment(rng.integers(0, k - empty, size=n), k=k)
+        assert np.array_equal(recompute_centroids(ds, a), recompute_centroids_add_at(ds, a))
+
     def test_singleton_clusters(self):
         ds = Dataset(points=np.array([[1.0, 2.0], [5.0, 6.0]]))
         a = Assignment(np.array([0, 1]), k=2)

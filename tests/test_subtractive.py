@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from swarmclust import subtractive
 from swarmclust.core import Dataset, DegenerateInput, Rng
 from swarmclust.data import make_blobs, normalize_minmax
 from swarmclust.subtractive import (
@@ -50,6 +57,66 @@ class TestDensityInitial:
         assert np.all(d >= 1.0) and np.all(d <= 12.0)
         ref = density_initial_ref(pts.tolist(), 0.8)
         assert d == pytest.approx(ref, rel=1e-12)
+
+
+class TestBlockedKernel:
+    """density_initial goes over the rows in blocks of DENSITY_BLOCK // N;
+    the result must not depend on where the block edges fall."""
+
+    ROWS = 4
+
+    @staticmethod
+    def full_matrix(x, r_a):
+        return np.exp(-cdist(x, x, "sqeuclidean") / (r_a / 2.0) ** 2).sum(axis=1)
+
+    @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
+    def test_equals_full_matrix(self, n, monkeypatch):
+        monkeypatch.setattr(subtractive, "DENSITY_BLOCK", self.ROWS * n)
+        pts = Rng(n).uniform(0, 1, size=(n, 3))
+        densities, count = density_initial(Dataset(points=pts), 0.6, return_eval_count=True)
+        assert np.array_equal(densities, self.full_matrix(pts, 0.6))
+        assert count == n * n
+
+    def test_block_smaller_than_a_row(self, monkeypatch):
+        monkeypatch.setattr(subtractive, "DENSITY_BLOCK", 1)
+        pts = Rng(5).uniform(0, 1, size=(9, 2))
+        assert np.array_equal(density_initial(Dataset(points=pts), 0.5),
+                              self.full_matrix(pts, 0.5))
+
+    def test_select_centers_over_many_blocks(self, monkeypatch):
+        raw = make_blobs("art_like", {"n": 301, "k": 5, "d": 3}, seed=3)
+        ds, _ = normalize_minmax(raw)
+        cfg = SubtractiveConfig(stop_rule=DensityRatio(0.1))
+        whole = select_centers(ds, cfg)
+        monkeypatch.setattr(subtractive, "DENSITY_BLOCK", 7 * ds.n)
+        blocked = select_centers(ds, cfg)
+        assert whole.k > 1
+        assert np.array_equal(blocked.indices, whole.indices)
+        assert np.array_equal(blocked.densities_at_selection, whole.densities_at_selection)
+
+
+class TestLargeN:
+    # One N x N float64 array at N = 10 000 is 800 MB; the blocked kernel
+    # peaks at about 80 MB, most of it the interpreter with numpy and scipy.
+    CEILING_MB = 250
+
+    def test_seeding_memory_stays_bounded(self):
+        pytest.importorskip("resource")
+        code = textwrap.dedent("""
+            import resource, sys
+            from swarmclust.data import make_blobs
+            from swarmclust.subtractive import SubtractiveConfig, select_centers
+            select_centers(make_blobs("art_like", {"n": 10000, "d": 8}), SubtractiveConfig())
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print(peak / (1024 * 1024 if sys.platform == "darwin" else 1024))
+        """)
+        src = str(Path(subtractive.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) < self.CEILING_MB
 
 
 class TestDensityRevise:
