@@ -13,7 +13,6 @@ from .core import (
     SearchBounds,
     bounds_of,
     derive_seed,
-    squared_euclidean,
 )
 from .data import (
     REGISTRY,

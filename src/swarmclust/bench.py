@@ -23,7 +23,7 @@ import yaml
 from jsonschema import Draft202012Validator, validators
 from jsonschema.exceptions import best_match
 
-from . import __version__
+from . import __version__, core
 from .core import Dataset, Rng, derive_seed
 from .data import (
     CsvSource,
@@ -226,10 +226,19 @@ def parse_config(raw: dict) -> BenchConfig:
         path = "/".join(str(p) for p in error.absolute_path) or "<root>"
         raise ConfigError(f"config invalid at {path}: {error.message}")
     for i, entry in enumerate(raw["algorithms"]):
-        unknown = ALGORITHMS[entry["id"]].unknown_params(entry.get("params", {}))
+        params = entry.get("params", {})
+        unknown = ALGORITHMS[entry["id"]].unknown_params(params)
         if unknown:
             raise ConfigError(
                 f"config invalid at algorithms/{i}/params: unknown keys {unknown}"
+            )
+        # k without stop means fixed_k seeding (_sub_config), which has no
+        # use for epsilon
+        if "epsilon" in params and params.get("stop", "fixed_k" if "k" in params
+                                              else None) == "fixed_k":
+            raise ConfigError(
+                f"config invalid at algorithms/{i}/params: epsilon applies only to "
+                "stop: density_ratio, but this entry seeds with stop: fixed_k"
             )
 
     data_dir = raw.get("data_dir")
@@ -390,6 +399,16 @@ def _execute_cell(args):
     return record, trace
 
 
+def _process_pool(jobs: int) -> ProcessPoolExecutor:
+    """``jobs`` grid workers, each splitting its kernels over its share of
+    the kernel threads, so that jobs x threads does not exceed the CPUs."""
+    return ProcessPoolExecutor(
+        max_workers=jobs,
+        initializer=core.set_kernel_workers,
+        initargs=(max(1, core.KERNEL_WORKERS // jobs),),
+    )
+
+
 def run_grid(
     config: BenchConfig,
     jobs: int = 1,
@@ -425,7 +444,7 @@ def run_grid(
                 cells.append((spec.name, loaded[spec.name], algo, rep, seed))
 
     if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with _process_pool(jobs) as pool:
             results = list(pool.map(_execute_cell, cells, chunksize=1))
     else:
         results = [_execute_cell(cell) for cell in cells]

@@ -1,16 +1,31 @@
 """Shared domain types and primitives: datasets, search bounds, assignments,
-seeded random streams, and the distance kernel every algorithm builds on.
+seeded random streams, and the row splitter the distance kernels run on.
 
 All floating point work is float64. Distances are computed and compared in
 squared form internally; square roots are taken only where the clustering
-cost needs the plain Euclidean norm.
+cost needs the plain Euclidean norm, and then after the minimum over
+centers, on the N nearest distances alone (``sqrt`` is correctly rounded
+and monotone, so the square root of the minimum is the minimum of the
+square roots, bit for bit).
+
+The two N-sized kernels, subtractive densities and the batched SICD
+fitness, hand their rows to :func:`map_rows`, which cuts them into
+contiguous ranges and runs the ranges on ``KERNEL_WORKERS`` threads at once
+(numpy and scipy release the interpreter lock while they work). A range is
+computed exactly as it would be alone, row by row into its own slice of the
+output, so results are bit-identical whatever the thread count; each
+kernel divides its memory budget between the threads, so the bound on what
+it holds at once does not grow with them.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -197,18 +212,80 @@ class Rng:
         return f"Rng(seed={self.seed})"
 
 
-def squared_euclidean(a, b) -> float:
-    """Squared Euclidean distance between two equal-length vectors."""
-    av = np.asarray(a, dtype=np.float64)
-    bv = np.asarray(b, dtype=np.float64)
-    if av.shape != bv.shape or av.ndim != 1:
-        raise ContractViolation(
-            f"vectors must share one dimension, got {av.shape} vs {bv.shape}"
-        )
-    diff = av - bv
-    return float(np.dot(diff, diff))
-
-
 def bounds_of(dataset: Dataset) -> SearchBounds:
     """Tight per-dimension bounding box of the dataset; every row lies inside."""
     return SearchBounds(dataset.points.min(axis=0), dataset.points.max(axis=0))
+
+
+# Threads the kernels split their rows over: the CPUs this process may run
+# on. Grid worker processes lower it so that jobs x threads fits the CPUs.
+KERNEL_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
+# Fewest kernel entries (distances or kernel terms) worth a thread of their
+# own; a call of fewer than twice this many runs inline.
+PARALLEL_MIN = 1 << 16
+
+# (helper thread count, pool), made on first use
+_pool: Optional[tuple[int, ThreadPoolExecutor]] = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool() -> None:
+    # A forked child has none of its parent's threads: start afresh.
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def set_kernel_workers(threads: int) -> None:
+    """Split kernel rows over ``threads`` threads from now on (at least one)."""
+    global KERNEL_WORKERS
+    KERNEL_WORKERS = max(1, int(threads))
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    """The ``KERNEL_WORKERS - 1`` helper threads that run beside the caller,
+    started on first use and replaced when ``KERNEL_WORKERS`` changes."""
+    global _pool
+    helpers = KERNEL_WORKERS - 1
+    with _pool_lock:
+        if _pool is None or _pool[0] != helpers:
+            if _pool is not None:
+                _pool[1].shutdown(wait=False)
+            _pool = helpers, ThreadPoolExecutor(helpers, "swarmclust-kernel")
+        return _pool[1]
+
+
+def row_parts(n_rows: int, row_entries: int) -> int:
+    """How many ranges :func:`map_rows` cuts ``n_rows`` rows of
+    ``row_entries`` entries each into: one per ``PARALLEL_MIN`` entries, at
+    most one per row and per ``KERNEL_WORKERS``, at least one."""
+    return max(1, min(KERNEL_WORKERS, n_rows, n_rows * row_entries // PARALLEL_MIN))
+
+
+def map_rows(fn: Callable[[int, int], None], n_rows: int, row_entries: int) -> None:
+    """Call ``fn(lo, hi)`` over contiguous row ranges covering ``[0, n_rows)``.
+
+    The ranges differ in length by at most one row. With one range
+    (:func:`row_parts`) ``fn`` runs inline; otherwise the calling thread
+    runs the last range while helper threads run the rest, and the call
+    returns once all are done, raising a range's error if one failed.
+    ``fn`` must write only its own rows' outputs and must not call
+    ``map_rows`` itself.
+    """
+    parts = row_parts(n_rows, row_entries)
+    if parts == 1:
+        fn(0, n_rows)
+        return
+    edges = [n_rows * i // parts for i in range(parts + 1)]
+    pool = _helper_pool()
+    futures = [pool.submit(fn, edges[i], edges[i + 1]) for i in range(parts - 1)]
+    try:
+        fn(edges[-2], edges[-1])
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()

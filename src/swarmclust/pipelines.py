@@ -24,6 +24,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import core
 from .core import (
     Assignment,
     ContractViolation,
@@ -153,27 +154,51 @@ def recompute_centroids(dataset: Dataset, assignment: Assignment) -> np.ndarray:
     return centroids
 
 
-# Distances the batched fitness holds at once (float64 entries, 32 MB): a
-# large swarm over a large dataset is evaluated in blocks of rows.
+# Distances the batched fitness holds at once over all its threads (float64
+# entries, 32 MB): a large swarm over a large dataset is evaluated in blocks
+# of rows.
 FITNESS_BLOCK = 1 << 22
 
 
 def _fitness_for(dataset: Dataset, k: int):
     """Batched SICD fitness: an (m, k*d) block of flattened centroid sets to
-    the (m,) vector of their sums of nearest-center distances. Each row's
-    sum runs over one contiguous length-N vector, so it is bit-identical to
-    ``cdist(x, c).min(axis=1).sum()`` for that row alone."""
+    the (m,) vector of their sums of nearest-center distances.
+
+    Squared distances are reduced to each point's minimum over the k
+    centers before the square root, so only N roots are taken per row;
+    ``sqrt`` is correctly rounded and monotone and scipy's ``euclidean`` is
+    exactly ``sqrt(sqeuclidean)``, so the minima are the same bits. Each
+    row's sum runs over one contiguous length-N vector, so it is
+    bit-identical to ``cdist(x, c).min(axis=1).sum()`` for that row alone.
+    Calls of at least 2 * ``PARALLEL_MIN`` distances split their rows over
+    the kernel threads (:func:`swarmclust.core.map_rows`), each thread
+    working in blocks within ``FITNESS_BLOCK // KERNEL_WORKERS`` distances;
+    a call that stays on one thread and fits one block, such as the
+    one-row refine, is computed in one go without setting up blocks."""
     x = dataset.points
     n, d = dataset.n, dataset.d
-    rows = max(1, FITNESS_BLOCK // (k * n))
 
     def fitness(positions: np.ndarray) -> np.ndarray:
         m = positions.shape[0]
+        if core.row_parts(m, k * n) == 1 and m * k * n <= FITNESS_BLOCK:
+            dists = cdist(positions.reshape(-1, d), x, "sqeuclidean")
+            mins = dists.reshape(m, k, n).min(axis=1)
+            return np.sqrt(mins, out=mins).sum(axis=1)
         out = np.empty(m)
-        for lo in range(0, m, rows):
-            block = positions[lo:lo + rows]
-            dists = cdist(block.reshape(-1, d), x)
-            out[lo:lo + rows] = dists.reshape(len(block), k, n).min(axis=1).sum(axis=1)
+        rows = max(1, FITNESS_BLOCK // (core.KERNEL_WORKERS * k * n))
+
+        def fill(lo: int, hi: int) -> None:
+            dists = np.empty((min(rows, hi - lo) * k, n))
+            mins = np.empty((min(rows, hi - lo), n))
+            for start in range(lo, hi, rows):
+                stop = min(start + rows, hi)
+                block_d, block_m = dists[: (stop - start) * k], mins[: stop - start]
+                cdist(positions[start:stop].reshape(-1, d), x, "sqeuclidean", out=block_d)
+                block_d.reshape(stop - start, k, n).min(axis=1, out=block_m)
+                np.sqrt(block_m, out=block_m)
+                block_m.sum(axis=1, out=out[start:stop])
+
+        core.map_rows(fill, m, k * n)
         return out
 
     return fitness

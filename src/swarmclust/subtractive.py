@@ -17,14 +17,19 @@ is, since clamping would change later argmax picks.
 Selection is fully deterministic: argmax ties break toward the lowest point
 index and previously chosen rows are excluded from later picks.
 
-Memory: the initial densities need all N^2 kernel terms, but never all at
-once. :func:`density_initial` takes the rows in blocks of
-``DENSITY_BLOCK // N`` (at least one row), computes each block's kernel
-terms in one reused (rows, N) buffer and sums them per row, so seeding
-holds ``DENSITY_BLOCK`` float64 entries plus O(N) beyond the data, whatever
-N is. Each term is computed elementwise and each row is still summed as one
-contiguous length-N vector, so the densities, and with them the picks, are
-bit-identical to building the whole N x N matrix.
+Memory and threads: the initial densities need all N^2 kernel terms, but
+never all at once. :func:`density_initial` hands its rows to
+:func:`swarmclust.core.map_rows`, which splits them into one contiguous
+range per thread (``KERNEL_WORKERS`` of them, or one range inline for
+N^2 < 2 * ``PARALLEL_MIN``). Each thread takes its range in blocks of
+``DENSITY_BLOCK // (N * KERNEL_WORKERS)`` rows (at least one), computes
+each block's kernel terms in its own reused (rows, N) buffer and sums them
+per row, so seeding holds ``DENSITY_BLOCK`` float64 entries in all plus
+O(N) beyond the data, whatever N and the thread count are. Each term is
+computed elementwise and each row is still summed as one contiguous
+length-N vector into its own slot, so the densities, and with them the
+picks, are bit-identical to building the whole N x N matrix on one thread.
+The kernel's time is still N^2, divided over the threads.
 """
 
 from __future__ import annotations
@@ -35,10 +40,12 @@ from typing import Union
 import numpy as np
 from scipy.spatial.distance import cdist
 
+from . import core
 from .core import ContractViolation, Dataset, DegenerateInput
 
-# Kernel terms density_initial holds at once (float64 entries, 2 MB). Block
-# sizes from 2^16 to 2^20 time alike at N = 4000; 2^22 is slower.
+# Kernel terms density_initial holds at once over all its threads (float64
+# entries, 2 MB). Block sizes from 2^16 to 2^20 time alike at N = 4000;
+# 2^22 is slower.
 DENSITY_BLOCK = 1 << 18
 
 
@@ -114,17 +121,19 @@ def density_initial(dataset: Dataset, r_a: float, return_eval_count: bool = Fals
     """Initial density of every point: N^2 kernel evaluations, independent of
     dimensionality in term count.
 
-    The kernel matrix is never held whole. Rows are taken in blocks of
-    ``max(1, DENSITY_BLOCK // N)``: a block's squared distances are written
-    into one reused (rows, N) buffer, divided by ``-(r_a/2)**2`` and
-    exponentiated in place, then summed per row into the result. Memory
-    beyond the input is ``max(DENSITY_BLOCK, N)`` float64 entries plus the
-    N densities. Dividing by the negated scale gives exactly the bits of
+    The kernel matrix is never held whole. The rows are split over the
+    kernel threads (:func:`swarmclust.core.map_rows`); each thread takes its
+    range in blocks of ``max(1, DENSITY_BLOCK // (N * KERNEL_WORKERS))``
+    rows: a block's squared distances are written into the thread's reused
+    (rows, N) buffer, divided by ``-(r_a/2)**2`` and exponentiated in place,
+    then summed per row into the result. Memory beyond the input is about
+    ``max(DENSITY_BLOCK, N * KERNEL_WORKERS)`` float64 entries plus the N
+    densities. Dividing by the negated scale gives exactly the bits of
     negating and then dividing (IEEE division is sign-symmetric), every
     term is elementwise, and each row is summed as one contiguous length-N
     vector, so the densities are bit-identical to
     ``np.exp(-cdist(x, x, "sqeuclidean") / (r_a/2)**2).sum(axis=1)``
-    whatever the block size.
+    whatever the block size and thread count.
 
     With ``return_eval_count`` the exact number of kernel terms evaluated is
     returned alongside the densities.
@@ -134,15 +143,20 @@ def density_initial(dataset: Dataset, r_a: float, return_eval_count: bool = Fals
     x = dataset.points
     n = x.shape[0]
     scale = (r_a / 2.0) ** 2
-    rows = max(1, DENSITY_BLOCK // n)
-    buf = np.empty((min(rows, n), n))
+    rows = max(1, DENSITY_BLOCK // (n * core.KERNEL_WORKERS))
     densities = np.empty(n)
-    for lo in range(0, n, rows):
-        block = buf[: min(rows, n - lo)]
-        cdist(x[lo:lo + rows], x, "sqeuclidean", out=block)
-        block /= -scale
-        np.exp(block, out=block)
-        block.sum(axis=1, out=densities[lo:lo + rows])
+
+    def fill(lo: int, hi: int) -> None:
+        buf = np.empty((min(rows, hi - lo), n))
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
+            block = buf[: stop - start]
+            cdist(x[start:stop], x, "sqeuclidean", out=block)
+            block /= -scale
+            np.exp(block, out=block)
+            block.sum(axis=1, out=densities[start:stop])
+
+    core.map_rows(fill, n, n)
     if return_eval_count:
         return densities, n * n
     return densities

@@ -38,7 +38,12 @@ init and one per step, and updates pbest and gbest only after it returns.
 The SICD fitness built in :mod:`swarmclust.pipelines` sums each row's N
 nearest-center distances as one contiguous length-N vector, the same
 summation numpy does for a single particle, so a row's value is
-bit-identical to evaluating that particle alone.
+bit-identical to evaluating that particle alone. It takes the square root
+after the minimum over centers (N roots per row instead of k*N; the same
+bits, since ``sqrt`` is correctly rounded and monotone), and a call large
+enough to pay for it splits its rows over the kernel threads of
+:func:`swarmclust.core.map_rows`, each row still computed whole into its
+own slot, so the values do not depend on the thread count.
 """
 
 from __future__ import annotations

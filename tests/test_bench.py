@@ -15,16 +15,19 @@ from swarmclust.bench import (
     report_to_dict,
     run_grid,
 )
+from swarmclust import bench, core
 from swarmclust.cli import main
 from swarmclust.core import derive_seed
+from swarmclust.data import make_blobs
 from swarmclust.pipelines import ALGORITHMS
+from swarmclust.subtractive import density_initial
 
 # A value of the right type for every benchmark-config param name
 VALID_PARAM_VALUES = {
     "k": 2, "max_iter": 5, "swarm_size": 4, "stall_iters": 3, "kmeans_max_iter": 5,
     "max_centers": 8, "c1": 1.5, "c2": 2, "rel_tol": 1e-6, "epsilon": 0.2, "r_a": 0.5,
     "r_b": 0.75, "v_max_fraction": None, "inertia": "linear", "boundary": "none",
-    "stop": "fixed_k",
+    "stop": "density_ratio",
 }
 
 
@@ -52,6 +55,12 @@ def strip_wall(obj):
     if isinstance(obj, list):
         return [strip_wall(v) for v in obj]
     return obj
+
+
+def _kernel_state():
+    # runs in a grid worker: its kernel thread count and whether it came
+    # without its parent's kernel pool
+    return core.KERNEL_WORKERS, core._pool is None
 
 
 class TestConfigParsing:
@@ -202,6 +211,30 @@ class TestConfigParsing:
             f"config invalid at algorithms/1/params: unknown keys {unknown}"
         )
 
+    @pytest.mark.parametrize("algo_id", ["sub_pso", "sc_br_apso"])
+    @pytest.mark.parametrize("params", [
+        {"stop": "fixed_k", "k": 3, "epsilon": 0.3},
+        {"k": 3, "epsilon": 0.9},
+        {"stop": "fixed_k", "epsilon": 0.3},
+    ])
+    def test_epsilon_under_fixed_k_rejected(self, algo_id, params):
+        raw = fixture_config(algorithms=[{"id": "kmeans"}, {"id": algo_id, "params": params}])
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == (
+            "config invalid at algorithms/1/params: epsilon applies only to "
+            "stop: density_ratio, but this entry seeds with stop: fixed_k"
+        )
+
+    @pytest.mark.parametrize("params", [
+        {"epsilon": 0.3},
+        {"stop": "density_ratio", "epsilon": 0.3},
+        {"stop": "fixed_k", "k": 3},
+        {"k": 3},
+    ])
+    def test_epsilon_with_density_ratio_or_fixed_k_alone_accepted(self, params):
+        parse_config(fixture_config(algorithms=[{"id": "sc_br_apso", "params": params}]))
+
     def test_duplicate_dataset_names(self):
         raw = fixture_config()
         raw["datasets"] = raw["datasets"] * 2
@@ -248,6 +281,38 @@ class TestRunGrid:
         r3 = strip_wall(report_to_dict(run_grid(cfg, jobs=2)))
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r3, sort_keys=True)
+
+    def test_jobs_after_a_warm_kernel_pool(self, monkeypatch):
+        # The parent's kernel threads exist before the grid workers fork;
+        # the workers must start their own (one thread each here) and give
+        # the same report as the parent's split kernels at jobs=1.
+        monkeypatch.setattr(core, "KERNEL_WORKERS", 2)
+        params = {"n": 1000, "k": 7, "d": 4}
+        density_initial(make_blobs("art_like", params, seed=5), 0.5)
+        assert core._pool is not None
+        swarm = {"swarm_size": 20, "max_iter": 4}
+        raw = fixture_config(reps=2, algorithms=[
+            {"id": "sc_br_apso", "params": swarm}, {"id": "brapso", "params": swarm},
+        ])
+        raw["datasets"] = [{"name": "blobs", "synthetic": {
+            "kind": "art_like", "seed": 5, "params": params}}]
+        cfg = parse_config(raw)
+        # k * N * swarm_size distances: the fitness splits in the parent too
+        assert core.row_parts(20, 7 * 1000) == 2
+        one = report_to_dict(run_grid(cfg, jobs=1))
+        two = report_to_dict(run_grid(cfg, jobs=2))
+        assert one["failed_cells"] == 0
+        assert json.dumps(strip_wall(one), sort_keys=True) == json.dumps(
+            strip_wall(two), sort_keys=True)
+
+    @pytest.mark.parametrize("workers, jobs, threads", [(4, 2, 2), (2, 2, 1), (2, 3, 1)])
+    def test_grid_workers_share_the_cpus(self, monkeypatch, workers, jobs, threads):
+        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
+        monkeypatch.setattr(core, "PARALLEL_MIN", 1)
+        core.map_rows(lambda lo, hi: None, workers, 1)  # starts the parent's pool
+        assert core._pool is not None
+        with bench._process_pool(jobs) as pool:
+            assert pool.submit(_kernel_state).result(timeout=60) == (threads, True)
 
     def test_cell_failure_recorded_and_grid_continues(self):
         raw = fixture_config(reps=1, algorithms=[{"id": "kmeans"}, {"id": "pso"}])
@@ -422,6 +487,18 @@ class TestCli:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2
         assert "algorithms/0/params/swarm_size: 1 is less than the minimum of 2" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_epsilon_under_fixed_k_exits_2(self, tmp_path, command):
+        params = {"stop": "fixed_k", "k": 2, "epsilon": 0.3}
+        raw = fixture_config(reps=1, algorithms=[{"id": "sc_br_apso", "params": params}])
+        args = [command, "--config", self.write_config(tmp_path, raw)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert "algorithms/0/params: epsilon applies only to stop: density_ratio" in result.output
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self):

@@ -1,9 +1,12 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from swarmclust import core
 from swarmclust.core import (
     Assignment,
     ContractViolation,
@@ -12,51 +15,10 @@ from swarmclust.core import (
     SearchBounds,
     bounds_of,
     derive_seed,
-    squared_euclidean,
+    map_rows,
+    row_parts,
 )
 from swarmclust.data import make_blobs, normalize_minmax
-
-finite_vectors = hnp.arrays(
-    np.float64,
-    st.integers(1, 6),
-    elements=st.floats(-1e6, 1e6, allow_nan=False),
-)
-
-
-class TestSquaredEuclidean:
-    def test_identity_is_zero(self):
-        x = np.array([1.5, -2.0, 7.0])
-        assert squared_euclidean(x, x) == 0.0
-
-    def test_three_four_five(self):
-        assert squared_euclidean((0, 0), (3, 4)) == 25.0
-
-    def test_direct_summation(self):
-        # (1-2)^2 + (2-0)^2 + (3-3)^2
-        assert squared_euclidean((1, 2, 3), (2, 0, 3)) == 5.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractViolation):
-            squared_euclidean((1, 2), (1, 2, 3))
-
-    @given(finite_vectors.flatmap(
-        lambda a: st.tuples(
-            st.just(a),
-            hnp.arrays(np.float64, a.shape,
-                       elements=st.floats(-1e6, 1e6, allow_nan=False)),
-        )
-    ))
-    def test_symmetry_and_nonnegative(self, pair):
-        a, b = pair
-        assert squared_euclidean(a, b) == squared_euclidean(b, a)
-        assert squared_euclidean(a, b) >= 0.0
-
-    @given(finite_vectors)
-    def test_zero_iff_equal(self, a):
-        assert squared_euclidean(a, a) == 0.0
-        shifted = a.copy()
-        shifted[0] += 1.0
-        assert squared_euclidean(a, shifted) > 0.0
 
 
 class TestBoundsOf:
@@ -142,3 +104,66 @@ class TestDomainTypes:
             Assignment(cluster_of=np.array([0, 3]), k=2)
         a = Assignment(cluster_of=np.array([0, 1, 0]), k=2)
         assert a.n == 3
+
+
+class TestMapRows:
+    @staticmethod
+    def record(n_rows, row_entries):
+        calls = []
+        lock = threading.Lock()
+
+        def fn(lo, hi):
+            with lock:
+                calls.append((lo, hi, threading.get_ident()))
+
+        map_rows(fn, n_rows, row_entries)
+        return sorted(calls)
+
+    def test_small_call_runs_inline_once(self, monkeypatch):
+        monkeypatch.setattr(core, "KERNEL_WORKERS", 4)
+        entries = 2 * core.PARALLEL_MIN - 1
+        assert row_parts(1, entries) == 1
+        assert self.record(1, entries) == [(0, 1, threading.get_ident())]
+
+    @pytest.mark.parametrize("workers, n_rows, parts", [
+        (1, 1000, 1), (2, 1000, 2), (3, 7, 3), (3, 2, 2), (4, 1000, 4),
+    ])
+    def test_ranges_cover_rows_contiguously(self, monkeypatch, workers, n_rows, parts):
+        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
+        monkeypatch.setattr(core, "PARALLEL_MIN", 1)
+        calls = self.record(n_rows, 1)
+        assert len(calls) == parts
+        edges = [lo for lo, _, _ in calls] + [calls[-1][1]]
+        assert edges[0] == 0 and edges[-1] == n_rows
+        assert all(hi == nxt for (_, hi, _), (nxt, _, _) in zip(calls, calls[1:]))
+        sizes = [hi - lo for lo, hi, _ in calls]
+        assert max(sizes) - min(sizes) <= 1
+        # the caller takes the last range, helper threads the others
+        assert calls[-1][2] == threading.get_ident()
+        assert all(ident != threading.get_ident() for _, _, ident in calls[:-1])
+
+    def test_parts_need_parallel_min_entries_each(self, monkeypatch):
+        monkeypatch.setattr(core, "KERNEL_WORKERS", 8)
+        assert row_parts(100, core.PARALLEL_MIN // 100 * 3) == 2
+        assert row_parts(100, core.PARALLEL_MIN) == 8
+        assert row_parts(3, core.PARALLEL_MIN) == 3
+
+    @pytest.mark.parametrize("failing", [0, 2])
+    def test_range_error_raised_after_all_ranges_finish(self, monkeypatch, failing):
+        monkeypatch.setattr(core, "KERNEL_WORKERS", 3)
+        monkeypatch.setattr(core, "PARALLEL_MIN", 1)
+        done = []
+
+        def fn(lo, hi):
+            if lo == failing:
+                raise ZeroDivisionError(lo)
+            done.append(lo)
+
+        with pytest.raises(ZeroDivisionError):
+            map_rows(fn, 3, 1)
+        assert sorted(done) == sorted({0, 1, 2} - {failing})
+
+    def test_set_kernel_workers_floor_is_one(self, monkeypatch):
+        monkeypatch.setattr(core, "KERNEL_WORKERS", core.KERNEL_WORKERS)
+        core.set_kernel_workers(0)
+        assert core.KERNEL_WORKERS == 1

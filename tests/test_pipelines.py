@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from swarmclust import pipelines
+from swarmclust import core, pipelines
 
 from swarmclust.core import (
     Assignment,
@@ -69,6 +69,51 @@ class TestBatchedFitness:
         whole = _fitness_for(ds, 2)(positions)
         monkeypatch.setattr(pipelines, "FITNESS_BLOCK", block)
         assert np.array_equal(_fitness_for(ds, 2)(positions), whole)
+
+
+class TestSplitFitness:
+    """Large fitness calls split their rows over KERNEL_WORKERS threads; with
+    PARALLEL_MIN at one distance every call of two or more rows splits,
+    into uneven ranges. Each row must still equal the lone-particle SICD."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 5, 301, 1000])
+    @pytest.mark.parametrize("m", [1, 7, 20])
+    def test_rows_equal_per_particle_sicd(self, monkeypatch, workers, n, m):
+        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
+        monkeypatch.setattr(core, "PARALLEL_MIN", 1)
+        d, k = 3, 4
+        rng = Rng(derive_seed(91, workers, n, m))
+        x = rng.normal(size=(n, d))
+        positions = rng.uniform(-2, 2, size=(m, k * d))
+        assert core.row_parts(m, k * n) == min(workers, m)
+        batched = _fitness_for(Dataset(points=x), k)(positions)
+        for i in range(m):
+            assert batched[i] == cdist(x, positions[i].reshape(k, d)).min(axis=1).sum()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_many_blocks_per_thread(self, monkeypatch, workers):
+        # k*N = 400 distances per row: 2 rows per block over 20 / workers rows
+        rng = Rng(8)
+        ds = Dataset(points=rng.normal(size=(200, 3)))
+        positions = rng.uniform(-2, 2, size=(20, 6))
+        whole = _fitness_for(ds, 2)(positions)
+        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
+        monkeypatch.setattr(core, "PARALLEL_MIN", 1)
+        monkeypatch.setattr(pipelines, "FITNESS_BLOCK", 800 * workers)
+        assert np.array_equal(_fitness_for(ds, 2)(positions), whole)
+
+
+def test_euclidean_is_sqrt_of_sqeuclidean():
+    # The fitness takes square roots after the minimum over centers, which
+    # equals cdist's euclidean only while scipy computes it as
+    # sqrt(sqeuclidean). Pin that, so a scipy change fails here first.
+    rng = Rng(2024)
+    for _ in range(300):
+        d = int(rng.integers(1, 40))
+        a = rng.normal(size=(int(rng.integers(1, 30)), d)) * rng.uniform(1e-3, 1e3)
+        b = rng.normal(size=(int(rng.integers(1, 30)), d)) * rng.uniform(1e-3, 1e3)
+        assert np.array_equal(cdist(a, b), np.sqrt(cdist(a, b, "sqeuclidean")))
 
 
 class TestAssignNearest:

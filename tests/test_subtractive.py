@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from swarmclust import subtractive
+from swarmclust import core, subtractive
 from swarmclust.core import Dataset, DegenerateInput, Rng
 from swarmclust.data import make_blobs, normalize_minmax
 from swarmclust.subtractive import (
@@ -93,6 +93,32 @@ class TestBlockedKernel:
         assert whole.k > 1
         assert np.array_equal(blocked.indices, whole.indices)
         assert np.array_equal(blocked.densities_at_selection, whole.densities_at_selection)
+
+
+class TestSplitKernel:
+    """density_initial splits its rows over KERNEL_WORKERS threads; with
+    PARALLEL_MIN at one entry every call splits, into uneven ranges."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 5, 301, 1000])
+    @pytest.mark.parametrize("d", [1, 7, 20])
+    def test_equals_full_matrix(self, monkeypatch, workers, n, d):
+        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
+        monkeypatch.setattr(core, "PARALLEL_MIN", 1)
+        pts = Rng(n * d).uniform(0, 1, size=(n, d))
+        assert core.row_parts(n, n) == min(workers, n)
+        densities = density_initial(Dataset(points=pts), 0.7)
+        assert np.array_equal(densities, TestBlockedKernel.full_matrix(pts, 0.7))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_many_blocks_per_thread(self, monkeypatch, workers):
+        # 4 rows per block over 1000 / workers rows per thread
+        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
+        monkeypatch.setattr(subtractive, "DENSITY_BLOCK", 4 * 1000 * workers)
+        pts = Rng(11).uniform(0, 1, size=(1000, 3))
+        assert core.row_parts(1000, 1000) == workers
+        assert np.array_equal(density_initial(Dataset(points=pts), 0.4),
+                              TestBlockedKernel.full_matrix(pts, 0.4))
 
 
 class TestLargeN:
