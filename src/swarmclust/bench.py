@@ -5,6 +5,17 @@ Every cell derives its own seed from (base_seed, dataset name, algorithm
 label, repetition), so results are independent of worker count and
 completion order; reports are written atomically and serialize with sorted
 keys, making reruns byte-identical apart from wall-clock fields.
+
+Subtractive seeding draws no random numbers, so its result depends only on
+the dataset and the :class:`~swarmclust.subtractive.SubtractiveConfig`.
+After the datasets load, :func:`run_grid` seeds each distinct (dataset,
+config) pair of the grid once, before any cell runs, and hands the result
+to every cell that uses it (inside the cell's arguments, so ``--jobs``
+workers get it too). The seeding time therefore counts toward the grid's
+time but not toward any cell's ``wall_ms``. A pair whose config or
+seeding fails is not kept: its cells repeat the attempt and record the
+error, as they would without the pass. The same pass rejects, before any
+cell runs, an entry whose ``epsilon`` its seeding would ignore.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ import yaml
 from jsonschema import Draft202012Validator, validators
 from jsonschema.exceptions import best_match
 
-from . import __version__, core
+from . import __version__, core, pipelines
 from .core import Dataset, Rng, derive_seed
 from .data import (
     CsvSource,
@@ -46,7 +57,7 @@ from .pipelines import (  # noqa: F401  (run_cell calls the run_* by name)
     run_sc_br_apso,
     run_subtractive_pso,
 )
-from .subtractive import DensityRatio, FixedK, SubtractiveConfig
+from .subtractive import DensityRatio, FixedK, SeedingResult, SubtractiveConfig
 from .swarm import INERTIA_KINDS, Inertia, PsoConfig
 
 SCHEMA_VERSION = 1
@@ -233,12 +244,17 @@ def parse_config(raw: dict) -> BenchConfig:
                 f"config invalid at algorithms/{i}/params: unknown keys {unknown}"
             )
         # k without stop means fixed_k seeding (_sub_config), which has no
-        # use for epsilon
-        if "epsilon" in params and params.get("stop", "fixed_k" if "k" in params
-                                              else None) == "fixed_k":
+        # use for epsilon; density_ratio picks k itself
+        stop = params.get("stop", "fixed_k" if "k" in params else None)
+        if "epsilon" in params and stop == "fixed_k":
             raise ConfigError(
                 f"config invalid at algorithms/{i}/params: epsilon applies only to "
                 "stop: density_ratio, but this entry seeds with stop: fixed_k"
+            )
+        if "k" in params and stop == "density_ratio":
+            raise ConfigError(
+                f"config invalid at algorithms/{i}/params: k applies only to "
+                "stop: fixed_k, but this entry seeds with stop: density_ratio"
             )
 
     data_dir = raw.get("data_dir")
@@ -344,8 +360,41 @@ def _sub_config(params: dict, k: Optional[int]) -> SubtractiveConfig:
     return SubtractiveConfig(stop_rule=rule, **knobs)
 
 
-def run_cell(dataset: Dataset, algo: AlgorithmSpec, seed: int):
-    """Run one grid cell; pure function of its arguments."""
+def subtractive_configs(algorithms, loaded: dict) -> dict:
+    """The SubtractiveConfig of every subtractive entry in ``algorithms`` on
+    every dataset in ``loaded`` (name -> Dataset), keyed by (dataset name,
+    algorithm key).
+
+    Raises ConfigError for an entry that sets ``epsilon`` with neither
+    ``stop`` nor ``k`` on a dataset with a class count: it seeds with
+    ``fixed_k`` there, which ignores ``epsilon``. A pair whose config does
+    not build (an unknown ``stop`` rule, say) is left out, so that only its
+    cells fail."""
+    configs = {}
+    for algo in algorithms:
+        if ALGORITHMS[algo.id].seeding != "subtractive":
+            continue
+        params = algo.params
+        for name, dataset in loaded.items():
+            # epsilon with k and without stop has failed parse_config already
+            if "epsilon" in params and "stop" not in params and dataset.k_true is not None:
+                raise ConfigError(
+                    f"config invalid for algorithm {algo.key} on dataset {name}: "
+                    "epsilon applies only to stop: density_ratio, but this entry seeds "
+                    f"with stop: fixed_k from the dataset's {dataset.k_true} classes"
+                )
+            try:
+                configs[name, algo.key] = _sub_config(params, params.get("k", dataset.k_true))
+            except Exception:  # recorded by the cells that use it
+                pass
+    return configs
+
+
+def run_cell(dataset: Dataset, algo: AlgorithmSpec, seed: int,
+             seeding: Optional[SeedingResult] = None):
+    """Run one grid cell; pure function of its arguments. ``seeding``, for a
+    subtractive algorithm only, is the result of seeding ``dataset`` with
+    this entry's SubtractiveConfig, computed beforehand."""
     row = ALGORITHMS[algo.id]
     # Looked up in this module's namespace at call time, not bound in the
     # table, so that perfbench/tracer.py can wrap the entry points here.
@@ -354,7 +403,8 @@ def run_cell(dataset: Dataset, algo: AlgorithmSpec, seed: int):
     k = params.get("k", dataset.k_true)
     rng = Rng(seed)
     if row.seeding == "subtractive":
-        return entry(dataset, _sub_config(params, k), _pso_config(row.pso, params), rng)
+        sub = _sub_config(params, k) if seeding is None else None
+        return entry(dataset, sub, _pso_config(row.pso, params), rng, seeding=seeding)
     if k is None:
         raise ConfigError(f"{algo.id} needs k (param or dataset k_true)")
     if row.pso is None:
@@ -366,7 +416,7 @@ def run_cell(dataset: Dataset, algo: AlgorithmSpec, seed: int):
 
 
 def _execute_cell(args):
-    name, dataset, algo, rep, seed = args
+    name, dataset, algo, rep, seed, seeding = args
     record = {
         "dataset": name,
         "algorithm": algo.key,
@@ -376,7 +426,7 @@ def _execute_cell(args):
     }
     start = time.perf_counter()
     try:
-        outcome = run_cell(dataset, algo, seed)
+        outcome = run_cell(dataset, algo, seed, seeding)
         stall = algo.params.get("stall_iters", PsoConfig.stall_iters)
         rel_tol = algo.params.get("rel_tol", PsoConfig.rel_tol)
         report = evaluation_report(outcome, dataset, "optimal", rel_tol, stall)
@@ -415,8 +465,10 @@ def run_grid(
     dataset_filter: Optional[set] = None,
     algo_filter: Optional[set] = None,
 ) -> BenchReport:
-    """Execute the full grid. Datasets must all load up front; individual
-    cell failures are recorded and do not stop the grid."""
+    """Execute the full grid. Datasets must all load up front, and every
+    distinct subtractive seeding is computed once before the first cell
+    (see the module docstring); individual cell failures are recorded and
+    do not stop the grid."""
     loaded: dict[str, Dataset] = {}
     normalization: dict[str, Optional[dict]] = {}
     for spec in config.datasets:
@@ -434,14 +486,29 @@ def run_grid(
     if algo_filter is not None and not algorithms:
         raise ConfigError("algorithm filter matched nothing")
 
+    sub_configs = subtractive_configs(algorithms, loaded)
+    # (dataset name, SubtractiveConfig) -> SeedingResult, or None where
+    # seeding fails: those cells repeat it and record the error
+    seedings: dict[tuple, Optional[SeedingResult]] = {}
+    for (name, _), sub in sub_configs.items():
+        if (name, sub) in seedings:
+            continue
+        try:
+            # through the module attribute, so perfbench/tracer.py times it
+            seedings[name, sub] = pipelines.select_centers(loaded[name], sub)
+        except Exception:
+            seedings[name, sub] = None
+
     cells = []
     for spec in config.datasets:
         if spec.name not in loaded:
             continue
         for algo in algorithms:
+            sub = sub_configs.get((spec.name, algo.key))
+            seeding = seedings.get((spec.name, sub))
             for rep in range(config.repetitions):
                 seed = derive_seed(config.base_seed, spec.name, algo.key, rep)
-                cells.append((spec.name, loaded[spec.name], algo, rep, seed))
+                cells.append((spec.name, loaded[spec.name], algo, rep, seed, seeding))
 
     if jobs > 1 and len(cells) > 1:
         with _process_pool(jobs) as pool:

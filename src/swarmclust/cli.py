@@ -20,7 +20,7 @@ from pathlib import Path
 
 import click
 
-from .bench import ConfigError, emit_report, load_config, run_grid
+from .bench import ConfigError, emit_report, load_config, run_grid, subtractive_configs
 from .data import LoadError, REGISTRY, default_data_dir, registry_available
 from .pipelines import ALGORITHMS
 
@@ -107,14 +107,18 @@ def run(config_name, out, jobs, filters):
 @main.command("validate")
 @click.option("--config", "config_name", required=True, help="Config file or preset name.")
 def validate_cmd(config_name):
-    """Check a config against the schema and verify datasets load."""
+    """Check a config against the schema, verify datasets load and check the
+    seeding params against the loaded data, as ``run`` does."""
     config = _load(config_name)
     try:
         from .data import load_dataset
 
+        loaded = {}
         for spec in config.datasets:
             dataset, _ = load_dataset(spec)
+            loaded[spec.name] = dataset
             click.echo(f"dataset {spec.name}: N={dataset.n}, d={dataset.d} ok")
+        subtractive_configs(config.algorithms, loaded)
     except (ConfigError, LoadError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)

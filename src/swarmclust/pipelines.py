@@ -13,7 +13,17 @@ dimensions. The five swarm entry points all run one shared body.
 center-recalculation pass: the swarm's best centroid set is refined by one
 Lloyd step and written back only when that strictly improves fitness (the
 refined point also becomes the owning particle's pbest, preserving the
-gbest = min pbest bookkeeping).
+gbest = min pbest bookkeeping). The pass is a pure function of the gbest,
+and ``step`` replaces the gbest only when it strictly lowers its fitness,
+so after a rejected attempt the pass is skipped for as long as the gbest
+fitness still equals the rejected one: the attempt would repeat the same
+arithmetic and be rejected again. An accepted attempt lowers the gbest
+fitness, so the next iteration always refines.
+
+The two subtractive entry points take either a ``sub_config`` or a
+precomputed ``seeding`` (a :class:`~swarmclust.subtractive.SeedingResult`,
+which depends only on the dataset and the config): a benchmark grid seeds
+each distinct (dataset, config) once and hands the result to every cell.
 """
 
 from __future__ import annotations
@@ -33,7 +43,7 @@ from .core import (
     Rng,
 )
 from .metrics import sicd, stalled
-from .subtractive import SubtractiveConfig, select_centers
+from .subtractive import SeedingResult, SubtractiveConfig, select_centers
 from .swarm import (
     Inertia,
     PsoConfig,
@@ -207,16 +217,20 @@ def _fitness_for(dataset: Dataset, k: int):
 def _run_swarm(
     algo_id: str, dataset: Dataset, k: Optional[int], config: Optional[PsoConfig],
     rng: Optional[Rng], sub_config: Optional[SubtractiveConfig] = None,
-    kmeans_max_iter: int = 100,
+    kmeans_max_iter: int = 100, seeding: Optional[SeedingResult] = None,
 ) -> ClusteringOutcome:
     """Seed and run the swarm of ``ALGORITHMS[algo_id]``. Subtractive
-    seeding picks k itself, so ``k`` is unused there."""
+    seeding picks k itself, so ``k`` is unused there; a given ``seeding``
+    stands in for selecting the centers from ``sub_config``."""
     algo = ALGORITHMS[algo_id]
     if rng is None:
         raise ContractViolation(f"{algo.entry} needs an rng")
+    if seeding is not None and sub_config is not None:
+        raise ContractViolation(f"{algo.entry} takes a seeding or a sub_config, not both")
     seed_centers = None
     if algo.seeding == "subtractive":
-        seeding = select_centers(dataset, sub_config or SubtractiveConfig())
+        if seeding is None:
+            seeding = select_centers(dataset, sub_config or SubtractiveConfig())
         k, seed_centers = seeding.k, seeding.centers
     elif not 1 <= k <= dataset.n:
         raise DegenerateInput(f"k={k} outside [1, {dataset.n}]")
@@ -229,10 +243,11 @@ def _run_swarm(
     trace = [swarm.gbest_fitness]
     stall_streak = 0
     iterations = 0
+    rejected = None  # gbest fitness at the last rejected refine
 
     for _ in range(config.max_iter):
         step(swarm, fitness, config, rng)
-        if algo.refine:
+        if algo.refine and swarm.gbest_fitness != rejected:
             centroids = decode(swarm.gbest_position, k, dataset.d)
             refined = recompute_centroids(dataset, assign_nearest(dataset, centroids))
             refined_pos = encode(refined)
@@ -243,6 +258,8 @@ def _run_swarm(
                 swarm.pbest_fitness[owner] = refined_fit
                 swarm.gbest_position = refined_pos
                 swarm.gbest_fitness = refined_fit
+            else:
+                rejected = swarm.gbest_fitness
         iterations += 1
         trace.append(swarm.gbest_fitness)
         stall_streak = stall_streak + 1 if stalled(trace[-2], trace[-1], config.rel_tol) else 0
@@ -340,9 +357,13 @@ def run_subtractive_pso(
     sub_config: Optional[SubtractiveConfig] = None,
     pso_config: Optional[PsoConfig] = None,
     rng: Optional[Rng] = None,
+    seeding: Optional[SeedingResult] = None,
 ) -> ClusteringOutcome:
-    """Subtractive seeding determines k and the seeds; plain PSO refines."""
-    return _run_swarm("sub_pso", dataset, None, pso_config, rng, sub_config)
+    """Subtractive seeding determines k and the seeds; plain PSO refines.
+    ``seeding``, if given, is ``select_centers(dataset, sub_config)``
+    computed beforehand, and replaces ``sub_config``."""
+    return _run_swarm("sub_pso", dataset, None, pso_config, rng, sub_config,
+                      seeding=seeding)
 
 
 def run_brapso(
@@ -361,8 +382,11 @@ def run_sc_br_apso(
     sub_config: Optional[SubtractiveConfig] = None,
     pso_config: Optional[PsoConfig] = None,
     rng: Optional[Rng] = None,
+    seeding: Optional[SeedingResult] = None,
 ) -> ClusteringOutcome:
     """The full pipeline: subtractive seeding supplies k and the initial
     centers, then boundary-restricted adaptive PSO with per-iteration center
-    recalculation refines them until convergence."""
-    return _run_swarm("sc_br_apso", dataset, None, pso_config, rng, sub_config)
+    recalculation refines them until convergence. ``seeding`` is as for
+    :func:`run_subtractive_pso`."""
+    return _run_swarm("sc_br_apso", dataset, None, pso_config, rng, sub_config,
+                      seeding=seeding)

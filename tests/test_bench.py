@@ -15,12 +15,12 @@ from swarmclust.bench import (
     report_to_dict,
     run_grid,
 )
-from swarmclust import bench, core
+from swarmclust import bench, core, pipelines
 from swarmclust.cli import main
-from swarmclust.core import derive_seed
+from swarmclust.core import Dataset, derive_seed
 from swarmclust.data import make_blobs
 from swarmclust.pipelines import ALGORITHMS
-from swarmclust.subtractive import density_initial
+from swarmclust.subtractive import DensityRatio, FixedK, SubtractiveConfig, density_initial
 
 # A value of the right type for every benchmark-config param name
 VALID_PARAM_VALUES = {
@@ -108,9 +108,14 @@ class TestConfigParsing:
             "sc_br_apso": {"k"} | pso | sub,
         }
         assert {algo_id: row.param_names for algo_id, row in ALGORITHMS.items()} == expected
+        # k and stop: density_ratio exclude each other, so the subtractive
+        # names are spread over two entries per id
+        entries = [(algo_id, part) for algo_id, names in expected.items()
+                   for part in ((names - {"k"}, {"k"}) if "stop" in names else (names,))]
         parse_config(fixture_config(algorithms=[
-            {"id": algo_id, "params": {name: VALID_PARAM_VALUES[name] for name in names}}
-            for algo_id, names in expected.items()
+            {"id": algo_id, "label": f"{algo_id}_{i}",
+             "params": {name: VALID_PARAM_VALUES[name] for name in names}}
+            for i, (algo_id, names) in enumerate(entries)
         ]))
 
     def test_schema_is_valid(self):
@@ -235,11 +240,131 @@ class TestConfigParsing:
     def test_epsilon_with_density_ratio_or_fixed_k_alone_accepted(self, params):
         parse_config(fixture_config(algorithms=[{"id": "sc_br_apso", "params": params}]))
 
+    @pytest.mark.parametrize("algo_id", ["sub_pso", "sc_br_apso"])
+    @pytest.mark.parametrize("params", [
+        {"stop": "density_ratio", "k": 7},
+        {"stop": "density_ratio", "k": 2, "epsilon": 0.3},
+    ])
+    def test_k_under_density_ratio_rejected(self, algo_id, params):
+        # density_ratio picks k itself, so a k there would be dropped
+        raw = fixture_config(algorithms=[{"id": "kmeans"}, {"id": algo_id, "params": params}])
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == (
+            "config invalid at algorithms/1/params: k applies only to "
+            "stop: fixed_k, but this entry seeds with stop: density_ratio"
+        )
+
     def test_duplicate_dataset_names(self):
         raw = fixture_config()
         raw["datasets"] = raw["datasets"] * 2
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(raw)
+
+
+def two_datasets_config(reps, algorithms):
+    raw = fixture_config(reps=reps, algorithms=algorithms)
+    raw["datasets"].append({"name": "grid4", "synthetic": {
+        "kind": "grid", "seed": 11, "params": {"n": 24, "side": 2, "scale": 10.0,
+                                               "spread": 0.1}}})
+    return raw
+
+
+def select_centers_spy(monkeypatch):
+    calls = []
+    real = pipelines.select_centers
+
+    def spy(dataset, config):
+        calls.append((dataset.name, config))
+        return real(dataset, config)
+
+    monkeypatch.setattr(pipelines, "select_centers", spy)
+    return calls
+
+
+class TestSeedingPass:
+    """run_grid seeds each distinct (dataset, SubtractiveConfig) once, before
+    any cell runs, and the cells run on that result."""
+
+    def test_one_call_for_the_default_entries(self, monkeypatch):
+        calls = select_centers_spy(monkeypatch)
+        raw = fixture_config(reps=3, algorithms=[{"id": "sub_pso"}, {"id": "sc_br_apso"}])
+        report = run_grid(parse_config(raw))
+        assert report.failed_cells == 0
+        assert calls == [("two_blob", SubtractiveConfig(stop_rule=FixedK(2)))]
+
+    def test_one_call_per_distinct_dataset_and_config(self, monkeypatch):
+        calls = select_centers_spy(monkeypatch)
+        raw = two_datasets_config(reps=2, algorithms=[
+            {"id": "sub_pso"},
+            {"id": "sc_br_apso"},
+            {"id": "sc_br_apso", "label": "a", "params": {"r_a": 0.4}},
+            {"id": "sub_pso", "label": "b", "params": {"r_a": 0.4, "swarm_size": 5}},
+            {"id": "sub_pso", "label": "c", "params": {"stop": "density_ratio"}},
+            {"id": "brapso"},
+        ])
+        report = run_grid(parse_config(raw))
+        assert report.failed_cells == 0
+        expected = [(name, config) for name, k in (("two_blob", 2), ("grid4", 4)) for config in (
+            SubtractiveConfig(stop_rule=FixedK(k)), SubtractiveConfig(r_a=0.4, stop_rule=FixedK(k)),
+            SubtractiveConfig(stop_rule=DensityRatio()))]
+        assert sorted(calls, key=repr) == sorted(expected, key=repr)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_records_equal_cells_seeding_themselves(self, jobs):
+        raw = two_datasets_config(reps=2, algorithms=[
+            {"id": "kmeans"},
+            {"id": "sub_pso"},
+            {"id": "sc_br_apso"},
+            {"id": "sc_br_apso", "label": "dr", "params": {"stop": "density_ratio",
+                                                           "epsilon": 0.3}},
+            {"id": "sc_br_apso", "label": "big_k", "params": {"k": 22}},
+            {"id": "sub_pso", "label": "bogus", "params": {"stop": "bogus"}},
+        ])
+        cfg = parse_config(raw)
+        report = run_grid(cfg, jobs=jobs)
+        loaded = {spec.name: bench.load_dataset(spec)[0] for spec in cfg.datasets}
+        records = sorted(
+            (bench._execute_cell((name, loaded[name], algo, rep,
+                                  derive_seed(cfg.base_seed, name, algo.key, rep), None))[0]
+             for name in loaded for algo in cfg.algorithms for rep in range(2)),
+            key=lambda r: (r["dataset"], r["algorithm"], r["rep"]))
+        assert strip_wall(report.records) == strip_wall(records)
+        by_cell = {(r["dataset"], r["algorithm"]): r.get("error") for r in records}
+        assert by_cell["two_blob", "big_k"] == (
+            "DegenerateInput: cannot select 22 centers from 20 points")
+        assert by_cell["grid4", "bogus"] == "ConfigError: unknown stop rule 'bogus'"
+
+    def test_failed_seeding_fails_every_cell_as_before(self, monkeypatch):
+        calls = select_centers_spy(monkeypatch)
+        raw = fixture_config(reps=2, algorithms=[
+            {"id": "sub_pso", "params": {"k": 50}}, {"id": "sc_br_apso", "params": {"k": 50}},
+        ])
+        report = run_grid(parse_config(raw))
+        assert [r["error"] for r in report.records] == [
+            "DegenerateInput: cannot select 50 centers from 20 points"] * 4
+        # tried once by the pass, then again by every cell
+        assert len(calls) == 1 + 4
+
+    def test_ignored_epsilon_rejected_before_any_cell(self, monkeypatch):
+        calls = select_centers_spy(monkeypatch)
+        raw = fixture_config(reps=1, algorithms=[
+            {"id": "kmeans"}, {"id": "sc_br_apso", "params": {"epsilon": 0.3}},
+        ])
+        with pytest.raises(ConfigError) as info:
+            run_grid(parse_config(raw))
+        assert str(info.value) == (
+            "config invalid for algorithm sc_br_apso on dataset two_blob: epsilon applies "
+            "only to stop: density_ratio, but this entry seeds with stop: fixed_k from "
+            "the dataset's 2 classes"
+        )
+        assert calls == []
+
+    def test_epsilon_without_stop_seeds_density_ratio_on_unlabelled_data(self):
+        algo = bench.AlgorithmSpec("sc_br_apso", {"epsilon": 0.3})
+        unlabelled = Dataset(points=np.arange(8.0).reshape(4, 2), name="u")
+        assert bench.subtractive_configs([algo], {"u": unlabelled}) == {
+            ("u", "sc_br_apso"): SubtractiveConfig(stop_rule=DensityRatio(0.3))}
 
 
 class TestSeedSplitting:
@@ -499,6 +624,24 @@ class TestCli:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2
         assert "algorithms/0/params: epsilon applies only to stop: density_ratio" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("params, message", [
+        ({"stop": "density_ratio", "k": 2},
+         "algorithms/0/params: k applies only to stop: fixed_k"),
+        ({"epsilon": 0.3},
+         "algorithm sc_br_apso on dataset two_blob: epsilon applies only to "
+         "stop: density_ratio"),
+    ])
+    def test_seeding_param_it_would_ignore_exits_2(self, tmp_path, command, params, message):
+        raw = fixture_config(reps=1, algorithms=[{"id": "sc_br_apso", "params": params}])
+        args = [command, "--config", self.write_config(tmp_path, raw)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert message in result.output
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self):

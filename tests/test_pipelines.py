@@ -25,8 +25,10 @@ from swarmclust.pipelines import (
     run_sc_br_apso,
     run_subtractive_pso,
 )
-from swarmclust.subtractive import DensityRatio, FixedK, SubtractiveConfig
-from swarmclust.swarm import PsoConfig, exponential_normalized, linear
+from swarmclust.subtractive import DensityRatio, FixedK, SubtractiveConfig, select_centers
+from swarmclust.swarm import (
+    PsoConfig, decode, encode, exponential_normalized, init_swarm, linear, step,
+)
 
 from oracles import assign_nearest_ref, exhaustive_best_sicd
 
@@ -343,3 +345,152 @@ def test_swarm_entry_point_without_rng_is_a_contract_violation(entry):
     args = (ds,) if entry in (run_subtractive_pso, run_sc_br_apso) else (ds, 2)
     with pytest.raises(ContractViolation, match=f"{entry.__name__} needs an rng"):
         entry(*args)
+
+
+def same_outcome(a, b):
+    return (np.array_equal(a.centroids, b.centroids)
+            and np.array_equal(a.assignment.cluster_of, b.assignment.cluster_of)
+            and a.sicd == b.sicd and a.iterations_used == b.iterations_used
+            and np.array_equal(a.sicd_trace, b.sicd_trace) and a.seed == b.seed)
+
+
+class TestPrecomputedSeeding:
+    @pytest.mark.parametrize("entry, pso", [
+        (run_subtractive_pso, FAST_PLAIN), (run_sc_br_apso, FAST_ADAPTIVE),
+    ], ids=["sub_pso", "sc_br_apso"])
+    @pytest.mark.parametrize("sub", [
+        SubtractiveConfig(stop_rule=FixedK(2)), SubtractiveConfig(r_a=0.3),
+    ], ids=["fixed_k", "density_ratio"])
+    def test_equals_seeding_in_the_run(self, entry, pso, sub):
+        ds = blob_fixture(seed=3)
+        seeding = select_centers(ds, sub)
+        for s in range(3):
+            assert same_outcome(entry(ds, sub, pso, Rng(s)),
+                                entry(ds, pso_config=pso, rng=Rng(s), seeding=seeding))
+
+    def test_default_config_when_neither_given(self):
+        ds = blob_fixture(seed=3)
+        seeding = select_centers(ds, SubtractiveConfig())
+        assert same_outcome(run_sc_br_apso(ds, rng=Rng(1)),
+                            run_sc_br_apso(ds, rng=Rng(1), seeding=seeding))
+
+    @pytest.mark.parametrize("entry", [run_subtractive_pso, run_sc_br_apso],
+                             ids=lambda entry: entry.__name__)
+    def test_seeding_and_sub_config_together_rejected(self, entry):
+        ds = blob_fixture()
+        sub = SubtractiveConfig(stop_rule=FixedK(2))
+        with pytest.raises(ContractViolation, match="a seeding or a sub_config, not both"):
+            entry(ds, sub, rng=Rng(1), seeding=select_centers(ds, sub))
+
+
+def refine_every_iteration(ds, k, sub, config, rng):
+    """The swarm loop of the refining algorithms with a refine attempt after
+    every step: the reference the skipping engine must equal. Returns the
+    outcome's (centroids, sicd, trace) and the iterations whose refine was
+    accepted."""
+    seed_centers = None
+    if sub is not None:
+        seeding = select_centers(ds, sub)
+        k, seed_centers = seeding.k, seeding.centers
+    fit = _fitness_for(ds, k)
+    swarm = init_swarm(seed_centers, k, ds, config, rng, fit)
+    trace, accepts, streak = [swarm.gbest_fitness], [], 0
+    for it in range(config.max_iter):
+        step(swarm, fit, config, rng)
+        refined = encode(recompute_centroids(
+            ds, assign_nearest(ds, decode(swarm.gbest_position, k, ds.d))))
+        value = float(fit(refined[None])[0])
+        if value < swarm.gbest_fitness:
+            owner = int(np.argmin(swarm.pbest_fitness))
+            swarm.pbest_position[owner] = refined
+            swarm.pbest_fitness[owner] = value
+            swarm.gbest_position, swarm.gbest_fitness = refined, value
+            accepts.append(it)
+        trace.append(swarm.gbest_fitness)
+        streak = streak + 1 if pipelines.stalled(trace[-2], trace[-1], config.rel_tol) else 0
+        if streak >= config.stall_iters:
+            break
+    return decode(swarm.gbest_position, k, ds.d), swarm.gbest_fitness, np.asarray(trace), accepts
+
+
+# Overlapping clusters, so that Lloyd steps keep improving and refine is
+# often accepted several iterations in a row
+OVERLAPPING = dict(kind="art_like", params={"n": 120, "d": 3, "k": 4, "spread": 2.0})
+REFINE_CASES = [
+    ("brapso", dict(OVERLAPPING, seed=1), None),
+    ("sc_br_apso", dict(OVERLAPPING, seed=2), SubtractiveConfig(r_a=0.2, stop_rule=FixedK(4))),
+    ("sc_br_apso", dict(kind="two_blob", params={"n": 40, "sep": 1.0, "spread": 1.0}, seed=5),
+     SubtractiveConfig(stop_rule=FixedK(3))),
+]
+
+
+class TestRefineSkip:
+    """After a rejected gbest refine, the attempt is skipped while the gbest
+    fitness is unchanged; results equal refining after every step."""
+
+    @staticmethod
+    def run_case(algo_id, blobs, sub, seed):
+        ds, _ = normalize_minmax(make_blobs(**blobs))
+        entry = {"brapso": run_brapso, "sc_br_apso": run_sc_br_apso}[algo_id]
+        args = (ds, 4, FAST_ADAPTIVE) if sub is None else (ds, sub, FAST_ADAPTIVE)
+        return ds, entry(*args, Rng(seed))
+
+    @pytest.mark.parametrize("algo_id, blobs, sub", REFINE_CASES)
+    def test_equals_refining_every_iteration(self, algo_id, blobs, sub):
+        back_to_back = 0
+        for seed in range(4):
+            ds, out = self.run_case(algo_id, blobs, sub, seed)
+            centroids, best, trace, accepts = refine_every_iteration(
+                ds, 4, sub, FAST_ADAPTIVE, Rng(seed))
+            assert np.array_equal(out.centroids, centroids)
+            assert out.sicd == best
+            assert np.array_equal(out.sicd_trace, trace)
+            back_to_back += sum(1 for a, b in zip(accepts, accepts[1:]) if b == a + 1)
+        # an accept right after an accept: skipping after an accept would show
+        assert back_to_back > 0
+
+    @pytest.mark.parametrize("algo_id, blobs, sub", REFINE_CASES)
+    def test_no_refine_while_gbest_equals_last_rejection(self, algo_id, blobs, sub,
+                                                         monkeypatch):
+        # counting fitness: step calls evaluate the whole swarm, refine one row
+        events = []
+        real_fitness_for, real_step = pipelines._fitness_for, pipelines.step
+
+        def fitness_for(dataset, k):
+            fit = real_fitness_for(dataset, k)
+
+            def counting(positions):
+                values = fit(positions)
+                if positions.shape[0] == 1:
+                    events.append(("refine", float(values[0])))
+                return values
+
+            return counting
+
+        def counted_step(swarm, *args):
+            out = real_step(swarm, *args)
+            events.append(("step", swarm.gbest_fitness))
+            return out
+
+        monkeypatch.setattr(pipelines, "_fitness_for", fitness_for)
+        monkeypatch.setattr(pipelines, "step", counted_step)
+        total_skips = 0
+        for seed in range(4):
+            events.clear()
+            ds, _ = self.run_case(algo_id, blobs, sub, seed)
+            rejected, accepts, skips = None, [], 0
+            steps = [i for i, (kind, _) in enumerate(events) if kind == "step"]
+            for it, i in enumerate(steps):
+                gbest = events[i][1]
+                refined = i + 1 < len(events) and events[i + 1][0] == "refine"
+                assert refined == (gbest != rejected), (seed, it)
+                if not refined:
+                    skips += 1
+                elif events[i + 1][1] < gbest:
+                    accepts.append(it)
+                else:
+                    rejected = gbest
+            # the reference binds its own fitness and step, not the counting ones
+            assert accepts == refine_every_iteration(ds, 4, sub, FAST_ADAPTIVE, Rng(seed))[3]
+            total_skips += skips
+        assert total_skips > 0
