@@ -6,16 +6,15 @@ label, repetition), so results are independent of worker count and
 completion order; reports are written atomically and serialize with sorted
 keys, making reruns byte-identical apart from wall-clock fields.
 
-Subtractive seeding draws no random numbers, so its result depends only on
-the dataset and the :class:`~swarmclust.subtractive.SubtractiveConfig`.
-After the datasets load, :func:`run_grid` seeds each distinct (dataset,
-config) pair of the grid once, before any cell runs, and hands the result
-to every cell that uses it (inside the cell's arguments, so ``--jobs``
-workers get it too). The seeding time therefore counts toward the grid's
-time but not toward any cell's ``wall_ms``. A pair whose config or
-seeding fails is not kept: its cells repeat the attempt and record the
-error, as they would without the pass. The same pass rejects, before any
-cell runs, an entry whose ``epsilon`` its seeding would ignore.
+All cells of a (dataset, algorithm entry) pair make the same call but for
+the rng. After :func:`load_grid`, :func:`run_grid` prepares that call once
+per pair, before any cell runs, and hands it to the pair's cells inside
+their arguments, so ``--jobs`` workers get it too. Subtractive seeding
+draws no random numbers, so preparing seeds each distinct (dataset,
+:class:`~swarmclust.subtractive.SubtractiveConfig`) once, failures
+included, and the seeding time counts toward the grid's time but not
+toward any cell's ``wall_ms``. A pair that cannot be prepared keeps its
+exception, which each of its cells records as its error.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .data import (
     registry_spec,
 )
 from .metrics import evaluation_report
-from .pipelines import (  # noqa: F401  (run_cell calls the run_* by name)
+from .pipelines import (  # noqa: F401  (_execute_cell calls the run_* by name)
     ALGORITHM_IDS,
     ALGORITHMS,
     DEFAULTS_VERSION,
@@ -57,12 +56,14 @@ from .pipelines import (  # noqa: F401  (run_cell calls the run_* by name)
     run_sc_br_apso,
     run_subtractive_pso,
 )
-from .subtractive import DensityRatio, FixedK, SeedingResult, SubtractiveConfig
-from .swarm import INERTIA_KINDS, Inertia, PsoConfig
+from .subtractive import DensityRatio, FixedK, SubtractiveConfig
+from .swarm import BOUNDARIES, INERTIA_KINDS, Inertia, PsoConfig
 
 SCHEMA_VERSION = 1
 
 EMIT_FORMATS = ("json", "csv", "plot_data")
+
+STOP_RULES = ("fixed_k", "density_ratio")
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -136,15 +137,15 @@ CONFIG_SCHEMA = {
                 "properties": {
                     "id": {"enum": list(ALGORITHM_IDS)},
                     "label": {"type": "string"},
-                    # value types and ranges only: the names each id accepts
-                    # are checked against its ALGORITHMS row in parse_config.
-                    # The ranges are those PsoConfig, Inertia,
-                    # SubtractiveConfig and DensityRatio enforce, so a bad
-                    # value fails here instead of in every cell.
+                    # values only: the keys each id accepts are checked
+                    # against its ALGORITHMS row in parse_config. The ranges
+                    # and names are those PsoConfig, Inertia, _sub_config,
+                    # SubtractiveConfig and DensityRatio take, so a bad value
+                    # fails here instead of in every cell.
                     "params": {
                         "type": "object",
                         "properties": {
-                            "boundary": {"type": "string"},
+                            "boundary": {"type": "string", "enum": list(BOUNDARIES)},
                             "c1": {"type": "number", "minimum": 0},
                             "c2": {"type": "number", "minimum": 0},
                             "epsilon": {
@@ -152,8 +153,12 @@ CONFIG_SCHEMA = {
                             },
                             "inertia": {
                                 "type": ["string", "object"],
+                                # an enum beside the type would reject mappings
+                                "if": {"type": "string"},
+                                "then": {"enum": list(INERTIA_KINDS)},
+                                "required": ["kind"],
                                 "properties": {
-                                    "kind": {"type": "string"},
+                                    "kind": {"type": "string", "enum": list(INERTIA_KINDS)},
                                     "w_max": {"type": "number", "minimum": 0},
                                     "w_min": {"type": "number", "minimum": 0},
                                 },
@@ -166,7 +171,7 @@ CONFIG_SCHEMA = {
                             "r_b": {"type": "number", "exclusiveMinimum": 0},
                             "rel_tol": {"type": "number"},
                             "stall_iters": {"type": "integer", "minimum": 1},
-                            "stop": {"type": "string"},
+                            "stop": {"type": "string", "enum": list(STOP_RULES)},
                             "swarm_size": {"type": "integer", "minimum": 2},
                             "v_max_fraction": {
                                 "type": ["number", "null"], "exclusiveMinimum": 0, "maximum": 1,
@@ -243,9 +248,8 @@ def parse_config(raw: dict) -> BenchConfig:
             raise ConfigError(
                 f"config invalid at algorithms/{i}/params: unknown keys {unknown}"
             )
-        # k without stop means fixed_k seeding (_sub_config), which has no
-        # use for epsilon; density_ratio picks k itself
-        stop = params.get("stop", "fixed_k" if "k" in params else None)
+        # fixed_k seeding has no use for epsilon; density_ratio picks k itself
+        stop = _stop_of(params, params.get("k"))
         if "epsilon" in params and stop == "fixed_k":
             raise ConfigError(
                 f"config invalid at algorithms/{i}/params: epsilon applies only to "
@@ -276,24 +280,11 @@ def parse_config(raw: dict) -> BenchConfig:
                 raise ConfigError(f"dataset entry needs a name: {entry}")
             expected = None
             if "expected" in entry:
-                e = entry["expected"]
-                expected = Expected(e["n"], e["d"], e["k"], tuple(e["class_sizes"]))
+                expected = _from_mapping(Expected, entry["expected"])
             if "csv" in entry:
-                source = CsvSource(
-                    path=entry["csv"]["path"],
-                    label_column=entry["csv"].get("label_column"),
-                    delimiter=entry["csv"].get("delimiter", ","),
-                    header=entry["csv"].get("header", False),
-                    drop_columns=tuple(entry["csv"].get("drop_columns", ())),
-                    na_values=tuple(entry["csv"].get("na_values", ())),
-                    na_policy=entry["csv"].get("na_policy", "error"),
-                )
+                source = _from_mapping(CsvSource, entry["csv"])
             else:
-                source = SyntheticSource(
-                    kind=entry["synthetic"]["kind"],
-                    params=entry["synthetic"].get("params", {}),
-                    seed=entry["synthetic"].get("seed", 0),
-                )
+                source = _from_mapping(SyntheticSource, entry["synthetic"])
             spec = DatasetSpec(
                 name=entry["name"],
                 source=source,
@@ -326,6 +317,12 @@ def parse_config(raw: dict) -> BenchConfig:
     )
 
 
+def _from_mapping(cls, mapping: dict):
+    """``cls`` built from a schema-checked mapping of its field names, with
+    lists as tuples."""
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in mapping.items()})
+
+
 def load_config(path) -> BenchConfig:
     with open(path, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
@@ -338,85 +335,78 @@ def _pso_config(base: PsoConfig, params: dict) -> PsoConfig:
     overrides = {name: params[name] for name in PSO_PARAMS if name in params}
     if "inertia" in overrides:
         spec = overrides["inertia"]
-        if isinstance(spec, str):
-            spec = {"kind": spec}
-        if spec["kind"] not in INERTIA_KINDS:
-            raise ConfigError(f"unknown inertia kind {spec['kind']!r}")
-        overrides["inertia"] = Inertia(**spec)
+        overrides["inertia"] = Inertia(**({"kind": spec} if isinstance(spec, str) else spec))
     return replace(base, **overrides)
 
 
+def _stop_of(params: dict, k: Optional[int]) -> str:
+    """The stop rule an entry seeds with: its ``stop``, else ``fixed_k``
+    when k is known and ``density_ratio`` when it is not."""
+    return params.get("stop", "fixed_k" if k is not None else "density_ratio")
+
+
 def _sub_config(params: dict, k: Optional[int]) -> SubtractiveConfig:
-    stop = params.get("stop", "fixed_k" if k is not None else "density_ratio")
-    if stop == "fixed_k":
+    if _stop_of(params, k) == "fixed_k":
         if k is None:
             raise ConfigError("fixed_k seeding needs k (param or dataset k_true)")
         rule = FixedK(k)
-    elif stop == "density_ratio":
-        rule = DensityRatio(params.get("epsilon", 0.15))
     else:
-        raise ConfigError(f"unknown stop rule {stop!r}")
+        rule = DensityRatio(params["epsilon"]) if "epsilon" in params else DensityRatio()
     knobs = {f.name: params[f.name] for f in fields(SubtractiveConfig) if f.name in params}
     return SubtractiveConfig(stop_rule=rule, **knobs)
 
 
-def subtractive_configs(algorithms, loaded: dict) -> dict:
-    """The SubtractiveConfig of every subtractive entry in ``algorithms`` on
-    every dataset in ``loaded`` (name -> Dataset), keyed by (dataset name,
-    algorithm key).
-
-    Raises ConfigError for an entry that sets ``epsilon`` with neither
-    ``stop`` nor ``k`` on a dataset with a class count: it seeds with
-    ``fixed_k`` there, which ignores ``epsilon``. A pair whose config does
-    not build (an unknown ``stop`` rule, say) is left out, so that only its
-    cells fail."""
-    configs = {}
+def check_seeding_params(algorithms, loaded: dict) -> None:
+    """Raise ConfigError for an entry that sets ``epsilon`` with neither
+    ``stop`` nor ``k`` (parse_config rejects the rest) where a dataset's
+    class count makes it seed with ``fixed_k``, which ignores ``epsilon``."""
     for algo in algorithms:
-        if ALGORITHMS[algo.id].seeding != "subtractive":
-            continue
         params = algo.params
+        if "epsilon" not in params:
+            continue
         for name, dataset in loaded.items():
-            # epsilon with k and without stop has failed parse_config already
-            if "epsilon" in params and "stop" not in params and dataset.k_true is not None:
+            if _stop_of(params, params.get("k", dataset.k_true)) == "fixed_k":
                 raise ConfigError(
                     f"config invalid for algorithm {algo.key} on dataset {name}: "
                     "epsilon applies only to stop: density_ratio, but this entry seeds "
                     f"with stop: fixed_k from the dataset's {dataset.k_true} classes"
                 )
-            try:
-                configs[name, algo.key] = _sub_config(params, params.get("k", dataset.k_true))
-            except Exception:  # recorded by the cells that use it
-                pass
-    return configs
 
 
-def run_cell(dataset: Dataset, algo: AlgorithmSpec, seed: int,
-             seeding: Optional[SeedingResult] = None):
-    """Run one grid cell; pure function of its arguments. ``seeding``, for a
-    subtractive algorithm only, is the result of seeding ``dataset`` with
-    this entry's SubtractiveConfig, computed beforehand."""
+def _prepare_call(name: str, dataset: Dataset, algo: AlgorithmSpec, seedings: dict):
+    """The call every cell of (``dataset``, ``algo``) makes: the entry-point
+    name, the positional arguments after the dataset and the keyword
+    arguments other than the rng. A subtractive entry's seeding comes from
+    ``seedings`` ((dataset name, SubtractiveConfig) -> SeedingResult or the
+    exception seeding raised), filled on first use."""
     row = ALGORITHMS[algo.id]
-    # Looked up in this module's namespace at call time, not bound in the
-    # table, so that perfbench/tracer.py can wrap the entry points here.
-    entry = globals()[row.entry]
     params = algo.params
     k = params.get("k", dataset.k_true)
-    rng = Rng(seed)
     if row.seeding == "subtractive":
-        sub = _sub_config(params, k) if seeding is None else None
-        return entry(dataset, sub, _pso_config(row.pso, params), rng, seeding=seeding)
+        sub = _sub_config(params, k)
+        pso = _pso_config(row.pso, params)
+        if (name, sub) not in seedings:
+            try:
+                # through the module attribute, so perfbench/tracer.py times it
+                seedings[name, sub] = pipelines.select_centers(dataset, sub)
+            except Exception as exc:
+                seedings[name, sub] = exc
+        seeding = seedings[name, sub]
+        if isinstance(seeding, Exception):
+            raise seeding
+        return row.entry, (None, pso), {"seeding": seeding}
     if k is None:
         raise ConfigError(f"{algo.id} needs k (param or dataset k_true)")
     if row.pso is None:
-        return entry(dataset, k, "random_points", rng, params.get("max_iter", 100))
+        return row.entry, (k, "random_points"), {"max_iter": params.get("max_iter", 100)}
     pso = _pso_config(row.pso, params)
     if row.seeding == "kmeans":
-        return entry(dataset, k, pso, rng, params.get("kmeans_max_iter", 100))
-    return entry(dataset, k, pso, rng)
+        return row.entry, (k, pso), {"kmeans_max_iter": params.get("kmeans_max_iter", 100)}
+    return row.entry, (k, pso), {}
 
 
 def _execute_cell(args):
-    name, dataset, algo, rep, seed, seeding = args
+    name, dataset, algo, rep, seed, call = args
     record = {
         "dataset": name,
         "algorithm": algo.key,
@@ -426,7 +416,12 @@ def _execute_cell(args):
     }
     start = time.perf_counter()
     try:
-        outcome = run_cell(dataset, algo, seed, seeding)
+        if isinstance(call, Exception):  # the pair could not be prepared
+            raise call
+        entry, entry_args, kwargs = call
+        # Looked up in this module's namespace at call time, so that
+        # perfbench/tracer.py can wrap the entry points here.
+        outcome = globals()[entry](dataset, *entry_args, rng=Rng(seed), **kwargs)
         stall = algo.params.get("stall_iters", PsoConfig.stall_iters)
         rel_tol = algo.params.get("rel_tol", PsoConfig.rel_tol)
         report = evaluation_report(outcome, dataset, "optimal", rel_tol, stall)
@@ -459,16 +454,10 @@ def _process_pool(jobs: int) -> ProcessPoolExecutor:
     )
 
 
-def run_grid(
-    config: BenchConfig,
-    jobs: int = 1,
-    dataset_filter: Optional[set] = None,
-    algo_filter: Optional[set] = None,
-) -> BenchReport:
-    """Execute the full grid. Datasets must all load up front, and every
-    distinct subtractive seeding is computed once before the first cell
-    (see the module docstring); individual cell failures are recorded and
-    do not stop the grid."""
+def load_grid(config: BenchConfig, algorithms, dataset_filter: Optional[set] = None):
+    """Load the datasets (those in ``dataset_filter``, if given) and check
+    the seeding params against them, for ``bench validate`` and
+    :func:`run_grid` alike: (name -> Dataset, name -> normalization)."""
     loaded: dict[str, Dataset] = {}
     normalization: dict[str, Optional[dict]] = {}
     for spec in config.datasets:
@@ -477,38 +466,40 @@ def run_grid(
         dataset, record = load_dataset(spec)
         loaded[spec.name] = dataset
         normalization[spec.name] = record.to_dict() if record else None
+    if dataset_filter is not None and not loaded:
+        raise ConfigError("dataset filter matched nothing")
+    check_seeding_params(algorithms, loaded)
+    return loaded, normalization
 
+
+def run_grid(
+    config: BenchConfig,
+    jobs: int = 1,
+    dataset_filter: Optional[set] = None,
+    algo_filter: Optional[set] = None,
+) -> BenchReport:
+    """Execute the full grid. Datasets must all load up front, and each
+    (dataset, algorithm) pair's call is prepared once before the first cell
+    (see the module docstring); individual cell failures are recorded and
+    do not stop the grid."""
     algorithms = [
         a for a in config.algorithms if not algo_filter or a.key in algo_filter
     ]
-    if dataset_filter is not None and not loaded:
-        raise ConfigError("dataset filter matched nothing")
+    loaded, normalization = load_grid(config, algorithms, dataset_filter)
     if algo_filter is not None and not algorithms:
         raise ConfigError("algorithm filter matched nothing")
 
-    sub_configs = subtractive_configs(algorithms, loaded)
-    # (dataset name, SubtractiveConfig) -> SeedingResult, or None where
-    # seeding fails: those cells repeat it and record the error
-    seedings: dict[tuple, Optional[SeedingResult]] = {}
-    for (name, _), sub in sub_configs.items():
-        if (name, sub) in seedings:
-            continue
-        try:
-            # through the module attribute, so perfbench/tracer.py times it
-            seedings[name, sub] = pipelines.select_centers(loaded[name], sub)
-        except Exception:
-            seedings[name, sub] = None
-
+    seedings: dict = {}
     cells = []
-    for spec in config.datasets:
-        if spec.name not in loaded:
-            continue
+    for name, dataset in loaded.items():
         for algo in algorithms:
-            sub = sub_configs.get((spec.name, algo.key))
-            seeding = seedings.get((spec.name, sub))
+            try:
+                call = _prepare_call(name, dataset, algo, seedings)
+            except Exception as exc:  # recorded by each of the pair's cells
+                call = exc
             for rep in range(config.repetitions):
-                seed = derive_seed(config.base_seed, spec.name, algo.key, rep)
-                cells.append((spec.name, loaded[spec.name], algo, rep, seed, seeding))
+                seed = derive_seed(config.base_seed, name, algo.key, rep)
+                cells.append((name, dataset, algo, rep, seed, call))
 
     if jobs > 1 and len(cells) > 1:
         with _process_pool(jobs) as pool:

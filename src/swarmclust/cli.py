@@ -20,7 +20,7 @@ from pathlib import Path
 
 import click
 
-from .bench import ConfigError, emit_report, load_config, run_grid, subtractive_configs
+from .bench import ConfigError, emit_report, load_config, load_grid, run_grid
 from .data import LoadError, REGISTRY, default_data_dir, registry_available
 from .pipelines import ALGORITHMS
 
@@ -111,17 +111,12 @@ def validate_cmd(config_name):
     seeding params against the loaded data, as ``run`` does."""
     config = _load(config_name)
     try:
-        from .data import load_dataset
-
-        loaded = {}
-        for spec in config.datasets:
-            dataset, _ = load_dataset(spec)
-            loaded[spec.name] = dataset
-            click.echo(f"dataset {spec.name}: N={dataset.n}, d={dataset.d} ok")
-        subtractive_configs(config.algorithms, loaded)
+        loaded, _ = load_grid(config, config.algorithms)
     except (ConfigError, LoadError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    for name, dataset in loaded.items():
+        click.echo(f"dataset {name}: N={dataset.n}, d={dataset.d} ok")
     cells = len(config.datasets) * len(config.algorithms) * config.repetitions
     click.echo(f"config ok: {cells} cells")
 

@@ -117,7 +117,7 @@ class SeedingResult:
             raise ContractViolation("selection densities must be non-increasing")
 
 
-def density_initial(dataset: Dataset, r_a: float, return_eval_count: bool = False):
+def density_initial(dataset: Dataset, r_a: float) -> np.ndarray:
     """Initial density of every point: N^2 kernel evaluations, independent of
     dimensionality in term count.
 
@@ -134,9 +134,6 @@ def density_initial(dataset: Dataset, r_a: float, return_eval_count: bool = Fals
     vector, so the densities are bit-identical to
     ``np.exp(-cdist(x, x, "sqeuclidean") / (r_a/2)**2).sum(axis=1)``
     whatever the block size and thread count.
-
-    With ``return_eval_count`` the exact number of kernel terms evaluated is
-    returned alongside the densities.
     """
     if r_a <= 0:
         raise ContractViolation("r_a must be positive")
@@ -157,8 +154,6 @@ def density_initial(dataset: Dataset, r_a: float, return_eval_count: bool = Fals
             block.sum(axis=1, out=densities[start:stop])
 
     core.map_rows(fill, n, n)
-    if return_eval_count:
-        return densities, n * n
     return densities
 
 
@@ -188,10 +183,13 @@ def density_revise(
 def select_centers(dataset: Dataset, config: SubtractiveConfig) -> SeedingResult:
     """Greedy density-peak selection: argmax, record, suppress, repeat.
 
-    Under ``FixedK(k)`` exactly k centers come back (k > N is a degenerate
-    input). Under ``DensityRatio(eps)`` selection stops before accepting a
+    Under ``FixedK(k)`` exactly k centers come back; k > N is a degenerate
+    input, and so is a k whose next pick would outrank the previous center
+    (suppression around a negative-density center raises its neighbours).
+    Under ``DensityRatio(eps)`` selection stops before accepting a
     candidate whose pre-selection density is below eps times the first
-    peak's density. ``max_centers`` caps either rule.
+    peak's density, so it never picks a negative one. ``max_centers`` caps
+    either rule.
     """
     rule = config.stop_rule
     if isinstance(rule, FixedK) and rule.k > dataset.n:
@@ -215,8 +213,14 @@ def select_centers(dataset: Dataset, config: SubtractiveConfig) -> SeedingResult
         cand_density = float(densities[candidate])
         if first_peak is None:
             first_peak = cand_density
-        elif isinstance(rule, DensityRatio) and cand_density < rule.epsilon * first_peak:
-            break
+        elif isinstance(rule, DensityRatio):
+            if cand_density < rule.epsilon * first_peak:
+                break
+        elif cand_density > selected_density[-1]:
+            raise DegenerateInput(
+                f"cannot select {rule.k} centers: after {len(chosen)}, suppression "
+                "around negative-density centers raised the remaining densities"
+            )
         chosen.append(candidate)
         selected_density.append(cand_density)
         available[candidate] = False

@@ -60,6 +60,7 @@ LINEAR = "linear"
 EXPONENTIAL_LITERAL = "exponential_literal"
 EXPONENTIAL_NORMALIZED = "exponential_normalized"
 INERTIA_KINDS = (LINEAR, EXPONENTIAL_LITERAL, EXPONENTIAL_NORMALIZED)
+BOUNDARIES = ("restricted", "none")
 
 
 @dataclass(frozen=True)
@@ -114,7 +115,7 @@ class PsoConfig:
             raise ContractViolation("max_iter must be >= 1")
         if self.swarm_size < 2:
             raise ContractViolation("swarm_size must be >= 2")
-        if self.boundary not in ("restricted", "none"):
+        if self.boundary not in BOUNDARIES:
             raise ContractViolation("boundary must be 'restricted' or 'none'")
         if self.v_max_fraction is not None and not 0 < self.v_max_fraction <= 1:
             raise ContractViolation("v_max_fraction must lie in (0, 1]")

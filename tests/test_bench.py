@@ -174,6 +174,22 @@ class TestConfigParsing:
             parse_config(raw)
         assert str(info.value) == f"config invalid at algorithms/1/params/{key}: {message}"
 
+    @pytest.mark.parametrize("params, key, message", [
+        ({"stop": "density-ratio"}, "stop",
+         "'density-ratio' is not one of ['fixed_k', 'density_ratio']"),
+        ({"boundary": "restrict"}, "boundary", "'restrict' is not one of ['restricted', 'none']"),
+        ({"inertia": "linaer"}, "inertia",
+         "'linaer' is not one of ['linear', 'exponential_literal', 'exponential_normalized']"),
+        ({"inertia": {"kind": "bogus"}}, "inertia/kind",
+         "'bogus' is not one of ['linear', 'exponential_literal', 'exponential_normalized']"),
+        ({"inertia": {"w_max": 0.5}}, "inertia", "'kind' is a required property"),
+    ])
+    def test_misspelled_values_rejected(self, params, key, message):
+        raw = fixture_config(algorithms=[{"id": "kmeans"}, {"id": "sc_br_apso", "params": params}])
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == f"config invalid at algorithms/1/params/{key}: {message}"
+
     def test_kmeans_iteration_limits_rejected(self):
         for algo_id, key in (("kmeans", "max_iter"), ("kmeans_pso", "kmeans_max_iter")):
             raw = fixture_config(algorithms=[{"id": algo_id, "params": {key: 0}}])
@@ -311,7 +327,16 @@ class TestSeedingPass:
         assert sorted(calls, key=repr) == sorted(expected, key=repr)
 
     @pytest.mark.parametrize("jobs", [1, 2])
-    def test_records_equal_cells_seeding_themselves(self, jobs):
+    def test_records_equal_cells_seeding_themselves(self, jobs, monkeypatch):
+        real = bench.load_dataset
+
+        def grid4_unlabelled(spec):
+            dataset, record = real(spec)
+            if spec.name == "grid4":
+                dataset = Dataset(dataset.points, None, dataset.name, None)
+            return dataset, record
+
+        monkeypatch.setattr(bench, "load_dataset", grid4_unlabelled)
         raw = two_datasets_config(reps=2, algorithms=[
             {"id": "kmeans"},
             {"id": "sub_pso"},
@@ -319,21 +344,31 @@ class TestSeedingPass:
             {"id": "sc_br_apso", "label": "dr", "params": {"stop": "density_ratio",
                                                            "epsilon": 0.3}},
             {"id": "sc_br_apso", "label": "big_k", "params": {"k": 22}},
-            {"id": "sub_pso", "label": "bogus", "params": {"stop": "bogus"}},
+            {"id": "sub_pso", "label": "no_k", "params": {"stop": "fixed_k"}},
         ])
         cfg = parse_config(raw)
         report = run_grid(cfg, jobs=jobs)
-        loaded = {spec.name: bench.load_dataset(spec)[0] for spec in cfg.datasets}
-        records = sorted(
-            (bench._execute_cell((name, loaded[name], algo, rep,
-                                  derive_seed(cfg.base_seed, name, algo.key, rep), None))[0]
-             for name in loaded for algo in cfg.algorithms for rep in range(2)),
-            key=lambda r: (r["dataset"], r["algorithm"], r["rep"]))
+        records = []
+        for spec in cfg.datasets:
+            dataset = bench.load_dataset(spec)[0]
+            for algo in cfg.algorithms:
+                for rep in range(2):
+                    try:  # each cell prepared on its own, with a fresh seeding cache
+                        call = bench._prepare_call(spec.name, dataset, algo, {})
+                    except Exception as exc:
+                        call = exc
+                    seed = derive_seed(cfg.base_seed, spec.name, algo.key, rep)
+                    cell = (spec.name, dataset, algo, rep, seed, call)
+                    records.append(bench._execute_cell(cell)[0])
+        records.sort(key=lambda r: (r["dataset"], r["algorithm"], r["rep"]))
         assert strip_wall(report.records) == strip_wall(records)
         by_cell = {(r["dataset"], r["algorithm"]): r.get("error") for r in records}
         assert by_cell["two_blob", "big_k"] == (
             "DegenerateInput: cannot select 22 centers from 20 points")
-        assert by_cell["grid4", "bogus"] == "ConfigError: unknown stop rule 'bogus'"
+        assert by_cell["grid4", "no_k"] == (
+            "ConfigError: fixed_k seeding needs k (param or dataset k_true)")
+        assert by_cell["grid4", "kmeans"] == "ConfigError: kmeans needs k (param or dataset k_true)"
+        assert by_cell["grid4", "sub_pso"] is None
 
     def test_failed_seeding_fails_every_cell_as_before(self, monkeypatch):
         calls = select_centers_spy(monkeypatch)
@@ -343,8 +378,8 @@ class TestSeedingPass:
         report = run_grid(parse_config(raw))
         assert [r["error"] for r in report.records] == [
             "DegenerateInput: cannot select 50 centers from 20 points"] * 4
-        # tried once by the pass, then again by every cell
-        assert len(calls) == 1 + 4
+        # one attempt for the (dataset, config) pair both entries share
+        assert len(calls) == 1
 
     def test_ignored_epsilon_rejected_before_any_cell(self, monkeypatch):
         calls = select_centers_spy(monkeypatch)
@@ -360,11 +395,13 @@ class TestSeedingPass:
         )
         assert calls == []
 
-    def test_epsilon_without_stop_seeds_density_ratio_on_unlabelled_data(self):
+    def test_epsilon_without_stop_seeds_density_ratio_on_unlabelled_data(self, monkeypatch):
+        calls = select_centers_spy(monkeypatch)
         algo = bench.AlgorithmSpec("sc_br_apso", {"epsilon": 0.3})
         unlabelled = Dataset(points=np.arange(8.0).reshape(4, 2), name="u")
-        assert bench.subtractive_configs([algo], {"u": unlabelled}) == {
-            ("u", "sc_br_apso"): SubtractiveConfig(stop_rule=DensityRatio(0.3))}
+        bench.check_seeding_params([algo], {"u": unlabelled})
+        bench._prepare_call("u", unlabelled, algo, {})
+        assert calls == [("u", SubtractiveConfig(stop_rule=DensityRatio(0.3)))]
 
 
 class TestSeedSplitting:
@@ -471,17 +508,6 @@ class TestRunGrid:
         assert by_algo["pso"]["status"] == "ok"
         assert by_algo["pso"]["error_percent"] is None
         assert report.failed_cells == 1
-
-    def test_unknown_stop_and_inertia_kind_fail_the_cell(self):
-        raw = fixture_config(reps=1, algorithms=[
-            {"id": "sc_br_apso", "params": {"stop": "bogus"}},
-            {"id": "brapso", "params": {"inertia": {"kind": "bogus"}}},
-        ])
-        report = run_grid(parse_config(raw))
-        assert {r["algorithm"]: r["error"] for r in report.records} == {
-            "sc_br_apso": "ConfigError: unknown stop rule 'bogus'",
-            "brapso": "ConfigError: unknown inertia kind 'bogus'",
-        }
 
     @pytest.mark.parametrize("row", ALGORITHMS.values(), ids=lambda row: row.id)
     def test_cells_call_entry_points_through_bench(self, row, monkeypatch):
@@ -612,6 +638,25 @@ class TestCli:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2
         assert "algorithms/0/params/swarm_size: 1 is less than the minimum of 2" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("params, message", [
+        ({"stop": "density-ratio"}, "algorithms/0/params/stop: 'density-ratio' is not one of"),
+        ({"boundary": "restrict"}, "algorithms/0/params/boundary: 'restrict' is not one of"),
+        ({"inertia": "linaer"}, "algorithms/0/params/inertia: 'linaer' is not one of"),
+        ({"inertia": {"w_max": 0.5}},
+         "algorithms/0/params/inertia: 'kind' is a required property"),
+    ])
+    def test_misspelled_value_exits_2(self, tmp_path, command, params, message):
+        raw = fixture_config(reps=1, algorithms=[{"id": "sc_br_apso", "params": params}])
+        args = [command, "--config", self.write_config(tmp_path, raw)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert message in result.output
+        assert "config ok" not in result.output
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])

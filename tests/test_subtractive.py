@@ -44,11 +44,6 @@ class TestDensityInitial:
         mid = 1.0 + 2.0 * math.exp(-1.0)
         assert d == pytest.approx([end, mid, end], rel=1e-12)
 
-    def test_kernel_evaluation_count_is_n_squared(self):
-        ds = make_blobs("art_like", {"n": 17, "k": 3}, seed=1)
-        _, count = density_initial(ds, 0.5, return_eval_count=True)
-        assert count == 17 * 17
-
     def test_range_and_oracle(self):
         rng = Rng(11)
         pts = rng.normal(0, 1, size=(12, 3))
@@ -73,9 +68,8 @@ class TestBlockedKernel:
     def test_equals_full_matrix(self, n, monkeypatch):
         monkeypatch.setattr(subtractive, "DENSITY_BLOCK", self.ROWS * n)
         pts = Rng(n).uniform(0, 1, size=(n, 3))
-        densities, count = density_initial(Dataset(points=pts), 0.6, return_eval_count=True)
-        assert np.array_equal(densities, self.full_matrix(pts, 0.6))
-        assert count == n * n
+        assert np.array_equal(density_initial(Dataset(points=pts), 0.6),
+                              self.full_matrix(pts, 0.6))
 
     def test_block_smaller_than_a_row(self, monkeypatch):
         monkeypatch.setattr(subtractive, "DENSITY_BLOCK", 1)
@@ -213,6 +207,31 @@ class TestSelectCenters:
         ds = Dataset(points=np.zeros((2, 1)))
         with pytest.raises(DegenerateInput):
             select_centers(ds, SubtractiveConfig(stop_rule=FixedK(3)))
+
+    @staticmethod
+    def grid_fixture():
+        # the 24-point, four-cluster grid4 of the fixtures preset
+        raw = make_blobs("grid", {"n": 24, "side": 2, "scale": 10.0, "spread": 0.1}, seed=11)
+        return normalize_minmax(raw)[0]
+
+    def test_grid_fixture_k8_picks_negative_densities(self):
+        ds = self.grid_fixture()
+        res = select_centers(ds, SubtractiveConfig(stop_rule=FixedK(8)))
+        assert res.indices.tolist() == [11, 16, 3, 20, 19, 22, 1, 2]
+        assert np.all(res.densities_at_selection[5:] < 0)
+        ref_idx, ref_dens = select_centers_ref(ds.points.tolist(), 0.5, 0.75, ("fixed_k", 8))
+        assert res.indices.tolist() == ref_idx
+        assert res.densities_at_selection == pytest.approx(ref_dens, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("k", [9, 10, 24])
+    def test_grid_fixture_beyond_k8_is_degenerate(self, k):
+        # the ninth candidate outranks the eighth center once suppression
+        # around the negative-density centers has raised its density
+        with pytest.raises(DegenerateInput) as info:
+            select_centers(self.grid_fixture(), SubtractiveConfig(stop_rule=FixedK(k)))
+        assert str(info.value) == (
+            f"cannot select {k} centers: after 8, suppression around "
+            "negative-density centers raised the remaining densities")
 
     def test_selection_densities_non_increasing(self):
         for seed in range(5):
