@@ -110,6 +110,36 @@ def assign_nearest_ref(points, centroids) -> list[int]:
     return out
 
 
+def recompute_centroids_ref(points, cluster_of, k: int):
+    """Cluster means, then the empty-cluster repair, as straight loops.
+
+    Empty clusters are repaired in ascending order. Each takes the point
+    farthest from the centroid of the cluster it is assigned to (first such
+    point on ties), which is then assigned to the repaired cluster. The
+    centroid that point leaves is not recomputed."""
+    d = len(points[0])
+    cluster_of = list(cluster_of)
+    sums = [[0.0] * d for _ in range(k)]
+    counts = [0] * k
+    for p, c in zip(points, cluster_of):
+        counts[c] += 1
+        for j in range(d):
+            sums[c][j] += float(p[j])
+    centroids = [[s / counts[c] for s in sums[c]] if counts[c] else list(sums[c])
+                 for c in range(k)]
+    for c in range(k):
+        if counts[c]:
+            continue
+        best, best_d = 0, -1.0
+        for i, p in enumerate(points):
+            dist = math.sqrt(sq_dist(p, centroids[cluster_of[i]]))
+            if dist > best_d:
+                best, best_d = i, dist
+        centroids[c] = [float(x) for x in points[best]]
+        cluster_of[best] = c
+    return centroids
+
+
 def _confusion(cluster_of, labels, k: int, n_classes: int):
     conf = [[0] * n_classes for _ in range(k)]
     for c, lab in zip(cluster_of, labels):

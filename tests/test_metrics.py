@@ -1,13 +1,20 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swarmclust.core import Assignment, Dataset, Rng
+from swarmclust.core import Assignment, ContractViolation, Dataset, Rng
 from swarmclust.metrics import (
     UnsupportedEvaluation,
     convergence_stats,
     error_rate,
+    max_weight_matching,
     sicd,
 )
 
@@ -134,11 +141,96 @@ class TestErrorRate:
             ref_maj = error_rate_majority_ref(a.cluster_of.tolist(), labels.tolist(), k)
             assert maj == pytest.approx(ref_maj, abs=1e-9)
 
+    def test_larger_cases_match_brute_force(self):
+        for seed in range(40):
+            rng = Rng(2000 + seed)
+            n = int(rng.integers(10, 200))
+            k = int(rng.integers(1, 8))
+            n_classes = int(rng.integers(2, 8))
+            labels = rng.integers(0, n_classes, size=n)
+            labels[:n_classes] = np.arange(n_classes)
+            a = Assignment(rng.integers(0, k, size=n), k=k)
+            opt, mapping, conf = error_rate(a, labels, "optimal")
+            ref = error_rate_optimal_ref(a.cluster_of.tolist(), labels.tolist(), k)
+            assert opt == pytest.approx(ref, abs=1e-9)
+            matched = [c for c in mapping.values() if c is not None]
+            assert len(matched) == len(set(matched)) == min(k, n_classes)
+
     def test_confusion_sums_to_n(self):
         a = Assignment(np.array([0, 1, 2, 0]), k=3)
         _, _, conf = error_rate(a, np.array([0, 1, 1, 0]))
         assert conf.sum() == 4
         assert conf.shape == (3, 2)
+
+
+def check_matching(weights):
+    """The matching against scipy's solver: same optimal total, one pair per
+    row of the smaller side, ascending rows, and the same pairs again."""
+    from scipy.optimize import linear_sum_assignment
+
+    w = np.asarray(weights)
+    pairs = max_weight_matching(w)
+    rows, cols = linear_sum_assignment(w, maximize=True)
+    assert sum(int(w[r, c]) for r, c in pairs) == int(w[rows, cols].sum())
+    assert len(pairs) == min(w.shape)
+    assert len({r for r, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
+    assert [r for r, _ in pairs] == sorted(r for r, _ in pairs)
+    assert max_weight_matching(w) == pairs
+
+
+class TestMaxWeightMatching:
+    def test_random_integer_matrices_match_scipy(self):
+        rng = Rng(77)
+        for _ in range(600):
+            k, c = (int(v) for v in rng.integers(1, 13, size=2))
+            high = (2, 4, 50, 10**6)[int(rng.integers(0, 4))]
+            check_matching(rng.integers(0, high, size=(k, c)))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (3, 5), (5, 3), (12, 12)])
+    def test_zero_and_constant_matrices(self, shape):
+        for value in (0, 1, 9):
+            check_matching(np.full(shape, value, dtype=np.int64))
+
+    def test_single_row_and_column_pick_the_first_maximum(self):
+        assert max_weight_matching([[4]]) == [(0, 0)]
+        assert max_weight_matching([[1, 5, 2, 5]]) == [(0, 1)]
+        assert max_weight_matching([[1], [5], [2], [5]]) == [(1, 0)]
+
+    def test_64_by_64(self):
+        check_matching(Rng(64).integers(0, 1000, size=(64, 64)))
+
+    def test_non_matrix_rejected(self):
+        with pytest.raises(ContractViolation):
+            max_weight_matching(np.zeros(3, dtype=np.int64))
+
+
+def test_no_process_imports_scipy_optimize():
+    # The matching is in-house so that no process pays for scipy.optimize;
+    # a fresh interpreter shows whether anything loads it.
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import swarmclust, swarmclust.bench, swarmclust.cli
+        from swarmclust.bench import parse_config, run_grid
+        from swarmclust.core import Assignment
+        from swarmclust.metrics import error_rate
+        error_rate(Assignment(np.array([0, 1, 1]), k=2), np.array([1, 0, 0]))
+        report = run_grid(parse_config({
+            "base_seed": 1, "repetitions": 1, "output_dir": "unused",
+            "datasets": [{"name": "two_blob", "synthetic": {
+                "kind": "two_blob", "seed": 7, "params": {"n": 20}}}],
+            "algorithms": [{"id": "sc_br_apso"}],
+        }))
+        assert report.records[0]["error_percent"] is not None, report.records
+        print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestConvergenceStats:

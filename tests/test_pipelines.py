@@ -30,7 +30,7 @@ from swarmclust.swarm import (
     PsoConfig, decode, encode, exponential_normalized, init_swarm, linear, step,
 )
 
-from oracles import assign_nearest_ref, exhaustive_best_sicd
+from oracles import assign_nearest_ref, exhaustive_best_sicd, recompute_centroids_ref
 
 FAST_PLAIN = PsoConfig(inertia=linear(0.9, 0.4), boundary="none", max_iter=60,
                        swarm_size=10)
@@ -138,6 +138,23 @@ class TestAssignNearest:
         a = assign_nearest(ds, centroids)
         assert a.cluster_of.tolist() == assign_nearest_ref(pts.tolist(), centroids.tolist())
 
+    def test_both_orientations_pick_alike_with_duplicate_centroids(self):
+        # k spans both sides of COLUMN_ARGMIN_MAX_K; repeated centroids make
+        # exact ties, which must go to the lower index either way
+        rng = Rng(31)
+        for _ in range(60):
+            n, k, d = int(rng.integers(1, 300)), int(rng.integers(1, 25)), int(rng.integers(1, 6))
+            pts = rng.integers(-3, 4, size=(n, d)).astype(np.float64)
+            centroids = rng.integers(-3, 4, size=(k, d)).astype(np.float64)
+            dup = rng.integers(0, k, size=k // 2 + 1)
+            centroids[rng.integers(0, k, size=dup.size)] = centroids[dup]
+            a = assign_nearest(Dataset(points=pts), centroids)
+            rows = np.argmin(cdist(pts, centroids, "sqeuclidean"), axis=1)
+            assert np.array_equal(a.cluster_of, rows)
+            if n <= 60:
+                assert a.cluster_of.tolist() == assign_nearest_ref(
+                    pts.tolist(), centroids.tolist())
+
 
 def recompute_centroids_add_at(dataset, assignment):
     """Reference: cluster sums by np.add.at, one point at a time."""
@@ -167,6 +184,23 @@ class TestRecomputeCentroids:
         # the last ``empty`` clusters get no points and go through repair
         a = Assignment(rng.integers(0, k - empty, size=n), k=k)
         assert np.array_equal(recompute_centroids(ds, a), recompute_centroids_add_at(ds, a))
+
+    @pytest.mark.parametrize("n, k, d, empty", [
+        (1, 2, 1, 1), (2, 3, 2, 1), (3, 4, 1, 3), (7, 3, 2, 1), (10, 5, 3, 2),
+        (25, 6, 2, 3), (40, 4, 4, 3), (60, 8, 3, 2),
+    ])
+    def test_repair_equals_loop_oracle(self, n, k, d, empty):
+        # the repaired point's old centroid keeps its mean, point included
+        rng = Rng(97 * n + k)
+        ds = Dataset(points=rng.normal(0, 2, size=(n, d)))
+        for _ in range(5):
+            full = rng.choice_without_replacement(k, k - empty)
+            slots = rng.integers(0, k - empty, size=n)
+            slots[rng.choice_without_replacement(n, k - empty)] = np.arange(k - empty)
+            a = Assignment(full[slots], k=k)
+            assert np.bincount(a.cluster_of, minlength=k).tolist().count(0) == empty
+            ref = recompute_centroids_ref(ds.points.tolist(), a.cluster_of.tolist(), k)
+            assert np.array_equal(recompute_centroids(ds, a), ref)
 
     def test_singleton_clusters(self):
         ds = Dataset(points=np.array([[1.0, 2.0], [5.0, 6.0]]))

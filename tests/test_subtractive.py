@@ -117,7 +117,8 @@ class TestSplitKernel:
 
 class TestLargeN:
     # One N x N float64 array at N = 10 000 is 800 MB; the blocked kernel
-    # peaks at about 80 MB, most of it the interpreter with numpy and scipy.
+    # peaks at about 70 MB, most of it the interpreter with numpy and
+    # scipy.spatial.
     CEILING_MB = 250
 
     def test_seeding_memory_stays_bounded(self):
