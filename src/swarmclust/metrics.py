@@ -10,8 +10,8 @@ takes each cluster's plurality label. With unequal cluster and class counts
 the matching runs on the rectangular confusion matrix and every point of an
 unmatched cluster counts as misplaced.
 
-The optimal matching is :func:`max_weight_matching`, an exact Kuhn-Munkres
-solver in integer arithmetic. It lives here rather than coming from
+The optimal matching is an exact Kuhn-Munkres solver in integer arithmetic
+(``_max_weight_matching``). It lives here rather than coming from
 ``scipy.optimize.linear_sum_assignment`` because that one small matching
 per cell was the only use of ``scipy.optimize``, whose import adds about
 150 modules and 11 MB of memory to every process (scipy 1.17, Python 3.11);
@@ -63,15 +63,15 @@ def confusion_matrix(assignment: Assignment, labels: np.ndarray) -> np.ndarray:
     return conf
 
 
-def max_weight_matching(weights) -> list[tuple[int, int]]:
+def _max_weight_matching(weights) -> list[tuple[int, int]]:
     """A one-to-one matching of rows to columns of an integer matrix with the
     largest total weight, as ``(row, col)`` pairs in ascending row order.
 
     Every row is matched when there are no more rows than columns, every
     column otherwise, so the matching has ``min(rows, cols)`` pairs. The
     solver is Kuhn-Munkres with shortest augmenting paths and integer
-    potentials, run with the smaller side as rows: O(r^2 c) for r = min(rows, cols) and c = max(rows, cols). The
-    arithmetic is exact on integers, so the total is the optimum. Ties
+    potentials, run with the smaller side as rows: O(r^2 c) for
+    r = min(rows, cols) and c = max(rows, cols). The arithmetic is exact on integers, so the total is the optimum. Ties
     between augmenting paths go to the lowest column, so the result is
     deterministic; when several matchings reach the optimum, the one
     returned need not be the one ``scipy.optimize.linear_sum_assignment``
@@ -136,11 +136,12 @@ def error_rate(
 
     Returns (percent, cluster-to-class mapping, confusion matrix). Unmatched
     clusters map to None. Majority-mode ties resolve to the lower class id.
-    Optimal mode matches clusters to classes with :func:`max_weight_matching`
-    on the confusion matrix. The percent depends only on the optimal matched
-    count, which every optimal matching shares; when several matchings tie,
-    the mapping names the one that solver picks, which can differ from the
-    one ``scipy.optimize.linear_sum_assignment`` would pick.
+    Optimal mode matches clusters to classes on the confusion matrix with an
+    exact in-house Kuhn-Munkres solver (``_max_weight_matching``). The
+    percent depends only on the optimal matched count, which every optimal
+    matching shares; when several matchings tie, the mapping names the one
+    that solver picks, which can differ from the one
+    ``scipy.optimize.linear_sum_assignment`` would pick.
     """
     if labels is None:
         raise UnsupportedEvaluation("error rate needs ground-truth labels")
@@ -151,7 +152,7 @@ def error_rate(
 
     mapping: Dict[int, Optional[int]] = {i: None for i in range(assignment.k)}
     if mapping_mode == "optimal":
-        for r, c in max_weight_matching(conf):
+        for r, c in _max_weight_matching(conf):
             mapping[r] = c
     elif mapping_mode == "majority":
         for i in range(assignment.k):

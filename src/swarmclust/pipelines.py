@@ -127,28 +127,17 @@ class ClusteringOutcome:
     seed: int
 
 
-# Largest k for which assign_nearest reduces a k x N distance matrix down
-# its columns. Up to here that takes 0.45-0.8x the time of reducing N x k
-# along its rows, at N = 500 to 16 000; from k = 12 to 16 on, numpy's
-# argmin over axis 0 turns 1.4-1.8x slower than the rows at N >= 4000
-# (numpy 2.4 and scipy 1.17 on a 2-vCPU Xeon VM).
-COLUMN_ARGMIN_MAX_K = 10
-
-
 def assign_nearest(dataset: Dataset, centroids: np.ndarray) -> Assignment:
     """Map every point to its closest centroid; ties go to the lower index.
 
-    Both orientations of the distance matrix hold the same squared
-    distances, each summed in the same order, and argmin keeps the first
-    minimum along either axis, so the picks do not depend on which one
-    ``COLUMN_ARGMIN_MAX_K`` selects."""
+    The k x N distance matrix holds the same squared distances as the
+    N x k one, each summed in the same order, and argmin keeps the first
+    minimum down each column, so the picks are those of a row-wise argmin
+    over N x k."""
     c = np.asarray(centroids, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] < 1:
         raise ContractViolation("centroids must be a nonempty k x d matrix")
-    if c.shape[0] <= COLUMN_ARGMIN_MAX_K:
-        nearest = np.argmin(cdist(c, dataset.points, "sqeuclidean"), axis=0)
-    else:
-        nearest = np.argmin(cdist(dataset.points, c, "sqeuclidean"), axis=1)
+    nearest = np.argmin(cdist(c, dataset.points, "sqeuclidean"), axis=0)
     return Assignment(nearest, k=c.shape[0])
 
 

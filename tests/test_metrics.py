@@ -14,7 +14,7 @@ from swarmclust.metrics import (
     UnsupportedEvaluation,
     convergence_stats,
     error_rate,
-    max_weight_matching,
+    _max_weight_matching,
     sicd,
 )
 
@@ -169,13 +169,13 @@ def check_matching(weights):
     from scipy.optimize import linear_sum_assignment
 
     w = np.asarray(weights)
-    pairs = max_weight_matching(w)
+    pairs = _max_weight_matching(w)
     rows, cols = linear_sum_assignment(w, maximize=True)
     assert sum(int(w[r, c]) for r, c in pairs) == int(w[rows, cols].sum())
     assert len(pairs) == min(w.shape)
     assert len({r for r, _ in pairs}) == len({c for _, c in pairs}) == len(pairs)
     assert [r for r, _ in pairs] == sorted(r for r, _ in pairs)
-    assert max_weight_matching(w) == pairs
+    assert _max_weight_matching(w) == pairs
 
 
 class TestMaxWeightMatching:
@@ -192,16 +192,16 @@ class TestMaxWeightMatching:
             check_matching(np.full(shape, value, dtype=np.int64))
 
     def test_single_row_and_column_pick_the_first_maximum(self):
-        assert max_weight_matching([[4]]) == [(0, 0)]
-        assert max_weight_matching([[1, 5, 2, 5]]) == [(0, 1)]
-        assert max_weight_matching([[1], [5], [2], [5]]) == [(1, 0)]
+        assert _max_weight_matching([[4]]) == [(0, 0)]
+        assert _max_weight_matching([[1, 5, 2, 5]]) == [(0, 1)]
+        assert _max_weight_matching([[1], [5], [2], [5]]) == [(1, 0)]
 
     def test_64_by_64(self):
         check_matching(Rng(64).integers(0, 1000, size=(64, 64)))
 
     def test_non_matrix_rejected(self):
         with pytest.raises(ContractViolation):
-            max_weight_matching(np.zeros(3, dtype=np.int64))
+            _max_weight_matching(np.zeros(3, dtype=np.int64))
 
 
 def test_no_process_imports_scipy_optimize():

@@ -139,8 +139,8 @@ class TestAssignNearest:
         assert a.cluster_of.tolist() == assign_nearest_ref(pts.tolist(), centroids.tolist())
 
     def test_both_orientations_pick_alike_with_duplicate_centroids(self):
-        # k spans both sides of COLUMN_ARGMIN_MAX_K; repeated centroids make
-        # exact ties, which must go to the lower index either way
+        # repeated centroids make exact ties, which must go to the lower
+        # index as a row-wise argmin over N x k gives them
         rng = Rng(31)
         for _ in range(60):
             n, k, d = int(rng.integers(1, 300)), int(rng.integers(1, 25)), int(rng.integers(1, 6))
@@ -154,6 +154,24 @@ class TestAssignNearest:
             if n <= 60:
                 assert a.cluster_of.tolist() == assign_nearest_ref(
                     pts.tolist(), centroids.tolist())
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 7, 8, 13, 30])
+    def test_both_orientations_hold_identical_float_distances(self, d):
+        # the picks match only if cdist rounds each k x N entry exactly as
+        # its N x k transpose, so check the float sums bit for bit; pairs of
+        # centroids a few ulps apart make near-ties that rounding decides
+        rng = Rng(100 + d)
+        for n, k in ((1, 1), (50, 3), (517, 5), (4000, 5), (300, 24)):
+            pts = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0, size=d)
+            centroids = pts[rng.integers(0, n, size=k)] + rng.normal(scale=1e-3, size=(k, d))
+            half = k // 2
+            centroids[half:2 * half] = centroids[:half] * (1 + 1e-15 * rng.normal(size=(half, d)))
+            cols = cdist(centroids, pts, "sqeuclidean")
+            rows = cdist(pts, centroids, "sqeuclidean")
+            assert np.array_equal(cols.T, rows)
+            assert np.array_equal(
+                assign_nearest(Dataset(points=pts), centroids).cluster_of,
+                np.argmin(rows, axis=1))
 
 
 def recompute_centroids_add_at(dataset, assignment):
