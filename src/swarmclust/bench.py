@@ -373,6 +373,19 @@ def check_seeding_params(algorithms, loaded: dict) -> None:
                 )
 
 
+def check_k_params(algorithms, loaded: dict) -> None:
+    """Raise ConfigError for an entry whose ``k`` param exceeds a dataset's
+    point count: no algorithm can place more centers than there are points."""
+    for algo in algorithms:
+        k = algo.params.get("k")
+        for name, dataset in loaded.items():
+            if k is not None and k > dataset.n:
+                raise ConfigError(
+                    f"config invalid for algorithm {algo.key} on dataset {name}: "
+                    f"k={k} exceeds the dataset's {dataset.n} points"
+                )
+
+
 def _prepare_call(name: str, dataset: Dataset, algo: AlgorithmSpec, seedings: dict):
     """The call every cell of (``dataset``, ``algo``) makes: the entry-point
     name, the positional arguments after the dataset and the keyword
@@ -456,7 +469,7 @@ def _process_pool(jobs: int) -> ProcessPoolExecutor:
 
 def load_grid(config: BenchConfig, algorithms, dataset_filter: Optional[set] = None):
     """Load the datasets (those in ``dataset_filter``, if given) and check
-    the seeding params against them, for ``bench validate`` and
+    the ``k`` and seeding params against them, for ``bench validate`` and
     :func:`run_grid` alike: (name -> Dataset, name -> normalization)."""
     loaded: dict[str, Dataset] = {}
     normalization: dict[str, Optional[dict]] = {}
@@ -468,6 +481,7 @@ def load_grid(config: BenchConfig, algorithms, dataset_filter: Optional[set] = N
         normalization[spec.name] = record.to_dict() if record else None
     if dataset_filter is not None and not loaded:
         raise ConfigError("dataset filter matched nothing")
+    check_k_params(algorithms, loaded)
     check_seeding_params(algorithms, loaded)
     return loaded, normalization
 

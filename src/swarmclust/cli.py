@@ -108,7 +108,7 @@ def run(config_name, out, jobs, filters):
 @click.option("--config", "config_name", required=True, help="Config file or preset name.")
 def validate_cmd(config_name):
     """Check a config against the schema, verify datasets load and check the
-    seeding params against the loaded data, as ``run`` does."""
+    k and seeding params against the loaded data, as ``run`` does."""
     config = _load(config_name)
     try:
         loaded, _ = load_grid(config, config.algorithms)

@@ -16,11 +16,28 @@ computed exactly as it would be alone, row by row into its own slice of the
 output, so results are bit-identical whatever the thread count; each
 kernel divides its memory budget between the threads, so the bound on what
 it holds at once does not grow with them.
+
+Every distance those kernels and the nearest-center assignment compute
+goes through :func:`sqeuclidean`, an (m, d) x (n, d) -> (m, n) matrix of
+squared Euclidean distances, optionally written into ``out``. It is
+scipy's own compiled ``cdist_sqeuclidean``, the function that
+``scipy.spatial.distance.cdist(a, b, "sqeuclidean")`` calls, so its bits
+are scipy's. It is loaded from its extension file
+(``spatial/_distance_pybind``) in the installed scipy package without
+importing ``scipy`` or ``scipy.spatial``: importing ``scipy.spatial``
+also loads ``scipy.sparse``, ``scipy.linalg`` and scipy's OpenBLAS, which
+took more than half the import time of ``swarmclust.bench`` and about
+30 MB of resident memory in every process (scipy 1.17, Python 3.11). An
+``ImportError`` raised here names the directory searched and the scipy
+version: that scipy no longer ships the extension file or the function
+where this module looks for it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -215,6 +232,40 @@ class Rng:
 def bounds_of(dataset: Dataset) -> SearchBounds:
     """Tight per-dimension bounding box of the dataset; every row lies inside."""
     return SearchBounds(dataset.points.min(axis=0), dataset.points.max(axis=0))
+
+
+_KERNEL_MODULE = "scipy.spatial._distance_pybind"
+
+
+def _load_sqeuclidean():
+    """``cdist_sqeuclidean`` from scipy's ``spatial/_distance_pybind``
+    extension file, found and loaded without importing scipy."""
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None or not scipy_spec.submodule_search_locations:
+        raise ImportError("swarmclust needs scipy, and no scipy package was found")
+    where = os.path.join(scipy_spec.submodule_search_locations[0], "spatial")
+    finder = importlib.machinery.FileFinder(
+        where, (importlib.machinery.ExtensionFileLoader,
+                importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_KERNEL_MODULE)
+    if spec is not None:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        if hasattr(module, "cdist_sqeuclidean"):
+            return module.cdist_sqeuclidean
+    from importlib.metadata import PackageNotFoundError, version
+
+    try:
+        scipy_version = version("scipy")
+    except PackageNotFoundError:
+        scipy_version = "of unknown version"
+    raise ImportError(
+        f"no {_KERNEL_MODULE} extension with cdist_sqeuclidean in {where} "
+        f"(scipy {scipy_version}); swarmclust computes its distances with it"
+    )
+
+
+sqeuclidean = _load_sqeuclidean()
 
 
 # Threads the kernels split their rows over: the CPUs this process may run

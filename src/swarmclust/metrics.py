@@ -71,11 +71,11 @@ def _max_weight_matching(weights) -> list[tuple[int, int]]:
     column otherwise, so the matching has ``min(rows, cols)`` pairs. The
     solver is Kuhn-Munkres with shortest augmenting paths and integer
     potentials, run with the smaller side as rows: O(r^2 c) for
-    r = min(rows, cols) and c = max(rows, cols). The arithmetic is exact on integers, so the total is the optimum. Ties
-    between augmenting paths go to the lowest column, so the result is
-    deterministic; when several matchings reach the optimum, the one
-    returned need not be the one ``scipy.optimize.linear_sum_assignment``
-    returns.
+    r = min(rows, cols) and c = max(rows, cols). The arithmetic is exact on
+    integers, so the total is the optimum. Ties between augmenting paths go
+    to the lowest column, so the result is deterministic; when several
+    matchings reach the optimum, the one returned need not be the one
+    ``scipy.optimize.linear_sum_assignment`` returns.
     """
     w = np.asarray(weights)
     if w.ndim != 2:

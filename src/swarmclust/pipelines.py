@@ -32,7 +32,6 @@ from dataclasses import dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import core
 from .core import (
@@ -130,14 +129,19 @@ class ClusteringOutcome:
 def assign_nearest(dataset: Dataset, centroids: np.ndarray) -> Assignment:
     """Map every point to its closest centroid; ties go to the lower index.
 
-    The k x N distance matrix holds the same squared distances as the
-    N x k one, each summed in the same order, and argmin keeps the first
-    minimum down each column, so the picks are those of a row-wise argmin
-    over N x k."""
+    The k x N squared distances come from
+    :func:`swarmclust.core.sqeuclidean`, bit for bit
+    ``cdist(centroids, points, "sqeuclidean")``. They are the same squared
+    distances as the N x k ones, each summed in the same order, and argmin
+    keeps the first minimum down each column, so the picks are those of a
+    row-wise argmin over N x k."""
     c = np.asarray(centroids, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] < 1:
         raise ContractViolation("centroids must be a nonempty k x d matrix")
-    nearest = np.argmin(cdist(c, dataset.points, "sqeuclidean"), axis=0)
+    if c.shape[1] != dataset.d:
+        raise ContractViolation(
+            f"centroids of shape {c.shape} do not fit points of shape {dataset.points.shape}")
+    nearest = np.argmin(core.sqeuclidean(c, dataset.points), axis=0)
     return Assignment(nearest, k=c.shape[0])
 
 
@@ -181,12 +185,14 @@ def _fitness_for(dataset: Dataset, k: int):
     """Batched SICD fitness: an (m, k*d) block of flattened centroid sets to
     the (m,) vector of their sums of nearest-center distances.
 
-    Squared distances are reduced to each point's minimum over the k
-    centers before the square root, so only N roots are taken per row;
-    ``sqrt`` is correctly rounded and monotone and scipy's ``euclidean`` is
-    exactly ``sqrt(sqeuclidean)``, so the minima are the same bits. Each
-    row's sum runs over one contiguous length-N vector, so it is
-    bit-identical to ``cdist(x, c).min(axis=1).sum()`` for that row alone.
+    The squared distances come from :func:`swarmclust.core.sqeuclidean`
+    (scipy's compiled ``cdist(..., "sqeuclidean")``) and are reduced to
+    each point's minimum over the k centers before the square root, so only
+    N roots are taken per row; ``sqrt`` is correctly rounded and monotone
+    and scipy's ``euclidean`` is exactly ``sqrt(sqeuclidean)``, so the
+    minima are the same bits. Each row's sum runs over one contiguous
+    length-N vector, so it is bit-identical to
+    ``cdist(x, c).min(axis=1).sum()`` for that row alone.
     Calls of at least 2 * ``PARALLEL_MIN`` distances split their rows over
     the kernel threads (:func:`swarmclust.core.map_rows`), each thread
     working in blocks within ``FITNESS_BLOCK // KERNEL_WORKERS`` distances;
@@ -198,7 +204,7 @@ def _fitness_for(dataset: Dataset, k: int):
     def fitness(positions: np.ndarray) -> np.ndarray:
         m = positions.shape[0]
         if core.row_parts(m, k * n) == 1 and m * k * n <= FITNESS_BLOCK:
-            dists = cdist(positions.reshape(-1, d), x, "sqeuclidean")
+            dists = core.sqeuclidean(positions.reshape(-1, d), x)
             mins = dists.reshape(m, k, n).min(axis=1)
             return np.sqrt(mins, out=mins).sum(axis=1)
         out = np.empty(m)
@@ -210,7 +216,7 @@ def _fitness_for(dataset: Dataset, k: int):
             for start in range(lo, hi, rows):
                 stop = min(start + rows, hi)
                 block_d, block_m = dists[: (stop - start) * k], mins[: stop - start]
-                cdist(positions[start:stop].reshape(-1, d), x, "sqeuclidean", out=block_d)
+                core.sqeuclidean(positions[start:stop].reshape(-1, d), x, out=block_d)
                 block_d.reshape(stop - start, k, n).min(axis=1, out=block_m)
                 np.sqrt(block_m, out=block_m)
                 block_m.sum(axis=1, out=out[start:stop])

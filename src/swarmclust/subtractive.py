@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from . import core
 from .core import ContractViolation, Dataset, DegenerateInput
@@ -124,9 +123,11 @@ def density_initial(dataset: Dataset, r_a: float) -> np.ndarray:
     The kernel matrix is never held whole. The rows are split over the
     kernel threads (:func:`swarmclust.core.map_rows`); each thread takes its
     range in blocks of ``max(1, DENSITY_BLOCK // (N * KERNEL_WORKERS))``
-    rows: a block's squared distances are written into the thread's reused
-    (rows, N) buffer, divided by ``-(r_a/2)**2`` and exponentiated in place,
-    then summed per row into the result. Memory beyond the input is about
+    rows: a block's squared distances are written by
+    :func:`swarmclust.core.sqeuclidean` (scipy's compiled
+    ``cdist(..., "sqeuclidean")``) into the thread's reused (rows, N)
+    buffer, divided by ``-(r_a/2)**2`` and exponentiated in place, then
+    summed per row into the result. Memory beyond the input is about
     ``max(DENSITY_BLOCK, N * KERNEL_WORKERS)`` float64 entries plus the N
     densities. Dividing by the negated scale gives exactly the bits of
     negating and then dividing (IEEE division is sign-symmetric), every
@@ -148,7 +149,7 @@ def density_initial(dataset: Dataset, r_a: float) -> np.ndarray:
         for start in range(lo, hi, rows):
             stop = min(start + rows, hi)
             block = buf[: stop - start]
-            cdist(x[start:stop], x, "sqeuclidean", out=block)
+            core.sqeuclidean(x[start:stop], x, out=block)
             block /= -scale
             np.exp(block, out=block)
             block.sum(axis=1, out=densities[start:stop])

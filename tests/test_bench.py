@@ -343,7 +343,7 @@ class TestSeedingPass:
             {"id": "sc_br_apso"},
             {"id": "sc_br_apso", "label": "dr", "params": {"stop": "density_ratio",
                                                            "epsilon": 0.3}},
-            {"id": "sc_br_apso", "label": "big_k", "params": {"k": 22}},
+            {"id": "sc_br_apso", "label": "big_k", "params": {"k": 9}},
             {"id": "sub_pso", "label": "no_k", "params": {"stop": "fixed_k"}},
         ])
         cfg = parse_config(raw)
@@ -363,8 +363,9 @@ class TestSeedingPass:
         records.sort(key=lambda r: (r["dataset"], r["algorithm"], r["rep"]))
         assert strip_wall(report.records) == strip_wall(records)
         by_cell = {(r["dataset"], r["algorithm"]): r.get("error") for r in records}
-        assert by_cell["two_blob", "big_k"] == (
-            "DegenerateInput: cannot select 22 centers from 20 points")
+        assert by_cell["grid4", "big_k"] == (
+            "DegenerateInput: cannot select 9 centers: after 8, suppression around "
+            "negative-density centers raised the remaining densities")
         assert by_cell["grid4", "no_k"] == (
             "ConfigError: fixed_k seeding needs k (param or dataset k_true)")
         assert by_cell["grid4", "kmeans"] == "ConfigError: kmeans needs k (param or dataset k_true)"
@@ -372,14 +373,32 @@ class TestSeedingPass:
 
     def test_failed_seeding_fails_every_cell_as_before(self, monkeypatch):
         calls = select_centers_spy(monkeypatch)
-        raw = fixture_config(reps=2, algorithms=[
-            {"id": "sub_pso", "params": {"k": 50}}, {"id": "sc_br_apso", "params": {"k": 50}},
+        raw = two_datasets_config(reps=2, algorithms=[
+            {"id": "sub_pso", "params": {"k": 9}}, {"id": "sc_br_apso", "params": {"k": 9}},
         ])
-        report = run_grid(parse_config(raw))
+        report = run_grid(parse_config(raw), dataset_filter={"grid4"})
         assert [r["error"] for r in report.records] == [
-            "DegenerateInput: cannot select 50 centers from 20 points"] * 4
+            "DegenerateInput: cannot select 9 centers: after 8, suppression around "
+            "negative-density centers raised the remaining densities"] * 4
         # one attempt for the (dataset, config) pair both entries share
         assert len(calls) == 1
+
+    def test_k_above_n_rejected_before_any_cell(self, monkeypatch):
+        calls = select_centers_spy(monkeypatch)
+        raw = two_datasets_config(reps=1, algorithms=[
+            {"id": "sub_pso"}, {"id": "kmeans", "label": "k_is_n", "params": {"k": 24}},
+        ])
+        with pytest.raises(ConfigError) as info:
+            run_grid(parse_config(raw))
+        assert str(info.value) == (
+            "config invalid for algorithm k_is_n on dataset two_blob: "
+            "k=24 exceeds the dataset's 20 points"
+        )
+        assert calls == []
+        # checked per loaded dataset: grid4 holds 24 points, and k = N runs
+        report = run_grid(parse_config(raw), dataset_filter={"grid4"})
+        assert report.failed_cells == 0
+        assert {r["algorithm"]: r["k"] for r in report.records} == {"sub_pso": 4, "k_is_n": 24}
 
     def test_ignored_epsilon_rejected_before_any_cell(self, monkeypatch):
         calls = select_centers_spy(monkeypatch)
@@ -687,6 +706,19 @@ class TestCli:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2
         assert message in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("algo", ["kmeans", "pso", "sc_br_apso"])
+    def test_k_above_n_exits_2(self, tmp_path, command, algo):
+        raw = fixture_config(reps=1, algorithms=[{"id": algo, "params": {"k": 50}}])
+        args = [command, "--config", self.write_config(tmp_path, raw)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert (f"algorithm {algo} on dataset two_blob: k=50 exceeds the dataset's "
+                "20 points") in result.output
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_exits_2(self):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,3 +171,68 @@ class TestMapRows:
         monkeypatch.setattr(core, "KERNEL_WORKERS", core.KERNEL_WORKERS)
         core.set_kernel_workers(0)
         assert core.KERNEL_WORKERS == 1
+
+
+class TestSqeuclidean:
+    """core.sqeuclidean is scipy's compiled kernel, so every result must equal
+    the public cdist(a, b, "sqeuclidean") bit for bit; scipy.spatial is
+    imported inside these tests only."""
+
+    @staticmethod
+    def shapes():
+        yield from [(1, 1, 1), (1, 4000, 30), (64, 1, 1), (64, 4000, 30), (5, 4000, 8)]
+        rng = Rng(97)
+        for _ in range(15):
+            yield (int(rng.integers(1, 65)), int(rng.integers(1, 4001)),
+                   int(rng.integers(1, 31)))
+
+    def test_equals_cdist_with_and_without_out(self):
+        from scipy.spatial.distance import cdist
+
+        rng = Rng(5)
+        for rows, n, d in self.shapes():
+            a = rng.normal(0.0, 3.0, size=(rows, d))
+            b = rng.normal(0.0, 3.0, size=(n, d))
+            want = cdist(a, b, "sqeuclidean")
+            assert np.array_equal(core.sqeuclidean(a, b), want), (rows, n, d)
+            # into a prefix of a larger buffer, as the row-blocked kernels do
+            buf = np.full((rows + 3, n), np.nan)
+            core.sqeuclidean(a, b, out=buf[:rows])
+            assert np.array_equal(buf[:rows], want), (rows, n, d)
+            assert np.isnan(buf[rows:]).all()
+
+    def test_row_slice_of_reshaped_swarm_block(self):
+        # _fitness_for passes positions[start:stop].reshape(-1, d) of an
+        # (m, k*d) block of flattened centroid sets
+        from scipy.spatial.distance import cdist
+
+        rng = Rng(6)
+        for m, k, d, n in [(1, 1, 1, 1), (20, 3, 4, 150), (64, 5, 8, 4000), (7, 16, 30, 33)]:
+            positions = rng.uniform(-1.0, 1.0, size=(m, k * d))
+            x = rng.uniform(-1.0, 1.0, size=(n, d))
+            for start, stop in [(0, m), (m // 3, m), (m - 1, m)]:
+                centers = positions[start:stop].reshape(-1, d)
+                want = cdist(centers, x, "sqeuclidean")
+                assert np.array_equal(core.sqeuclidean(centers, x), want)
+                out = np.empty(((stop - start) * k, n))
+                core.sqeuclidean(centers, x, out=out)
+                assert np.array_equal(out, want)
+
+    def test_missing_extension_names_directory_and_version(self, tmp_path):
+        # a scipy package without the extension file: importing swarmclust
+        # must fail and say where it looked, and for which scipy
+        fake = tmp_path / "scipy"
+        (fake / "spatial").mkdir(parents=True)
+        (fake / "__init__.py").write_text("", encoding="utf-8")
+        meta = tmp_path / "scipy-0.0.1.dist-info"
+        meta.mkdir()
+        (meta / "METADATA").write_text(
+            "Metadata-Version: 2.1\nName: scipy\nVersion: 0.0.1\n", encoding="utf-8")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(tmp_path), src)))
+        result = subprocess.run([sys.executable, "-c", "import swarmclust"], env=env,
+                                cwd=tmp_path, capture_output=True, text=True, timeout=120,
+                                check=False)
+        assert result.returncode == 1
+        assert "ImportError: no scipy.spatial._distance_pybind extension" in result.stderr
+        assert f"in {fake / 'spatial'} (scipy 0.0.1)" in result.stderr

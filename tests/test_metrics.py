@@ -204,13 +204,16 @@ class TestMaxWeightMatching:
             _max_weight_matching(np.zeros(3, dtype=np.int64))
 
 
-def test_no_process_imports_scipy_optimize():
-    # The matching is in-house so that no process pays for scipy.optimize;
-    # a fresh interpreter shows whether anything loads it.
+def test_no_process_imports_scipy():
+    # The matching is in-house and the distance kernel is loaded from its
+    # extension file, so that no process pays for importing any of scipy;
+    # a fresh interpreter shows whether anything loads it. scipy imported
+    # afterwards must then work alongside the early-loaded kernel.
     code = textwrap.dedent("""
         import sys
         import numpy as np
         import swarmclust, swarmclust.bench, swarmclust.cli
+        from swarmclust import core
         from swarmclust.bench import parse_config, run_grid
         from swarmclust.core import Assignment
         from swarmclust.metrics import error_rate
@@ -222,7 +225,10 @@ def test_no_process_imports_scipy_optimize():
             "algorithms": [{"id": "sc_br_apso"}],
         }))
         assert report.records[0]["error_percent"] is not None, report.records
-        print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        from scipy.spatial.distance import cdist
+        a, b = np.random.default_rng(3).normal(size=(2, 40, 6))
+        assert np.array_equal(cdist(a, b, "sqeuclidean"), core.sqeuclidean(a, b))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

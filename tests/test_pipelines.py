@@ -130,6 +130,14 @@ class TestAssignNearest:
         a = assign_nearest(ds, centroids)
         assert a.cluster_of[0] == 0
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_centroid_width_must_match_dataset(self, width):
+        ds = Dataset(points=np.arange(8, dtype=float).reshape(4, 2))
+        with pytest.raises(ContractViolation) as info:
+            assign_nearest(ds, np.zeros((3, width)))
+        assert str(info.value) == (
+            f"centroids of shape (3, {width}) do not fit points of shape (4, 2)")
+
     def test_matches_brute_force_table(self):
         rng = Rng(13)
         pts = rng.uniform(-3, 3, size=(6, 2))

@@ -117,8 +117,7 @@ class TestSplitKernel:
 
 class TestLargeN:
     # One N x N float64 array at N = 10 000 is 800 MB; the blocked kernel
-    # peaks at about 70 MB, most of it the interpreter with numpy and
-    # scipy.spatial.
+    # peaks at about 41 MB, most of it the interpreter with numpy.
     CEILING_MB = 250
 
     def test_seeding_memory_stays_bounded(self):
