@@ -15,6 +15,13 @@ draws no random numbers, so preparing seeds each distinct (dataset,
 included, and the seeding time counts toward the grid's time but not
 toward any cell's ``wall_ms``. A pair that cannot be prepared keeps its
 exception, which each of its cells records as its error.
+
+:func:`parse_config` checks a config against :data:`CONFIG_SCHEMA` with
+the in-house :class:`~swarmclust.schema.SchemaChecker`, which reports the
+error and wording ``jsonschema`` would. Modules a round from a parsed
+mapping at one job does not use are imported where they are used: PyYAML
+by :func:`load_config` and the process pool (``multiprocessing``) by
+``--jobs`` above 1.
 """
 
 from __future__ import annotations
@@ -23,15 +30,11 @@ import json
 import os
 import platform
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import yaml
-from jsonschema import Draft202012Validator, validators
-from jsonschema.exceptions import best_match
 
 from . import __version__, core, pipelines
 from .core import Dataset, Rng, derive_seed
@@ -56,8 +59,12 @@ from .pipelines import (  # noqa: F401  (_execute_cell calls the run_* by name)
     run_sc_br_apso,
     run_subtractive_pso,
 )
+from .schema import SchemaChecker
 from .subtractive import DensityRatio, FixedK, SubtractiveConfig
 from .swarm import BOUNDARIES, INERTIA_KINDS, Inertia, PsoConfig
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 SCHEMA_VERSION = 1
 
@@ -184,15 +191,9 @@ CONFIG_SCHEMA = {
     },
 }
 
-# JSON Schema counts 2.0 as an integer, but counts, sizes and seeds are used
-# as Python ints (range, slices, bit masks), so the config takes only ints.
-# Built once: the schema itself is checked by the tests, not on every parse.
-CONFIG_VALIDATOR = validators.extend(
-    Draft202012Validator,
-    type_checker=Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool)
-    ),
-)(CONFIG_SCHEMA)
+# Built once, at import, which fails if the schema goes beyond the keywords
+# the checker supports. Its integers take only Python ints, not 2.0.
+CONFIG_CHECKER = SchemaChecker(CONFIG_SCHEMA)
 
 
 class ConfigError(ValueError):
@@ -237,10 +238,11 @@ def parse_config(raw: dict) -> BenchConfig:
     """Validate a parsed YAML/JSON mapping against the published schema,
     check each algorithm's param names against its ``ALGORITHMS`` row and
     build a BenchConfig. Raises ConfigError with a readable message."""
-    error = best_match(CONFIG_VALIDATOR.iter_errors(raw))
+    error = CONFIG_CHECKER.best_error(raw)
     if error is not None:
-        path = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ConfigError(f"config invalid at {path}: {error.message}")
+        path, message = error
+        where = "/".join(str(p) for p in path) or "<root>"
+        raise ConfigError(f"config invalid at {where}: {message}")
     for i, entry in enumerate(raw["algorithms"]):
         params = entry.get("params", {})
         unknown = ALGORITHMS[entry["id"]].unknown_params(params)
@@ -324,6 +326,8 @@ def _from_mapping(cls, mapping: dict):
 
 
 def load_config(path) -> BenchConfig:
+    import yaml  # here, so that a run from a parsed mapping never loads it
+
     with open(path, encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
@@ -460,6 +464,8 @@ def _execute_cell(args):
 def _process_pool(jobs: int) -> ProcessPoolExecutor:
     """``jobs`` grid workers, each splitting its kernels over its share of
     the kernel threads, so that jobs x threads does not exceed the CPUs."""
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     return ProcessPoolExecutor(
         max_workers=jobs,
         initializer=core.set_kernel_workers,
@@ -496,6 +502,8 @@ def run_grid(
     (dataset, algorithm) pair's call is prepared once before the first cell
     (see the module docstring); individual cell failures are recorded and
     do not stop the grid."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     algorithms = [
         a for a in config.algorithms if not algo_filter or a.key in algo_filter
     ]

@@ -9,7 +9,7 @@ Exit codes: 0 success, 1 one or more cells failed, 2 configuration or
 dataset loading errors. ``--config`` accepts a YAML file path or the name of
 a packaged preset (``paper_protocol``, ``fixtures``). The output directory
 and worker count can also come from the SWARMCLUST_OUT_DIR and
-SWARMCLUST_JOBS environment variables.
+SWARMCLUST_JOBS environment variables; a worker count below 1 exits 2.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ def main():
 @click.option("--config", "config_name", required=True, help="Config file or preset name.")
 @click.option("--out", envvar="SWARMCLUST_OUT_DIR", default=None,
               help="Output directory (overrides the config).")
-@click.option("--jobs", envvar="SWARMCLUST_JOBS", default=1, type=int, show_default=True,
+@click.option("--jobs", envvar="SWARMCLUST_JOBS", default=1, type=click.IntRange(min=1),
+              show_default=True,
               help="Worker processes; results are identical for any value.")
 @click.option("--filter", "filters", multiple=True,
               help="Restrict cells, e.g. 'dataset=iris,algo=pso|brapso'. Repeatable.")

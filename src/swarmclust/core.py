@@ -15,7 +15,9 @@ contiguous ranges and runs the ranges on ``KERNEL_WORKERS`` threads at once
 computed exactly as it would be alone, row by row into its own slice of the
 output, so results are bit-identical whatever the thread count; each
 kernel divides its memory budget between the threads, so the bound on what
-it holds at once does not grow with them.
+it holds at once does not grow with them. The helper threads, and
+``concurrent.futures`` itself, are loaded by the first call that splits,
+so a process whose kernels all run inline never imports them.
 
 Every distance those kernels and the nearest-center assignment compute
 goes through :func:`sqeuclidean`, an (m, d) x (n, d) -> (m, n) matrix of
@@ -40,11 +42,13 @@ import importlib.machinery
 import importlib.util
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -300,6 +304,8 @@ def set_kernel_workers(threads: int) -> None:
 def _helper_pool() -> ThreadPoolExecutor:
     """The ``KERNEL_WORKERS - 1`` helper threads that run beside the caller,
     started on first use and replaced when ``KERNEL_WORKERS`` changes."""
+    from concurrent.futures import ThreadPoolExecutor
+
     global _pool
     helpers = KERNEL_WORKERS - 1
     with _pool_lock:
@@ -331,6 +337,8 @@ def map_rows(fn: Callable[[int, int], None], n_rows: int, row_entries: int) -> N
     if parts == 1:
         fn(0, n_rows)
         return
+    from concurrent.futures import wait
+
     edges = [n_rows * i // parts for i in range(parts + 1)]
     pool = _helper_pool()
     futures = [pool.submit(fn, edges[i], edges[i + 1]) for i in range(parts - 1)]

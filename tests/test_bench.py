@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -6,8 +7,8 @@ import yaml
 from click.testing import CliRunner
 
 from swarmclust.bench import (
+    CONFIG_CHECKER,
     CONFIG_SCHEMA,
-    CONFIG_VALIDATOR,
     ConfigError,
     aggregate_records,
     emit_report,
@@ -20,6 +21,7 @@ from swarmclust.cli import main
 from swarmclust.core import Dataset, derive_seed
 from swarmclust.data import make_blobs
 from swarmclust.pipelines import ALGORITHMS
+from swarmclust.schema import SchemaChecker
 from swarmclust.subtractive import DensityRatio, FixedK, SubtractiveConfig, density_initial
 
 # A value of the right type for every benchmark-config param name
@@ -119,7 +121,7 @@ class TestConfigParsing:
         ]))
 
     def test_schema_is_valid(self):
-        CONFIG_VALIDATOR.check_schema(CONFIG_SCHEMA)
+        jsonschema_validator().check_schema(CONFIG_SCHEMA)
 
     def test_every_accepted_param_has_a_type(self):
         names = set().union(*(row.param_names for row in ALGORITHMS.values()))
@@ -276,6 +278,247 @@ class TestConfigParsing:
         raw["datasets"] = raw["datasets"] * 2
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(raw)
+
+
+def jsonschema_validator(schema=CONFIG_SCHEMA):
+    """The jsonschema validator the in-house checker answers for: draft
+    2020-12, with integers that are ints, never bools or integral floats."""
+    from jsonschema import Draft202012Validator, validators
+
+    integer = Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer", lambda _, value: isinstance(value, int) and not isinstance(value, bool))
+    return validators.extend(Draft202012Validator, type_checker=integer)(schema)
+
+
+def rich_config():
+    """A valid config that sets every key the schema describes."""
+    raw = fixture_config(reps=1, algorithms=[
+        {"id": "kmeans", "params": {"k": 2, "max_iter": 5}},
+        {"id": "sc_br_apso", "label": "tuned", "params": {
+            "c1": 1.5, "c2": 2, "swarm_size": 4, "max_iter": 5, "boundary": "restricted",
+            "v_max_fraction": 0.5, "stall_iters": 3, "rel_tol": 1e-6,
+            "inertia": {"kind": "linear", "w_max": 0.9, "w_min": 0.4},
+            "stop": "density_ratio", "epsilon": 0.2, "r_a": 0.5, "r_b": 0.75,
+            "max_centers": 8}},
+    ])
+    raw["data_dir"] = "data"
+    raw["datasets"][0]["normalize"] = True
+    raw["datasets"][0]["expected"] = {"n": 20, "d": 2, "k": 2, "class_sizes": [10, 10]}
+    raw["datasets"].append({"name": "table", "csv": {
+        "path": "table.csv", "label_column": "class", "delimiter": ";", "header": True,
+        "drop_columns": [0], "na_values": ["?"], "na_policy": "drop"}})
+    return raw
+
+
+DELETE = object()
+
+
+def mutated(raw, *changes):
+    """A deep copy of ``raw`` with each (path, value) change made; the value
+    DELETE removes the key or item, and the empty path replaces the whole
+    config."""
+    raw = copy.deepcopy(raw)
+    for path, value in changes:
+        if not path:
+            raw = value
+            continue
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return raw
+
+
+ALGO = ("algorithms", 1, "params")
+CSV = ("datasets", 1, "csv")
+# One or two changes to rich_config per schema keyword, and some pairs whose
+# errors jsonschema's best_match must choose between
+SCHEMA_CORPUS = [
+    # type: wrong type, a bool where an int or number goes, an integral float
+    [((), [])],
+    [(("base_seed",), "1")],
+    [(("output_dir",), 3)],
+    [(("emit",), "json")],
+    [(("datasets",), {"name": "x"})],
+    [(("datasets", 0, "normalize"), "yes")],
+    [(("datasets", 0, "synthetic", "params"), [1])],
+    [(CSV + ("label_column",), 1.5)],
+    [(CSV + ("drop_columns", 0), "0")],
+    [(CSV + ("header",), 1)],
+    [(ALGO, [])],
+    [(ALGO + ("inertia",), 0.5)],
+    [(ALGO + ("v_max_fraction",), "off")],
+    [(ALGO + ("v_max_fraction",), None)],
+    [(("base_seed",), True)],
+    [(("algorithms", 0, "params", "k"), True)],
+    [(("datasets", 0, "expected", "n"), False)],
+    [(ALGO + ("c1",), True)],
+    [(("repetitions",), 2.0)],
+    [(("algorithms", 0, "params", "k"), 2.0)],
+    [(ALGO + ("swarm_size",), 4.0)],
+    [(("datasets", 0, "synthetic", "seed"), 7.0)],
+    [(("datasets", 0, "expected", "class_sizes"), [10.0, 10])],
+    [(ALGO + ("c2",), 2.0)],
+    # minimum, maximum and the exclusive bounds, at and beyond each
+    [(("base_seed",), -1)],
+    [(("base_seed",), 0)],
+    [(("repetitions",), 0)],
+    [(ALGO + ("swarm_size",), 1)],
+    [(ALGO + ("c1",), -0.1)],
+    [(ALGO + ("c1",), 0)],
+    [(ALGO + ("inertia",), {"kind": "linear", "w_max": -1})],
+    [(ALGO + ("max_centers",), 0)],
+    [(ALGO + ("epsilon",), 0)],
+    [(ALGO + ("epsilon",), 1)],
+    [(ALGO + ("epsilon",), 1.0)],
+    [(ALGO + ("epsilon",), 0.999)],
+    [(ALGO + ("r_a",), 0)],
+    [(ALGO + ("r_b",), 0.0)],
+    [(ALGO + ("r_b",), 1e-9)],
+    [(ALGO + ("v_max_fraction",), 0)],
+    [(ALGO + ("v_max_fraction",), 1)],
+    [(ALGO + ("v_max_fraction",), 1.5)],
+    # enum, including a string inertia
+    [(("emit",), ["json", "parquet"])],
+    [(("datasets", 0, "synthetic", "kind"), "blob")],
+    [(("algorithms", 0, "id"), "dbscan")],
+    [(("algorithms", 0, "id"), 3)],
+    [(ALGO + ("stop",), "density-ratio")],
+    [(ALGO + ("boundary",), "restrict")],
+    [(ALGO + ("inertia",), "linaer")],
+    [(ALGO + ("inertia",), "exponential_normalized")],
+    [(ALGO + ("inertia",), {"kind": "bogus"})],
+    [(ALGO + ("inertia",), {"kind": 3})],
+    [(ALGO + ("stop",), 3)],
+    [(CSV + ("na_policy",), "skip")],
+    # required
+    [(("base_seed",), DELETE)],
+    [(("algorithms", 0, "id"), DELETE)],
+    [(CSV + ("path",), DELETE)],
+    [(("datasets", 0, "synthetic", "kind"), DELETE)],
+    [(("datasets", 0, "expected", "n"), DELETE)],
+    [(ALGO + ("inertia",), {"w_max": 0.5})],
+    # additionalProperties: false
+    [(("seeds",), 1)],
+    [(("seeds",), 1), (("reps",), 2)],
+    [(("datasets", 0, "extra"), 1)],
+    [(("algorithms", 0, "param"), {})],
+    [(CSV + ("sep",), ";")],
+    # minItems, and arrays without it
+    [(("datasets",), [])],
+    [(("algorithms",), [])],
+    [(("emit",), [])],
+    [(("datasets", 0, "expected", "class_sizes"), [])],
+    [(CSV + ("drop_columns",), [])],
+    # several errors: the shallowest path wins, then the greatest path, then
+    # a value of the wrong type, then the first found
+    [(("base_seed",), -1.0)],
+    [(ALGO + ("max_centers",), 3.0), (ALGO + ("c2",), "x")],
+    [(("base_seed",), DELETE), (ALGO + ("k",), "2")],
+    [(("seeds",), 1), (("repetitions",), 0)],
+    [(("datasets", 0, "name"), 3), (("algorithms", 0, "id"), "x")],
+    [(("emit",), []), (("repetitions",), "2")],
+    [(ALGO + ("inertia",), {"kind": "linear", "w_max": -1, "w_min": "x"})],
+    [(("datasets", 1, "name"), 3), (("datasets", 0, "name"), 4)],
+    [(("repetitions",), 0), (("base_seed",), DELETE), (("seeds",), 1)],
+]
+
+
+def best_match_text(raw):
+    """``parse_config``'s text for jsonschema's best match on ``raw``, or
+    None when jsonschema accepts it."""
+    from jsonschema.exceptions import best_match
+
+    error = best_match(jsonschema_validator().iter_errors(raw))
+    if error is None:
+        return None
+    path = "/".join(str(p) for p in error.absolute_path) or "<root>"
+    return f"config invalid at {path}: {error.message}"
+
+
+PROBE_VALUES = [None, True, False, 0, -1, 1, 2, 2.0, 0.5, 1.5, "", "linear", "fixed_k",
+                [], [1], ["json"], {}, {"kind": "linear"}]
+
+
+def every_node(value, path=()):
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from every_node(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from every_node(item, path + (i,))
+
+
+class TestSchemaChecker:
+    """The in-house checker answers as jsonschema does on CONFIG_SCHEMA."""
+
+    @pytest.mark.parametrize("changes", SCHEMA_CORPUS)
+    def test_parse_config_agrees_with_jsonschema(self, changes):
+        raw = mutated(rich_config(), *changes)
+        expected = best_match_text(raw)
+        if expected is None:
+            parse_config(raw)
+        else:
+            with pytest.raises(ConfigError) as info:
+                parse_config(raw)
+            assert str(info.value) == expected
+
+    def test_every_single_change_agrees_with_jsonschema(self):
+        # each node replaced by each probe value, each key dropped and an
+        # unknown key added to each mapping
+        base = rich_config()
+        assert best_match_text(base) is None
+        configs = []
+        for path, value in every_node(base):
+            configs += [mutated(base, (path, probe)) for probe in PROBE_VALUES]
+            if path:
+                configs.append(mutated(base, (path, DELETE)))
+            if isinstance(value, dict):
+                configs.append(mutated(base, (path + ("zz_extra",), 1)))
+        rejected = 0
+        for raw in configs:
+            expected = best_match_text(raw)
+            error = CONFIG_CHECKER.best_error(raw)
+            got = None if error is None else (
+                f"config invalid at {'/'.join(map(str, error[0])) or '<root>'}: {error[1]}")
+            assert got == expected, raw
+            rejected += expected is not None
+        assert len(configs) > 1000 and rejected > len(configs) // 2
+
+    @pytest.mark.parametrize("schema, instances", [
+        # a then-error on a value of the wrong type outranks an earlier one
+        ({"type": "number", "minimum": 5, "if": {"type": "number"},
+          "then": {"type": "integer"}}, [2.5, 2, 7.5, 7, "x"]),
+        ({"type": "array", "minItems": 2, "items": {"enum": ["a", "b"]}},
+         [[], ["a"], ["a", "c"], ["c"], ["a", "b"]]),
+        ({"type": ["integer", "null"], "exclusiveMaximum": 3, "maximum": 2},
+         [None, 1, 2, 2.5, 3, 3.0, True]),
+    ])
+    def test_other_schemas_agree_with_jsonschema(self, schema, instances):
+        from jsonschema.exceptions import best_match
+
+        for instance in instances:
+            error = best_match(jsonschema_validator(schema).iter_errors(instance))
+            expected = None if error is None else (tuple(error.absolute_path), error.message)
+            assert SchemaChecker(schema).best_error(instance) == expected, instance
+
+    @pytest.mark.parametrize("schema, message", [
+        ({"type": "string", "pattern": "^a"}, "unsupported schema keyword 'pattern' at <root>"),
+        ({"properties": {"x": {"format": "email"}}},
+         "unsupported schema keyword 'format' at properties/x"),
+        ({"items": {"anyOf": [{"type": "string"}]}}, "unsupported schema keyword 'anyOf'"),
+        ({"additionalProperties": True}, "only additionalProperties: false"),
+        ({"additionalProperties": {"type": "string"}}, "only additionalProperties: false"),
+        ({"type": "integr"}, "unknown type"),
+        ({"enum": [1, 2]}, "only enums of strings"),
+    ])
+    def test_unsupported_schema_refused(self, schema, message):
+        with pytest.raises(ValueError, match=message):
+            SchemaChecker(schema)
 
 
 def two_datasets_config(reps, algorithms):
@@ -462,6 +705,14 @@ class TestRunGrid:
         r3 = strip_wall(report_to_dict(run_grid(cfg, jobs=2)))
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r3, sort_keys=True)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs, monkeypatch):
+        calls = select_centers_spy(monkeypatch)
+        cfg = parse_config(fixture_config(reps=1, algorithms=[{"id": "sc_br_apso"}]))
+        with pytest.raises(ConfigError, match=f"^jobs must be at least 1, got {jobs}$"):
+            run_grid(cfg, jobs=jobs)
+        assert calls == []
 
     def test_jobs_after_a_warm_kernel_pool(self, monkeypatch):
         # The parent's kernel threads exist before the grid workers fork;
@@ -720,6 +971,20 @@ class TestCli:
         assert (f"algorithm {algo} on dataset two_blob: k=50 exceeds the dataset's "
                 "20 points") in result.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, env", [
+        (["--jobs", "0"], {}),
+        (["--jobs", "-3"], {}),
+        ([], {"SWARMCLUST_JOBS": "0"}),
+    ])
+    def test_jobs_below_one_exits_2(self, tmp_path, args, env):
+        path = self.write_config(tmp_path, fixture_config(reps=1))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["run", "--config", path, "--out", str(out), *args],
+                                    env=env)
+        assert result.exit_code == 2
+        assert "Invalid value for '--jobs'" in result.output
+        assert not out.exists()
 
     def test_missing_config_exits_2(self):
         result = CliRunner().invoke(main, ["run", "--config", "no-such-file.yaml"])

@@ -204,13 +204,38 @@ class TestMaxWeightMatching:
             _max_weight_matching(np.zeros(3, dtype=np.int64))
 
 
-def test_no_process_imports_scipy():
-    # The matching is in-house and the distance kernel is loaded from its
-    # extension file, so that no process pays for importing any of scipy;
-    # a fresh interpreter shows whether anything loads it. scipy imported
-    # afterwards must then work alongside the early-loaded kernel.
-    code = textwrap.dedent("""
+# Modules no grid run from a parsed mapping at one job may load: the
+# distance kernel comes from its extension file, the error rate's matching
+# and the config checker are in-house, PyYAML is imported by load_config
+# alone and the process pool by jobs above 1 alone.
+UNUSED_BY_A_RUN = ("scipy", "jsonschema", "referencing", "attr", "attrs", "rpds", "yaml",
+                   "multiprocessing", "concurrent.futures.process")
+
+
+def run_fresh(code: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter on this
+    checkout's sources, where ``loaded_unused()`` lists the modules of
+    ``UNUSED_BY_A_RUN`` loaded so far; fails the test on a non-zero exit."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    preamble = textwrap.dedent(f"""
         import sys
+        def loaded_unused():
+            return sorted(m for m in sys.modules if any(
+                m == top or m.startswith(top + ".") for top in {UNUSED_BY_A_RUN!r}))
+    """)
+    result = subprocess.run([sys.executable, "-c", preamble + textwrap.dedent(code)], env=env,
+                            capture_output=True, text=True, timeout=120, check=False)
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_no_process_imports_scipy():
+    # A fresh interpreter shows whether anything loads the modules a run
+    # does not use. scipy imported afterwards must then work alongside the
+    # early-loaded kernel.
+    code = """
         import numpy as np
         import swarmclust, swarmclust.bench, swarmclust.cli
         from swarmclust import core
@@ -223,20 +248,35 @@ def test_no_process_imports_scipy():
             "datasets": [{"name": "two_blob", "synthetic": {
                 "kind": "two_blob", "seed": 7, "params": {"n": 20}}}],
             "algorithms": [{"id": "sc_br_apso"}],
-        }))
+        }), jobs=1)
         assert report.records[0]["error_percent"] is not None, report.records
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        print(loaded_unused())
         from scipy.spatial.distance import cdist
         a, b = np.random.default_rng(3).normal(size=(2, 40, 6))
         assert np.array_equal(cdist(a, b, "sqeuclidean"), core.sqeuclidean(a, b))
-    """)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=120, check=False)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    """
+    assert run_fresh(code).strip() == "[]"
+
+
+def test_load_config_imports_yaml_when_called(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text(textwrap.dedent("""
+        base_seed: 1
+        repetitions: 2
+        datasets:
+          - name: two_blob
+            synthetic: {kind: two_blob, seed: 7, params: {n: 20}}
+        algorithms:
+          - id: kmeans
+            params: {k: 2}
+    """), encoding="utf-8")
+    code = f"""
+        from swarmclust.bench import load_config
+        config = load_config({str(path)!r})
+        assert config.repetitions == 2 and config.algorithms[0].params == {{"k": 2}}
+        print(sorted({{m.split(".")[0] for m in loaded_unused()}}))
+    """
+    assert run_fresh(code).strip() == "['yaml']"
 
 
 class TestConvergenceStats:
