@@ -7,14 +7,16 @@ completion order; reports are written atomically and serialize with sorted
 keys, making reruns byte-identical apart from wall-clock fields.
 
 All cells of a (dataset, algorithm entry) pair make the same call but for
-the rng. After :func:`load_grid`, :func:`run_grid` prepares that call once
-per pair, before any cell runs, and hands it to the pair's cells inside
-their arguments, so ``--jobs`` workers get it too. Subtractive seeding
-draws no random numbers, so preparing seeds each distinct (dataset,
-:class:`~swarmclust.subtractive.SubtractiveConfig`) once, failures
-included, and the seeding time counts toward the grid's time but not
-toward any cell's ``wall_ms``. A pair that cannot be prepared keeps its
-exception, which each of its cells records as its error.
+the rng. :func:`load_grid` resolves that call once per pair, for ``bench
+validate`` and :func:`run_grid` alike, and raises ``ConfigError`` for a
+pair no cell could run. :func:`run_grid` hands each pair's call to its
+cells inside their arguments, so ``--jobs`` workers get it too. Subtractive
+seeding draws no random numbers, so :func:`run_grid` seeds each distinct
+(dataset, :class:`~swarmclust.subtractive.SubtractiveConfig`) once, before
+any cell runs and failures included; the seeding time counts toward the
+grid's time but not toward any cell's ``wall_ms``. A failed seeding (such
+as ``DegenerateInput``) is the only error a pair passes on to its cells,
+each of which records it as its error.
 
 :func:`parse_config` checks a config against :data:`CONFIG_SCHEMA` with
 the in-house :class:`~swarmclust.schema.SchemaChecker`, which reports the
@@ -37,8 +39,10 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from . import __version__, core, pipelines
-from .core import Dataset, Rng, derive_seed
+from .core import ContractViolation, Dataset, Rng, derive_seed
 from .data import (
+    REGISTRY,
+    SYNTHETIC_PARAMS,
     CsvSource,
     DatasetSpec,
     Expected,
@@ -52,6 +56,7 @@ from .pipelines import (  # noqa: F401  (_execute_cell calls the run_* by name)
     ALGORITHMS,
     DEFAULTS_VERSION,
     PSO_PARAMS,
+    SEEDING_PARAMS,
     run_brapso,
     run_kmeans,
     run_kmeans_pso,
@@ -93,7 +98,7 @@ CONFIG_SCHEMA = {
                 "type": "object",
                 "additionalProperties": False,
                 "properties": {
-                    "registry": {"type": "string"},
+                    "registry": {"type": "string", "enum": list(REGISTRY)},
                     "name": {"type": "string"},
                     "normalize": {"type": "boolean"},
                     "csv": {
@@ -115,8 +120,15 @@ CONFIG_SCHEMA = {
                         "required": ["kind"],
                         "additionalProperties": False,
                         "properties": {
-                            "kind": {"enum": ["two_blob", "grid", "art_like"]},
-                            "params": {"type": "object"},
+                            "kind": {"enum": list(SYNTHETIC_PARAMS)},
+                            # values only, typed by their defaults: the keys
+                            # each kind takes are checked in parse_config
+                            "params": {"type": "object", "properties": {
+                                name: {"type": "integer", "minimum": 1}
+                                if isinstance(default, int) else {"type": "number"}
+                                for table in SYNTHETIC_PARAMS.values()
+                                for name, default in table.items()
+                            }},
                             "seed": {"type": "integer"},
                         },
                     },
@@ -125,9 +137,9 @@ CONFIG_SCHEMA = {
                         "required": ["n", "d", "k", "class_sizes"],
                         "additionalProperties": False,
                         "properties": {
-                            "n": {"type": "integer"},
-                            "d": {"type": "integer"},
-                            "k": {"type": "integer"},
+                            "n": {"type": "integer", "minimum": 1},
+                            "d": {"type": "integer", "minimum": 1},
+                            "k": {"type": "integer", "minimum": 1},
                             "class_sizes": {"type": "array", "items": {"type": "integer"}},
                         },
                     },
@@ -146,7 +158,7 @@ CONFIG_SCHEMA = {
                     "label": {"type": "string"},
                     # values only: the keys each id accepts are checked
                     # against its ALGORITHMS row in parse_config. The ranges
-                    # and names are those PsoConfig, Inertia, _sub_config,
+                    # and names are those PsoConfig, Inertia, _resolve_call,
                     # SubtractiveConfig and DensityRatio take, so a bad value
                     # fails here instead of in every cell.
                     "params": {
@@ -265,7 +277,7 @@ def parse_config(raw: dict) -> BenchConfig:
 
     data_dir = raw.get("data_dir")
     datasets = []
-    for entry in raw["datasets"]:
+    for i, entry in enumerate(raw["datasets"]):
         sources = [key for key in ("registry", "csv", "synthetic") if key in entry]
         if len(sources) != 1:
             raise ConfigError(
@@ -287,6 +299,11 @@ def parse_config(raw: dict) -> BenchConfig:
                 source = _from_mapping(CsvSource, entry["csv"])
             else:
                 source = _from_mapping(SyntheticSource, entry["synthetic"])
+                unknown = sorted(set(source.params) - set(SYNTHETIC_PARAMS[source.kind]))
+                if unknown:
+                    raise ConfigError(
+                        f"config invalid at datasets/{i}/synthetic/params: unknown keys {unknown}"
+                    )
             spec = DatasetSpec(
                 name=entry["name"],
                 source=source,
@@ -329,7 +346,10 @@ def load_config(path) -> BenchConfig:
     import yaml  # here, so that a run from a parsed mapping never loads it
 
     with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     return parse_config(raw)
@@ -349,77 +369,39 @@ def _stop_of(params: dict, k: Optional[int]) -> str:
     return params.get("stop", "fixed_k" if k is not None else "density_ratio")
 
 
-def _sub_config(params: dict, k: Optional[int]) -> SubtractiveConfig:
-    if _stop_of(params, k) == "fixed_k":
-        if k is None:
-            raise ConfigError("fixed_k seeding needs k (param or dataset k_true)")
-        rule = FixedK(k)
-    else:
-        rule = DensityRatio(params["epsilon"]) if "epsilon" in params else DensityRatio()
-    knobs = {f.name: params[f.name] for f in fields(SubtractiveConfig) if f.name in params}
-    return SubtractiveConfig(stop_rule=rule, **knobs)
-
-
-def check_seeding_params(algorithms, loaded: dict) -> None:
-    """Raise ConfigError for an entry that sets ``epsilon`` with neither
-    ``stop`` nor ``k`` (parse_config rejects the rest) where a dataset's
-    class count makes it seed with ``fixed_k``, which ignores ``epsilon``."""
-    for algo in algorithms:
-        params = algo.params
-        if "epsilon" not in params:
-            continue
-        for name, dataset in loaded.items():
-            if _stop_of(params, params.get("k", dataset.k_true)) == "fixed_k":
-                raise ConfigError(
-                    f"config invalid for algorithm {algo.key} on dataset {name}: "
-                    "epsilon applies only to stop: density_ratio, but this entry seeds "
-                    f"with stop: fixed_k from the dataset's {dataset.k_true} classes"
-                )
-
-
-def check_k_params(algorithms, loaded: dict) -> None:
-    """Raise ConfigError for an entry whose ``k`` param exceeds a dataset's
-    point count: no algorithm can place more centers than there are points."""
-    for algo in algorithms:
-        k = algo.params.get("k")
-        for name, dataset in loaded.items():
-            if k is not None and k > dataset.n:
-                raise ConfigError(
-                    f"config invalid for algorithm {algo.key} on dataset {name}: "
-                    f"k={k} exceeds the dataset's {dataset.n} points"
-                )
-
-
-def _prepare_call(name: str, dataset: Dataset, algo: AlgorithmSpec, seedings: dict):
-    """The call every cell of (``dataset``, ``algo``) makes: the entry-point
-    name, the positional arguments after the dataset and the keyword
-    arguments other than the rng. A subtractive entry's seeding comes from
-    ``seedings`` ((dataset name, SubtractiveConfig) -> SeedingResult or the
-    exception seeding raised), filled on first use."""
+def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec):
+    """The call every cell of (``dataset``, ``algo``) makes but for its rng:
+    (entry-point name, positional arguments after the dataset, keyword
+    arguments), with keyword arguments only where the params set them. A
+    subtractive entry's positional arguments are its SubtractiveConfig and
+    PsoConfig. Raises ConfigError for a pair no cell could run: a missing
+    k, a k above the dataset's points, or an epsilon that fixed_k seeding
+    would ignore."""
     row = ALGORITHMS[algo.id]
     params = algo.params
     k = params.get("k", dataset.k_true)
-    if row.seeding == "subtractive":
-        sub = _sub_config(params, k)
-        pso = _pso_config(row.pso, params)
-        if (name, sub) not in seedings:
-            try:
-                # through the module attribute, so perfbench/tracer.py times it
-                seedings[name, sub] = pipelines.select_centers(dataset, sub)
-            except Exception as exc:
-                seedings[name, sub] = exc
-        seeding = seedings[name, sub]
-        if isinstance(seeding, Exception):
-            raise seeding
-        return row.entry, (None, pso), {"seeding": seeding}
-    if k is None:
-        raise ConfigError(f"{algo.id} needs k (param or dataset k_true)")
-    if row.pso is None:
-        return row.entry, (k, "random_points"), {"max_iter": params.get("max_iter", 100)}
-    pso = _pso_config(row.pso, params)
-    if row.seeding == "kmeans":
-        return row.entry, (k, pso), {"kmeans_max_iter": params.get("kmeans_max_iter", 100)}
-    return row.entry, (k, pso), {}
+    pso = _pso_config(row.pso, params) if row.pso is not None else None
+    where = f"config invalid for algorithm {algo.key} on dataset {name}"
+    uses_k = row.seeding != "subtractive" or _stop_of(params, k) == "fixed_k"
+    if uses_k and k is None:
+        raise ConfigError(f"{where}: needs k: set it in params, since the dataset "
+                          "has no class count")
+    if uses_k and k > dataset.n:
+        raise ConfigError(f"{where}: k={k} exceeds the dataset's {dataset.n} points")
+    if row.seeding != "subtractive":
+        kwargs = {key: params[key] for key in SEEDING_PARAMS[row.seeding] if key in params}
+        return row.entry, (k,) if pso is None else (k, pso), kwargs
+    if not uses_k:
+        rule = DensityRatio(params.get("epsilon", DensityRatio.epsilon))
+    elif "epsilon" in params:  # parse_config has rejected it beside stop or k
+        raise ConfigError(
+            f"{where}: epsilon applies only to stop: density_ratio, but this entry seeds "
+            f"with stop: fixed_k from the dataset's {dataset.k_true} classes"
+        )
+    else:
+        rule = FixedK(k)
+    knobs = {f.name: params[f.name] for f in fields(SubtractiveConfig) if f.name in params}
+    return row.entry, (SubtractiveConfig(stop_rule=rule, **knobs), pso), {}
 
 
 def _execute_cell(args):
@@ -433,7 +415,7 @@ def _execute_cell(args):
     }
     start = time.perf_counter()
     try:
-        if isinstance(call, Exception):  # the pair could not be prepared
+        if isinstance(call, Exception):  # the pair's seeding failed
             raise call
         entry, entry_args, kwargs = call
         # Looked up in this module's namespace at call time, so that
@@ -474,22 +456,26 @@ def _process_pool(jobs: int) -> ProcessPoolExecutor:
 
 
 def load_grid(config: BenchConfig, algorithms, dataset_filter: Optional[set] = None):
-    """Load the datasets (those in ``dataset_filter``, if given) and check
-    the ``k`` and seeding params against them, for ``bench validate`` and
-    :func:`run_grid` alike: (name -> Dataset, name -> normalization)."""
+    """Load the datasets (those in ``dataset_filter``, if given) and resolve
+    each (dataset, algorithm entry) pair's call, for ``bench validate`` and
+    :func:`run_grid` alike: (name -> Dataset, name -> normalization,
+    [(name, AlgorithmSpec, call)]). Raises ConfigError or LoadError."""
     loaded: dict[str, Dataset] = {}
     normalization: dict[str, Optional[dict]] = {}
     for spec in config.datasets:
         if dataset_filter and spec.name not in dataset_filter:
             continue
-        dataset, record = load_dataset(spec)
+        try:
+            dataset, record = load_dataset(spec)
+        except ContractViolation as exc:  # make_blobs: fewer points than blobs
+            raise ConfigError(f"config invalid for dataset {spec.name}: {exc}") from None
         loaded[spec.name] = dataset
         normalization[spec.name] = record.to_dict() if record else None
     if dataset_filter is not None and not loaded:
         raise ConfigError("dataset filter matched nothing")
-    check_k_params(algorithms, loaded)
-    check_seeding_params(algorithms, loaded)
-    return loaded, normalization
+    calls = [(name, algo, _resolve_call(name, dataset, algo))
+             for name, dataset in loaded.items() for algo in algorithms]
+    return loaded, normalization, calls
 
 
 def run_grid(
@@ -498,30 +484,37 @@ def run_grid(
     dataset_filter: Optional[set] = None,
     algo_filter: Optional[set] = None,
 ) -> BenchReport:
-    """Execute the full grid. Datasets must all load up front, and each
-    (dataset, algorithm) pair's call is prepared once before the first cell
-    (see the module docstring); individual cell failures are recorded and
-    do not stop the grid."""
+    """Execute the full grid. Datasets must all load and every pair's call
+    resolve up front, and each distinct seeding runs once before the first
+    cell (see the module docstring); individual cell failures are recorded
+    and do not stop the grid."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     algorithms = [
         a for a in config.algorithms if not algo_filter or a.key in algo_filter
     ]
-    loaded, normalization = load_grid(config, algorithms, dataset_filter)
     if algo_filter is not None and not algorithms:
         raise ConfigError("algorithm filter matched nothing")
+    loaded, normalization, calls = load_grid(config, algorithms, dataset_filter)
 
-    seedings: dict = {}
+    seedings: dict = {}  # (dataset name, SubtractiveConfig) -> result or exception
     cells = []
-    for name, dataset in loaded.items():
-        for algo in algorithms:
-            try:
-                call = _prepare_call(name, dataset, algo, seedings)
-            except Exception as exc:  # recorded by each of the pair's cells
-                call = exc
-            for rep in range(config.repetitions):
-                seed = derive_seed(config.base_seed, name, algo.key, rep)
-                cells.append((name, dataset, algo, rep, seed, call))
+    for name, algo, call in calls:
+        entry, args, _ = call
+        if ALGORITHMS[algo.id].seeding == "subtractive":
+            sub, pso = args
+            if (name, sub) not in seedings:
+                try:
+                    # through the module attribute, so perfbench/tracer.py times it
+                    seedings[name, sub] = pipelines.select_centers(loaded[name], sub)
+                except Exception as exc:  # recorded by each of the pair's cells
+                    seedings[name, sub] = exc
+            seeding = seedings[name, sub]
+            call = seeding if isinstance(seeding, Exception) else (
+                entry, (None, pso), {"seeding": seeding})
+        for rep in range(config.repetitions):
+            seed = derive_seed(config.base_seed, name, algo.key, rep)
+            cells.append((name, loaded[name], algo, rep, seed, call))
 
     if jobs > 1 and len(cells) > 1:
         with _process_pool(jobs) as pool:

@@ -108,18 +108,17 @@ def run(config_name, out, jobs, filters):
 @main.command("validate")
 @click.option("--config", "config_name", required=True, help="Config file or preset name.")
 def validate_cmd(config_name):
-    """Check a config against the schema, verify datasets load and check the
-    k and seeding params against the loaded data, as ``run`` does."""
+    """Check a config against the schema, verify datasets load and resolve
+    every (dataset, algorithm) pair's call, as ``run`` does."""
     config = _load(config_name)
     try:
-        loaded, _ = load_grid(config, config.algorithms)
+        loaded, _, calls = load_grid(config, config.algorithms)
     except (ConfigError, LoadError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     for name, dataset in loaded.items():
         click.echo(f"dataset {name}: N={dataset.n}, d={dataset.d} ok")
-    cells = len(config.datasets) * len(config.algorithms) * config.repetitions
-    click.echo(f"config ok: {cells} cells")
+    click.echo(f"config ok: {len(calls) * config.repetitions} cells")
 
 
 @main.command("list-datasets")

@@ -248,49 +248,56 @@ def denormalize(record: NormalizationRecord, points: np.ndarray) -> np.ndarray:
     return restored
 
 
+# Each synthetic kind's params and their defaults. A benchmark config's
+# values are typed by these defaults: integers of at least 1 where the
+# default is an int, numbers where it is a float.
+SYNTHETIC_PARAMS = {
+    "two_blob": {"n": 20, "d": 2, "sep": 10.0, "spread": 0.1},
+    "grid": {"n": 24, "d": 2, "side": 2, "scale": 10.0, "spread": 0.1},
+    "art_like": {"n": 60, "d": 2, "k": 3, "box": 10.0, "spread": 0.1},
+}
+
+
 def make_blobs(kind: str, params: Optional[dict] = None, seed: int = 0) -> Dataset:
     """Labeled Gaussian blob fixtures, deterministic per seed.
 
-    Kinds:
-      two_blob  -- two blobs ``sep`` apart (params: n, sep, spread, d)
-      grid      -- blobs on the corners of a ``side``-per-axis grid
-                   (params: n, side, scale, spread, d)
-      art_like  -- a handful of blobs at random centers in a box
-                   (params: n, k, box, spread, d)
+    Kinds, whose params and defaults are in :data:`SYNTHETIC_PARAMS`:
+      two_blob  -- two blobs ``sep`` apart
+      grid      -- blobs on the corners of a ``side``-per-axis grid,
+                   ``scale`` apart
+      art_like  -- ``k`` blobs at random centers in a cube ``box`` wide
+    Every kind shares ``n`` points in ``d`` dimensions among its blobs as
+    evenly as it can, each blob with standard deviation ``spread``. Raises
+    ContractViolation for an unknown kind or param and for fewer points
+    than blobs, before it builds any center.
     """
-    params = dict(params or {})
-    rng = Rng(seed)
-    d = int(params.pop("d", 2))
-    spread = float(params.pop("spread", 0.1))
-
-    if kind == "two_blob":
-        n = int(params.pop("n", 20))
-        sep = float(params.pop("sep", 10.0))
-        half = (sep / 2.0) / np.sqrt(d)
-        centers = np.array([[-half] * d, [half] * d])
-    elif kind == "grid":
-        n = int(params.pop("n", 24))
-        side = int(params.pop("side", 2))
-        scale = float(params.pop("scale", 10.0))
-        axes = np.arange(side) * scale
-        centers = np.array(np.meshgrid(*([axes] * d))).reshape(d, -1).T.astype(float)
-    elif kind == "art_like":
-        n = int(params.pop("n", 60))
-        k = int(params.pop("k", 3))
-        box = float(params.pop("box", 10.0))
-        centers = rng.uniform(0.0, box, size=(k, d))
-    else:
+    if kind not in SYNTHETIC_PARAMS:
         raise ContractViolation(f"unknown synthetic kind {kind!r}")
-    if params:
-        raise ContractViolation(f"unknown params for {kind}: {sorted(params)}")
-
-    k = centers.shape[0]
+    defaults = SYNTHETIC_PARAMS[kind]
+    params = params or {}
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ContractViolation(f"unknown params for {kind}: {unknown}")
+    p = {name: type(default)(params.get(name, default)) for name, default in defaults.items()}
+    n, d = p["n"], p["d"]
+    k = 2 if kind == "two_blob" else p["side"] ** d if kind == "grid" else p["k"]
     if n < k:
         raise ContractViolation(f"need at least {k} points for {k} blobs")
+
+    rng = Rng(seed)
+    if kind == "two_blob":
+        half = (p["sep"] / 2.0) / np.sqrt(d)
+        centers = np.array([[-half] * d, [half] * d])
+    elif kind == "grid":
+        axes = np.arange(p["side"]) * p["scale"]
+        centers = np.array(np.meshgrid(*([axes] * d))).reshape(d, -1).T.astype(float)
+    else:
+        centers = rng.uniform(0.0, p["box"], size=(k, d))
+
     sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
     chunks, labels = [], []
     for i, (center, size) in enumerate(zip(centers, sizes)):
-        chunks.append(center + rng.normal(0.0, 1.0, size=(size, d)) * spread)
+        chunks.append(center + rng.normal(0.0, 1.0, size=(size, d)) * p["spread"])
         labels.extend([i] * size)
     return Dataset(
         points=np.vstack(chunks),

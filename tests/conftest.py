@@ -14,9 +14,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tests"))
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run and
+# keeps no example database, so a property test that fails in CI fails
+# again locally on the same examples.
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 def _materialize_sklearn_sets(data_dir: Path) -> None:

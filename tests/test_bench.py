@@ -19,7 +19,7 @@ from swarmclust.bench import (
 from swarmclust import bench, core, pipelines
 from swarmclust.cli import main
 from swarmclust.core import Dataset, derive_seed
-from swarmclust.data import make_blobs
+from swarmclust.data import SYNTHETIC_PARAMS, make_blobs
 from swarmclust.pipelines import ALGORITHMS
 from swarmclust.schema import SchemaChecker
 from swarmclust.subtractive import DensityRatio, FixedK, SubtractiveConfig, density_initial
@@ -272,6 +272,33 @@ class TestConfigParsing:
             "config invalid at algorithms/1/params: k applies only to "
             "stop: fixed_k, but this entry seeds with stop: density_ratio"
         )
+
+    def test_synthetic_params_typed_by_their_defaults(self):
+        synthetic = CONFIG_SCHEMA["properties"]["datasets"]["items"]["properties"]["synthetic"]
+        assert synthetic["properties"]["kind"]["enum"] == list(SYNTHETIC_PARAMS)
+        params = synthetic["properties"]["params"]["properties"]
+        assert params == {
+            **{name: {"type": "integer", "minimum": 1} for name in ("n", "d", "side", "k")},
+            **{name: {"type": "number"} for name in ("sep", "spread", "scale", "box")},
+        }
+
+    @pytest.mark.parametrize("kind, params, message", [
+        ("two_blob", {"n": 20, "bogus": 3}, "params: unknown keys ['bogus']"),
+        ("two_blob", {"side": 2}, "params: unknown keys ['side']"),
+        ("art_like", {"sep": 1.0, "scale": 2.0}, "params: unknown keys ['scale', 'sep']"),
+        ("two_blob", {"n": "abc"}, "params/n: 'abc' is not of type 'integer'"),
+        ("two_blob", {"n": True}, "params/n: True is not of type 'integer'"),
+        ("two_blob", {"n": 2.5}, "params/n: 2.5 is not of type 'integer'"),
+        ("two_blob", {"d": 0}, "params/d: 0 is less than the minimum of 1"),
+        ("grid", {"side": 0}, "params/side: 0 is less than the minimum of 1"),
+        ("art_like", {"box": "10"}, "params/box: '10' is not of type 'number'"),
+    ])
+    def test_bad_synthetic_params_rejected(self, kind, params, message):
+        raw = fixture_config()
+        raw["datasets"][0]["synthetic"] = {"kind": kind, "params": params}
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == f"config invalid at datasets/0/synthetic/{message}"
 
     def test_duplicate_dataset_names(self):
         raw = fixture_config()
@@ -529,6 +556,19 @@ def two_datasets_config(reps, algorithms):
     return raw
 
 
+def strip_labels(monkeypatch, name):
+    """Make bench load dataset ``name`` without labels or a class count."""
+    real = bench.load_dataset
+
+    def load(spec):
+        dataset, record = real(spec)
+        if spec.name == name:
+            dataset = Dataset(dataset.points, None, dataset.name, None)
+        return dataset, record
+
+    monkeypatch.setattr(bench, "load_dataset", load)
+
+
 def select_centers_spy(monkeypatch):
     calls = []
     real = pipelines.select_centers
@@ -571,23 +611,13 @@ class TestSeedingPass:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_records_equal_cells_seeding_themselves(self, jobs, monkeypatch):
-        real = bench.load_dataset
-
-        def grid4_unlabelled(spec):
-            dataset, record = real(spec)
-            if spec.name == "grid4":
-                dataset = Dataset(dataset.points, None, dataset.name, None)
-            return dataset, record
-
-        monkeypatch.setattr(bench, "load_dataset", grid4_unlabelled)
+        strip_labels(monkeypatch, "grid4")
         raw = two_datasets_config(reps=2, algorithms=[
-            {"id": "kmeans"},
             {"id": "sub_pso"},
             {"id": "sc_br_apso"},
             {"id": "sc_br_apso", "label": "dr", "params": {"stop": "density_ratio",
                                                            "epsilon": 0.3}},
             {"id": "sc_br_apso", "label": "big_k", "params": {"k": 9}},
-            {"id": "sub_pso", "label": "no_k", "params": {"stop": "fixed_k"}},
         ])
         cfg = parse_config(raw)
         report = run_grid(cfg, jobs=jobs)
@@ -596,10 +626,9 @@ class TestSeedingPass:
             dataset = bench.load_dataset(spec)[0]
             for algo in cfg.algorithms:
                 for rep in range(2):
-                    try:  # each cell prepared on its own, with a fresh seeding cache
-                        call = bench._prepare_call(spec.name, dataset, algo, {})
-                    except Exception as exc:
-                        call = exc
+                    # each cell resolved on its own: its entry point seeds
+                    # from the SubtractiveConfig in the call
+                    call = bench._resolve_call(spec.name, dataset, algo)
                     seed = derive_seed(cfg.base_seed, spec.name, algo.key, rep)
                     cell = (spec.name, dataset, algo, rep, seed, call)
                     records.append(bench._execute_cell(cell)[0])
@@ -609,9 +638,6 @@ class TestSeedingPass:
         assert by_cell["grid4", "big_k"] == (
             "DegenerateInput: cannot select 9 centers: after 8, suppression around "
             "negative-density centers raised the remaining densities")
-        assert by_cell["grid4", "no_k"] == (
-            "ConfigError: fixed_k seeding needs k (param or dataset k_true)")
-        assert by_cell["grid4", "kmeans"] == "ConfigError: kmeans needs k (param or dataset k_true)"
         assert by_cell["grid4", "sub_pso"] is None
 
     def test_failed_seeding_fails_every_cell_as_before(self, monkeypatch):
@@ -659,11 +685,29 @@ class TestSeedingPass:
 
     def test_epsilon_without_stop_seeds_density_ratio_on_unlabelled_data(self, monkeypatch):
         calls = select_centers_spy(monkeypatch)
-        algo = bench.AlgorithmSpec("sc_br_apso", {"epsilon": 0.3})
         unlabelled = Dataset(points=np.arange(8.0).reshape(4, 2), name="u")
-        bench.check_seeding_params([algo], {"u": unlabelled})
-        bench._prepare_call("u", unlabelled, algo, {})
-        assert calls == [("u", SubtractiveConfig(stop_rule=DensityRatio(0.3)))]
+        monkeypatch.setattr(bench, "load_dataset", lambda spec: (unlabelled, None))
+        raw = fixture_config(reps=1, algorithms=[
+            {"id": "sc_br_apso", "params": {"epsilon": 0.3}}])
+        raw["datasets"][0]["name"] = "u"
+        cfg = parse_config(raw)
+        [(_, _, (_, (sub, _), _))] = bench.load_grid(cfg, cfg.algorithms)[2]
+        assert sub == SubtractiveConfig(stop_rule=DensityRatio(0.3))
+        run_grid(cfg)
+        assert calls == [("u", sub)]
+
+    @pytest.mark.parametrize("algo_id, params, kwargs", [
+        ("kmeans", {}, {}),
+        ("kmeans", {"max_iter": 5}, {"max_iter": 5}),
+        ("kmeans_pso", {}, {}),
+        ("kmeans_pso", {"kmeans_max_iter": 7, "max_iter": 5}, {"kmeans_max_iter": 7}),
+        ("pso", {"max_iter": 5}, {}),  # a swarm's max_iter is in its PsoConfig
+    ])
+    def test_keyword_arguments_only_where_params_set_them(self, algo_id, params, kwargs):
+        dataset = make_blobs("two_blob", {"n": 20}, seed=7)
+        _, args, got = bench._resolve_call("b", dataset, bench.AlgorithmSpec(algo_id, params))
+        assert got == kwargs
+        assert args[0] == 2
 
 
 class TestSeedSplitting:
@@ -706,6 +750,13 @@ class TestRunGrid:
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r3, sort_keys=True)
 
+    def test_unmatched_algorithm_filter_loads_no_dataset(self, monkeypatch):
+        loads = []
+        monkeypatch.setattr(bench, "load_dataset", lambda spec: loads.append(spec.name))
+        with pytest.raises(ConfigError, match="^algorithm filter matched nothing$"):
+            run_grid(parse_config(fixture_config(reps=1)), algo_filter={"nope"})
+        assert loads == []
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs, monkeypatch):
         calls = select_centers_spy(monkeypatch)
@@ -746,35 +797,22 @@ class TestRunGrid:
         with bench._process_pool(jobs) as pool:
             assert pool.submit(_kernel_state).result(timeout=60) == (threads, True)
 
-    def test_cell_failure_recorded_and_grid_continues(self):
-        raw = fixture_config(reps=1, algorithms=[{"id": "kmeans"}, {"id": "pso"}])
-        # unlabeled dataset and no explicit k: kmeans and pso both fail...
-        raw["datasets"] = [{
-            "name": "unlabeled",
-            "synthetic": {"kind": "two_blob", "seed": 1, "params": {"n": 8}},
-        }]
-        # ...except make pso viable by giving it k
-        raw["algorithms"][1]["params"] = {"k": 2, "max_iter": 10, "swarm_size": 4}
+    def test_cell_failure_recorded_and_grid_continues(self, monkeypatch):
+        # seeding 9 centers on grid4 fails each of sc_br_apso's cells...
+        raw = two_datasets_config(reps=1, algorithms=[
+            {"id": "sc_br_apso", "params": {"k": 9}},
+            {"id": "pso", "params": {"k": 2, "max_iter": 10, "swarm_size": 4}},
+        ])
+        raw["datasets"] = raw["datasets"][1:]
         cfg = parse_config(raw)
 
-        # strip labels so k_true is unavailable for kmeans
-        import swarmclust.bench as bench_mod
-        from swarmclust.core import Dataset
-
-        original = bench_mod.load_dataset
-
-        def unlabeled_loader(spec):
-            ds, rec = original(spec)
-            return Dataset(ds.points, None, ds.name, None), rec
-
-        bench_mod.load_dataset, saved = unlabeled_loader, original
-        try:
-            report = run_grid(cfg)
-        finally:
-            bench_mod.load_dataset = saved
+        # ...and unlabelled data leaves pso, which runs, without an error rate
+        strip_labels(monkeypatch, "grid4")
+        report = run_grid(cfg)
         by_algo = {r["algorithm"]: r for r in report.records}
-        assert by_algo["kmeans"]["status"] == "error"
-        assert "k" in by_algo["kmeans"]["error"]
+        assert by_algo["sc_br_apso"]["status"] == "error"
+        assert by_algo["sc_br_apso"]["error"].startswith(
+            "DegenerateInput: cannot select 9 centers")
         assert by_algo["pso"]["status"] == "ok"
         assert by_algo["pso"]["error_percent"] is None
         assert report.failed_cells == 1
@@ -971,6 +1009,67 @@ class TestCli:
         assert (f"algorithm {algo} on dataset two_blob: k=50 exceeds the dataset's "
                 "20 points") in result.output
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("algo", [
+        {"id": "kmeans"},
+        {"id": "sub_pso", "label": "no_k", "params": {"stop": "fixed_k"}},
+        {"id": "sc_br_apso", "params": {"stop": "fixed_k"}},
+    ])
+    def test_unlabelled_data_without_k_exits_2(self, tmp_path, command, algo):
+        (tmp_path / "nolab.csv").write_text("0,0\n0,1\n5,5\n5,6\n", encoding="utf-8")
+        raw = fixture_config(reps=1, algorithms=[{"id": "sub_pso"}, algo])
+        raw["datasets"] = [{"name": "nolab", "csv": {"path": str(tmp_path / "nolab.csv")}}]
+        args = [command, "--config", self.write_config(tmp_path, raw)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        key = algo.get("label", algo["id"])
+        assert (f"config invalid for algorithm {key} on dataset nolab: needs k: set it in "
+                "params, since the dataset has no class count") in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("changes, message", [
+        pytest.param([(("algorithms", 0, "params"), {"swarm_size": 1})],
+                     "algorithms/0/params/swarm_size: 1 is less than the minimum of 2",
+                     id="algorithm-param"),
+        pytest.param([(("datasets", 0, "synthetic", "params", "n"), "abc")],
+                     "datasets/0/synthetic/params/n: 'abc' is not of type 'integer'",
+                     id="synthetic-param"),
+        pytest.param([(("datasets", 0, "synthetic", "params", "n"), 1)],
+                     "config invalid for dataset two_blob: need at least 2 points for 2 blobs",
+                     id="synthetic-too-few-points"),
+        pytest.param([(("datasets", 0), {"registry": "irs"})],
+                     "datasets/0/registry: 'irs' is not one of", id="registry-name"),
+        pytest.param(None, "config.yaml: not valid YAML", id="invalid-yaml"),
+        pytest.param([(("datasets", 0), {"name": "nolab", "csv": {"path": "nolab.csv"}})],
+                     "on dataset nolab: needs k", id="unlabelled-without-k"),
+        pytest.param([(("datasets", 0), {"name": "nolab", "csv": {"path": "nolab.csv"},
+                                         "expected": {"n": 4, "d": 2, "k": 0,
+                                                      "class_sizes": []}})],
+                     "datasets/0/expected/k: 0 is less than the minimum of 1",
+                     id="expected-k-zero"),
+    ])
+    def test_bad_config_exits_2_without_traceback(self, tmp_path, monkeypatch, command,
+                                                  changes, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nolab.csv").write_text("0,0\n0,1\n5,5\n5,6\n", encoding="utf-8")
+        if changes is None:
+            (tmp_path / "config.yaml").write_text("base_seed: [1\n", encoding="utf-8")
+        else:
+            raw = fixture_config(reps=1, algorithms=[{"id": "pso"}])
+            self.write_config(tmp_path, mutated(raw, *changes))
+        args = [command, "--config", "config.yaml"]
+        if command == "run":
+            args += ["--out", "out"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert "Traceback" not in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "nolab.csv"]
 
     @pytest.mark.parametrize("args, env", [
         (["--jobs", "0"], {}),

@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from swarmclust.core import ContractViolation, Dataset
 from swarmclust.data import (
     REGISTRY,
+    SYNTHETIC_PARAMS,
     CsvSource,
     DatasetSpec,
     Expected,
@@ -132,6 +133,18 @@ class TestMakeBlobs:
         assert ds.k_true == 4
         sizes = np.bincount(ds.labels)
         assert sizes.tolist() == [7, 6, 6, 6]
+
+    @pytest.mark.parametrize("kind", sorted(SYNTHETIC_PARAMS))
+    def test_defaults_come_from_the_params_table(self, kind):
+        a = make_blobs(kind, {}, seed=4)
+        b = make_blobs(kind, SYNTHETIC_PARAMS[kind], seed=4)
+        assert a.n == SYNTHETIC_PARAMS[kind]["n"] and a.d == SYNTHETIC_PARAMS[kind]["d"]
+        assert np.array_equal(a.points, b.points) and np.array_equal(a.labels, b.labels)
+
+    def test_too_few_points_refused_before_the_grid_is_built(self):
+        # 2**40 corners: building them first would exhaust memory
+        with pytest.raises(ContractViolation, match="need at least 1099511627776 points"):
+            make_blobs("grid", {"n": 24, "d": 40}, seed=0)
 
     def test_unknown_kind_or_param(self):
         with pytest.raises(ContractViolation):
