@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 one or more cells failed, 2 configuration or
 dataset loading errors. ``--config`` accepts a YAML file path or the name of
 a packaged preset (``paper_protocol``, ``fixtures``). The output directory
 and worker count can also come from the SWARMCLUST_OUT_DIR and
-SWARMCLUST_JOBS environment variables; a worker count below 1 exits 2.
+SWARMCLUST_JOBS environment variables; a worker count below 1, or an
+output directory that is not a directory and cannot be created, exits 2
+before any cell runs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import click
 
-from .bench import ConfigError, emit_report, load_config, load_grid, run_grid
+from .bench import ConfigError, check_out_dir, emit_report, load_config, load_grid, run_grid
 from .data import LoadError, REGISTRY, default_data_dir, registry_available
 from .pipelines import ALGORITHMS
 
@@ -81,14 +83,15 @@ def main():
 def run(config_name, out, jobs, filters):
     """Run the benchmark grid and write reports."""
     config = _load(config_name)
+    out_dir = out or config.output_dir
     try:
+        check_out_dir(out_dir)
         dataset_filter, algo_filter = _parse_filters(filters)
         report = run_grid(config, jobs=jobs, dataset_filter=dataset_filter,
                           algo_filter=algo_filter)
     except (ConfigError, LoadError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    out_dir = out or config.output_dir
     written = emit_report(report, config.emit, out_dir)
     for fmt, path in sorted(written.items()):
         click.echo(f"wrote {fmt}: {path}")

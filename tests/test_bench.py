@@ -1,5 +1,6 @@
 import copy
 import json
+import os
 
 import numpy as np
 import pytest
@@ -480,6 +481,52 @@ def every_node(value, path=()):
             yield from every_node(item, path + (i,))
 
 
+def schema_paths(schema, path=()):
+    """(path, node) for every node of ``schema`` that types, enumerates or
+    bounds a value, with None in the path for an array's items."""
+    if {"type", "enum", "minimum", "maximum", "exclusiveMinimum",
+            "exclusiveMaximum"} & set(schema):
+        yield path, schema
+    for name, node in schema.get("properties", {}).items():
+        yield from schema_paths(node, path + (name,))
+    if "items" in schema:
+        yield from schema_paths(schema["items"], path + (None,))
+
+
+def placed(raw, path):
+    """A schema path as a path into ``raw``: each None becomes the first
+    item under which the rest of the path's parent exists. None if there is
+    no such place."""
+    if not path:
+        return ()
+    key, rest = path[0], path[1:]
+    for key in range(len(raw)) if key is None else (key,):
+        if not rest:
+            return (key,)
+        if isinstance(raw, list) or key in raw:
+            tail = placed(raw[key], rest)
+            if tail is not None:
+                return (key,) + tail
+    return None
+
+
+def bad_value(node):
+    """A value ``node`` rejects, as jsonschema judges: just past a bound if it
+    has one, else a name outside its enum or a value of another type."""
+    steps = {"minimum": -1, "exclusiveMinimum": 0, "maximum": 1, "exclusiveMaximum": 0}
+    candidates = [node[key] + step for key, step in steps.items() if key in node]
+    validator = jsonschema_validator(node)
+    return next(v for v in candidates + ["zz_bogus", 1.5] if not validator.is_valid(v))
+
+
+# One bad value for every path of CONFIG_SCHEMA, placed in rich_config
+BAD_VALUES = [
+    pytest.param(placed(rich_config(), path), bad_value(node),
+                 id="/".join("*" if key is None else key for key in path) or "<root>")
+    for path, node in schema_paths(CONFIG_SCHEMA)
+]
+
+
 class TestSchemaChecker:
     """The in-house checker answers as jsonschema does on CONFIG_SCHEMA."""
 
@@ -894,6 +941,72 @@ class TestEmitReport:
         assert len(lines) == expected + 1
 
 
+def stripped_report(out):
+    """The artifacts in ``out`` without their wall_ms fields and column."""
+    report = strip_wall(json.loads((out / "report.json").read_text(encoding="utf-8")))
+    rows = [line.split(",") for line in (out / "records.csv").read_text().splitlines()]
+    col = rows[0].index("wall_ms")
+    return report, [row[:col] + row[col + 1:] for row in rows], (out / "traces.csv").read_bytes()
+
+
+class TestWriteAtomic:
+    def test_non_ascii_text_written_as_its_utf8_bytes(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_bytes(b"x" * 4096)  # a longer file to replace
+        text = "\u00e4\u2192\U0001d11e sicd\n" * 50  # 2-, 3- and 4-byte characters
+        bench._write_atomic(path, text)
+        assert path.read_bytes() == text.encode("utf-8")  # no preallocated NULs
+
+    def test_empty_text(self, tmp_path):
+        path = tmp_path / "report.json"
+        bench._write_atomic(path, "")
+        assert path.read_bytes() == b""
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_replace_leaves_a_new_inode_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        bench._write_atomic(path, "old\n")
+        old_inode = path.stat().st_ino
+        with open(path, encoding="utf-8") as reader:
+            bench._write_atomic(path, "new\n")
+            assert reader.read() == "old\n"  # an open reader keeps the old file
+        assert path.stat().st_ino != old_inode
+        assert path.read_text(encoding="utf-8") == "new\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_interleaved_writers_both_succeed(self, tmp_path, monkeypatch):
+        # a second process replaces the path while the first holds its temp
+        # file; with one shared temp name the first replace would not find it
+        path = tmp_path / "report.json"
+        real_replace, pid = os.replace, os.getpid()
+
+        def replace(src, dst):
+            with monkeypatch.context() as m:
+                m.setattr(bench.os, "replace", real_replace)
+                m.setattr(bench.os, "getpid", lambda: pid + 1)
+                bench._write_atomic(path, "second\n")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(bench.os, "replace", replace)
+        bench._write_atomic(path, "first\n")
+        assert path.read_text(encoding="utf-8") == "first\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("failing", ["posix_fallocate", "replace"])
+    def test_failed_write_removes_its_temp_file(self, tmp_path, monkeypatch, failing):
+        path = tmp_path / "report.json"
+        bench._write_atomic(path, "old\n")
+
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(bench.os, failing, fail, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            bench._write_atomic(path, "new\n")
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+
 class TestCli:
     def write_config(self, tmp_path, raw):
         path = tmp_path / "config.yaml"
@@ -1071,6 +1184,28 @@ class TestCli:
         assert "Traceback" not in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "nolab.csv"]
 
+    @pytest.mark.parametrize("command, path, value", [
+        pytest.param("validate", *case.values, id=f"validate-{case.id}") for case in BAD_VALUES
+    ] + [
+        # a handful through run too, which parses the config the same way
+        pytest.param("run", *case.values, id=f"run-{case.id}") for case in BAD_VALUES[::12]
+    ])
+    def test_one_bad_value_per_schema_path_exits_2(self, tmp_path, monkeypatch, command,
+                                                   path, value):
+        monkeypatch.chdir(tmp_path)
+        self.write_config(tmp_path, mutated(rich_config(), (path, value)))
+        args = [command, "--config", "config.yaml"]
+        if command == "run":
+            args += ["--out", "out"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        where = "/".join(map(str, path))
+        assert (f"config invalid at {where}: " if where
+                else "config must be a mapping") in result.output
+        assert "Traceback" not in result.output
+        assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
     @pytest.mark.parametrize("args, env", [
         (["--jobs", "0"], {}),
         (["--jobs", "-3"], {}),
@@ -1097,6 +1232,40 @@ class TestCli:
         assert (out / "report.json").exists()
         assert (out / "records.csv").exists()
         assert (out / "traces.csv").exists()
+
+    def test_rerun_into_existing_out_gives_the_same_report(self, tmp_path):
+        path = self.write_config(tmp_path, fixture_config(reps=1))
+        for out in ("fresh", "rerun", "rerun"):
+            result = CliRunner().invoke(main, ["run", "--config", path,
+                                               "--out", str(tmp_path / out)])
+            assert result.exit_code == 0, result.output
+        assert stripped_report(tmp_path / "rerun") == stripped_report(tmp_path / "fresh")
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_out_dir_created_under_its_nearest_ancestor(self, tmp_path):
+        path = self.write_config(tmp_path, fixture_config(reps=1))
+        out = tmp_path / "a" / "b" / "c"
+        result = CliRunner().invoke(main, ["run", "--config", path, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "report.json").exists()
+
+    @pytest.mark.parametrize("out", ["afile", "afile/out", "afile/out/deeper"])
+    def test_unusable_out_exits_2_before_any_cell(self, tmp_path, monkeypatch, out):
+        monkeypatch.chdir(tmp_path)
+        self.write_config(tmp_path, fixture_config(reps=1))
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+
+        def no_cell(args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench, "_execute_cell", no_cell)
+        result = CliRunner().invoke(main, ["run", "--config", "config.yaml", "--out", out])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert (f"error: cannot use output directory {out}: {tmp_path / 'afile'} is not a "
+                "directory") in result.output
+        assert "Traceback" not in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.yaml"]
 
     def test_run_filter(self, tmp_path):
         path = self.write_config(tmp_path, fixture_config(reps=2))
