@@ -179,18 +179,23 @@ def stalled(prev: float, cur: float, rel_tol: float) -> bool:
 def convergence_stats(sicd_trace, rel_tol: float = 1e-8, stall_iters: int = 25) -> int:
     """First index after which relative improvement stays below ``rel_tol``
     for ``stall_iters`` consecutive entries; the trace length if that never
-    happens (including traces too short to confirm a stall window)."""
+    happens (including traces too short to confirm a stall window).
+
+    One pass counts the run of stalled steps ending at each entry; the
+    first run to reach ``stall_iters`` fixes the index."""
     trace = np.asarray(sicd_trace, dtype=np.float64)
     if stall_iters < 1:
         raise ContractViolation("stall_iters must be >= 1")
-    flags = np.zeros(trace.size, dtype=bool)
-    for j in range(1, trace.size):
-        flags[j] = stalled(trace[j - 1], trace[j], rel_tol)
-    for i in range(trace.size):
-        window = flags[i + 1 : i + 1 + stall_iters]
-        if window.size == stall_iters and window.all():
-            return i
-    return int(trace.size)
+    values = trace.reshape(-1).tolist()
+    run = 0
+    for j in range(1, len(values)):
+        if stalled(values[j - 1], values[j], rel_tol):
+            run += 1
+            if run == stall_iters:
+                return j - stall_iters
+        else:
+            run = 0
+    return len(values)
 
 
 def evaluation_report(

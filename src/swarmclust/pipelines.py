@@ -47,7 +47,6 @@ from .swarm import (
     Inertia,
     PsoConfig,
     decode,
-    encode,
     exponential_normalized,
     init_swarm,
     linear,
@@ -197,18 +196,31 @@ def _fitness_for(dataset: Dataset, k: int):
     the kernel threads (:func:`swarmclust.core.map_rows`), each thread
     working in blocks within ``FITNESS_BLOCK // KERNEL_WORKERS`` distances;
     a call that stays on one thread and fits one block, such as the
-    one-row refine, is computed in one go without setting up blocks."""
+    one-row refine, is computed in one go without setting up blocks.
+    ``KERNEL_WORKERS``, ``PARALLEL_MIN`` and ``FITNESS_BLOCK`` are read
+    when the closure is built to make that choice; it changes which path a
+    call takes, never its values."""
     x = dataset.points
     n, d = dataset.n, dataset.d
+    kn = k * n
+    block = FITNESS_BLOCK
+    # m rows run inline exactly when core.row_parts(m, kn) == 1 and
+    # m * kn <= block: below 2 * PARALLEL_MIN distances (or on one worker)
+    # they stay on one thread, and one row always does.
+    inline_below = block + 1
+    if core.KERNEL_WORKERS > 1:
+        inline_below = min(inline_below, 2 * core.PARALLEL_MIN)
+    sqeuclidean = core.sqeuclidean
+    min_reduce, add_reduce, sqrt = np.minimum.reduce, np.add.reduce, np.sqrt
 
     def fitness(positions: np.ndarray) -> np.ndarray:
         m = positions.shape[0]
-        if core.row_parts(m, k * n) == 1 and m * k * n <= FITNESS_BLOCK:
-            dists = core.sqeuclidean(positions.reshape(-1, d), x)
-            mins = dists.reshape(m, k, n).min(axis=1)
-            return np.sqrt(mins, out=mins).sum(axis=1)
+        if m * kn < inline_below or (m == 1 and kn <= block):
+            mins = min_reduce(sqeuclidean(positions.reshape(-1, d), x).reshape(m, k, n),
+                              axis=1)
+            return add_reduce(sqrt(mins, out=mins), axis=1)
         out = np.empty(m)
-        rows = max(1, FITNESS_BLOCK // (core.KERNEL_WORKERS * k * n))
+        rows = max(1, block // (core.KERNEL_WORKERS * kn))
 
         def fill(lo: int, hi: int) -> None:
             dists = np.empty((min(rows, hi - lo) * k, n))
@@ -261,15 +273,17 @@ def _run_swarm(
     for _ in range(config.max_iter):
         step(swarm, fitness, config, rng)
         if algo.refine and swarm.gbest_fitness != rejected:
-            centroids = decode(swarm.gbest_position, k, dataset.d)
-            refined = recompute_centroids(dataset, assign_nearest(dataset, centroids))
-            refined_pos = encode(refined)
-            refined_fit = float(fitness(refined_pos[None])[0])
+            # Views, not copies: neither the gbest nor the refined centers
+            # are written to.
+            refined = recompute_centroids(
+                dataset, assign_nearest(dataset, swarm.gbest_position.reshape(k, dataset.d)))
+            refined_pos = refined.reshape(1, -1)
+            refined_fit = float(fitness(refined_pos)[0])
             if refined_fit < swarm.gbest_fitness:
-                owner = int(np.argmin(swarm.pbest_fitness))
-                swarm.pbest_position[owner] = refined_pos
+                owner = swarm.pbest_fitness.argmin()
+                swarm.pbest_position[owner] = refined_pos[0]
                 swarm.pbest_fitness[owner] = refined_fit
-                swarm.gbest_position = refined_pos
+                swarm.gbest_position = refined_pos[0]
                 swarm.gbest_fitness = refined_fit
             else:
                 rejected = swarm.gbest_fitness

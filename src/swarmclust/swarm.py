@@ -22,6 +22,23 @@ per particle, ``position``, ``velocity`` and ``pbest_position`` of shape
 whole-swarm array operations; every update is elementwise, so each row gets
 exactly the floating-point operations a lone particle would.
 
+A step makes a few dozen numpy calls, so on small data their fixed cost, not
+the arithmetic, sets its time; the step is written to make few calls, on
+contiguous arrays of one shape where it can, in place where it may:
+
+- Per-swarm constants. The first step builds what every later step reuses
+  and keeps it on the swarm: v_max and -v_max, ``lower`` and ``upper``
+  tiled to (S, k*d) for the boundary comparisons, a (2, S, k*d) block of c1
+  and c2 and two scratch blocks of that shape. They are built again when a
+  step gets another config object or finds ``lower`` or ``upper`` rebound
+  or the swarm's shape changed; bounds changed in place go unnoticed.
+- The step draws as below, copies the draws out as contiguous rand1 and
+  rand2 blocks, and turns those in place into c1*rand1*(pbest - x) and
+  c2*rand2*(gbest - x), each product in the order of the plain update.
+- ``position`` and ``velocity`` are new arrays every step, and a new gbest
+  is a copy of its pbest row. ``pbest_position`` and ``pbest_fitness`` are
+  updated in place, so they must not share memory with other arrays.
+
 Draw order is part of the engine contract so runs are reproducible and can
 be replayed against a straight-line reference with a stubbed stream.
 Unseeded init draws one S*k*d block, row by row; seeded init draws one
@@ -55,6 +72,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import ContractViolation, Dataset, bounds_of
+
+# The ufunc np.clip calls, called directly to skip np.clip's Python-level
+# argument handling; same loop, same bits.
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 LINEAR = "linear"
 EXPONENTIAL_LITERAL = "exponential_literal"
@@ -146,6 +170,8 @@ class Swarm:
     upper: np.ndarray
     k: int
     d: int
+    _constants: Optional[_StepConstants] = field(default=None, init=False, repr=False,
+                                                 compare=False)
 
     @property
     def particles(self) -> list[Particle]:
@@ -191,26 +217,37 @@ def _apply_boundary(
     previous: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-) -> np.ndarray:
-    out = (position < lower) | (position > upper)
-    if not out.any():
-        return position
-    restored = np.where(out, previous, position)
-    still_out = out & ((previous < lower) | (previous > upper))
-    if still_out.any():
-        restored = np.where(still_out, np.clip(previous, lower, upper), restored)
-    return restored
+    low: np.ndarray,
+    high: np.ndarray,
+) -> None:
+    """Restrict ``position`` in place: an out-of-box component goes back to
+    its ``previous`` value, or to ``previous`` clipped into the box when that
+    is out too. ``low`` and ``high`` are ``lower`` and ``upper`` tiled to the
+    swarm's shape, for the comparisons; the clip takes the (k*d,) rows, as
+    the earlier ``np.clip`` did (its contiguous loop can flip the sign of a
+    zero that the broadcast one keeps)."""
+    out = position < low
+    out |= position > high
+    if not np.count_nonzero(out):
+        return
+    np.copyto(position, previous, where=out)
+    still_out = previous < low
+    still_out |= previous > high
+    still_out &= out
+    if np.count_nonzero(still_out):
+        np.copyto(position, _clip(previous, lower, upper), where=still_out)
 
 
 def _evaluate(fitness: Callable[[np.ndarray], np.ndarray], positions: np.ndarray,
-              when: str) -> np.ndarray:
-    """One batched fitness call; a NaN names the first particle that gave it."""
+              iteration: Optional[int]) -> np.ndarray:
+    """One batched fitness call; a NaN names the first particle that gave it.
+    ``iteration`` is None during initialization."""
     evals = np.asarray(fitness(positions), dtype=np.float64)
     nan = np.isnan(evals)
-    if nan.any():
-        raise RuntimeError(
-            f"fitness returned NaN {when}, particle {int(np.argmax(nan))}"
-        )
+    if np.count_nonzero(nan):
+        when = ("during swarm initialization" if iteration is None
+                else f"at iteration {iteration}")
+        raise RuntimeError(f"fitness returned NaN {when}, particle {int(np.argmax(nan))}")
     return evals
 
 
@@ -251,13 +288,13 @@ def init_swarm(
     else:
         position = lower + rng.random(size * kd).reshape(size, kd) * span
 
-    evals = _evaluate(fitness, position, "during swarm initialization")
+    evals = _evaluate(fitness, position, None)
     best = int(np.argmin(evals))
     return Swarm(
         position=position,
         velocity=np.zeros_like(position),
         pbest_position=position.copy(),
-        pbest_fitness=evals,
+        pbest_fitness=evals.copy(),  # updated in place by step
         gbest_position=position[best].copy(),
         gbest_fitness=float(evals[best]),
         iter=0,
@@ -266,6 +303,27 @@ def init_swarm(
         k=k,
         d=dataset.d,
     )
+
+
+class _StepConstants:
+    """What every step of one swarm reuses (see the module docstring)."""
+
+    __slots__ = ("config", "lower", "upper", "shape", "v_max", "neg_v_max", "low",
+                 "high", "coef", "terms", "pull")
+
+    def __init__(self, swarm: Swarm, config: PsoConfig):
+        self.config, self.lower, self.upper = config, swarm.lower, swarm.upper
+        self.shape = size, kd = swarm.position.shape
+        self.v_max = self.neg_v_max = None
+        if config.v_max_fraction is not None:
+            self.v_max = config.v_max_fraction * (swarm.upper - swarm.lower)
+            self.neg_v_max = -self.v_max
+        self.low = np.broadcast_to(swarm.lower, (size, kd)).copy()
+        self.high = np.broadcast_to(swarm.upper, (size, kd)).copy()
+        self.coef = np.empty((2, size, kd))
+        self.coef[0], self.coef[1] = config.c1, config.c2
+        self.terms = np.empty((2, size, kd))
+        self.pull = np.empty((2, size, kd))
 
 
 def step(
@@ -282,30 +340,38 @@ def step(
     restores the saved pre-update component exactly, which keeps in-bounds
     swarms in bounds without float round-off.
     """
-    w = inertia_weight(config, swarm.iter)
     previous = swarm.position
-    size, kd = previous.shape
-    rand = rng.random(size * 2 * kd).reshape(size, 2, kd)
-    velocity = (
-        w * swarm.velocity
-        + config.c1 * rand[:, 0] * (swarm.pbest_position - previous)
-        + config.c2 * rand[:, 1] * (swarm.gbest_position - previous)
-    )
-    if config.v_max_fraction is not None:
-        v_max = config.v_max_fraction * (swarm.upper - swarm.lower)
-        velocity = np.clip(velocity, -v_max, v_max)
+    const = swarm._constants
+    if (const is None or const.config is not config or const.lower is not swarm.lower
+            or const.upper is not swarm.upper or const.shape != previous.shape):
+        const = swarm._constants = _StepConstants(swarm, config)
+    size, kd = const.shape
+    # The draws, read as (S, 2, kd), are copied out as rand1 and rand2
+    # blocks, which then become c1*rand1*(pbest - x) and c2*rand2*(gbest - x)
+    # in place, each product taken in the order the plain expression takes it.
+    terms, pull = const.terms, const.pull
+    np.copyto(terms, rng.random(size * 2 * kd).reshape(size, 2, kd).transpose(1, 0, 2))
+    terms *= const.coef
+    np.subtract(swarm.pbest_position, previous, out=pull[0])
+    np.subtract(swarm.gbest_position, previous, out=pull[1])
+    terms *= pull
+    velocity = swarm.velocity * inertia_weight(config, swarm.iter)
+    velocity += terms[0]
+    velocity += terms[1]
+    if const.v_max is not None:
+        _clip(velocity, const.neg_v_max, const.v_max, out=velocity)
     position = previous + velocity
     if config.boundary == "restricted":
-        position = _apply_boundary(position, previous, swarm.lower, swarm.upper)
+        _apply_boundary(position, previous, const.lower, const.upper, const.low, const.high)
     swarm.velocity = velocity
     swarm.position = position
 
-    evals = _evaluate(fitness, position, f"at iteration {swarm.iter}")
+    evals = _evaluate(fitness, position, swarm.iter)
     improved = evals < swarm.pbest_fitness
-    swarm.pbest_fitness = np.where(improved, evals, swarm.pbest_fitness)
-    swarm.pbest_position = np.where(improved[:, None], position, swarm.pbest_position)
+    np.copyto(swarm.pbest_fitness, evals, where=improved)
+    np.copyto(swarm.pbest_position, position, where=improved[:, None])
 
-    best = int(np.argmin(swarm.pbest_fitness))
+    best = swarm.pbest_fitness.argmin()
     if swarm.pbest_fitness[best] < swarm.gbest_fitness:
         swarm.gbest_fitness = float(swarm.pbest_fitness[best])
         swarm.gbest_position = swarm.pbest_position[best].copy()

@@ -2,13 +2,18 @@
 
 Everything here is written as plain double loops over Python floats (and
 tiny helpers), deliberately avoiding the library's vectorized code paths so
-the two sides of every comparison stay independent.
+the two sides of every comparison stay independent. The exceptions are
+:func:`reference_step` and :func:`convergence_stats_ref`: earlier versions
+of the library's own code, kept unchanged as bit-for-bit references for the
+leaner versions that replaced them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 
 class StubStream:
@@ -30,8 +35,6 @@ class StubStream:
         return (self.state >> 11) / float(1 << 53)
 
     def random(self, size=None):
-        import numpy as np
-
         if size is None:
             return self.next_float()
         return np.array([self.next_float() for _ in range(int(size))])
@@ -332,3 +335,74 @@ def exhaustive_best_sicd(points, k: int) -> float:
                 break
         best = min(best, total)
     return best
+
+
+def _reference_boundary(position, previous, lower, upper):
+    out = (position < lower) | (position > upper)
+    if not out.any():
+        return position
+    restored = np.where(out, previous, position)
+    still_out = out & ((previous < lower) | (previous > upper))
+    if still_out.any():
+        restored = np.where(still_out, np.clip(previous, lower, upper), restored)
+    return restored
+
+
+def reference_step(swarm, fitness, config, rng):
+    """``swarmclust.swarm.step`` as it was before its numpy calls were cut:
+    one whole-swarm expression per update, new arrays throughout. The
+    current step must reproduce its every bit, signs of zeros included."""
+    from swarmclust.swarm import inertia_weight
+
+    w = inertia_weight(config, swarm.iter)
+    previous = swarm.position
+    size, kd = previous.shape
+    rand = rng.random(size * 2 * kd).reshape(size, 2, kd)
+    velocity = (
+        w * swarm.velocity
+        + config.c1 * rand[:, 0] * (swarm.pbest_position - previous)
+        + config.c2 * rand[:, 1] * (swarm.gbest_position - previous)
+    )
+    if config.v_max_fraction is not None:
+        v_max = config.v_max_fraction * (swarm.upper - swarm.lower)
+        velocity = np.clip(velocity, -v_max, v_max)
+    position = previous + velocity
+    if config.boundary == "restricted":
+        position = _reference_boundary(position, previous, swarm.lower, swarm.upper)
+    swarm.velocity = velocity
+    swarm.position = position
+
+    evals = np.asarray(fitness(position), dtype=np.float64)
+    nan = np.isnan(evals)
+    if nan.any():
+        raise RuntimeError(
+            f"fitness returned NaN at iteration {swarm.iter}, particle {int(np.argmax(nan))}"
+        )
+    improved = evals < swarm.pbest_fitness
+    swarm.pbest_fitness = np.where(improved, evals, swarm.pbest_fitness)
+    swarm.pbest_position = np.where(improved[:, None], position, swarm.pbest_position)
+
+    best = int(np.argmin(swarm.pbest_fitness))
+    if swarm.pbest_fitness[best] < swarm.gbest_fitness:
+        swarm.gbest_fitness = float(swarm.pbest_fitness[best])
+        swarm.gbest_position = swarm.pbest_position[best].copy()
+
+    swarm.iter += 1
+    return swarm
+
+
+def convergence_stats_ref(sicd_trace, rel_tol: float = 1e-8, stall_iters: int = 25) -> int:
+    """``swarmclust.metrics.convergence_stats`` as it was: stall flags for
+    the whole trace, then a window of ``stall_iters`` flags scanned at each
+    index."""
+    from swarmclust.metrics import stalled
+
+    trace = np.asarray(sicd_trace, dtype=np.float64)
+    flags = np.zeros(trace.size, dtype=bool)
+    for j in range(1, trace.size):
+        flags[j] = stalled(trace[j - 1], trace[j], rel_tol)
+    for i in range(trace.size):
+        window = flags[i + 1 : i + 1 + stall_iters]
+        if window.size == stall_iters and window.all():
+            return i
+    return int(trace.size)

@@ -18,7 +18,12 @@ from swarmclust.metrics import (
     sicd,
 )
 
-from oracles import error_rate_majority_ref, error_rate_optimal_ref, sicd_ref
+from oracles import (
+    convergence_stats_ref,
+    error_rate_majority_ref,
+    error_rate_optimal_ref,
+    sicd_ref,
+)
 
 
 def random_instance(seed, n=12, d=2, k=3):
@@ -297,3 +302,19 @@ class TestConvergenceStats:
     def test_improvement_resets_window(self):
         trace = [10.0, 10.0, 10.0, 4.0, 4.0, 4.0, 4.0]
         assert convergence_stats(trace, stall_iters=3) == 3
+
+    # Traces built from runs of steps that stay flat, drop by less than a
+    # tolerance or rise by a hair (plateaus), each run ended by a step that
+    # drops or rises, from any start, zero included.
+    @given(
+        st.floats(-1e3, 1e3),
+        st.lists(st.tuples(st.integers(0, 12), st.sampled_from([0.0, 1e-12, 1e-9, -1e-9]),
+                           st.floats(-5.0, 5.0)), max_size=8),
+        st.sampled_from([0.0, 1e-8, 1e-3, 0.5]),
+        st.integers(1, 110),
+    )
+    def test_one_pass_equals_window_scan(self, start, runs, rel_tol, stall_iters):
+        drops = [x for length, small, end in runs for x in [small] * length + [end]]
+        trace = np.concatenate([[start], start - np.cumsum(drops)])
+        assert convergence_stats(trace, rel_tol, stall_iters) == convergence_stats_ref(
+            trace, rel_tol, stall_iters)

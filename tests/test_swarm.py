@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -21,7 +21,7 @@ from swarmclust.swarm import (
     step,
 )
 
-from oracles import StubStream, pso_replay
+from oracles import StubStream, pso_replay, reference_step
 
 
 class ConstantStream:
@@ -375,3 +375,121 @@ class TestLockstepOracle:
         )
         assert trace == pytest.approx(ref_trace, rel=1e-12)
         assert swarm.gbest_position == pytest.approx(ref_gbest, rel=1e-12)
+
+
+# Values that exercise the boundary and the clamp: signed zeros, points
+# inside and outside a box around [-1, 1], and large velocities.
+EDGE_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                        st.floats(-3.0, 3.0, allow_nan=False))
+
+
+@st.composite
+def step_cases(draw):
+    """A hand-built swarm, a config and a seed for a few steps."""
+    size = draw(st.sampled_from([2, 20]))
+    k, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kd = k * d
+    low = np.array(draw(st.lists(st.sampled_from([0.0, -0.0, -1.0, -0.5]), min_size=d,
+                                 max_size=d)))
+    # zero spans give lower == upper, v_max == 0 and, from -0.0 + 0.0, an
+    # upper of +0.0 over a lower of -0.0
+    span = np.array(draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=d,
+                                  max_size=d)))
+    lower, upper = np.tile(low, k), np.tile(low + span, k)
+
+    def block(shape):
+        return draw(hnp.arrays(np.float64, shape, elements=EDGE_VALUES))
+
+    kind = draw(st.sampled_from(["linear", "exponential_literal",
+                                 "exponential_normalized"]))
+    w_max = draw(st.floats(0.0, 1.2))
+    inertia = (linear(w_max, draw(st.floats(0.0, 1.2))) if kind == "linear"
+               else exponential_literal(w_max) if kind == "exponential_literal"
+               else exponential_normalized(w_max))
+    config = PsoConfig(
+        c1=draw(st.floats(0.0, 3.0)), c2=draw(st.floats(0.0, 3.0)), inertia=inertia,
+        max_iter=draw(st.integers(1, 50)), swarm_size=size,
+        boundary=draw(st.sampled_from(["restricted", "none"])),
+        v_max_fraction=draw(st.one_of(st.none(), st.sampled_from([1.0, 0.25]),
+                                      st.floats(1e-3, 1.0))),
+    )
+    pbest = block((size, kd))
+    target = block((kd,))
+    state = dict(
+        position=block((size, kd)), velocity=block((size, kd)) * 2.0, pbest_position=pbest,
+        pbest_fitness=quadratic_fitness(target)(pbest),
+        gbest_position=pbest[draw(st.integers(0, size - 1))].copy(),
+        iter=draw(st.integers(0, 10)), lower=lower, upper=upper, k=k, d=d,
+    )
+    state["gbest_fitness"] = float(quadratic_fitness(target)(state["gbest_position"][None])[0])
+    return state, config, target, draw(st.integers(0, 2**32)), draw(st.integers(1, 4))
+
+
+def build(state):
+    return Swarm(**{key: value.copy() if isinstance(value, np.ndarray) else value
+                    for key, value in state.items()})
+
+
+def assert_same_bits(a, b):
+    for key in ("position", "velocity", "pbest_position", "pbest_fitness",
+                "gbest_position"):
+        x, y = getattr(a, key), getattr(b, key)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), key
+    assert np.float64(a.gbest_fitness).tobytes() == np.float64(b.gbest_fitness).tobytes()
+    assert a.iter == b.iter
+
+
+class TestReferenceStep:
+    """The step equals the earlier whole-expression step (oracles.reference_step)
+    bit for bit, signs of zeros included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(step_cases())
+    def test_steps_equal_reference_bits(self, case):
+        state, config, target, seed, steps = case
+        # rounding makes fitness ties, so gbest tie-breaking is covered too
+        def fitness(positions):
+            return np.round(quadratic_fitness(target)(positions), 1)
+
+        new, ref = build(state), build(state)
+        new_rng, ref_rng = Rng(seed), Rng(seed)
+        for _ in range(steps):
+            step(new, fitness, config, new_rng)
+            reference_step(ref, fitness, config, ref_rng)
+            assert_same_bits(new, ref)
+
+    def test_rebound_box_and_config_are_picked_up(self):
+        # the step keeps v_max and the tiled box between steps; rebinding
+        # lower, upper or the config must rebuild them
+        rng = Rng(3)
+        state = dict(position=rng.uniform(-1, 1, (4, 6)), velocity=np.zeros((4, 6)),
+                     pbest_position=rng.uniform(-1, 1, (4, 6)), pbest_fitness=np.full(4, np.inf),
+                     gbest_position=np.zeros(6), gbest_fitness=np.inf, iter=0,
+                     lower=np.full(6, -1.0), upper=np.full(6, 1.0), k=2, d=3)
+        new, ref = build(state), build(state)
+        fitness = quadratic_fitness(0.3)
+        configs = [PsoConfig(c1=1.5, c2=2.5, swarm_size=4, v_max_fraction=0.5),
+                   PsoConfig(c1=0.5, c2=2.0, swarm_size=4, v_max_fraction=0.1)]
+        for i in range(6):
+            if i == 2:
+                for swarm in (new, ref):
+                    swarm.lower, swarm.upper = np.full(6, -0.2), np.full(6, 0.1)
+            for swarm, advance in ((new, step), (ref, reference_step)):
+                advance(swarm, fitness, configs[i // 4], Rng(40 + i))
+            assert_same_bits(new, ref)
+
+    def test_nan_message_names_the_particle(self):
+        state = dict(position=np.zeros((5, 2)), velocity=np.zeros((5, 2)),
+                     pbest_position=np.zeros((5, 2)), pbest_fitness=np.ones(5),
+                     gbest_position=np.zeros(2), gbest_fitness=1.0, iter=7,
+                     lower=np.full(2, -1.0), upper=np.full(2, 1.0), k=1, d=2)
+
+        def fitness(positions):
+            return np.array([1.0, 2.0, np.nan, 0.5, np.nan])
+
+        messages = []
+        for advance in (step, reference_step):
+            with pytest.raises(RuntimeError) as err:
+                advance(build(state), fitness, PsoConfig(swarm_size=5), Rng(1))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == "fitness returned NaN at iteration 7, particle 2"
