@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
-"""Check that two checkouts write the same reports, wall-clock fields aside.
+"""Check that reports, wall-clock fields aside, do not depend on --jobs and
+do not change between two checkouts.
 
     python3 scripts/same_reports.py BASE_TREE [TREE]
 
 Each tree (TREE defaults to this checkout) runs ``bench run`` as
 ``python -m swarmclust.cli run`` in a fresh interpreter with
-``PYTHONPATH=<tree>/src``: the ``fixtures`` preset at ``--jobs 1`` and
+``PYTHONPATH=<tree>/src``: the ``fixtures`` preset at ``--jobs 1`` (twice
+into one directory, so that its report replaced an earlier one) and at
 ``--jobs 2``, and a six-algorithm grid over iris and wine read from this
 checkout's ``data/``. The stripped artifacts (``perfbench/benchlib.py``,
-``strip_wall_ms``) of each run must be equal between the trees. The check
-is skipped when ``bench.SCHEMA_VERSION`` or ``pipelines.DEFAULTS_VERSION``
-differs between them, since a version bump is how report bytes may change.
+``strip_wall_ms``) are compared twice: TREE's fixtures reports at
+``--jobs 1`` and ``--jobs 2`` with each other, and every run of TREE with
+the same run of BASE_TREE. The second comparison, and BASE_TREE's runs, are
+skipped when ``bench.SCHEMA_VERSION`` or ``pipelines.DEFAULTS_VERSION``
+differs between the trees, since a version bump is how report bytes may
+change; the first is always made.
 
-Exits 0 when the reports are equal or the check is skipped, 1 when they
-differ or a run fails a cell, 2 on bad arguments.
+Exits 0 when the compared reports are equal, 1 when they differ or a run
+fails a cell, 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -57,11 +62,12 @@ def run_reports(tree: Path, runs: dict, out: Path) -> dict:
     env.pop("SWARMCLUST_OUT_DIR", None)
     env.pop("SWARMCLUST_JOBS", None)
     reports = {}
-    for name, (config, jobs) in runs.items():
+    for name, (config, jobs, times) in runs.items():
         where = out / name
-        subprocess.run([sys.executable, "-m", "swarmclust.cli", "run", "--config", config,
-                        "--jobs", str(jobs), "--out", str(where)],
-                       env=env, cwd=out, check=True, stdout=subprocess.DEVNULL)
+        for _ in range(times):
+            subprocess.run([sys.executable, "-m", "swarmclust.cli", "run", "--config", config,
+                            "--jobs", str(jobs), "--out", str(where)],
+                           env=env, cwd=out, check=True, stdout=subprocess.DEVNULL)
         failed = json.loads((where / "report.json").read_text())["failed_cells"]
         if failed:
             # equal reports of failed cells would show nothing
@@ -76,25 +82,33 @@ def main(argv: list) -> int:
         return 2
     base, tree = (Path(p).resolve() for p in (*argv, ROOT)[:2])
     base_versions, tree_versions = versions(base), versions(tree)
-    if base_versions != tree_versions:
-        print(f"skipped: versions differ, {base_versions} -> {tree_versions}")
-        return 0
+    across = base_versions == tree_versions
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         grid = tmp / "iris_wine.yaml"
         grid.write_text(json.dumps(IRIS_WINE))  # JSON is YAML
-        runs = {"fixtures_jobs1": ("fixtures", 1), "fixtures_jobs2": ("fixtures", 2),
-                "iris_wine": (str(grid), 1)}
-        results = []
-        for label, checkout in (("base", base), ("tree", tree)):
+        # name -> (config, --jobs, runs into its directory)
+        runs = {"fixtures_jobs1": ("fixtures", 1, 2), "fixtures_jobs2": ("fixtures", 2, 1),
+                "iris_wine": (str(grid), 1, 1)}
+        checkouts = {"tree": tree, **({"base": base} if across else {})}
+        results = {}
+        for label, checkout in checkouts.items():
             (tmp / label).mkdir()
-            results.append(run_reports(checkout, runs, tmp / label))
-    differ = [f"{name} {fmt}" for name in runs for fmt in ARTIFACTS
-              if results[0][name][fmt] != results[1][name][fmt]]
+            results[label] = run_reports(checkout, runs, tmp / label)
+    ours = results["tree"]
+    differ = [f"fixtures {fmt} between --jobs 1 and 2" for fmt in ARTIFACTS
+              if ours["fixtures_jobs1"][fmt] != ours["fixtures_jobs2"][fmt]]
+    if across:
+        differ += [f"{name} {fmt}" for name in runs for fmt in ARTIFACTS
+                   if results["base"][name][fmt] != ours[name][fmt]]
     for item in differ:
         print(f"differs: {item}")
     if not differ:
-        print(f"same reports: {', '.join(runs)}")
+        print("same reports: fixtures at --jobs 1 and 2")
+    if not across:
+        print(f"skipped the base tree: versions differ, {base_versions} -> {tree_versions}")
+    elif not differ:
+        print(f"same reports as the base tree: {', '.join(runs)}")
     return 1 if differ else 0
 
 

@@ -39,7 +39,7 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -71,9 +71,9 @@ from .pipelines import (  # noqa: F401  (_execute_cell calls the run_* by name)
     run_sc_br_apso,
     run_subtractive_pso,
 )
-from .schema import SchemaChecker
+from .schema import SchemaChecker, field_rules
 from .subtractive import DensityRatio, FixedK, SubtractiveConfig
-from .swarm import BOUNDARIES, INERTIA_KINDS, Inertia, PsoConfig
+from .swarm import INERTIA_KINDS, Inertia, PsoConfig
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -83,6 +83,14 @@ SCHEMA_VERSION = 1
 EMIT_FORMATS = ("json", "csv", "plot_data")
 
 STOP_RULES = ("fixed_k", "density_ratio")
+
+
+def _mapping_of(cls) -> dict:
+    """Schema of a mapping of the dataclass ``cls``'s fields, those without a default required."""
+    return {"type": "object",
+            "required": [f.name for f in fields(cls) if f.default is f.default_factory is MISSING],
+            "additionalProperties": False, "properties": field_rules(cls)}
+
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -108,20 +116,7 @@ CONFIG_SCHEMA = {
                     "registry": {"type": "string", "enum": list(REGISTRY)},
                     "name": {"type": "string"},
                     "normalize": {"type": "boolean"},
-                    "csv": {
-                        "type": "object",
-                        "required": ["path"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "path": {"type": "string"},
-                            "label_column": {"type": ["integer", "string", "null"]},
-                            "delimiter": {"type": "string"},
-                            "header": {"type": "boolean"},
-                            "drop_columns": {"type": "array", "items": {"type": "integer"}},
-                            "na_values": {"type": "array", "items": {"type": "string"}},
-                            "na_policy": {"enum": ["error", "drop"]},
-                        },
-                    },
+                    "csv": _mapping_of(CsvSource),
                     "synthetic": {
                         "type": "object",
                         "required": ["kind"],
@@ -139,17 +134,7 @@ CONFIG_SCHEMA = {
                             "seed": {"type": "integer"},
                         },
                     },
-                    "expected": {
-                        "type": "object",
-                        "required": ["n", "d", "k", "class_sizes"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "n": {"type": "integer", "minimum": 1},
-                            "d": {"type": "integer", "minimum": 1},
-                            "k": {"type": "integer", "minimum": 1},
-                            "class_sizes": {"type": "array", "items": {"type": "integer"}},
-                        },
-                    },
+                    "expected": _mapping_of(Expected),
                 },
             },
         },
@@ -164,44 +149,25 @@ CONFIG_SCHEMA = {
                     "id": {"enum": list(ALGORITHM_IDS)},
                     "label": {"type": "string"},
                     # values only: the keys each id accepts are checked
-                    # against its ALGORITHMS row in parse_config. The ranges
-                    # and names are those PsoConfig, Inertia, _resolve_call,
-                    # SubtractiveConfig and DensityRatio take, so a bad value
-                    # fails here instead of in every cell.
+                    # against its ALGORITHMS row in parse_config. A key that
+                    # sets a dataclass field takes that field's rule, so a
+                    # value the library would refuse fails here instead of
+                    # in every cell.
                     "params": {
                         "type": "object",
                         "properties": {
-                            "boundary": {"type": "string", "enum": list(BOUNDARIES)},
-                            "c1": {"type": "number", "minimum": 0},
-                            "c2": {"type": "number", "minimum": 0},
-                            "epsilon": {
-                                "type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1,
-                            },
+                            **field_rules(PsoConfig), **field_rules(SubtractiveConfig),
+                            **field_rules(DensityRatio), **field_rules(FixedK),
                             "inertia": {
                                 "type": ["string", "object"],
                                 # an enum beside the type would reject mappings
                                 "if": {"type": "string"},
                                 "then": {"enum": list(INERTIA_KINDS)},
                                 "required": ["kind"],
-                                "properties": {
-                                    "kind": {"type": "string", "enum": list(INERTIA_KINDS)},
-                                    "w_max": {"type": "number", "minimum": 0},
-                                    "w_min": {"type": "number", "minimum": 0},
-                                },
+                                "properties": field_rules(Inertia),
                             },
-                            "k": {"type": "integer", "minimum": 1},
                             "kmeans_max_iter": {"type": "integer", "minimum": 1},
-                            "max_centers": {"type": "integer", "minimum": 1},
-                            "max_iter": {"type": "integer", "minimum": 1},
-                            "r_a": {"type": "number", "exclusiveMinimum": 0},
-                            "r_b": {"type": "number", "exclusiveMinimum": 0},
-                            "rel_tol": {"type": "number"},
-                            "stall_iters": {"type": "integer", "minimum": 1},
                             "stop": {"type": "string", "enum": list(STOP_RULES)},
-                            "swarm_size": {"type": "integer", "minimum": 2},
-                            "v_max_fraction": {
-                                "type": ["number", "null"], "exclusiveMinimum": 0, "maximum": 1,
-                            },
                         },
                     },
                 },
@@ -211,7 +177,7 @@ CONFIG_SCHEMA = {
 }
 
 # Built once, at import, which fails if the schema goes beyond the keywords
-# the checker supports. Its integers take only Python ints, not 2.0.
+# the checker supports. Its integers take no integral float (2.0).
 CONFIG_CHECKER = SchemaChecker(CONFIG_SCHEMA)
 
 

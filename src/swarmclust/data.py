@@ -20,6 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import ContractViolation, Dataset, Rng
+from .schema import check_fields, rule
 
 DATA_DIR_ENV = "SWARMCLUST_DATA"
 
@@ -38,13 +39,16 @@ class CsvSource:
     or abort the load with the offending row number (``"error"``).
     """
 
-    path: str
-    label_column: Union[int, str, None] = None
-    delimiter: str = ","
-    header: bool = False
-    drop_columns: tuple = ()
-    na_values: tuple = ()
-    na_policy: str = "error"
+    path: str = rule(type="string")
+    label_column: Union[int, str, None] = rule(None, type=["integer", "string", "null"])
+    delimiter: str = rule(",", type="string")
+    header: bool = rule(False, type="boolean")
+    drop_columns: tuple = rule((), type="array", items={"type": "integer"})
+    na_values: tuple = rule((), type="array", items={"type": "string"})
+    na_policy: str = rule("error", enum=["error", "drop"])
+
+    def __post_init__(self):
+        check_fields(self, ContractViolation)
 
 
 @dataclass(frozen=True)
@@ -56,10 +60,13 @@ class SyntheticSource:
 
 @dataclass(frozen=True)
 class Expected:
-    n: int
-    d: int
-    k: int
-    class_sizes: tuple
+    n: int = rule(type="integer", minimum=1)
+    d: int = rule(type="integer", minimum=1)
+    k: int = rule(type="integer", minimum=1)
+    class_sizes: tuple = rule(type="array", items={"type": "integer"})
+
+    def __post_init__(self):
+        check_fields(self, ContractViolation)
 
 
 @dataclass(frozen=True)
@@ -100,6 +107,8 @@ def load_csv(spec: DatasetSpec) -> Dataset:
     src = spec.source
     if not isinstance(src, CsvSource):
         raise ContractViolation("load_csv needs a CsvSource spec")
+    if len(src.delimiter) != 1:
+        raise LoadError(f"{spec.name}: delimiter {src.delimiter!r} is not one character")
     path = Path(src.path)
     if not path.exists():
         raise LoadError(f"{spec.name}: file not found: {path}")
@@ -139,7 +148,10 @@ def load_csv(spec: DatasetSpec) -> Dataset:
                 raise LoadError(f"{spec.name}: label column {label_idx} out of range")
             label_idx %= width
     dropped = {label_idx} if label_idx is not None else set()
-    dropped.update(c % width for c in src.drop_columns)
+    for c in src.drop_columns:
+        if not -width <= c < width:
+            raise LoadError(f"{spec.name}: drop column {c} out of range")
+        dropped.add(c % width)
 
     features: list[list[float]] = []
     raw_labels: list[str] = []

@@ -314,6 +314,8 @@ def run_kmeans(
 ) -> ClusteringOutcome:
     """Lloyd's algorithm: assign to nearest centers, recompute means, repeat
     until the assignment stabilizes or ``max_iter`` passes."""
+    if max_iter < 1:
+        raise ContractViolation(f"k-means needs max_iter >= 1, got {max_iter}")
     if not 1 <= k <= dataset.n:
         raise DegenerateInput(f"k={k} outside [1, {dataset.n}]")
     if isinstance(init, str):

@@ -14,15 +14,23 @@ shortest instance path, then the greatest path, then an error whose
 subschema's ``type`` the value fails, then the first found), with
 jsonschema's wording. Errors are found in jsonschema's order: a schema's
 keywords in turn, ``properties`` in schema order, list items by index,
-and ``then`` in the place of ``if``. Unlike JSON Schema, an ``integer`` is a
-Python int and never a bool or an integral float (``2.0``), since counts,
-sizes and seeds are used as ints; a ``number`` is never a bool.
+and ``then`` in the place of ``if``. Unlike JSON Schema, an ``integer`` is
+an integral non-bool number, numpy ints included, and never ``2.0``, since
+counts, sizes and seeds are used as ints; a ``number`` is a finite non-bool
+real, never NaN or an infinity; and an ``array`` may be a tuple.
+
+A dataclass field declared with :func:`rule` carries its schema, which
+:func:`check_fields` enforces from ``__post_init__`` and :func:`field_rules`
+hands to a config schema, so the library and configs accept the same values.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 import operator
+from dataclasses import MISSING, field, fields
+from math import inf
 from typing import Iterator, Optional
 
 KEYWORDS = frozenset({
@@ -32,11 +40,11 @@ KEYWORDS = frozenset({
 })
 
 TYPES = {
-    "array": lambda v: isinstance(v, list),
+    "array": lambda v: isinstance(v, (list, tuple)),
     "boolean": lambda v: isinstance(v, bool),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "integer": lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
     "null": lambda v: v is None,
-    "number": lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool) and abs(v) < inf,
     "object": lambda v: isinstance(v, dict),
     "string": lambda v: isinstance(v, str),
 }
@@ -63,6 +71,31 @@ class SchemaChecker:
         would report for ``instance``, or None if it is valid."""
         best = max(_errors(self.schema, instance, ()), key=_relevance, default=None)
         return None if best is None else best[:2]
+
+
+def rule(default=MISSING, **schema):
+    """A dataclass field, with ``default`` unless it is left out, whose values
+    must meet ``schema``: JSON Schema keywords, ``type`` first."""
+    return field(default=default, metadata={"schema": schema})
+
+
+def field_rules(cls) -> dict:
+    """Name -> schema of each field of the dataclass ``cls`` made by :func:`rule`."""
+    return {f.name: f.metadata["schema"] for f in fields(cls) if "schema" in f.metadata}
+
+
+def check_fields(obj, error: type) -> None:
+    """Raise ``error("<field>: <message>")`` if a field of the dataclass
+    ``obj`` breaks its rule, with the error a config would get."""
+    checker = _fields_checker(type(obj))
+    found = checker.best_error({name: getattr(obj, name) for name in checker.schema["properties"]})
+    if found is not None:
+        raise error(f"{'/'.join(map(str, found[0]))}: {found[1]}")
+
+
+@functools.cache
+def _fields_checker(cls) -> SchemaChecker:
+    return SchemaChecker({"properties": field_rules(cls)})
 
 
 def _check_keywords(schema, at: tuple) -> None:
@@ -117,13 +150,13 @@ def _errors(schema: dict, value, path: tuple) -> Iterator[tuple]:
             if TYPES["number"](value) and fails(value, arg):
                 message = f"{value!r} {words} {arg!r}"
         elif keyword == "minItems":
-            if isinstance(value, list) and len(value) < arg:
+            if TYPES["array"](value) and len(value) < arg:
                 message = f"{value!r} {'should be non-empty' if arg == 1 else 'is too short'}"
         elif keyword == "if":
             if "then" in schema and next(_errors(arg, value, path), None) is None:
                 yield from _errors(schema["then"], value, path)
         elif keyword == "items":
-            if isinstance(value, list):
+            if TYPES["array"](value):
                 for i, item in enumerate(value):
                     yield from _errors(arg, item, path + (i,))
         elif isinstance(value, dict):

@@ -41,6 +41,7 @@ import numpy as np
 
 from . import core
 from .core import ContractViolation, Dataset, DegenerateInput
+from .schema import check_fields, rule
 
 # Kernel terms density_initial holds at once over all its threads (float64
 # entries, 2 MB). Block sizes from 2^16 to 2^20 time alike at N = 4000;
@@ -52,11 +53,10 @@ DENSITY_BLOCK = 1 << 18
 class FixedK:
     """Stop after exactly k centers."""
 
-    k: int
+    k: int = rule(type="integer", minimum=1)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ContractViolation("fixed_k needs k >= 1")
+        check_fields(self, ContractViolation)
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,10 @@ class DensityRatio:
     """Stop before accepting a center whose density falls below
     epsilon times the first peak's density."""
 
-    epsilon: float = 0.15
+    epsilon: float = rule(0.15, type="number", exclusiveMinimum=0, exclusiveMaximum=1)
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon < 1.0:
-            raise ContractViolation("density_ratio needs 0 < epsilon < 1")
+        check_fields(self, ContractViolation)
 
 
 StopRule = Union[FixedK, DensityRatio]
@@ -82,18 +81,13 @@ class SubtractiveConfig:
     r_b defaults to 1.5 * r_a.
     """
 
-    r_a: float = 0.5
-    r_b: float | None = None
+    r_a: float = rule(0.5, type="number", exclusiveMinimum=0)
+    r_b: float | None = rule(None, type=["number", "null"], exclusiveMinimum=0)
     stop_rule: StopRule = field(default_factory=DensityRatio)
-    max_centers: int = 64
+    max_centers: int = rule(64, type="integer", minimum=1)
 
     def __post_init__(self):
-        if self.r_a <= 0:
-            raise ContractViolation("r_a must be positive")
-        if self.r_b is not None and self.r_b <= 0:
-            raise ContractViolation("r_b must be positive")
-        if self.max_centers < 1:
-            raise ContractViolation("max_centers must be >= 1")
+        check_fields(self, ContractViolation)
 
     @property
     def effective_r_b(self) -> float:

@@ -72,6 +72,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import ContractViolation, Dataset, bounds_of
+from .schema import check_fields, rule
 
 # The ufunc np.clip calls, called directly to skip np.clip's Python-level
 # argument handling; same loop, same bits.
@@ -89,15 +90,12 @@ BOUNDARIES = ("restricted", "none")
 
 @dataclass(frozen=True)
 class Inertia:
-    kind: str
-    w_max: float = 0.9
-    w_min: float = 0.4
+    kind: str = rule(type="string", enum=list(INERTIA_KINDS))
+    w_max: float = rule(0.9, type="number", minimum=0)
+    w_min: float = rule(0.4, type="number", minimum=0)
 
     def __post_init__(self):
-        if self.kind not in INERTIA_KINDS:
-            raise ContractViolation(f"unknown inertia schedule {self.kind!r}")
-        if self.w_max < 0 or self.w_min < 0:
-            raise ContractViolation("inertia weights must be nonnegative")
+        check_fields(self, ContractViolation)
 
 
 def linear(w_max: float = 0.9, w_min: float = 0.4) -> Inertia:
@@ -122,27 +120,19 @@ class PsoConfig:
     ``stall_iters`` consecutive iterations.
     """
 
-    c1: float = 2.0
-    c2: float = 2.0
+    c1: float = rule(2.0, type="number", minimum=0)
+    c2: float = rule(2.0, type="number", minimum=0)
     inertia: Inertia = field(default_factory=exponential_normalized)
-    max_iter: int = 200
-    swarm_size: int = 20
-    boundary: str = "restricted"
-    v_max_fraction: Optional[float] = 1.0
-    stall_iters: int = 25
-    rel_tol: float = 1e-8
+    max_iter: int = rule(200, type="integer", minimum=1)
+    swarm_size: int = rule(20, type="integer", minimum=2)
+    boundary: str = rule("restricted", type="string", enum=list(BOUNDARIES))
+    v_max_fraction: Optional[float] = rule(
+        1.0, type=["number", "null"], exclusiveMinimum=0, maximum=1)
+    stall_iters: int = rule(25, type="integer", minimum=1)
+    rel_tol: float = rule(1e-8, type="number")
 
     def __post_init__(self):
-        if self.c1 < 0 or self.c2 < 0:
-            raise ContractViolation("acceleration coefficients must be >= 0")
-        if self.max_iter < 1:
-            raise ContractViolation("max_iter must be >= 1")
-        if self.swarm_size < 2:
-            raise ContractViolation("swarm_size must be >= 2")
-        if self.boundary not in BOUNDARIES:
-            raise ContractViolation("boundary must be 'restricted' or 'none'")
-        if self.v_max_fraction is not None and not 0 < self.v_max_fraction <= 1:
-            raise ContractViolation("v_max_fraction must lie in (0, 1]")
+        check_fields(self, ContractViolation)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 
 import numpy as np
@@ -19,10 +20,11 @@ from swarmclust.bench import (
 )
 from swarmclust import bench, core, pipelines
 from swarmclust.cli import main
-from swarmclust.core import Dataset, derive_seed
+from swarmclust.core import ContractViolation, Dataset, derive_seed
 from swarmclust.data import SYNTHETIC_PARAMS, make_blobs
 from swarmclust.pipelines import ALGORITHMS
-from swarmclust.schema import SchemaChecker
+from swarmclust.schema import SchemaChecker, field_rules
+from swarmclust.swarm import Inertia, PsoConfig
 from swarmclust.subtractive import DensityRatio, FixedK, SubtractiveConfig, density_initial
 
 # A value of the right type for every benchmark-config param name
@@ -527,6 +529,18 @@ BAD_VALUES = [
 ]
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+# NaN and both infinities at every path that takes a number, which the
+# checker rejects where jsonschema would not (YAML's .nan, .inf and -.inf)
+NON_FINITE_VALUES = [
+    pytest.param(placed(rich_config(), path), value,
+                 id="/".join("*" if key is None else key for key in path) + f"={value}")
+    for path, node in schema_paths(CONFIG_SCHEMA)
+    if node.get("type") in ("number", ["number", "null"]) for value in NON_FINITE
+]
+
+
 class TestSchemaChecker:
     """The in-house checker answers as jsonschema does on CONFIG_SCHEMA."""
 
@@ -580,6 +594,26 @@ class TestSchemaChecker:
             expected = None if error is None else (tuple(error.absolute_path), error.message)
             assert SchemaChecker(schema).best_error(instance) == expected, instance
 
+    @pytest.mark.parametrize("schema, value, expected", [
+        ({"type": "number"}, math.nan, ((), "nan is not of type 'number'")),
+        ({"type": "number", "minimum": 0}, math.inf, ((), "inf is not of type 'number'")),
+        ({"type": ["number", "null"]}, -math.inf,
+         ((), "-inf is not of type 'number', 'null'")),
+        ({"type": "number", "minimum": 0}, 10 ** 400, None),
+        ({"type": "number", "maximum": 1}, np.float64(0.5), None),
+        ({"type": "integer", "minimum": 1}, np.int64(3), None),
+        ({"type": "integer"}, np.True_, ((), f"{np.True_!r} is not of type 'integer'")),
+        ({"type": "number"}, 1j, ((), "1j is not of type 'number'")),
+        ({"type": "array", "minItems": 1, "items": {"type": "integer"}}, (1, 2), None),
+        ({"type": "array", "minItems": 1}, (), ((), "() should be non-empty")),
+        ({"type": "array", "items": {"type": "integer"}}, (1, "2"),
+         ((1,), "'2' is not of type 'integer'")),
+    ])
+    def test_departures_from_json_schema(self, schema, value, expected):
+        # numbers are finite reals, integers may be numpy ints and arrays
+        # tuples: values no YAML file holds, so the parity tests miss them
+        assert SchemaChecker(schema).best_error(value) == expected
+
     @pytest.mark.parametrize("schema, message", [
         ({"type": "string", "pattern": "^a"}, "unsupported schema keyword 'pattern' at <root>"),
         ({"properties": {"x": {"format": "email"}}},
@@ -593,6 +627,51 @@ class TestSchemaChecker:
     def test_unsupported_schema_refused(self, schema, message):
         with pytest.raises(ValueError, match=message):
             SchemaChecker(schema)
+
+
+# (dataclass, params key) for each algorithm params key that sets a
+# dataclass field; an inertia mapping's keys set Inertia's
+FIELD_KEYS = [(cls, name) for cls in (PsoConfig, SubtractiveConfig, DensityRatio, FixedK, Inertia)
+              for name in field_rules(cls)]
+
+
+class TestFieldRules:
+    """A config takes a params value exactly when the dataclass it sets
+    takes it, since both check the field's one rule."""
+
+    def test_every_params_key_that_sets_a_field_is_covered(self):
+        params = CONFIG_SCHEMA["properties"]["algorithms"]["items"]["properties"]["params"]
+        keys = {name for cls, name in FIELD_KEYS if cls is not Inertia}
+        assert keys == set(params["properties"]) - {"inertia", "kmeans_max_iter", "stop"}
+
+    @pytest.mark.parametrize("cls, name", FIELD_KEYS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in FIELD_KEYS])
+    def test_config_and_library_accept_the_same_values(self, cls, name):
+        algo = "sc_br_apso" if cls in (SubtractiveConfig, DensityRatio) else "pso"
+        for value in PROBE_VALUES + NON_FINITE:
+            kwargs = {"kind": "linear", name: value} if cls is Inertia else {name: value}
+            params = {"inertia": kwargs} if cls is Inertia else kwargs
+            try:
+                parse_config(fixture_config(algorithms=[{"id": algo, "params": params}]))
+                config_error = None
+            except ConfigError as exc:
+                config_error = str(exc)
+            try:
+                cls(**kwargs)
+                library_error = None
+            except ContractViolation as exc:
+                library_error = str(exc)
+            assert (config_error is None) == (library_error is None), (value, config_error)
+            if library_error is not None:
+                # config invalid at algorithms/0/params[/inertia]/<name>: <message>
+                assert config_error.endswith(f"/{library_error}"), (config_error, library_error)
+
+    def test_r_b_null_means_the_default(self):
+        params = {"r_a": 0.4, "r_b": None}
+        config = parse_config(fixture_config(algorithms=[{"id": "sc_br_apso", "params": params}]))
+        dataset = make_blobs("two_blob", {"n": 20}, seed=7)
+        _, (sub, _), _ = bench._resolve_call("blobs", dataset, config.algorithms[0])
+        assert sub.effective_r_b == 1.5 * 0.4
 
 
 def two_datasets_config(reps, algorithms):
@@ -1159,6 +1238,12 @@ class TestCli:
         pytest.param(None, "config.yaml: not valid YAML", id="invalid-yaml"),
         pytest.param([(("datasets", 0), {"name": "nolab", "csv": {"path": "nolab.csv"}})],
                      "on dataset nolab: needs k", id="unlabelled-without-k"),
+        pytest.param([(("datasets", 0), {"name": "nolab",
+                                         "csv": {"path": "nolab.csv", "delimiter": ";;"}})],
+                     "error: nolab: delimiter ';;' is not one character", id="csv-delimiter"),
+        pytest.param([(("datasets", 0), {"name": "nolab",
+                                         "csv": {"path": "nolab.csv", "drop_columns": [99]}})],
+                     "error: nolab: drop column 99 out of range", id="csv-drop-column"),
         pytest.param([(("datasets", 0), {"name": "nolab", "csv": {"path": "nolab.csv"},
                                          "expected": {"n": 4, "d": 2, "k": 0,
                                                       "class_sizes": []}})],
@@ -1189,6 +1274,9 @@ class TestCli:
     ] + [
         # a handful through run too, which parses the config the same way
         pytest.param("run", *case.values, id=f"run-{case.id}") for case in BAD_VALUES[::12]
+    ] + [
+        pytest.param(command, *case.values, id=f"{command}-{case.id}")
+        for case in NON_FINITE_VALUES for command in ("validate", "run")
     ])
     def test_one_bad_value_per_schema_path_exits_2(self, tmp_path, monkeypatch, command,
                                                    path, value):

@@ -55,6 +55,40 @@ class TestLoadCsv:
         ))
         assert np.array_equal(ds.points, [[7.0, 8.0], [9.0, 10.0]])
 
+    @pytest.mark.parametrize("columns, kept", [
+        ((-3,), [[2.0], [5.0]]), ((2, -2), [[1.0], [4.0]]),
+    ])
+    def test_drop_columns_at_the_row_ends(self, tmp_path, columns, kept):
+        path = write(tmp_path, "1,2,3\n4,5,6\n")
+        source = CsvSource(path, label_column=-1, drop_columns=columns)
+        ds = load_csv(DatasetSpec("ends", source))
+        assert np.array_equal(ds.points, kept)
+
+    @pytest.mark.parametrize("column", [3, 99, -4])
+    def test_drop_column_outside_the_row_fails(self, tmp_path, column):
+        # [99] on three columns used to drop column 0
+        path = write(tmp_path, "1,2,3\n4,5,6\n")
+        with pytest.raises(LoadError, match=f"^wide: drop column {column} out of range$"):
+            load_csv(DatasetSpec("wide", CsvSource(path, drop_columns=(0, column))))
+
+    @pytest.mark.parametrize("delimiter", ["", ";;", "\t\t"])
+    def test_delimiter_not_one_character_fails(self, tmp_path, delimiter):
+        path = write(tmp_path, "1,2\n3,4\n")
+        with pytest.raises(LoadError, match="^delim: delimiter .* is not one character$"):
+            load_csv(DatasetSpec("delim", CsvSource(path, delimiter=delimiter)))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"path": 3}, "path: 3 is not of type 'string'"),
+        ({"path": "x.csv", "drop_columns": (0, "1")},
+         "drop_columns/1: '1' is not of type 'integer'"),
+        ({"path": "x.csv", "na_policy": "skip"},
+         "na_policy: 'skip' is not one of ['error', 'drop']"),
+    ])
+    def test_source_fields_checked_by_their_rules(self, kwargs, message):
+        with pytest.raises(ContractViolation) as info:
+            CsvSource(**kwargs)
+        assert str(info.value) == message
+
     def test_ragged_row_reports_line(self, tmp_path):
         path = write(tmp_path, "1,2\n3\n")
         with pytest.raises(LoadError, match="row 2"):
@@ -81,6 +115,16 @@ class TestLoadCsv:
                            expected=Expected(3, 2, 2, (1, 2)))
         with pytest.raises(LoadError, match="mismatch"):
             load_csv(spec)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 2, 2, (1, 2)), "n: 0 is less than the minimum of 1"),
+        ((3, 2, 2, (1, 2.0)), "class_sizes/1: 2.0 is not of type 'integer'"),
+        ((3, 2, True, (1, 2)), "k: True is not of type 'integer'"),
+    ])
+    def test_expected_fields_checked_by_their_rules(self, args, message):
+        with pytest.raises(ContractViolation) as info:
+            Expected(*args)
+        assert str(info.value) == message
 
     def test_missing_file(self, tmp_path):
         spec = DatasetSpec("ghost", CsvSource(str(tmp_path / "nope.csv")))

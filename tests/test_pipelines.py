@@ -298,6 +298,19 @@ class TestRunKmeans:
         with pytest.raises(DegenerateInput):
             run_kmeans(ds, 3, "random_points", Rng(0))
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_lloyd_iteration_rejected(self, max_iter):
+        # max_iter=0 used to return the random initial centers as the result
+        ds = blob_fixture()
+        with pytest.raises(ContractViolation, match=f"max_iter >= 1, got {max_iter}"):
+            run_kmeans(ds, 2, "random_points", Rng(0), max_iter)
+        with pytest.raises(ContractViolation, match=f"max_iter >= 1, got {max_iter}"):
+            run_kmeans_pso(ds, 2, FAST_PLAIN, Rng(0), kmeans_max_iter=max_iter)
+
+    def test_one_lloyd_iteration(self):
+        ds = blob_fixture()
+        assert run_kmeans(ds, 2, "random_points", Rng(0), 1).iterations_used == 1
+
     def test_trace_non_increasing_on_fixture(self):
         ds = blob_fixture()
         for seed in range(20):

@@ -10,7 +10,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from swarmclust import core, subtractive
-from swarmclust.core import Dataset, DegenerateInput, Rng
+from swarmclust.core import ContractViolation, Dataset, DegenerateInput, Rng
 from swarmclust.data import make_blobs, normalize_minmax
 from swarmclust.subtractive import (
     DensityRatio,
@@ -172,6 +172,30 @@ class TestDensityRevise:
         ref = density_revise_ref(d.tolist(), c, float(d[c]), pts.tolist(), 1.5)
         assert revised == pytest.approx(ref, rel=1e-12)
         assert np.any(revised < 0)
+
+
+class TestConfigRules:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SubtractiveConfig(r_a=math.nan), "r_a: nan is not of type 'number'"),
+        (lambda: SubtractiveConfig(r_a=0.0),
+         "r_a: 0.0 is less than or equal to the minimum of 0"),
+        (lambda: SubtractiveConfig(r_b=math.inf), "r_b: inf is not of type 'number', 'null'"),
+        (lambda: SubtractiveConfig(max_centers=0),
+         "max_centers: 0 is less than the minimum of 1"),
+        (lambda: DensityRatio(1.0),
+         "epsilon: 1.0 is greater than or equal to the maximum of 1"),
+        (lambda: DensityRatio(math.nan), "epsilon: nan is not of type 'number'"),
+        (lambda: FixedK(0), "k: 0 is less than the minimum of 1"),
+        (lambda: FixedK(3.0), "k: 3.0 is not of type 'integer'"),
+    ])
+    def test_bad_field_raises_naming_it(self, build, message):
+        with pytest.raises(ContractViolation) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_numpy_integers_and_default_r_b_accepted(self):
+        assert FixedK(np.int64(3)).k == 3
+        assert SubtractiveConfig(r_b=None, max_centers=np.int32(5)).effective_r_b == 0.75
 
 
 class TestSelectCenters:

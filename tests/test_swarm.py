@@ -217,6 +217,38 @@ class TestInitSwarm:
         with pytest.raises(ContractViolation):
             PsoConfig(swarm_size=1)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("swarm_size", 1, "swarm_size: 1 is less than the minimum of 2"),
+        ("stall_iters", 0, "stall_iters: 0 is less than the minimum of 1"),
+        ("c1", math.inf, "c1: inf is not of type 'number'"),
+        ("c2", -math.inf, "c2: -inf is not of type 'number'"),
+        ("rel_tol", math.nan, "rel_tol: nan is not of type 'number'"),
+        ("v_max_fraction", math.nan, "v_max_fraction: nan is not of type 'number', 'null'"),
+        ("swarm_size", 2.5, "swarm_size: 2.5 is not of type 'integer'"),
+        ("max_iter", 5.0, "max_iter: 5.0 is not of type 'integer'"),
+        ("c1", True, "c1: True is not of type 'number'"),
+        ("boundary", "restrict", "boundary: 'restrict' is not one of ['restricted', 'none']"),
+    ])
+    def test_config_fields_checked_by_their_rules(self, field, value, message):
+        with pytest.raises(ContractViolation) as info:
+            PsoConfig(**{field: value})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"kind": "linaer"}, "kind: 'linaer' is not one of"),
+        ({"kind": "linear", "w_max": -0.1}, "w_max: -0.1 is less than the minimum of 0"),
+        ({"kind": "linear", "w_min": math.nan}, "w_min: nan is not of type 'number'"),
+    ])
+    def test_inertia_fields_checked_by_their_rules(self, kwargs, message):
+        from swarmclust.swarm import Inertia
+
+        with pytest.raises(ContractViolation, match=f"^{message}"):
+            Inertia(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        cfg = PsoConfig(c1=np.float64(1.5), swarm_size=np.int64(4), max_iter=np.int32(3))
+        assert cfg.swarm_size == 4
+
     def test_gbest_is_min_pbest(self):
         ds = tiny_dataset()
         swarm = init_swarm(None, 2, ds, PsoConfig(swarm_size=6), Rng(7),
