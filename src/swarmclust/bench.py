@@ -50,6 +50,7 @@ from .core import ContractViolation, Dataset, Rng, derive_seed
 from .data import (
     REGISTRY,
     SYNTHETIC_PARAMS,
+    SYNTHETIC_RULES,
     CsvSource,
     DatasetSpec,
     Expected,
@@ -123,14 +124,9 @@ CONFIG_SCHEMA = {
                         "additionalProperties": False,
                         "properties": {
                             "kind": {"enum": list(SYNTHETIC_PARAMS)},
-                            # values only, typed by their defaults: the keys
-                            # each kind takes are checked in parse_config
-                            "params": {"type": "object", "properties": {
-                                name: {"type": "integer", "minimum": 1}
-                                if isinstance(default, int) else {"type": "number"}
-                                for table in SYNTHETIC_PARAMS.values()
-                                for name, default in table.items()
-                            }},
+                            # values only: the keys each kind takes are
+                            # checked in parse_config
+                            "params": {"type": "object", "properties": SYNTHETIC_RULES},
                             "seed": {"type": "integer"},
                         },
                     },

@@ -1,5 +1,5 @@
 """Shared domain types and primitives: datasets, search bounds, assignments,
-seeded random streams, and the row splitter the distance kernels run on.
+seeded random streams, and the row-block driver the distance kernels run on.
 
 All floating point work is float64. Distances are computed and compared in
 squared form internally; square roots are taken only where the clustering
@@ -8,16 +8,18 @@ centers, on the N nearest distances alone (``sqrt`` is correctly rounded
 and monotone, so the square root of the minimum is the minimum of the
 square roots, bit for bit).
 
-The two N-sized kernels, subtractive densities and the batched SICD
-fitness, hand their rows to :func:`map_rows`, which cuts them into
-contiguous ranges and runs the ranges on ``KERNEL_WORKERS`` threads at once
-(numpy and scipy release the interpreter lock while they work). A range is
-computed exactly as it would be alone, row by row into its own slice of the
-output, so results are bit-identical whatever the thread count; each
-kernel divides its memory budget between the threads, so the bound on what
-it holds at once does not grow with them. The helper threads, and
-``concurrent.futures`` itself, are loaded by the first call that splits,
-so a process whose kernels all run inline never imports them.
+Threads and memory: the two N-sized kernels, subtractive densities and
+the batched SICD fitness, run on :func:`map_blocks`. It splits their rows
+into one contiguous range per ``KERNEL_WORKERS`` thread (:func:`map_rows`;
+a call under 2 * ``PARALLEL_MIN`` entries runs inline), and each thread
+takes its range in blocks within ``KERNEL_BLOCK`` float64 entries over all
+threads, reusing one scratch buffer for all its blocks, so a kernel holds
+about ``max(KERNEL_BLOCK, threads * one row's entries)`` of scratch at any
+N. Each row is computed whole, as it would be alone, into its own output
+slot, so results are bit-identical whatever the thread count and block
+size. numpy and scipy release the interpreter lock while they work. The
+helper threads, and ``concurrent.futures``, are loaded by the first call
+that splits, so a process whose kernels all run inline never imports them.
 
 Every distance those kernels and the nearest-center assignment compute
 goes through :func:`sqeuclidean`, an (m, d) x (n, d) -> (m, n) matrix of
@@ -279,6 +281,10 @@ KERNEL_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 # Fewest kernel entries (distances or kernel terms) worth a thread of their
 # own; a call of fewer than twice this many runs inline.
 PARALLEL_MIN = 1 << 16
+# Scratch entries a kernel call holds at once over all threads (float64,
+# 2 MB). At N = 4000 the densities take as long at 2^16 to 2^20 entries;
+# 2^17 held 0.6 MB less on large_n's fitness but ran its cells 3% slower.
+KERNEL_BLOCK = 1 << 18
 
 # (helper thread count, pool), made on first use
 _pool: Optional[tuple[int, ThreadPoolExecutor]] = None
@@ -348,3 +354,25 @@ def map_rows(fn: Callable[[int, int], None], n_rows: int, row_entries: int) -> N
         wait(futures)
     for future in futures:
         future.result()
+
+
+def map_blocks(fn: Callable[[int, int, np.ndarray], None], n_rows: int,
+               row_entries: int) -> None:
+    """Call ``fn(lo, hi, scratch)`` over blocks of rows covering ``[0, n_rows)``.
+
+    :func:`map_rows` splits the rows over the threads; each thread walks its
+    range in blocks of ``max(1, KERNEL_BLOCK // (threads * row_entries))``
+    rows, handing ``fn`` the first ``(hi - lo) * row_entries`` entries of
+    one flat float64 buffer that it reuses for every block. ``row_entries``
+    is the scratch one row needs; ``fn`` writes only rows ``lo:hi`` of its
+    outputs.
+    """
+    rows = max(1, KERNEL_BLOCK // (row_parts(n_rows, row_entries) * row_entries))
+
+    def blocks(lo: int, hi: int) -> None:
+        scratch = np.empty(min(rows, hi - lo) * row_entries)
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
+            fn(start, stop, scratch[: (stop - start) * row_entries])
+
+    map_rows(blocks, n_rows, row_entries)

@@ -20,7 +20,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import ContractViolation, Dataset, Rng
-from .schema import check_fields, rule
+from .schema import SchemaChecker, check_fields, rule
 
 DATA_DIR_ENV = "SWARMCLUST_DATA"
 
@@ -260,14 +260,21 @@ def denormalize(record: NormalizationRecord, points: np.ndarray) -> np.ndarray:
     return restored
 
 
-# Each synthetic kind's params and their defaults. A benchmark config's
-# values are typed by these defaults: integers of at least 1 where the
-# default is an int, numbers where it is a float.
+# Each synthetic kind's params and their defaults.
 SYNTHETIC_PARAMS = {
     "two_blob": {"n": 20, "d": 2, "sep": 10.0, "spread": 0.1},
     "grid": {"n": 24, "d": 2, "side": 2, "scale": 10.0, "spread": 0.1},
     "art_like": {"n": 60, "d": 2, "k": 3, "box": 10.0, "spread": 0.1},
 }
+# Each param's rule, typed by its defaults: an integer of at least 1 where
+# the default is an int, a number where it is a float. make_blobs and the
+# benchmark config schema both check params against it.
+SYNTHETIC_RULES = {
+    name: {"type": "integer", "minimum": 1} if isinstance(default, int) else {"type": "number"}
+    for table in SYNTHETIC_PARAMS.values()
+    for name, default in table.items()
+}
+_SYNTHETIC_CHECKER = SchemaChecker({"properties": SYNTHETIC_RULES})
 
 
 def make_blobs(kind: str, params: Optional[dict] = None, seed: int = 0) -> Dataset:
@@ -281,7 +288,9 @@ def make_blobs(kind: str, params: Optional[dict] = None, seed: int = 0) -> Datas
     Every kind shares ``n`` points in ``d`` dimensions among its blobs as
     evenly as it can, each blob with standard deviation ``spread``. Raises
     ContractViolation for an unknown kind or param and for fewer points
-    than blobs, before it builds any center.
+    than blobs, before it builds any center, and for a param that breaks
+    its rule in :data:`SYNTHETIC_RULES` (a float or bool where an integer
+    goes, say), naming the param.
     """
     if kind not in SYNTHETIC_PARAMS:
         raise ContractViolation(f"unknown synthetic kind {kind!r}")
@@ -290,6 +299,9 @@ def make_blobs(kind: str, params: Optional[dict] = None, seed: int = 0) -> Datas
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise ContractViolation(f"unknown params for {kind}: {unknown}")
+    found = _SYNTHETIC_CHECKER.best_error(params)
+    if found is not None:
+        raise ContractViolation(f"{'/'.join(map(str, found[0]))}: {found[1]}")
     p = {name: type(default)(params.get(name, default)) for name, default in defaults.items()}
     n, d = p["n"], p["d"]
     k = 2 if kind == "two_blob" else p["side"] ** d if kind == "grid" else p["k"]

@@ -20,6 +20,9 @@ fitness still equals the rejected one: the attempt would repeat the same
 arithmetic and be rejected again. An accepted attempt lowers the gbest
 fitness, so the next iteration always refines.
 
+The swarms' batched SICD fitness is one of the two N-sized kernels, whose
+threads and memory budget the ``swarmclust.core`` docstring describes.
+
 The two subtractive entry points take either a ``sub_config`` or a
 precomputed ``seeding`` (a :class:`~swarmclust.subtractive.SeedingResult`,
 which depends only on the dataset and the config): a benchmark grid seeds
@@ -174,12 +177,6 @@ def recompute_centroids(dataset: Dataset, assignment: Assignment) -> np.ndarray:
     return centroids
 
 
-# Distances the batched fitness holds at once over all its threads (float64
-# entries, 32 MB): a large swarm over a large dataset is evaluated in blocks
-# of rows.
-FITNESS_BLOCK = 1 << 22
-
-
 def _fitness_for(dataset: Dataset, k: int):
     """Batched SICD fitness: an (m, k*d) block of flattened centroid sets to
     the (m,) vector of their sums of nearest-center distances.
@@ -192,48 +189,41 @@ def _fitness_for(dataset: Dataset, k: int):
     minima are the same bits. Each row's sum runs over one contiguous
     length-N vector, so it is bit-identical to
     ``cdist(x, c).min(axis=1).sum()`` for that row alone.
-    Calls of at least 2 * ``PARALLEL_MIN`` distances split their rows over
-    the kernel threads (:func:`swarmclust.core.map_rows`), each thread
-    working in blocks within ``FITNESS_BLOCK // KERNEL_WORKERS`` distances;
-    a call that stays on one thread and fits one block, such as the
-    one-row refine, is computed in one go without setting up blocks.
-    ``KERNEL_WORKERS``, ``PARALLEL_MIN`` and ``FITNESS_BLOCK`` are read
-    when the closure is built to make that choice; it changes which path a
-    call takes, never its values."""
+    A row needs (k+1)*N scratch entries, distances and minima. A call that
+    :func:`swarmclust.core.map_blocks` would run as one block on one
+    thread, such as any one-row refine, is computed in one go; a larger one
+    runs on ``map_blocks``. ``KERNEL_WORKERS``, ``PARALLEL_MIN`` and
+    ``KERNEL_BLOCK`` are read when the closure is built to make that
+    choice; it changes which path a call takes, never its values."""
     x = dataset.points
     n, d = dataset.n, dataset.d
     kn = k * n
-    block = FITNESS_BLOCK
-    # m rows run inline exactly when core.row_parts(m, kn) == 1 and
-    # m * kn <= block: below 2 * PARALLEL_MIN distances (or on one worker)
-    # they stay on one thread, and one row always does.
-    inline_below = block + 1
+    row_entries = kn + n
+    # more rows than one run in one go below this many entries: one block
+    # on one thread (under 2 * PARALLEL_MIN entries, or one worker)
+    one_go_below = core.KERNEL_BLOCK + 1
     if core.KERNEL_WORKERS > 1:
-        inline_below = min(inline_below, 2 * core.PARALLEL_MIN)
+        one_go_below = min(one_go_below, 2 * core.PARALLEL_MIN)
     sqeuclidean = core.sqeuclidean
     min_reduce, add_reduce, sqrt = np.minimum.reduce, np.add.reduce, np.sqrt
 
     def fitness(positions: np.ndarray) -> np.ndarray:
         m = positions.shape[0]
-        if m * kn < inline_below or (m == 1 and kn <= block):
+        if m == 1 or m * row_entries < one_go_below:
             mins = min_reduce(sqeuclidean(positions.reshape(-1, d), x).reshape(m, k, n),
                               axis=1)
             return add_reduce(sqrt(mins, out=mins), axis=1)
         out = np.empty(m)
-        rows = max(1, block // (core.KERNEL_WORKERS * kn))
 
-        def fill(lo: int, hi: int) -> None:
-            dists = np.empty((min(rows, hi - lo) * k, n))
-            mins = np.empty((min(rows, hi - lo), n))
-            for start in range(lo, hi, rows):
-                stop = min(start + rows, hi)
-                block_d, block_m = dists[: (stop - start) * k], mins[: stop - start]
-                core.sqeuclidean(positions[start:stop].reshape(-1, d), x, out=block_d)
-                block_d.reshape(stop - start, k, n).min(axis=1, out=block_m)
-                np.sqrt(block_m, out=block_m)
-                block_m.sum(axis=1, out=out[start:stop])
+        def fill(lo: int, hi: int, scratch: np.ndarray) -> None:
+            dists = scratch[: (hi - lo) * kn].reshape(-1, n)
+            mins = scratch[(hi - lo) * kn:].reshape(hi - lo, n)
+            sqeuclidean(positions[lo:hi].reshape(-1, d), x, out=dists)
+            dists.reshape(hi - lo, k, n).min(axis=1, out=mins)
+            np.sqrt(mins, out=mins)
+            mins.sum(axis=1, out=out[lo:hi])
 
-        core.map_rows(fill, m, k * n)
+        core.map_blocks(fill, m, row_entries)
         return out
 
     return fitness

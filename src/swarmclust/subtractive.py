@@ -18,18 +18,11 @@ Selection is fully deterministic: argmax ties break toward the lowest point
 index and previously chosen rows are excluded from later picks.
 
 Memory and threads: the initial densities need all N^2 kernel terms, but
-never all at once. :func:`density_initial` hands its rows to
-:func:`swarmclust.core.map_rows`, which splits them into one contiguous
-range per thread (``KERNEL_WORKERS`` of them, or one range inline for
-N^2 < 2 * ``PARALLEL_MIN``). Each thread takes its range in blocks of
-``DENSITY_BLOCK // (N * KERNEL_WORKERS)`` rows (at least one), computes
-each block's kernel terms in its own reused (rows, N) buffer and sums them
-per row, so seeding holds ``DENSITY_BLOCK`` float64 entries in all plus
-O(N) beyond the data, whatever N and the thread count are. Each term is
-computed elementwise and each row is still summed as one contiguous
-length-N vector into its own slot, so the densities, and with them the
-picks, are bit-identical to building the whole N x N matrix on one thread.
-The kernel's time is still N^2, divided over the threads.
+never all at once. :func:`density_initial` runs on
+:func:`swarmclust.core.map_blocks` (the ``swarmclust.core`` docstring
+describes the threads and the memory budget), so seeding holds O(N) memory
+beyond the data at any N, with densities, and so picks, bit-identical to
+building the whole N x N matrix on one thread.
 """
 
 from __future__ import annotations
@@ -42,11 +35,6 @@ import numpy as np
 from . import core
 from .core import ContractViolation, Dataset, DegenerateInput
 from .schema import check_fields, rule
-
-# Kernel terms density_initial holds at once over all its threads (float64
-# entries, 2 MB). Block sizes from 2^16 to 2^20 time alike at N = 4000;
-# 2^22 is slower.
-DENSITY_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -114,41 +102,33 @@ def density_initial(dataset: Dataset, r_a: float) -> np.ndarray:
     """Initial density of every point: N^2 kernel evaluations, independent of
     dimensionality in term count.
 
-    The kernel matrix is never held whole. The rows are split over the
-    kernel threads (:func:`swarmclust.core.map_rows`); each thread takes its
-    range in blocks of ``max(1, DENSITY_BLOCK // (N * KERNEL_WORKERS))``
-    rows: a block's squared distances are written by
-    :func:`swarmclust.core.sqeuclidean` (scipy's compiled
-    ``cdist(..., "sqeuclidean")``) into the thread's reused (rows, N)
-    buffer, divided by ``-(r_a/2)**2`` and exponentiated in place, then
-    summed per row into the result. Memory beyond the input is about
-    ``max(DENSITY_BLOCK, N * KERNEL_WORKERS)`` float64 entries plus the N
-    densities. Dividing by the negated scale gives exactly the bits of
+    The kernel matrix is never held whole: over each block of rows that
+    :func:`swarmclust.core.map_blocks` hands it, the squared distances are
+    written by :func:`swarmclust.core.sqeuclidean` (scipy's compiled
+    ``cdist(..., "sqeuclidean")``) into the block's scratch, divided by
+    ``-(r_a/2)**2`` and exponentiated in place, then summed per row into
+    the result. Dividing by the negated scale gives exactly the bits of
     negating and then dividing (IEEE division is sign-symmetric), every
     term is elementwise, and each row is summed as one contiguous length-N
     vector, so the densities are bit-identical to
     ``np.exp(-cdist(x, x, "sqeuclidean") / (r_a/2)**2).sum(axis=1)``
     whatever the block size and thread count.
     """
-    if r_a <= 0:
+    if not r_a > 0:
         raise ContractViolation("r_a must be positive")
     x = dataset.points
     n = x.shape[0]
     scale = (r_a / 2.0) ** 2
-    rows = max(1, DENSITY_BLOCK // (n * core.KERNEL_WORKERS))
     densities = np.empty(n)
 
-    def fill(lo: int, hi: int) -> None:
-        buf = np.empty((min(rows, hi - lo), n))
-        for start in range(lo, hi, rows):
-            stop = min(start + rows, hi)
-            block = buf[: stop - start]
-            core.sqeuclidean(x[start:stop], x, out=block)
-            block /= -scale
-            np.exp(block, out=block)
-            block.sum(axis=1, out=densities[start:stop])
+    def fill(lo: int, hi: int, scratch: np.ndarray) -> None:
+        block = scratch.reshape(hi - lo, n)
+        core.sqeuclidean(x[lo:hi], x, out=block)
+        block /= -scale
+        np.exp(block, out=block)
+        block.sum(axis=1, out=densities[lo:hi])
 
-    core.map_rows(fill, n, n)
+    core.map_blocks(fill, n, n)
     return densities
 
 
@@ -164,7 +144,7 @@ def density_revise(
     The revised density at the center itself is exactly zero. Values may go
     negative and are not clamped.
     """
-    if r_b <= 0:
+    if not r_b > 0:
         raise ContractViolation("r_b must be positive")
     if not 0 <= center_index < dataset.n:
         raise ContractViolation(f"center_index {center_index} out of range")

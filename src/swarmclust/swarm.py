@@ -58,9 +58,11 @@ summation numpy does for a single particle, so a row's value is
 bit-identical to evaluating that particle alone. It takes the square root
 after the minimum over centers (N roots per row instead of k*N; the same
 bits, since ``sqrt`` is correctly rounded and monotone), and a call large
-enough to pay for it splits its rows over the kernel threads of
-:func:`swarmclust.core.map_rows`, each row still computed whole into its
-own slot, so the values do not depend on the thread count.
+enough to pay for it runs on :func:`swarmclust.core.map_blocks`, over the
+kernel threads and in blocks within one memory budget (the
+``swarmclust.core`` docstring describes both), each row still computed
+whole into its own slot, so the values do not depend on the thread count
+or the block size.
 """
 
 from __future__ import annotations

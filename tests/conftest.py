@@ -11,6 +11,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -58,3 +59,24 @@ def require_dataset(data_dir):
         return path
 
     return _require
+
+
+@pytest.fixture
+def traced_peak():
+    """``peak(fn)``: the most bytes held at once while ``fn()`` runs, beyond
+    what was held when it started, as tracemalloc counts them: Python
+    objects and numpy buffers, allocated by any thread."""
+    def _peak(fn) -> int:
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    return _peak

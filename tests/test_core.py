@@ -19,6 +19,7 @@ from swarmclust.core import (
     SearchBounds,
     bounds_of,
     derive_seed,
+    map_blocks,
     map_rows,
     row_parts,
 )
@@ -171,6 +172,61 @@ class TestMapRows:
         monkeypatch.setattr(core, "KERNEL_WORKERS", core.KERNEL_WORKERS)
         core.set_kernel_workers(0)
         assert core.KERNEL_WORKERS == 1
+
+
+class TestMapBlocks:
+    @staticmethod
+    def record(n_rows, row_entries):
+        """(lo, hi, scratch size, scratch address) of each block."""
+        calls = []
+        lock = threading.Lock()
+
+        def fn(lo, hi, scratch):
+            with lock:
+                calls.append((lo, hi, scratch.size, scratch.ctypes.data))
+
+        map_blocks(fn, n_rows, row_entries)
+        return sorted(calls)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows, row_entries, block", [
+        (1, 5, 1), (10, 5, 1), (10, 5, 20), (23, 4, 48), (100, 7, 7 * 100), (5, 3, 1 << 18),
+    ])
+    def test_blocks_cover_rows_within_the_budget(self, monkeypatch, workers, n_rows,
+                                                 row_entries, block):
+        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
+        monkeypatch.setattr(core, "PARALLEL_MIN", 1)
+        monkeypatch.setattr(core, "KERNEL_BLOCK", block)
+        calls = self.record(n_rows, row_entries)
+        assert calls[0][0] == 0 and calls[-1][1] == n_rows
+        assert all(hi == nxt for (_, hi, *_), (nxt, *_) in zip(calls, calls[1:]))
+        parts = row_parts(n_rows, row_entries)
+        rows = max(1, block // (parts * row_entries))
+        for lo, hi, size, _ in calls:
+            assert 1 <= hi - lo <= rows and size == (hi - lo) * row_entries
+        # the blocks of each thread's range (map_rows' edges) reuse one buffer
+        edges = [n_rows * i // parts for i in range(parts + 1)]
+        held = 0
+        for lo, hi in zip(edges, edges[1:]):
+            blocks = [c for c in calls if lo <= c[0] < hi]
+            assert blocks[-1][1] == hi
+            assert len({addr for *_, addr in blocks}) == 1
+            held += max(size for _, _, size, _ in blocks)
+        assert held <= max(block, parts * row_entries)
+
+    def test_writes_land_in_their_rows(self, monkeypatch):
+        monkeypatch.setattr(core, "KERNEL_WORKERS", 3)
+        monkeypatch.setattr(core, "PARALLEL_MIN", 1)
+        monkeypatch.setattr(core, "KERNEL_BLOCK", 8)
+        out = np.full(17, -1.0)
+
+        def fn(lo, hi, scratch):
+            block = scratch.reshape(hi - lo, 2)
+            block[:] = np.arange(lo, hi)[:, None]
+            block.sum(axis=1, out=out[lo:hi])
+
+        map_blocks(fn, 17, 2)
+        assert np.array_equal(out, 2.0 * np.arange(17))
 
 
 class TestSqeuclidean:

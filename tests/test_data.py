@@ -196,6 +196,25 @@ class TestMakeBlobs:
         with pytest.raises(ContractViolation):
             make_blobs("two_blob", {"wat": 1}, seed=0)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"n": 20.7, "d": 2.9}, "n: 20.7 is not of type 'integer'"),
+        ({"d": 2.0}, "d: 2.0 is not of type 'integer'"),
+        ({"n": True}, "n: True is not of type 'integer'"),
+        ({"n": 0}, "n: 0 is less than the minimum of 1"),
+        ({"sep": "10"}, "sep: '10' is not of type 'number'"),
+        ({"spread": float("nan")}, "spread: nan is not of type 'number'"),
+    ])
+    def test_param_breaking_its_rule_refused(self, params, message):
+        # the rule a config's params meet: never truncated to fit
+        with pytest.raises(ContractViolation) as info:
+            make_blobs("two_blob", params, seed=0)
+        assert str(info.value) == message
+
+    def test_numpy_and_int_values_accepted(self):
+        a = make_blobs("grid", {"n": np.int64(24), "side": np.int32(2), "scale": 10}, seed=1)
+        b = make_blobs("grid", {"n": 24, "side": 2, "scale": 10.0}, seed=1)
+        assert np.array_equal(a.points, b.points) and np.array_equal(a.labels, b.labels)
+
     def test_separated_blobs_optimally_clustered_without_error(self):
         # exhaustive over every 2-partition: the labeled split is optimal
         ds = make_blobs("two_blob", {"n": 12, "sep": 10.0, "spread": 0.1}, seed=3)

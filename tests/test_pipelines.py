@@ -62,14 +62,15 @@ class TestBatchedFitness:
         for i in range(m):
             assert batched[i] == cdist(x, positions[i].reshape(k, d)).min(axis=1).sum()
 
-    # k*N = 400 distances per row: blocks of 1, 2 and 4 rows over 9 rows
-    @pytest.mark.parametrize("block", [1, 800, 1600])
+    # (k+1)*N = 600 scratch entries per row: blocks of 1, 1, 2 and 4 rows
+    # over 9 rows, the first from a budget smaller than one row
+    @pytest.mark.parametrize("block", [1, 800, 1600, 2400])
     def test_blocked_rows_equal_one_call(self, monkeypatch, block):
         rng = Rng(5)
         ds = Dataset(points=rng.normal(size=(200, 3)))
         positions = rng.uniform(-2, 2, size=(9, 6))
         whole = _fitness_for(ds, 2)(positions)
-        monkeypatch.setattr(pipelines, "FITNESS_BLOCK", block)
+        monkeypatch.setattr(core, "KERNEL_BLOCK", block)
         assert np.array_equal(_fitness_for(ds, 2)(positions), whole)
 
 
@@ -95,15 +96,59 @@ class TestSplitFitness:
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_many_blocks_per_thread(self, monkeypatch, workers):
-        # k*N = 400 distances per row: 2 rows per block over 20 / workers rows
+        # (k+1)*N = 600 scratch entries per row: 2 rows per block over
+        # 20 / workers rows
         rng = Rng(8)
         ds = Dataset(points=rng.normal(size=(200, 3)))
         positions = rng.uniform(-2, 2, size=(20, 6))
         whole = _fitness_for(ds, 2)(positions)
         monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
         monkeypatch.setattr(core, "PARALLEL_MIN", 1)
-        monkeypatch.setattr(pipelines, "FITNESS_BLOCK", 800 * workers)
+        monkeypatch.setattr(core, "KERNEL_BLOCK", 1200 * workers)
         assert np.array_equal(_fitness_for(ds, 2)(positions), whole)
+
+
+class TestFitnessMemory:
+    """At N = 4000, k = 5 and m = 40 rows a fitness call runs in several
+    blocks per thread: it holds at most KERNEL_BLOCK scratch entries over
+    all its threads, plus O(N + m), and each row still equals the
+    lone-particle SICD."""
+
+    N, K, D, M = 4000, 5, 8, 40
+
+    def shape(self, workers):
+        rng = Rng(derive_seed(404, workers))
+        x = rng.uniform(0, 1, size=(self.N, self.D))
+        positions = rng.uniform(0, 1, size=(self.M, self.K * self.D))
+        return Dataset(points=x), positions
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_peak_within_the_budget(self, monkeypatch, traced_peak, workers):
+        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
+        ds, positions = self.shape(workers)
+        fitness = _fitness_for(ds, self.K)
+        fitness(positions)  # starts the helper threads before the trace
+        # the output, and 64 KiB for the call's Python objects
+        allowance = 8 * (self.N + self.M) + (64 << 10)
+        assert traced_peak(lambda: fitness(positions)) <= 8 * core.KERNEL_BLOCK + allowance
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_blocked_rows_equal_per_particle_sicd(self, monkeypatch, workers):
+        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
+        blocks = []
+        real = core.sqeuclidean
+
+        def counted(*args, **kwargs):
+            blocks.append(None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(core, "sqeuclidean", counted)
+        ds, positions = self.shape(workers)
+        batched = _fitness_for(ds, self.K)(positions)
+        assert len(blocks) >= 3 * core.row_parts(self.M, (self.K + 1) * self.N)
+        for i in range(self.M):
+            want = cdist(ds.points, positions[i].reshape(self.K, self.D)).min(axis=1).sum()
+            assert batched[i] == want
 
 
 def test_euclidean_is_sqrt_of_sqeuclidean():

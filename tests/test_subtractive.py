@@ -29,6 +29,11 @@ def line_dataset():
 
 
 class TestDensityInitial:
+    @pytest.mark.parametrize("r_a", [0.0, -1.0, math.nan])
+    def test_radius_not_positive_refused(self, r_a):
+        with pytest.raises(ContractViolation, match="r_a must be positive"):
+            density_initial(line_dataset(), r_a)
+
     def test_single_point_self_term(self):
         ds = Dataset(points=np.array([[4.2, -1.0]]))
         assert density_initial(ds, r_a=0.7)[0] == 1.0
@@ -55,8 +60,8 @@ class TestDensityInitial:
 
 
 class TestBlockedKernel:
-    """density_initial goes over the rows in blocks of DENSITY_BLOCK // N;
-    the result must not depend on where the block edges fall."""
+    """density_initial goes over the rows in blocks of KERNEL_BLOCK // N on
+    one thread; the result must not depend on where the block edges fall."""
 
     ROWS = 4
 
@@ -66,13 +71,13 @@ class TestBlockedKernel:
 
     @pytest.mark.parametrize("n", [1, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 3])
     def test_equals_full_matrix(self, n, monkeypatch):
-        monkeypatch.setattr(subtractive, "DENSITY_BLOCK", self.ROWS * n)
+        monkeypatch.setattr(core, "KERNEL_BLOCK", self.ROWS * n)
         pts = Rng(n).uniform(0, 1, size=(n, 3))
         assert np.array_equal(density_initial(Dataset(points=pts), 0.6),
                               self.full_matrix(pts, 0.6))
 
     def test_block_smaller_than_a_row(self, monkeypatch):
-        monkeypatch.setattr(subtractive, "DENSITY_BLOCK", 1)
+        monkeypatch.setattr(core, "KERNEL_BLOCK", 1)
         pts = Rng(5).uniform(0, 1, size=(9, 2))
         assert np.array_equal(density_initial(Dataset(points=pts), 0.5),
                               self.full_matrix(pts, 0.5))
@@ -82,7 +87,7 @@ class TestBlockedKernel:
         ds, _ = normalize_minmax(raw)
         cfg = SubtractiveConfig(stop_rule=DensityRatio(0.1))
         whole = select_centers(ds, cfg)
-        monkeypatch.setattr(subtractive, "DENSITY_BLOCK", 7 * ds.n)
+        monkeypatch.setattr(core, "KERNEL_BLOCK", 7 * ds.n)
         blocked = select_centers(ds, cfg)
         assert whole.k > 1
         assert np.array_equal(blocked.indices, whole.indices)
@@ -108,11 +113,24 @@ class TestSplitKernel:
     def test_many_blocks_per_thread(self, monkeypatch, workers):
         # 4 rows per block over 1000 / workers rows per thread
         monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
-        monkeypatch.setattr(subtractive, "DENSITY_BLOCK", 4 * 1000 * workers)
+        monkeypatch.setattr(core, "KERNEL_BLOCK", 4 * 1000 * workers)
         pts = Rng(11).uniform(0, 1, size=(1000, 3))
         assert core.row_parts(1000, 1000) == workers
         assert np.array_equal(density_initial(Dataset(points=pts), 0.4),
                               TestBlockedKernel.full_matrix(pts, 0.4))
+
+
+class TestDensityMemory:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_peak_within_the_budget(self, monkeypatch, traced_peak, workers):
+        # at most KERNEL_BLOCK kernel terms over all threads, plus the N
+        # densities and 64 KiB for the call's Python objects
+        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
+        n = 4000
+        ds = Dataset(points=Rng(n + workers).uniform(0, 1, size=(n, 8)))
+        density_initial(ds, 0.5)  # starts the helper threads before the trace
+        allowance = 8 * n + (64 << 10)
+        assert traced_peak(lambda: density_initial(ds, 0.5)) <= 8 * core.KERNEL_BLOCK + allowance
 
 
 class TestLargeN:
@@ -140,6 +158,13 @@ class TestLargeN:
 
 
 class TestDensityRevise:
+    @pytest.mark.parametrize("r_b", [0.0, -1.0, math.nan])
+    def test_radius_not_positive_refused(self, r_b):
+        ds = line_dataset()
+        d = density_initial(ds, 2.0)
+        with pytest.raises(ContractViolation, match="r_b must be positive"):
+            density_revise(d, 1, d[1], ds, r_b=r_b)
+
     def test_zero_at_center(self):
         ds = line_dataset()
         d = density_initial(ds, 2.0)
