@@ -35,6 +35,8 @@ by :func:`load_config` and the process pool (``multiprocessing``) by
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import platform
@@ -596,6 +598,15 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _csv_text(rows) -> str:
+    """``rows`` of text cells as CSV, one newline-ended line a row. A cell
+    holding a comma, a quote or a line break is quoted, so that names and
+    error messages keep their column; other cells are written as they are."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def emit_report(report: BenchReport, formats, out_dir) -> dict[str, Path]:
     """Write the requested report artifacts; returns format -> path."""
     unknown = set(formats) - set(EMIT_FORMATS)
@@ -617,7 +628,7 @@ def emit_report(report: BenchReport, formats, out_dir) -> dict[str, Path]:
             "error_percent", "iterations", "iterations_to_converge",
             "wall_ms", "error",
         ]
-        lines = [",".join(columns)]
+        rows = [columns]
         for rec in report.records:
             row = []
             for col in columns:
@@ -628,17 +639,17 @@ def emit_report(report: BenchReport, formats, out_dir) -> dict[str, Path]:
                     row.append(repr(value))
                 else:
                     row.append(str(value))
-            lines.append(",".join(row))
-        _write_atomic(path, "\n".join(lines) + "\n")
+            rows.append(row)
+        _write_atomic(path, _csv_text(rows))
         written["csv"] = path
 
     if "plot_data" in formats:
         path = out / "traces.csv"
-        lines = ["dataset,algorithm,rep,iteration,sicd"]
+        rows = [["dataset", "algorithm", "rep", "iteration", "sicd"]]
         for (dataset, algorithm, rep), trace in sorted(report.traces.items()):
             for i, value in enumerate(trace):
-                lines.append(f"{dataset},{algorithm},{rep},{i},{value!r}")
-        _write_atomic(path, "\n".join(lines) + "\n")
+                rows.append([dataset, algorithm, str(rep), str(i), repr(value)])
+        _write_atomic(path, _csv_text(rows))
         written["plot_data"] = path
 
     return written

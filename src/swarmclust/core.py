@@ -8,18 +8,26 @@ centers, on the N nearest distances alone (``sqrt`` is correctly rounded
 and monotone, so the square root of the minimum is the minimum of the
 square roots, bit for bit).
 
-Threads and memory: the two N-sized kernels, subtractive densities and
-the batched SICD fitness, run on :func:`map_blocks`. It splits their rows
-into one contiguous range per ``KERNEL_WORKERS`` thread (:func:`map_rows`;
-a call under 2 * ``PARALLEL_MIN`` entries runs inline), and each thread
-takes its range in blocks within ``KERNEL_BLOCK`` float64 entries over all
-threads, reusing one scratch buffer for all its blocks, so a kernel holds
-about ``max(KERNEL_BLOCK, threads * one row's entries)`` of scratch at any
-N. Each row is computed whole, as it would be alone, into its own output
-slot, so results are bit-identical whatever the thread count and block
-size. numpy and scipy release the interpreter lock while they work. The
-helper threads, and ``concurrent.futures``, are loaded by the first call
-that splits, so a process whose kernels all run inline never imports them.
+Threads and memory: the N-sized passes run on :func:`map_blocks`: the
+subtractive densities, the batched SICD fitness, the nearest-center
+assignment and the SICD of an assignment (the centroid update is one
+bincount over about 2.5 times the points). :func:`map_blocks` splits their rows into one
+contiguous range per ``KERNEL_WORKERS`` thread (:func:`map_rows`; a call
+under 2 * ``PARALLEL_MIN`` entries runs inline), and each thread takes its
+range in blocks within ``KERNEL_BLOCK`` float64 entries over all threads,
+reusing one scratch buffer for all its blocks. The assignment and the
+SICD take points as rows (2k and d + 1 entries each), and a fitness row
+larger than a thread's share of the budget is tiled over its points the
+same way (``swarmclust.pipelines``). So at any N a call holds
+``KERNEL_BLOCK`` entries of scratch, plus one length-N minima vector in a
+tiled fitness call. Only a density row, N entries, is never split:
+seeding at N above ``KERNEL_BLOCK`` holds one such row a thread. Each
+output entry is computed as it would be alone and each row's sum runs
+over one contiguous vector, so results are bit-identical whatever the
+thread count and block size. numpy and scipy release the interpreter lock
+while they work. The helper threads, and ``concurrent.futures``, are loaded
+by the first call that splits, so a process whose kernels all run inline
+never imports them.
 
 Every distance those kernels and the nearest-center assignment compute
 goes through :func:`sqeuclidean`, an (m, d) x (n, d) -> (m, n) matrix of
@@ -98,8 +106,9 @@ class Dataset:
                 raise ContractViolation(
                     f"labels must have length {pts.shape[0]}, got shape {lab.shape}"
                 )
-            present = np.unique(lab)
-            if present[0] != 0 or not np.array_equal(present, np.arange(len(present))):
+            # every value in [0, max] present; max < n keeps bincount small
+            # (np.unique would also load numpy.ma, which nothing else uses)
+            if lab.min() < 0 or lab.max() >= lab.size or not np.bincount(lab).all():
                 raise ContractViolation("labels must be 0-based contiguous integers")
             lab.setflags(write=False)
             object.__setattr__(self, "labels", lab)
@@ -354,6 +363,14 @@ def map_rows(fn: Callable[[int, int], None], n_rows: int, row_entries: int) -> N
         wait(futures)
     for future in futures:
         future.result()
+
+
+def one_block(n_rows: int, row_entries: int) -> bool:
+    """Whether :func:`map_blocks` would take ``n_rows`` rows of
+    ``row_entries`` entries as one block on the calling thread, within the
+    budget: a caller may then compute them in one go instead."""
+    entries = n_rows * row_entries
+    return entries <= KERNEL_BLOCK and (KERNEL_WORKERS == 1 or entries < 2 * PARALLEL_MIN)
 
 
 def map_blocks(fn: Callable[[int, int, np.ndarray], None], n_rows: int,

@@ -10,6 +10,10 @@ takes each cluster's plurality label. With unequal cluster and class counts
 the matching runs on the rectangular confusion matrix and every point of an
 unmatched cluster counts as misplaced.
 
+The cost of an assignment (:func:`sicd`) is an N-sized pass: past one
+block it runs on ``swarmclust.core.map_blocks`` over the points, within the
+memory budget the ``swarmclust.core`` docstring describes.
+
 The optimal matching is an exact Kuhn-Munkres solver in integer arithmetic
 (``_max_weight_matching``). It lives here rather than coming from
 ``scipy.optimize.linear_sum_assignment`` because that one small matching
@@ -26,6 +30,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from . import core
 from .core import Assignment, ContractViolation, Dataset
 
 
@@ -43,7 +48,13 @@ class EvaluationReport:
 
 
 def sicd(centroids: np.ndarray, assignment: Assignment, dataset: Dataset) -> float:
-    """Sum over clusters of member distances to the cluster's centroid."""
+    """Sum over clusters of member distances to the cluster's centroid.
+
+    The N distances are summed as one contiguous vector. A dataset larger
+    than one block on one thread (:func:`swarmclust.core.one_block`) fills
+    them on :func:`swarmclust.core.map_blocks` over the points, d + 1
+    scratch entries each, instead of holding the N x d differences at once;
+    each distance, and so the sum, is the same."""
     c = np.asarray(centroids, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != assignment.k or c.shape[1] != dataset.d:
         raise ContractViolation(
@@ -51,8 +62,26 @@ def sicd(centroids: np.ndarray, assignment: Assignment, dataset: Dataset) -> flo
         )
     if assignment.n != dataset.n:
         raise ContractViolation("assignment length differs from dataset size")
-    diffs = dataset.points - c[assignment.cluster_of]
-    return float(np.sqrt(np.einsum("ij,ij->i", diffs, diffs)).sum())
+    x, cluster_of = dataset.points, assignment.cluster_of
+    n, d = x.shape
+    if core.one_block(n, d):
+        diffs = x - c[cluster_of]
+        return float(np.sqrt(np.einsum("ij,ij->i", diffs, diffs)).sum())
+    dists = np.empty(n)
+
+    def fill(lo: int, hi: int, scratch: np.ndarray) -> None:
+        diffs = scratch[: (hi - lo) * d].reshape(hi - lo, d)
+        # take would copy the read-only indices itself; this copy stays
+        # within the scratch, and the indices are in [0, k) already
+        owner = scratch[(hi - lo) * d:].view(np.intp)
+        np.copyto(owner, cluster_of[lo:hi])
+        np.take(c, owner, axis=0, out=diffs, mode="clip")
+        np.subtract(x[lo:hi], diffs, out=diffs)
+        np.einsum("ij,ij->i", diffs, diffs, out=dists[lo:hi])
+        np.sqrt(dists[lo:hi], out=dists[lo:hi])
+
+    core.map_blocks(fill, n, d + 1)
+    return float(dists.sum())
 
 
 def confusion_matrix(assignment: Assignment, labels: np.ndarray) -> np.ndarray:
@@ -170,7 +199,10 @@ def error_rate(
 
 def stalled(prev: float, cur: float, rel_tol: float) -> bool:
     """True when the step from ``prev`` to ``cur`` improves the cost by less
-    than ``rel_tol`` relative to ``prev`` (absolute when ``prev`` is 0)."""
+    than ``rel_tol`` relative to ``prev`` (absolute when ``prev`` is 0).
+    The costs are taken as Python floats, whose arithmetic overflows to
+    infinity without numpy's RuntimeWarning (costs near +-1e308)."""
+    prev, cur = float(prev), float(cur)
     den = abs(prev)
     rel = (prev - cur) / den if den > 0 else (prev - cur)
     return rel < rel_tol

@@ -20,8 +20,13 @@ fitness still equals the rejected one: the attempt would repeat the same
 arithmetic and be rejected again. An accepted attempt lowers the gbest
 fitness, so the next iteration always refines.
 
-The swarms' batched SICD fitness is one of the two N-sized kernels, whose
-threads and memory budget the ``swarmclust.core`` docstring describes.
+The swarms' batched SICD fitness and the nearest-center assignment are
+N-sized passes, blocked on ``swarmclust.core.map_blocks`` within the
+threads and memory budget the ``swarmclust.core`` docstring describes: the
+fitness over rows, or over each row's points when one row is larger than a
+thread's share of the budget, and the assignment over points.
+``recompute_centroids`` is not blocked; its bincount holds about 2.5 times
+the points.
 
 The two subtractive entry points take either a ``sub_config`` or a
 precomputed ``seeding`` (a :class:`~swarmclust.subtractive.SeedingResult`,
@@ -136,15 +141,34 @@ def assign_nearest(dataset: Dataset, centroids: np.ndarray) -> Assignment:
     ``cdist(centroids, points, "sqeuclidean")``. They are the same squared
     distances as the N x k ones, each summed in the same order, and argmin
     keeps the first minimum down each column, so the picks are those of a
-    row-wise argmin over N x k."""
+    row-wise argmin over N x k. A call larger than one block on one thread
+    (:func:`swarmclust.core.one_block`) runs on
+    :func:`swarmclust.core.map_blocks` over the points, 2k scratch entries
+    each, so it never holds the whole k x N matrix; every pick is the
+    same."""
     c = np.asarray(centroids, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] < 1:
         raise ContractViolation("centroids must be a nonempty k x d matrix")
     if c.shape[1] != dataset.d:
         raise ContractViolation(
             f"centroids of shape {c.shape} do not fit points of shape {dataset.points.shape}")
-    nearest = np.argmin(core.sqeuclidean(c, dataset.points), axis=0)
-    return Assignment(nearest, k=c.shape[0])
+    x, k = dataset.points, c.shape[0]
+    n = x.shape[0]
+    if core.one_block(n, k):
+        return Assignment(np.argmin(core.sqeuclidean(c, x), axis=0), k=k)
+    nearest = np.empty(n, dtype=np.intp)
+
+    def pick(lo: int, hi: int, scratch: np.ndarray) -> None:
+        dists = scratch[: k * (hi - lo)].reshape(k, hi - lo)
+        core.sqeuclidean(c, x[lo:hi], out=dists)
+        # argmin reduces along the last axis, so it would copy the block
+        # point-major itself; this copy stays within the scratch
+        by_point = scratch[k * (hi - lo):].reshape(hi - lo, k)
+        np.copyto(by_point, dists.T)
+        np.argmin(by_point, axis=1, out=nearest[lo:hi])
+
+    core.map_blocks(pick, n, 2 * k)
+    return Assignment(nearest, k=k)
 
 
 def recompute_centroids(dataset: Dataset, assignment: Assignment) -> np.ndarray:
@@ -189,23 +213,47 @@ def _fitness_for(dataset: Dataset, k: int):
     minima are the same bits. Each row's sum runs over one contiguous
     length-N vector, so it is bit-identical to
     ``cdist(x, c).min(axis=1).sum()`` for that row alone.
-    A row needs (k+1)*N scratch entries, distances and minima. A call that
+
+    A row needs (k+1)*N scratch entries, distances and minima. When that
+    fits each thread's share of ``KERNEL_BLOCK``, a call that
     :func:`swarmclust.core.map_blocks` would run as one block on one
-    thread, such as any one-row refine, is computed in one go; a larger one
-    runs on ``map_blocks``. ``KERNEL_WORKERS``, ``PARALLEL_MIN`` and
-    ``KERNEL_BLOCK`` are read when the closure is built to make that
-    choice; it changes which path a call takes, never its values."""
+    thread, such as any one-row refine, is computed in one go, and a larger
+    one runs on ``map_blocks`` over rows. Otherwise every row is tiled: its
+    points run on ``map_blocks`` at k distances each, and each tile writes
+    its minima into the row's one length-N minima vector, which is then
+    rooted and summed as above. ``KERNEL_WORKERS``, ``PARALLEL_MIN`` and
+    ``KERNEL_BLOCK`` are read when the closure is built to make these
+    choices; they change which path a call takes, never its values."""
     x = dataset.points
     n, d = dataset.n, dataset.d
     kn = k * n
     row_entries = kn + n
+    sqeuclidean = core.sqeuclidean
+    min_reduce, add_reduce, sqrt = np.minimum.reduce, np.add.reduce, np.sqrt
+
+    if row_entries * core.KERNEL_WORKERS > core.KERNEL_BLOCK:
+        def tiled_fitness(positions: np.ndarray) -> np.ndarray:
+            out = np.empty(positions.shape[0])
+            mins = np.empty(n)
+            for i, row in enumerate(positions):
+                centers = row.reshape(k, d)
+
+                def fill(lo: int, hi: int, scratch: np.ndarray) -> None:
+                    dists = scratch.reshape(k, hi - lo)
+                    sqeuclidean(centers, x[lo:hi], out=dists)
+                    min_reduce(dists, axis=0, out=mins[lo:hi])
+
+                core.map_blocks(fill, n, k)
+                out[i] = add_reduce(sqrt(mins, out=mins))
+            return out
+
+        return tiled_fitness
+
     # more rows than one run in one go below this many entries: one block
     # on one thread (under 2 * PARALLEL_MIN entries, or one worker)
     one_go_below = core.KERNEL_BLOCK + 1
     if core.KERNEL_WORKERS > 1:
         one_go_below = min(one_go_below, 2 * core.PARALLEL_MIN)
-    sqeuclidean = core.sqeuclidean
-    min_reduce, add_reduce, sqrt = np.minimum.reduce, np.add.reduce, np.sqrt
 
     def fitness(positions: np.ndarray) -> np.ndarray:
         m = positions.shape[0]

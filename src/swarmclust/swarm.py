@@ -60,9 +60,9 @@ after the minimum over centers (N roots per row instead of k*N; the same
 bits, since ``sqrt`` is correctly rounded and monotone), and a call large
 enough to pay for it runs on :func:`swarmclust.core.map_blocks`, over the
 kernel threads and in blocks within one memory budget (the
-``swarmclust.core`` docstring describes both), each row still computed
-whole into its own slot, so the values do not depend on the thread count
-or the block size.
+``swarmclust.core`` docstring describes both), each row's minima still
+summed as one contiguous vector into its own slot, so the values do not
+depend on the thread count or the block size.
 """
 
 from __future__ import annotations

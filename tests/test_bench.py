@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import math
 import os
@@ -1011,6 +1012,35 @@ class TestEmitReport:
         lines = paths["csv"].read_text().strip().splitlines()
         assert len(lines) == len(report.records) + 1
 
+    def test_csv_cells_with_commas_keep_their_columns(self, tmp_path):
+        # a dataset name and a label with commas, and a failing cell whose
+        # error message has one
+        raw = two_datasets_config(1, [
+            {"id": "kmeans", "label": "k-means, k=2", "params": {"k": 2}},
+            {"id": "sc_br_apso", "params": {"k": 9}},
+        ])
+        raw["datasets"][0]["name"] = "two, blob"
+        report = run_grid(parse_config(raw))
+        failed = [r for r in report.records if r["status"] == "error"]
+        assert failed and all("," in r["error"] for r in failed)
+        paths = emit_report(report, ["csv", "plot_data"], tmp_path)
+        with open(paths["csv"], newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(header) == 12 and len(rows) == len(report.records)
+        for rec, row in zip(report.records, rows):
+            assert len(row) == 12
+            cells = dict(zip(header, row))
+            assert (cells["dataset"], cells["algorithm"]) == (rec["dataset"], rec["algorithm"])
+            assert cells["error"] == rec.get("error", "")
+            assert cells["sicd"] == (repr(rec["sicd"]) if "sicd" in rec else "")
+        with open(paths["plot_data"], newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        want = [[dataset, algorithm, str(rep), str(i), repr(value)]
+                for (dataset, algorithm, rep), trace in sorted(report.traces.items())
+                for i, value in enumerate(trace)]
+        assert header == ["dataset", "algorithm", "rep", "iteration", "sicd"] and rows == want
+        assert {row[0] for row in rows} == {"two, blob", "grid4"}
+
     def test_plot_data_has_full_traces(self, tmp_path):
         cfg = parse_config(fixture_config(reps=2))
         report = run_grid(cfg)
@@ -1023,7 +1053,8 @@ class TestEmitReport:
 def stripped_report(out):
     """The artifacts in ``out`` without their wall_ms fields and column."""
     report = strip_wall(json.loads((out / "report.json").read_text(encoding="utf-8")))
-    rows = [line.split(",") for line in (out / "records.csv").read_text().splitlines()]
+    with open(out / "records.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
     col = rows[0].index("wall_ms")
     return report, [row[:col] + row[col + 1:] for row in rows], (out / "traces.csv").read_bytes()
 

@@ -88,6 +88,29 @@ class TestDomainTypes:
         with pytest.raises(ContractViolation):
             Dataset(points=pts, labels=np.array([0, 2, 2]))
 
+    @pytest.mark.parametrize("labels", [
+        [0, -1, 1], [-1, -1, -1], [0, 2, 2], [1, 2, 3], [1, 1, 1], [0, 1, 3],
+    ], ids=["negative", "all negative", "gapped", "one-based", "no zero", "past n"])
+    def test_dataset_bad_labels_keep_their_message(self, labels):
+        with pytest.raises(ContractViolation) as info:
+            Dataset(points=np.zeros((3, 2)), labels=np.array(labels))
+        assert str(info.value) == "labels must be 0-based contiguous integers"
+
+    def test_huge_label_rejected_without_a_huge_count(self, traced_peak):
+        # a bare bincount of labels up to 2**40 would allocate 8 TB
+        pts = np.zeros((2, 1))
+
+        def load():
+            with pytest.raises(ContractViolation, match="0-based contiguous"):
+                Dataset(points=pts, labels=np.array([0, 2**40]))
+
+        assert traced_peak(load) < 64 << 10
+
+    def test_dataset_accepts_permuted_labels(self):
+        labels = np.array([2, 0, 3, 1, 0, 2, 3, 1, 4])
+        ds = Dataset(points=np.zeros((9, 1)), labels=labels)
+        assert ds.n_classes == 5 and np.array_equal(ds.labels, labels)
+
     def test_dataset_k_true_consistency(self):
         pts = np.zeros((4, 1))
         labels = np.array([0, 0, 1, 1])
@@ -227,6 +250,21 @@ class TestMapBlocks:
 
         map_blocks(fn, 17, 2)
         assert np.array_equal(out, 2.0 * np.arange(17))
+
+
+class TestOneBlock:
+    """one_block says whether map_blocks would take a call as one block on
+    the calling thread."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows, row_entries", [
+        (1, 1), (10, 5), (100, 7), (1000, 3), (4000, 6), (200_000, 2), (3, 100_000),
+    ])
+    def test_agrees_with_map_blocks(self, monkeypatch, workers, n_rows, row_entries):
+        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
+        calls = TestMapBlocks.record(n_rows, row_entries)
+        inline = len(calls) == 1 and calls[0][2] <= core.KERNEL_BLOCK
+        assert core.one_block(n_rows, row_entries) == inline
 
 
 class TestSqeuclidean:

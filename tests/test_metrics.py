@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swarmclust.core import Assignment, ContractViolation, Dataset, Rng
+from swarmclust import core
+from swarmclust.core import Assignment, ContractViolation, Dataset, Rng, derive_seed
 from swarmclust.metrics import (
     UnsupportedEvaluation,
     convergence_stats,
@@ -72,6 +73,26 @@ class TestSicd:
         ds = Dataset(points=np.array([[0.0], [1.0]]))
         a = Assignment(np.array([0, 0]), k=2)
         assert sicd(np.array([[0.5], [99.0]]), a, ds) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 5, 301, 1000])
+    def test_blocked_equals_one_go(self, monkeypatch, workers, n):
+        # d + 1 scratch entries a point: about three blocks of points
+        d, k = 3, 5
+        rng = Rng(derive_seed(61, workers, n))
+        ds = Dataset(points=rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0, size=d))
+        centroids = rng.normal(size=(k, d))
+        a = Assignment(rng.integers(0, k, size=n), k=k)
+        diffs = ds.points - centroids[a.cluster_of]
+        one_go = float(np.sqrt(np.einsum("ij,ij->i", diffs, diffs)).sum())
+        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
+        monkeypatch.setattr(core, "PARALLEL_MIN", 1)
+        monkeypatch.setattr(core, "KERNEL_BLOCK", (d + 1) * max(1, n // 3))
+        blocks = []
+        real = core.map_blocks
+        monkeypatch.setattr(core, "map_blocks", lambda *args: blocks.append(args) or real(*args))
+        assert sicd(centroids, a, ds) == one_go
+        assert blocks or n == 1
 
 
 class TestErrorRate:
@@ -214,7 +235,7 @@ class TestMaxWeightMatching:
 # and the config checker are in-house, PyYAML is imported by load_config
 # alone and the process pool by jobs above 1 alone.
 UNUSED_BY_A_RUN = ("scipy", "jsonschema", "referencing", "attr", "attrs", "rpds", "yaml",
-                   "multiprocessing", "concurrent.futures.process")
+                   "multiprocessing", "concurrent.futures.process", "numpy.ma")
 
 
 def run_fresh(code: str) -> str:

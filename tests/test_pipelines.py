@@ -151,6 +151,92 @@ class TestFitnessMemory:
             assert batched[i] == want
 
 
+def spy_sqeuclidean(monkeypatch):
+    """Sizes of the distance matrices core.sqeuclidean writes from now on."""
+    sizes = []
+    real = core.sqeuclidean
+
+    def spy(a, b, out=None):
+        sizes.append(a.shape[0] * b.shape[0])
+        return real(a, b, out=out)
+
+    monkeypatch.setattr(core, "sqeuclidean", spy)
+    return sizes
+
+
+class TestBlockedPasses:
+    """With KERNEL_BLOCK at about a third of the points' scratch entries,
+    every fitness row is tiled over its points (the one-row call too) and
+    the assignment splits over blocks of points, on 1-3 threads. Values and
+    picks must equal the unblocked ones, and no distance matrix may exceed
+    the budget."""
+
+    D, K = 3, 4
+
+    @staticmethod
+    def budget(monkeypatch, workers, block):
+        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
+        monkeypatch.setattr(core, "PARALLEL_MIN", 1)
+        monkeypatch.setattr(core, "KERNEL_BLOCK", block)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 5, 301, 1000])
+    @pytest.mark.parametrize("m", [1, 7])
+    def test_tiled_rows_equal_per_particle_sicd(self, monkeypatch, workers, n, m):
+        self.budget(monkeypatch, workers, self.K * max(1, n // 3))
+        rng = Rng(derive_seed(515, workers, n, m))
+        x = rng.normal(size=(n, self.D))
+        positions = rng.uniform(-2, 2, size=(m, self.K * self.D))
+        sizes = spy_sqeuclidean(monkeypatch)
+        batched = _fitness_for(Dataset(points=x), self.K)(positions)
+        assert max(sizes) <= core.KERNEL_BLOCK
+        assert len(sizes) >= m * min(n, 3)
+        for i in range(m):
+            assert batched[i] == cdist(x, positions[i].reshape(self.K, self.D)).min(axis=1).sum()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 5, 301, 1000])
+    def test_split_assignment_picks_the_first_minimum(self, monkeypatch, workers, n):
+        # 2k scratch entries a point: the distances and their point-major copy
+        k = 6
+        self.budget(monkeypatch, workers, 2 * k * max(1, n // 3))
+        rng = Rng(derive_seed(516, workers, n))
+        x = rng.integers(-3, 4, size=(n, self.D)).astype(np.float64)
+        centroids = rng.integers(-3, 4, size=(k, self.D)).astype(np.float64)
+        centroids[k // 2:] = centroids[:k // 2]  # exact ties go to the lower index
+        sizes = spy_sqeuclidean(monkeypatch)
+        picks = assign_nearest(Dataset(points=x), centroids).cluster_of
+        assert max(sizes) <= core.KERNEL_BLOCK
+        assert len(sizes) >= min(n, 3)
+        assert np.array_equal(picks, np.argmin(cdist(centroids, x, "sqeuclidean"), axis=0))
+
+
+class TestLargeNCellMemory:
+    """At N = 200 000, d = 2 and k = 16 no cell holds a k x N matrix or a
+    whole (k+1) x N fitness row: a brapso and a kmeans cell peak within
+    three times the points plus the kernel budget, on 1-3 threads."""
+
+    N, D, K = 200_000, 2, 16
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return Dataset(points=Rng(2000).uniform(0, 1, size=(self.N, self.D)))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("cell", ["brapso", "kmeans"])
+    def test_peak_within_the_budget(self, monkeypatch, traced_peak, dataset, workers, cell):
+        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
+        config = PsoConfig(inertia=exponential_normalized(0.9), boundary="restricted",
+                           max_iter=1, swarm_size=4)
+        runs = {
+            "brapso": lambda: run_brapso(dataset, self.K, config, Rng(3)),
+            "kmeans": lambda: run_kmeans(dataset, self.K, "random_points", Rng(3), 1),
+        }
+        runs[cell]()  # starts the helper threads before the trace
+        limit = 3 * dataset.points.nbytes + 8 * core.KERNEL_BLOCK
+        assert traced_peak(runs[cell]) <= limit
+
+
 def test_euclidean_is_sqrt_of_sqeuclidean():
     # The fitness takes square roots after the minimum over centers, which
     # equals cdist's euclidean only while scipy computes it as
