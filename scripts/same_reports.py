@@ -8,8 +8,9 @@ Each tree (TREE defaults to this checkout) runs ``bench run`` as
 ``python -m swarmclust.cli run`` in a fresh interpreter with
 ``PYTHONPATH=<tree>/src``: the ``fixtures`` preset at ``--jobs 1`` (twice
 into one directory, so that its report replaced an earlier one) and at
-``--jobs 2``, and a six-algorithm grid over iris and wine read from this
-checkout's ``data/``. The stripped artifacts (``perfbench/benchlib.py``,
+``--jobs 2``, a six-algorithm grid over iris and wine read from this
+checkout's ``data/``, and a grid on 60 000 synthetic points whose N-sized
+passes all run in several blocks (the other grids fit one). The stripped artifacts (``perfbench/benchlib.py``,
 ``strip_wall_ms``) are compared twice: TREE's fixtures reports at
 ``--jobs 1`` and ``--jobs 2`` with each other, and every run of TREE with
 the same run of BASE_TREE. The second comparison, and BASE_TREE's runs, are
@@ -44,6 +45,17 @@ IRIS_WINE = {
     "datasets": [{"registry": "iris"}, {"registry": "wine"}],
     "algorithms": [{"id": algo} for algo in (
         "kmeans", "pso", "kmeans_pso", "sub_pso", "brapso", "sc_br_apso")],
+}
+# (k+1)*N, 2k*N and (d+1)*N entries all exceed core.KERNEL_BLOCK: the fitness
+# rows are tiled, and the assignment and the SICD split over blocks of points
+LARGE_N = {
+    "base_seed": 2014,
+    "repetitions": 1,
+    "emit": ["json", "csv", "plot_data"],
+    "datasets": [{"name": "art_like_60k", "synthetic": {
+        "kind": "art_like", "seed": 5, "params": {"n": 60000, "d": 5, "k": 8}}}],
+    "algorithms": [{"id": "kmeans"}, *({"id": algo, "params": {"max_iter": 3}}
+                                       for algo in ("pso", "brapso"))],
 }
 
 
@@ -85,11 +97,12 @@ def main(argv: list) -> int:
     across = base_versions == tree_versions
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        grid = tmp / "iris_wine.yaml"
-        grid.write_text(json.dumps(IRIS_WINE))  # JSON is YAML
+        grids = {"iris_wine": IRIS_WINE, "large_n": LARGE_N}
+        for name, grid in grids.items():
+            (tmp / f"{name}.yaml").write_text(json.dumps(grid))  # JSON is YAML
         # name -> (config, --jobs, runs into its directory)
         runs = {"fixtures_jobs1": ("fixtures", 1, 2), "fixtures_jobs2": ("fixtures", 2, 1),
-                "iris_wine": (str(grid), 1, 1)}
+                **{name: (str(tmp / f"{name}.yaml"), 1, 1) for name in grids}}
         checkouts = {"tree": tree, **({"base": base} if across else {})}
         results = {}
         for label, checkout in checkouts.items():

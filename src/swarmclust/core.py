@@ -11,23 +11,25 @@ square roots, bit for bit).
 Threads and memory: the N-sized passes run on :func:`map_blocks`: the
 subtractive densities, the batched SICD fitness, the nearest-center
 assignment and the SICD of an assignment (the centroid update is one
-bincount over about 2.5 times the points). :func:`map_blocks` splits their rows into one
-contiguous range per ``KERNEL_WORKERS`` thread (:func:`map_rows`; a call
-under 2 * ``PARALLEL_MIN`` entries runs inline), and each thread takes its
-range in blocks within ``KERNEL_BLOCK`` float64 entries over all threads,
-reusing one scratch buffer for all its blocks. The assignment and the
-SICD take points as rows (2k and d + 1 entries each), and a fitness row
-larger than a thread's share of the budget is tiled over its points the
-same way (``swarmclust.pipelines``). So at any N a call holds
-``KERNEL_BLOCK`` entries of scratch, plus one length-N minima vector in a
-tiled fitness call. Only a density row, N entries, is never split:
-seeding at N above ``KERNEL_BLOCK`` holds one such row a thread. Each
-output entry is computed as it would be alone and each row's sum runs
-over one contiguous vector, so results are bit-identical whatever the
-thread count and block size. numpy and scipy release the interpreter lock
-while they work. The helper threads, and ``concurrent.futures``, are loaded
-by the first call that splits, so a process whose kernels all run inline
-never imports them.
+bincount over about twice the points). Each pass is one function
+``fn(lo, hi)`` that computes rows ``lo:hi`` of its output as one slice
+expression, allocating its own temporaries, and declares how many float64
+entries it holds per row, numpy's temporaries included. :func:`map_blocks`
+splits the rows into one contiguous range per ``KERNEL_WORKERS`` thread (a
+call under 2 * ``PARALLEL_MIN`` entries stays on the calling thread), and
+each thread walks its range in blocks of rows whose entries, over all
+threads, fit ``KERNEL_BLOCK``. The assignment and the SICD take points as
+rows (2k and d + 1 entries each), and a fitness row larger than a thread's
+share of the budget is tiled over its points the same way
+(``swarmclust.pipelines``). So at any N a call holds ``KERNEL_BLOCK``
+entries of temporaries, plus one length-N minima vector in a tiled fitness
+call. Only a density row, N entries, is never split: seeding at N above
+``KERNEL_BLOCK`` holds one such row a thread. Each output entry is computed
+as it would be alone and each row's sum runs over one contiguous vector,
+so results are bit-identical whatever the thread count and block size.
+numpy and scipy release the interpreter lock while they work. The helper
+threads, and ``concurrent.futures``, are loaded by the first call that
+splits, so a process whose kernels all run inline never imports them.
 
 Every distance those kernels and the nearest-center assignment compute
 goes through :func:`sqeuclidean`, an (m, d) x (n, d) -> (m, n) matrix of
@@ -290,9 +292,10 @@ KERNEL_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity
 # Fewest kernel entries (distances or kernel terms) worth a thread of their
 # own; a call of fewer than twice this many runs inline.
 PARALLEL_MIN = 1 << 16
-# Scratch entries a kernel call holds at once over all threads (float64,
-# 2 MB). At N = 4000 the densities take as long at 2^16 to 2^20 entries;
-# 2^17 held 0.6 MB less on large_n's fitness but ran its cells 3% slower.
+# Entries a kernel call's blocks hold at once over all threads (float64,
+# 2 MB), numpy's temporaries included. At N = 4000 the densities take as
+# long at 2^16 to 2^20 entries; 2^17 held 0.6 MB less on large_n's fitness
+# but ran its cells 3% slower.
 KERNEL_BLOCK = 1 << 18
 
 # (helper thread count, pool), made on first use
@@ -332,64 +335,47 @@ def _helper_pool() -> ThreadPoolExecutor:
 
 
 def row_parts(n_rows: int, row_entries: int) -> int:
-    """How many ranges :func:`map_rows` cuts ``n_rows`` rows of
+    """How many ranges :func:`map_blocks` splits ``n_rows`` rows of
     ``row_entries`` entries each into: one per ``PARALLEL_MIN`` entries, at
     most one per row and per ``KERNEL_WORKERS``, at least one."""
     return max(1, min(KERNEL_WORKERS, n_rows, n_rows * row_entries // PARALLEL_MIN))
 
 
-def map_rows(fn: Callable[[int, int], None], n_rows: int, row_entries: int) -> None:
-    """Call ``fn(lo, hi)`` over contiguous row ranges covering ``[0, n_rows)``.
+def map_blocks(fn: Callable[[int, int], None], n_rows: int, row_entries: int) -> None:
+    """Call ``fn(lo, hi)`` over blocks of rows covering ``[0, n_rows)``.
 
-    The ranges differ in length by at most one row. With one range
-    (:func:`row_parts`) ``fn`` runs inline; otherwise the calling thread
-    runs the last range while helper threads run the rest, and the call
-    returns once all are done, raising a range's error if one failed.
-    ``fn`` must write only its own rows' outputs and must not call
-    ``map_rows`` itself.
+    ``row_entries`` is the float64 entries ``fn`` holds per row, numpy's
+    own temporaries included. The rows are split into :func:`row_parts`
+    contiguous ranges that differ in length by at most one row, and each
+    range is walked in blocks of
+    ``max(1, KERNEL_BLOCK // (ranges * row_entries))`` rows, so the blocks
+    in flight hold at most ``KERNEL_BLOCK`` entries together (one row each
+    when a row alone is larger). The calling thread walks a lone range
+    itself, so a call that fits one block is a single ``fn(0, n_rows)``.
+    With more ranges it runs the last while helper threads run the rest,
+    and the call returns once all are done, raising a range's error if one
+    failed.
+    ``fn`` must write only rows ``lo:hi`` of its outputs and must not call
+    ``map_blocks`` itself.
     """
     parts = row_parts(n_rows, row_entries)
+    rows = max(1, KERNEL_BLOCK // (parts * row_entries))
+
+    def blocks(lo: int, hi: int) -> None:
+        for start in range(lo, hi, rows):
+            fn(start, min(start + rows, hi))
+
     if parts == 1:
-        fn(0, n_rows)
+        blocks(0, n_rows)
         return
     from concurrent.futures import wait
 
     edges = [n_rows * i // parts for i in range(parts + 1)]
     pool = _helper_pool()
-    futures = [pool.submit(fn, edges[i], edges[i + 1]) for i in range(parts - 1)]
+    futures = [pool.submit(blocks, edges[i], edges[i + 1]) for i in range(parts - 1)]
     try:
-        fn(edges[-2], edges[-1])
+        blocks(edges[-2], edges[-1])
     finally:
         wait(futures)
     for future in futures:
         future.result()
-
-
-def one_block(n_rows: int, row_entries: int) -> bool:
-    """Whether :func:`map_blocks` would take ``n_rows`` rows of
-    ``row_entries`` entries as one block on the calling thread, within the
-    budget: a caller may then compute them in one go instead."""
-    entries = n_rows * row_entries
-    return entries <= KERNEL_BLOCK and (KERNEL_WORKERS == 1 or entries < 2 * PARALLEL_MIN)
-
-
-def map_blocks(fn: Callable[[int, int, np.ndarray], None], n_rows: int,
-               row_entries: int) -> None:
-    """Call ``fn(lo, hi, scratch)`` over blocks of rows covering ``[0, n_rows)``.
-
-    :func:`map_rows` splits the rows over the threads; each thread walks its
-    range in blocks of ``max(1, KERNEL_BLOCK // (threads * row_entries))``
-    rows, handing ``fn`` the first ``(hi - lo) * row_entries`` entries of
-    one flat float64 buffer that it reuses for every block. ``row_entries``
-    is the scratch one row needs; ``fn`` writes only rows ``lo:hi`` of its
-    outputs.
-    """
-    rows = max(1, KERNEL_BLOCK // (row_parts(n_rows, row_entries) * row_entries))
-
-    def blocks(lo: int, hi: int) -> None:
-        scratch = np.empty(min(rows, hi - lo) * row_entries)
-        for start in range(lo, hi, rows):
-            stop = min(start + rows, hi)
-            fn(start, stop, scratch[: (stop - start) * row_entries])
-
-    map_rows(blocks, n_rows, row_entries)

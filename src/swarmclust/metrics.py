@@ -10,9 +10,9 @@ takes each cluster's plurality label. With unequal cluster and class counts
 the matching runs on the rectangular confusion matrix and every point of an
 unmatched cluster counts as misplaced.
 
-The cost of an assignment (:func:`sicd`) is an N-sized pass: past one
-block it runs on ``swarmclust.core.map_blocks`` over the points, within the
-memory budget the ``swarmclust.core`` docstring describes.
+The cost of an assignment (:func:`sicd`) is an N-sized pass: it runs on
+``swarmclust.core.map_blocks`` over the points, within the memory budget
+the ``swarmclust.core`` docstring describes.
 
 The optimal matching is an exact Kuhn-Munkres solver in integer arithmetic
 (``_max_weight_matching``). It lives here rather than coming from
@@ -50,11 +50,11 @@ class EvaluationReport:
 def sicd(centroids: np.ndarray, assignment: Assignment, dataset: Dataset) -> float:
     """Sum over clusters of member distances to the cluster's centroid.
 
-    The N distances are summed as one contiguous vector. A dataset larger
-    than one block on one thread (:func:`swarmclust.core.one_block`) fills
-    them on :func:`swarmclust.core.map_blocks` over the points, d + 1
-    scratch entries each, instead of holding the N x d differences at once;
-    each distance, and so the sum, is the same."""
+    The N distances are filled on :func:`swarmclust.core.map_blocks` over
+    the points, d + 1 entries each (a point's differences and its distance),
+    so a large dataset never holds the N x d differences at once, and then
+    summed as one contiguous vector; each distance, and so the sum, is the
+    same whatever the blocks."""
     c = np.asarray(centroids, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != assignment.k or c.shape[1] != dataset.d:
         raise ContractViolation(
@@ -64,18 +64,10 @@ def sicd(centroids: np.ndarray, assignment: Assignment, dataset: Dataset) -> flo
         raise ContractViolation("assignment length differs from dataset size")
     x, cluster_of = dataset.points, assignment.cluster_of
     n, d = x.shape
-    if core.one_block(n, d):
-        diffs = x - c[cluster_of]
-        return float(np.sqrt(np.einsum("ij,ij->i", diffs, diffs)).sum())
     dists = np.empty(n)
 
-    def fill(lo: int, hi: int, scratch: np.ndarray) -> None:
-        diffs = scratch[: (hi - lo) * d].reshape(hi - lo, d)
-        # take would copy the read-only indices itself; this copy stays
-        # within the scratch, and the indices are in [0, k) already
-        owner = scratch[(hi - lo) * d:].view(np.intp)
-        np.copyto(owner, cluster_of[lo:hi])
-        np.take(c, owner, axis=0, out=diffs, mode="clip")
+    def fill(lo: int, hi: int) -> None:
+        diffs = c[cluster_of[lo:hi]]
         np.subtract(x[lo:hi], diffs, out=diffs)
         np.einsum("ij,ij->i", diffs, diffs, out=dists[lo:hi])
         np.sqrt(dists[lo:hi], out=dists[lo:hi])
@@ -177,6 +169,9 @@ def error_rate(
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (assignment.n,):
         raise ContractViolation("labels length differs from assignment length")
+    if labels.min() < 0:
+        # a negative label would index the confusion matrix from its end
+        raise ContractViolation("labels must be nonnegative class ids")
     conf = confusion_matrix(assignment, labels)
 
     mapping: Dict[int, Optional[int]] = {i: None for i in range(assignment.k)}

@@ -21,12 +21,12 @@ arithmetic and be rejected again. An accepted attempt lowers the gbest
 fitness, so the next iteration always refines.
 
 The swarms' batched SICD fitness and the nearest-center assignment are
-N-sized passes, blocked on ``swarmclust.core.map_blocks`` within the
-threads and memory budget the ``swarmclust.core`` docstring describes: the
-fitness over rows, or over each row's points when one row is larger than a
-thread's share of the budget, and the assignment over points.
-``recompute_centroids`` is not blocked; its bincount holds about 2.5 times
-the points.
+N-sized passes on ``swarmclust.core.map_blocks``, within the threads and
+memory budget the ``swarmclust.core`` docstring describes: the fitness over
+rows, or over each row's points when one row is larger than a thread's
+share of the budget, and the assignment over points.
+``recompute_centroids`` is not blocked; its bincount holds about twice the
+points.
 
 The two subtractive entry points take either a ``sub_config`` or a
 precomputed ``seeding`` (a :class:`~swarmclust.subtractive.SeedingResult`,
@@ -141,11 +141,10 @@ def assign_nearest(dataset: Dataset, centroids: np.ndarray) -> Assignment:
     ``cdist(centroids, points, "sqeuclidean")``. They are the same squared
     distances as the N x k ones, each summed in the same order, and argmin
     keeps the first minimum down each column, so the picks are those of a
-    row-wise argmin over N x k. A call larger than one block on one thread
-    (:func:`swarmclust.core.one_block`) runs on
-    :func:`swarmclust.core.map_blocks` over the points, 2k scratch entries
-    each, so it never holds the whole k x N matrix; every pick is the
-    same."""
+    row-wise argmin over N x k. It runs on
+    :func:`swarmclust.core.map_blocks` over the points, 2k entries each (the
+    distances and the point-major copy argmin makes of them), so a large
+    call never holds the whole k x N matrix; every pick is the same."""
     c = np.asarray(centroids, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] < 1:
         raise ContractViolation("centroids must be a nonempty k x d matrix")
@@ -154,18 +153,10 @@ def assign_nearest(dataset: Dataset, centroids: np.ndarray) -> Assignment:
             f"centroids of shape {c.shape} do not fit points of shape {dataset.points.shape}")
     x, k = dataset.points, c.shape[0]
     n = x.shape[0]
-    if core.one_block(n, k):
-        return Assignment(np.argmin(core.sqeuclidean(c, x), axis=0), k=k)
     nearest = np.empty(n, dtype=np.intp)
 
-    def pick(lo: int, hi: int, scratch: np.ndarray) -> None:
-        dists = scratch[: k * (hi - lo)].reshape(k, hi - lo)
-        core.sqeuclidean(c, x[lo:hi], out=dists)
-        # argmin reduces along the last axis, so it would copy the block
-        # point-major itself; this copy stays within the scratch
-        by_point = scratch[k * (hi - lo):].reshape(hi - lo, k)
-        np.copyto(by_point, dists.T)
-        np.argmin(by_point, axis=1, out=nearest[lo:hi])
+    def pick(lo: int, hi: int) -> None:
+        np.argmin(core.sqeuclidean(c, x[lo:hi]), axis=0, out=nearest[lo:hi])
 
     core.map_blocks(pick, n, 2 * k)
     return Assignment(nearest, k=k)
@@ -180,10 +171,16 @@ def recompute_centroids(dataset: Dataset, assignment: Assignment) -> np.ndarray:
     repairs pick different points. Repairs run in ascending cluster order,
     and the centroid a repaired point leaves is not recomputed: it stays
     the mean of the cluster's original members, that point included.
+
+    The bincount holds about twice the points: the N*d bin of every
+    coordinate and an N-entry step towards it. The assignment is copied
+    only when a cluster is empty.
     """
+    if assignment.n != dataset.n:
+        raise ContractViolation("assignment length differs from dataset size")
     k, d = assignment.k, dataset.d
     x = dataset.points
-    cluster_of = assignment.cluster_of.copy()
+    cluster_of = assignment.cluster_of
     counts = np.bincount(cluster_of, minlength=k).astype(np.float64)
     # Entry (cluster c, column j) is bin c*d + j. bincount walks the points
     # in order, so each sum accumulates exactly as np.add.at would.
@@ -192,7 +189,10 @@ def recompute_centroids(dataset: Dataset, assignment: Assignment) -> np.ndarray:
     nonempty = counts > 0
     centroids[nonempty] /= counts[nonempty, None]
 
-    for i in np.flatnonzero(~nonempty):
+    empty = np.flatnonzero(~nonempty)
+    if empty.size:
+        cluster_of = cluster_of.copy()  # the repairs reassign points
+    for i in empty:
         diffs = x - centroids[cluster_of]
         dist_to_own = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
         farthest = int(np.argmax(dist_to_own))
@@ -214,20 +214,19 @@ def _fitness_for(dataset: Dataset, k: int):
     length-N vector, so it is bit-identical to
     ``cdist(x, c).min(axis=1).sum()`` for that row alone.
 
-    A row needs (k+1)*N scratch entries, distances and minima. When that
-    fits each thread's share of ``KERNEL_BLOCK``, a call that
-    :func:`swarmclust.core.map_blocks` would run as one block on one
-    thread, such as any one-row refine, is computed in one go, and a larger
-    one runs on ``map_blocks`` over rows. Otherwise every row is tiled: its
-    points run on ``map_blocks`` at k distances each, and each tile writes
-    its minima into the row's one length-N minima vector, which is then
-    rooted and summed as above. ``KERNEL_WORKERS``, ``PARALLEL_MIN`` and
+    A row holds (k+1)*N entries, distances and minima. When that fits each
+    thread's share of ``KERNEL_BLOCK``, the rows run on
+    :func:`swarmclust.core.map_blocks`; a call it would run as one block on
+    one thread, such as any one-row refine, is computed directly, skipping
+    the driver's per-call cost. Otherwise every row is tiled: its points run
+    on ``map_blocks`` at k distances each, and each tile writes its minima
+    into the row's one length-N minima vector, which is then rooted and
+    summed as above. ``KERNEL_WORKERS``, ``PARALLEL_MIN`` and
     ``KERNEL_BLOCK`` are read when the closure is built to make these
     choices; they change which path a call takes, never its values."""
     x = dataset.points
     n, d = dataset.n, dataset.d
-    kn = k * n
-    row_entries = kn + n
+    row_entries = (k + 1) * n
     sqeuclidean = core.sqeuclidean
     min_reduce, add_reduce, sqrt = np.minimum.reduce, np.add.reduce, np.sqrt
 
@@ -238,10 +237,8 @@ def _fitness_for(dataset: Dataset, k: int):
             for i, row in enumerate(positions):
                 centers = row.reshape(k, d)
 
-                def fill(lo: int, hi: int, scratch: np.ndarray) -> None:
-                    dists = scratch.reshape(k, hi - lo)
-                    sqeuclidean(centers, x[lo:hi], out=dists)
-                    min_reduce(dists, axis=0, out=mins[lo:hi])
+                def fill(lo: int, hi: int) -> None:
+                    min_reduce(sqeuclidean(centers, x[lo:hi]), axis=0, out=mins[lo:hi])
 
                 core.map_blocks(fill, n, k)
                 out[i] = add_reduce(sqrt(mins, out=mins))
@@ -263,13 +260,10 @@ def _fitness_for(dataset: Dataset, k: int):
             return add_reduce(sqrt(mins, out=mins), axis=1)
         out = np.empty(m)
 
-        def fill(lo: int, hi: int, scratch: np.ndarray) -> None:
-            dists = scratch[: (hi - lo) * kn].reshape(-1, n)
-            mins = scratch[(hi - lo) * kn:].reshape(hi - lo, n)
-            sqeuclidean(positions[lo:hi].reshape(-1, d), x, out=dists)
-            dists.reshape(hi - lo, k, n).min(axis=1, out=mins)
-            np.sqrt(mins, out=mins)
-            mins.sum(axis=1, out=out[lo:hi])
+        def fill(lo: int, hi: int) -> None:
+            mins = min_reduce(sqeuclidean(positions[lo:hi].reshape(-1, d), x)
+                              .reshape(hi - lo, k, n), axis=1)
+            add_reduce(sqrt(mins, out=mins), axis=1, out=out[lo:hi])
 
         core.map_blocks(fill, m, row_entries)
         return out

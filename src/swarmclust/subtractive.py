@@ -102,12 +102,11 @@ def density_initial(dataset: Dataset, r_a: float) -> np.ndarray:
     """Initial density of every point: N^2 kernel evaluations, independent of
     dimensionality in term count.
 
-    The kernel matrix is never held whole: over each block of rows that
-    :func:`swarmclust.core.map_blocks` hands it, the squared distances are
-    written by :func:`swarmclust.core.sqeuclidean` (scipy's compiled
-    ``cdist(..., "sqeuclidean")``) into the block's scratch, divided by
-    ``-(r_a/2)**2`` and exponentiated in place, then summed per row into
-    the result. Dividing by the negated scale gives exactly the bits of
+    The kernel matrix is never held whole: for each block of rows that
+    :func:`swarmclust.core.map_blocks` hands it, the block's squared
+    distances come from :func:`swarmclust.core.sqeuclidean` (scipy's
+    compiled ``cdist(..., "sqeuclidean")``), are divided by ``-(r_a/2)**2``
+    and exponentiated in place, then summed per row into the result. Dividing by the negated scale gives exactly the bits of
     negating and then dividing (IEEE division is sign-symmetric), every
     term is elementwise, and each row is summed as one contiguous length-N
     vector, so the densities are bit-identical to
@@ -121,9 +120,8 @@ def density_initial(dataset: Dataset, r_a: float) -> np.ndarray:
     scale = (r_a / 2.0) ** 2
     densities = np.empty(n)
 
-    def fill(lo: int, hi: int, scratch: np.ndarray) -> None:
-        block = scratch.reshape(hi - lo, n)
-        core.sqeuclidean(x[lo:hi], x, out=block)
+    def fill(lo: int, hi: int) -> None:
+        block = core.sqeuclidean(x[lo:hi], x)
         block /= -scale
         np.exp(block, out=block)
         block.sum(axis=1, out=densities[lo:hi])

@@ -52,17 +52,9 @@ stream.
 Fitness is batched: ``fitness(positions)`` maps an (m, k*d) block of
 positions to an (m,) vector, lower is better. The engine makes one call per
 init and one per step, and updates pbest and gbest only after it returns.
-The SICD fitness built in :mod:`swarmclust.pipelines` sums each row's N
-nearest-center distances as one contiguous length-N vector, the same
-summation numpy does for a single particle, so a row's value is
-bit-identical to evaluating that particle alone. It takes the square root
-after the minimum over centers (N roots per row instead of k*N; the same
-bits, since ``sqrt`` is correctly rounded and monotone), and a call large
-enough to pay for it runs on :func:`swarmclust.core.map_blocks`, over the
-kernel threads and in blocks within one memory budget (the
-``swarmclust.core`` docstring describes both), each row's minima still
-summed as one contiguous vector into its own slot, so the values do not
-depend on the thread count or the block size.
+The SICD fitness built in :mod:`swarmclust.pipelines` gives each row the
+value of evaluating that particle alone, bit for bit, whatever the batch,
+thread count or block size.
 """
 
 from __future__ import annotations

@@ -919,7 +919,7 @@ class TestRunGrid:
     def test_grid_workers_share_the_cpus(self, monkeypatch, workers, jobs, threads):
         monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
         monkeypatch.setattr(core, "PARALLEL_MIN", 1)
-        core.map_rows(lambda lo, hi: None, workers, 1)  # starts the parent's pool
+        core.map_blocks(lambda lo, hi: None, workers, 1)  # starts the parent's pool
         assert core._pool is not None
         with bench._process_pool(jobs) as pool:
             assert pool.submit(_kernel_state).result(timeout=60) == (threads, True)

@@ -20,7 +20,6 @@ from swarmclust.core import (
     bounds_of,
     derive_seed,
     map_blocks,
-    map_rows,
     row_parts,
 )
 from swarmclust.data import make_blobs, normalize_minmax
@@ -134,9 +133,10 @@ class TestDomainTypes:
         assert a.n == 3
 
 
-class TestMapRows:
+class TestMapBlocks:
     @staticmethod
     def record(n_rows, row_entries):
+        """(lo, hi, thread) of each block, in row order."""
         calls = []
         lock = threading.Lock()
 
@@ -144,7 +144,7 @@ class TestMapRows:
             with lock:
                 calls.append((lo, hi, threading.get_ident()))
 
-        map_rows(fn, n_rows, row_entries)
+        map_blocks(fn, n_rows, row_entries)
         return sorted(calls)
 
     def test_small_call_runs_inline_once(self, monkeypatch):
@@ -153,22 +153,49 @@ class TestMapRows:
         assert row_parts(1, entries) == 1
         assert self.record(1, entries) == [(0, 1, threading.get_ident())]
 
-    @pytest.mark.parametrize("workers, n_rows, parts", [
-        (1, 1000, 1), (2, 1000, 2), (3, 7, 3), (3, 2, 2), (4, 1000, 4),
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n_rows, row_entries", [
+        (1, 1), (10, 5), (100, 7), (1000, 3), (4000, 6), (200_000, 2), (3, 100_000),
     ])
-    def test_ranges_cover_rows_contiguously(self, monkeypatch, workers, n_rows, parts):
+    def test_single_call_exactly_when_it_fits_one_thread(self, monkeypatch, workers, n_rows,
+                                                       row_entries):
+        # within the budget, and on one worker or under 2 * PARALLEL_MIN entries
+        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
+        entries = n_rows * row_entries
+        fits = entries <= core.KERNEL_BLOCK and (workers == 1 or entries < 2 * core.PARALLEL_MIN)
+        calls = self.record(n_rows, row_entries)
+        assert (calls == [(0, n_rows, threading.get_ident())]) == fits
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n_rows, row_entries, block", [
+        (1, 5, 1), (10, 5, 1), (10, 5, 20), (23, 4, 48), (100, 7, 7 * 100), (5, 3, 1 << 18),
+        (2, 1, 1 << 18), (7, 1, 1 << 18), (1000, 1, 1 << 18),
+    ])
+    def test_blocks_cover_rows_within_the_budget(self, monkeypatch, workers, n_rows,
+                                                 row_entries, block):
         monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
         monkeypatch.setattr(core, "PARALLEL_MIN", 1)
-        calls = self.record(n_rows, 1)
-        assert len(calls) == parts
-        edges = [lo for lo, _, _ in calls] + [calls[-1][1]]
-        assert edges[0] == 0 and edges[-1] == n_rows
+        monkeypatch.setattr(core, "KERNEL_BLOCK", block)
+        calls = self.record(n_rows, row_entries)
+        assert calls[0][0] == 0 and calls[-1][1] == n_rows
         assert all(hi == nxt for (_, hi, _), (nxt, _, _) in zip(calls, calls[1:]))
-        sizes = [hi - lo for lo, hi, _ in calls]
+        parts = row_parts(n_rows, row_entries)
+        assert parts == min(workers, n_rows)
+        rows = max(1, block // (parts * row_entries))
+        assert all(1 <= hi - lo <= rows for lo, hi, _ in calls)
+        # one range per thread, differing by at most one row; the caller
+        # takes the last range, helper threads the others
+        edges = [n_rows * i // parts for i in range(parts + 1)]
+        sizes = [hi - lo for lo, hi in zip(edges, edges[1:])]
         assert max(sizes) - min(sizes) <= 1
-        # the caller takes the last range, helper threads the others
-        assert calls[-1][2] == threading.get_ident()
-        assert all(ident != threading.get_ident() for _, _, ident in calls[:-1])
+        held = 0
+        for i, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            blocks = [c for c in calls if lo <= c[0] < hi]
+            assert blocks[-1][1] == hi
+            caller = i == parts - 1
+            assert all((ident == threading.get_ident()) == caller for *_, ident in blocks)
+            held += max(b - a for a, b, _ in blocks) * row_entries
+        assert held <= max(block, parts * row_entries)
 
     def test_parts_need_parallel_min_entries_each(self, monkeypatch):
         monkeypatch.setattr(core, "KERNEL_WORKERS", 8)
@@ -188,54 +215,8 @@ class TestMapRows:
             done.append(lo)
 
         with pytest.raises(ZeroDivisionError):
-            map_rows(fn, 3, 1)
+            map_blocks(fn, 3, 1)
         assert sorted(done) == sorted({0, 1, 2} - {failing})
-
-    def test_set_kernel_workers_floor_is_one(self, monkeypatch):
-        monkeypatch.setattr(core, "KERNEL_WORKERS", core.KERNEL_WORKERS)
-        core.set_kernel_workers(0)
-        assert core.KERNEL_WORKERS == 1
-
-
-class TestMapBlocks:
-    @staticmethod
-    def record(n_rows, row_entries):
-        """(lo, hi, scratch size, scratch address) of each block."""
-        calls = []
-        lock = threading.Lock()
-
-        def fn(lo, hi, scratch):
-            with lock:
-                calls.append((lo, hi, scratch.size, scratch.ctypes.data))
-
-        map_blocks(fn, n_rows, row_entries)
-        return sorted(calls)
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("n_rows, row_entries, block", [
-        (1, 5, 1), (10, 5, 1), (10, 5, 20), (23, 4, 48), (100, 7, 7 * 100), (5, 3, 1 << 18),
-    ])
-    def test_blocks_cover_rows_within_the_budget(self, monkeypatch, workers, n_rows,
-                                                 row_entries, block):
-        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
-        monkeypatch.setattr(core, "PARALLEL_MIN", 1)
-        monkeypatch.setattr(core, "KERNEL_BLOCK", block)
-        calls = self.record(n_rows, row_entries)
-        assert calls[0][0] == 0 and calls[-1][1] == n_rows
-        assert all(hi == nxt for (_, hi, *_), (nxt, *_) in zip(calls, calls[1:]))
-        parts = row_parts(n_rows, row_entries)
-        rows = max(1, block // (parts * row_entries))
-        for lo, hi, size, _ in calls:
-            assert 1 <= hi - lo <= rows and size == (hi - lo) * row_entries
-        # the blocks of each thread's range (map_rows' edges) reuse one buffer
-        edges = [n_rows * i // parts for i in range(parts + 1)]
-        held = 0
-        for lo, hi in zip(edges, edges[1:]):
-            blocks = [c for c in calls if lo <= c[0] < hi]
-            assert blocks[-1][1] == hi
-            assert len({addr for *_, addr in blocks}) == 1
-            held += max(size for _, _, size, _ in blocks)
-        assert held <= max(block, parts * row_entries)
 
     def test_writes_land_in_their_rows(self, monkeypatch):
         monkeypatch.setattr(core, "KERNEL_WORKERS", 3)
@@ -243,28 +224,17 @@ class TestMapBlocks:
         monkeypatch.setattr(core, "KERNEL_BLOCK", 8)
         out = np.full(17, -1.0)
 
-        def fn(lo, hi, scratch):
-            block = scratch.reshape(hi - lo, 2)
-            block[:] = np.arange(lo, hi)[:, None]
+        def fn(lo, hi):
+            block = np.repeat(np.arange(lo, hi, dtype=np.float64)[:, None], 2, axis=1)
             block.sum(axis=1, out=out[lo:hi])
 
         map_blocks(fn, 17, 2)
         assert np.array_equal(out, 2.0 * np.arange(17))
 
-
-class TestOneBlock:
-    """one_block says whether map_blocks would take a call as one block on
-    the calling thread."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize("n_rows, row_entries", [
-        (1, 1), (10, 5), (100, 7), (1000, 3), (4000, 6), (200_000, 2), (3, 100_000),
-    ])
-    def test_agrees_with_map_blocks(self, monkeypatch, workers, n_rows, row_entries):
-        monkeypatch.setattr(core, "KERNEL_WORKERS", workers)
-        calls = TestMapBlocks.record(n_rows, row_entries)
-        inline = len(calls) == 1 and calls[0][2] <= core.KERNEL_BLOCK
-        assert core.one_block(n_rows, row_entries) == inline
+    def test_set_kernel_workers_floor_is_one(self, monkeypatch):
+        monkeypatch.setattr(core, "KERNEL_WORKERS", core.KERNEL_WORKERS)
+        core.set_kernel_workers(0)
+        assert core.KERNEL_WORKERS == 1
 
 
 class TestSqeuclidean:

@@ -121,6 +121,12 @@ class TestErrorRate:
         with pytest.raises(UnsupportedEvaluation):
             error_rate(a, None)
 
+    def test_negative_labels_are_a_contract_violation(self):
+        # numpy would count -1 as the last class instead
+        a = Assignment(np.array([0, 1, 0, 1]), k=2)
+        with pytest.raises(ContractViolation, match="nonnegative"):
+            error_rate(a, np.array([-1, 0, 1, 1]))
+
     def test_relabeling_recovers_zero(self):
         rng = Rng(5)
         labels = rng.integers(0, 3, size=30)

@@ -385,6 +385,20 @@ class TestRecomputeCentroids:
         assert centroids[0][0] == pytest.approx(10.0 / 3.0)
         assert centroids[1][0] == 9.0  # the point farthest from its centroid
 
+    def test_length_mismatch_is_a_contract_violation(self):
+        ds = Dataset(points=np.arange(6.0).reshape(3, 2))
+        with pytest.raises(ContractViolation, match="assignment length differs"):
+            recompute_centroids(ds, Assignment(np.array([0, 1]), k=2))
+
+    def test_peak_without_empty_clusters(self, traced_peak):
+        # the N*d bins and the N-entry step towards them, no copy of the
+        # assignment: twice the points at d = 2
+        n, d, k = 200_000, 2, 16
+        rng = Rng(2001)
+        ds = Dataset(points=rng.uniform(0, 1, size=(n, d)))
+        a = Assignment(np.arange(n) % k, k=k)
+        assert traced_peak(lambda: recompute_centroids(ds, a)) <= 2.25 * ds.points.nbytes
+
 
 class TestRunKmeans:
     def test_k_equals_n_zero_cost(self):
