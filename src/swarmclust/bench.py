@@ -51,8 +51,6 @@ from . import __version__, core, pipelines
 from .core import ContractViolation, Dataset, Rng, derive_seed
 from .data import (
     REGISTRY,
-    SYNTHETIC_PARAMS,
-    SYNTHETIC_RULES,
     CsvSource,
     DatasetSpec,
     Expected,
@@ -120,18 +118,8 @@ CONFIG_SCHEMA = {
                     "name": {"type": "string"},
                     "normalize": {"type": "boolean"},
                     "csv": _mapping_of(CsvSource),
-                    "synthetic": {
-                        "type": "object",
-                        "required": ["kind"],
-                        "additionalProperties": False,
-                        "properties": {
-                            "kind": {"enum": list(SYNTHETIC_PARAMS)},
-                            # values only: the keys each kind takes are
-                            # checked in parse_config
-                            "params": {"type": "object", "properties": SYNTHETIC_RULES},
-                            "seed": {"type": "integer"},
-                        },
-                    },
+                    # values only: SyntheticSource checks the keys each kind takes
+                    "synthetic": _mapping_of(SyntheticSource),
                     "expected": _mapping_of(Expected),
                 },
             },
@@ -157,12 +145,11 @@ CONFIG_SCHEMA = {
                             **field_rules(PsoConfig), **field_rules(SubtractiveConfig),
                             **field_rules(DensityRatio), **field_rules(FixedK),
                             "inertia": {
+                                **_mapping_of(Inertia),
                                 "type": ["string", "object"],
                                 # an enum beside the type would reject mappings
                                 "if": {"type": "string"},
                                 "then": {"enum": list(INERTIA_KINDS)},
-                                "required": ["kind"],
-                                "properties": field_rules(Inertia),
                             },
                             "kmeans_max_iter": {"type": "integer", "minimum": 1},
                             "stop": {"type": "string", "enum": list(STOP_RULES)},
@@ -228,7 +215,7 @@ def parse_config(raw: dict) -> BenchConfig:
         raise ConfigError(f"config invalid at {where}: {message}")
     for i, entry in enumerate(raw["algorithms"]):
         params = entry.get("params", {})
-        unknown = ALGORITHMS[entry["id"]].unknown_params(params)
+        unknown = sorted(set(params) - ALGORITHMS[entry["id"]].param_names)
         if unknown:
             raise ConfigError(
                 f"config invalid at algorithms/{i}/params: unknown keys {unknown}"
@@ -269,12 +256,10 @@ def parse_config(raw: dict) -> BenchConfig:
             if "csv" in entry:
                 source = _from_mapping(CsvSource, entry["csv"])
             else:
-                source = _from_mapping(SyntheticSource, entry["synthetic"])
-                unknown = sorted(set(source.params) - set(SYNTHETIC_PARAMS[source.kind]))
-                if unknown:
-                    raise ConfigError(
-                        f"config invalid at datasets/{i}/synthetic/params: unknown keys {unknown}"
-                    )
+                try:
+                    source = _from_mapping(SyntheticSource, entry["synthetic"])
+                except ContractViolation as exc:  # a param its kind does not take
+                    raise ConfigError(f"config invalid at datasets/{i}/synthetic/{exc}") from None
             spec = DatasetSpec(
                 name=entry["name"],
                 source=source,
@@ -442,8 +427,6 @@ def load_grid(config: BenchConfig, algorithms, dataset_filter: Optional[set] = N
             raise ConfigError(f"config invalid for dataset {spec.name}: {exc}") from None
         loaded[spec.name] = dataset
         normalization[spec.name] = record.to_dict() if record else None
-    if dataset_filter is not None and not loaded:
-        raise ConfigError("dataset filter matched nothing")
     calls = [(name, algo, _resolve_call(name, dataset, algo))
              for name, dataset in loaded.items() for algo in algorithms]
     return loaded, normalization, calls
@@ -455,17 +438,22 @@ def run_grid(
     dataset_filter: Optional[set] = None,
     algo_filter: Optional[set] = None,
 ) -> BenchReport:
-    """Execute the full grid. Datasets must all load and every pair's call
-    resolve up front, and each distinct seeding runs once before the first
-    cell (see the module docstring); individual cell failures are recorded
-    and do not stop the grid."""
+    """Execute the grid, or its cells of the dataset names and algorithm
+    labels the filters give, each of which must be in the config. Datasets
+    must all load and every pair's call resolve up front, and each distinct
+    seeding runs once before the first cell (see the module docstring);
+    individual cell failures are recorded and do not stop the grid."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    unmatched = [f"dataset={name}" for name in sorted(
+        set(dataset_filter or ()) - {spec.name for spec in config.datasets})]
+    unmatched += [f"algo={key}" for key in sorted(
+        set(algo_filter or ()) - {a.key for a in config.algorithms})]
+    if unmatched:
+        raise ConfigError(f"filter values match nothing in the config: {', '.join(unmatched)}")
     algorithms = [
         a for a in config.algorithms if not algo_filter or a.key in algo_filter
     ]
-    if algo_filter is not None and not algorithms:
-        raise ConfigError("algorithm filter matched nothing")
     loaded, normalization, calls = load_grid(config, algorithms, dataset_filter)
 
     seedings: dict = {}  # (dataset name, SubtractiveConfig) -> result or exception

@@ -59,6 +59,8 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
+from .schema import TYPES
+
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
@@ -80,13 +82,23 @@ def _as_matrix(points) -> np.ndarray:
     return pts
 
 
+def int_array(values, name: str) -> np.ndarray:
+    """``values`` copied into an int64 array; like a config integer, an id is
+    never a bool or ``2.0``, so a non-integer dtype raises ContractViolation
+    instead of being cast. An empty sequence (float64 to numpy) passes."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ContractViolation(f"{name} must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An immutable N x d point matrix with optional integer class labels.
 
-    Labels, when present, must be 0-based and contiguous (every value in
-    [0, n_classes) appears at least once); the CSV loader factorizes raw
-    labels into this form.
+    Labels, when present, must be integers, 0-based and contiguous (every
+    value in [0, n_classes) appears at least once); the CSV loader
+    factorizes raw labels into this form. ``k_true`` is an integer >= 1.
     """
 
     points: np.ndarray
@@ -103,7 +115,7 @@ class Dataset:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
-            lab = np.asarray(self.labels, dtype=np.int64).copy()
+            lab = int_array(self.labels, "labels")
             if lab.shape != (pts.shape[0],):
                 raise ContractViolation(
                     f"labels must have length {pts.shape[0]}, got shape {lab.shape}"
@@ -115,8 +127,8 @@ class Dataset:
             lab.setflags(write=False)
             object.__setattr__(self, "labels", lab)
         if self.k_true is not None:
-            if self.k_true < 1:
-                raise ContractViolation("k_true must be >= 1")
+            if not TYPES["integer"](self.k_true) or self.k_true < 1:
+                raise ContractViolation(f"k_true must be an integer >= 1, got {self.k_true!r}")
             if self.labels is not None and self.k_true != self.n_classes:
                 raise ContractViolation(
                     f"k_true={self.k_true} disagrees with {self.n_classes} distinct labels"
@@ -169,13 +181,13 @@ class SearchBounds:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Cluster membership for every point: cluster_of[j] in [0, k)."""
+    """Cluster membership for every point: integer cluster_of[j] in [0, k)."""
 
     cluster_of: np.ndarray
     k: int
 
     def __post_init__(self):
-        idx = np.asarray(self.cluster_of, dtype=np.int64).copy()
+        idx = int_array(self.cluster_of, "cluster_of")
         if idx.ndim != 1:
             raise ContractViolation("cluster_of must be a 1-D vector")
         if self.k < 1:

@@ -7,20 +7,23 @@ comma-separated, header row, numeric feature columns, and a final ``class``
 column. Registry loading validates the advertised (N, d, k, class sizes)
 characteristics exactly and fails loudly on any mismatch; class sizes are
 compared as multisets because the within-file class order is arbitrary.
+
+The spec dataclasses check themselves when built, by the field rules the
+benchmark config schema is built from, so a bad spec fails before any load.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
 import numpy as np
 
 from .core import ContractViolation, Dataset, Rng
-from .schema import SchemaChecker, check_fields, rule
+from .schema import check_fields, rule
 
 DATA_DIR_ENV = "SWARMCLUST_DATA"
 
@@ -51,11 +54,36 @@ class CsvSource:
         check_fields(self, ContractViolation)
 
 
+# Each synthetic kind's params and their defaults.
+SYNTHETIC_PARAMS = {
+    "two_blob": {"n": 20, "d": 2, "sep": 10.0, "spread": 0.1},
+    "grid": {"n": 24, "d": 2, "side": 2, "scale": 10.0, "spread": 0.1},
+    "art_like": {"n": 60, "d": 2, "k": 3, "box": 10.0, "spread": 0.1},
+}
+# Each param's rule, typed by its defaults: an integer of at least 1 where
+# the default is an int, a number where it is a float.
+SYNTHETIC_RULES = {
+    name: {"type": "integer", "minimum": 1} if isinstance(default, int) else {"type": "number"}
+    for table in SYNTHETIC_PARAMS.values()
+    for name, default in table.items()
+}
+
+
 @dataclass(frozen=True)
 class SyntheticSource:
-    kind: str
-    params: dict = field(default_factory=dict)
-    seed: int = 0
+    """A :func:`make_blobs` fixture: its kind, the params it sets among that
+    kind's in :data:`SYNTHETIC_PARAMS`, each meeting its rule in
+    :data:`SYNTHETIC_RULES`, and its seed."""
+
+    kind: str = rule(enum=list(SYNTHETIC_PARAMS))
+    params: dict = rule(default_factory=dict, type="object", properties=SYNTHETIC_RULES)
+    seed: int = rule(0, type="integer")
+
+    def __post_init__(self):
+        check_fields(self, ContractViolation)
+        unknown = sorted(set(self.params) - set(SYNTHETIC_PARAMS[self.kind]))
+        if unknown:
+            raise ContractViolation(f"params: unknown keys {unknown}")
 
 
 @dataclass(frozen=True)
@@ -260,23 +288,6 @@ def denormalize(record: NormalizationRecord, points: np.ndarray) -> np.ndarray:
     return restored
 
 
-# Each synthetic kind's params and their defaults.
-SYNTHETIC_PARAMS = {
-    "two_blob": {"n": 20, "d": 2, "sep": 10.0, "spread": 0.1},
-    "grid": {"n": 24, "d": 2, "side": 2, "scale": 10.0, "spread": 0.1},
-    "art_like": {"n": 60, "d": 2, "k": 3, "box": 10.0, "spread": 0.1},
-}
-# Each param's rule, typed by its defaults: an integer of at least 1 where
-# the default is an int, a number where it is a float. make_blobs and the
-# benchmark config schema both check params against it.
-SYNTHETIC_RULES = {
-    name: {"type": "integer", "minimum": 1} if isinstance(default, int) else {"type": "number"}
-    for table in SYNTHETIC_PARAMS.values()
-    for name, default in table.items()
-}
-_SYNTHETIC_CHECKER = SchemaChecker({"properties": SYNTHETIC_RULES})
-
-
 def make_blobs(kind: str, params: Optional[dict] = None, seed: int = 0) -> Dataset:
     """Labeled Gaussian blob fixtures, deterministic per seed.
 
@@ -287,22 +298,14 @@ def make_blobs(kind: str, params: Optional[dict] = None, seed: int = 0) -> Datas
       art_like  -- ``k`` blobs at random centers in a cube ``box`` wide
     Every kind shares ``n`` points in ``d`` dimensions among its blobs as
     evenly as it can, each blob with standard deviation ``spread``. Raises
-    ContractViolation for an unknown kind or param and for fewer points
-    than blobs, before it builds any center, and for a param that breaks
-    its rule in :data:`SYNTHETIC_RULES` (a float or bool where an integer
-    goes, say), naming the param.
+    ContractViolation, before it builds any center, for what
+    :class:`SyntheticSource` refuses (an unknown kind or param, a param that
+    breaks its rule, such as a float or bool where an integer goes) and for
+    fewer points than blobs.
     """
-    if kind not in SYNTHETIC_PARAMS:
-        raise ContractViolation(f"unknown synthetic kind {kind!r}")
-    defaults = SYNTHETIC_PARAMS[kind]
-    params = params or {}
-    unknown = sorted(set(params) - set(defaults))
-    if unknown:
-        raise ContractViolation(f"unknown params for {kind}: {unknown}")
-    found = _SYNTHETIC_CHECKER.best_error(params)
-    if found is not None:
-        raise ContractViolation(f"{'/'.join(map(str, found[0]))}: {found[1]}")
-    p = {name: type(default)(params.get(name, default)) for name, default in defaults.items()}
+    params = SyntheticSource(kind, params or {}, seed).params
+    p = {name: type(default)(params.get(name, default))
+         for name, default in SYNTHETIC_PARAMS[kind].items()}
     n, d = p["n"], p["d"]
     k = 2 if kind == "two_blob" else p["side"] ** d if kind == "grid" else p["k"]
     if n < k:

@@ -166,7 +166,7 @@ def error_rate(
     """
     if labels is None:
         raise UnsupportedEvaluation("error rate needs ground-truth labels")
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = core.int_array(labels, "labels")
     if labels.shape != (assignment.n,):
         raise ContractViolation("labels length differs from assignment length")
     if labels.min() < 0:

@@ -52,7 +52,6 @@ from .core import (
 from .metrics import sicd, stalled
 from .subtractive import SeedingResult, SubtractiveConfig, select_centers
 from .swarm import (
-    Inertia,
     PsoConfig,
     decode,
     exponential_normalized,
@@ -73,7 +72,6 @@ SEEDING_PARAMS = {
     "subtractive": ("stop", "epsilon", "r_a", "r_b", "max_centers"),
 }
 PSO_PARAMS = tuple(f.name for f in fields(PsoConfig))
-INERTIA_PARAMS = frozenset(f.name for f in fields(Inertia))
 
 
 @dataclass(frozen=True)
@@ -94,15 +92,6 @@ class AlgorithmDef:
         """Keys a benchmark config may set in this algorithm's ``params``."""
         swarm = PSO_PARAMS if self.pso is not None else ()
         return frozenset(("k", *SEEDING_PARAMS[self.seeding], *swarm))
-
-    def unknown_params(self, params: dict) -> list:
-        """Sorted keys of ``params`` this algorithm does not take; keys of an
-        ``inertia`` mapping are checked too and reported as ``inertia.<key>``."""
-        unknown = sorted(set(params) - self.param_names)
-        inertia = params.get("inertia")
-        if isinstance(inertia, dict):
-            unknown += sorted(f"inertia.{key}" for key in set(inertia) - INERTIA_PARAMS)
-        return unknown
 
 
 ALGORITHMS = {row.id: row for row in (

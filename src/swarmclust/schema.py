@@ -22,6 +22,8 @@ real, never NaN or an infinity; and an ``array`` may be a tuple.
 A dataclass field declared with :func:`rule` carries its schema, which
 :func:`check_fields` enforces from ``__post_init__`` and :func:`field_rules`
 hands to a config schema, so the library and configs accept the same values.
+A rule that depends on another field, such as the params a synthetic kind
+takes, is the dataclass's own ``__post_init__`` check.
 """
 
 from __future__ import annotations
@@ -73,10 +75,11 @@ class SchemaChecker:
         return None if best is None else best[:2]
 
 
-def rule(default=MISSING, **schema):
-    """A dataclass field, with ``default`` unless it is left out, whose values
-    must meet ``schema``: JSON Schema keywords, ``type`` first."""
-    return field(default=default, metadata={"schema": schema})
+def rule(default=MISSING, *, default_factory=MISSING, **schema):
+    """A dataclass field, with ``default`` or ``default_factory`` unless both
+    are left out, whose values must meet ``schema``: JSON Schema keywords,
+    ``type`` first."""
+    return field(default=default, default_factory=default_factory, metadata={"schema": schema})
 
 
 def field_rules(cls) -> dict:

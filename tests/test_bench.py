@@ -22,7 +22,7 @@ from swarmclust.bench import (
 from swarmclust import bench, core, pipelines
 from swarmclust.cli import main
 from swarmclust.core import ContractViolation, Dataset, derive_seed
-from swarmclust.data import SYNTHETIC_PARAMS, make_blobs
+from swarmclust.data import SYNTHETIC_PARAMS, SyntheticSource, make_blobs
 from swarmclust.pipelines import ALGORITHMS
 from swarmclust.schema import SchemaChecker, field_rules
 from swarmclust.swarm import Inertia, PsoConfig
@@ -223,20 +223,19 @@ class TestConfigParsing:
                                               r"(c2: 'x'|max_centers: 3\.0) is not of type"):
             parse_config(raw)
 
-    @pytest.mark.parametrize("algo_id, params, unknown", [
-        ("pso", {"swarmsize": 500, "max_itr": 1}, "['max_itr', 'swarmsize']"),
-        ("kmeans", {"max_iter": 5, "c1": 1.0}, "['c1']"),
-        ("brapso", {"stop": "fixed_k"}, "['stop']"),
-        ("sub_pso", {"kmeans_max_iter": 5}, "['kmeans_max_iter']"),
-        ("sc_br_apso", {"inertia": {"kind": "linear", "wmax": 0.5}}, "['inertia.wmax']"),
+    @pytest.mark.parametrize("algo_id, params, message", [
+        ("pso", {"swarmsize": 500, "max_itr": 1}, ": unknown keys ['max_itr', 'swarmsize']"),
+        ("kmeans", {"max_iter": 5, "c1": 1.0}, ": unknown keys ['c1']"),
+        ("brapso", {"stop": "fixed_k"}, ": unknown keys ['stop']"),
+        ("sub_pso", {"kmeans_max_iter": 5}, ": unknown keys ['kmeans_max_iter']"),
+        ("sc_br_apso", {"inertia": {"kind": "linear", "wmax": 0.5}},
+         "/inertia: Additional properties are not allowed ('wmax' was unexpected)"),
     ])
-    def test_unknown_params_rejected(self, algo_id, params, unknown):
+    def test_unknown_params_rejected(self, algo_id, params, message):
         raw = fixture_config(algorithms=[{"id": "kmeans"}, {"id": algo_id, "params": params}])
         with pytest.raises(ConfigError) as info:
             parse_config(raw)
-        assert str(info.value) == (
-            f"config invalid at algorithms/1/params: unknown keys {unknown}"
-        )
+        assert str(info.value) == f"config invalid at algorithms/1/params{message}"
 
     @pytest.mark.parametrize("algo_id", ["sub_pso", "sc_br_apso"])
     @pytest.mark.parametrize("params", [
@@ -303,6 +302,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as info:
             parse_config(raw)
         assert str(info.value) == f"config invalid at datasets/0/synthetic/{message}"
+
+    @pytest.mark.parametrize("synthetic", [
+        {"kind": "nope"},
+        {"kind": 3, "params": {"bogus": 1}},
+        {"kind": "two_blob", "params": {"n": 20, "bogus": 3}},
+        {"kind": "art_like", "params": {"sep": 1.0, "scale": 2.0}},
+        {"kind": "two_blob", "params": {"n": "abc"}},
+        {"kind": "grid", "params": {"side": 0, "box": 1.0}},
+        {"kind": "two_blob", "params": [1]},
+        {"kind": "two_blob", "seed": 7.0},
+    ])
+    def test_synthetic_source_refuses_what_the_config_does(self, synthetic):
+        # one rule, one message: the library's without the config's path
+        raw = fixture_config()
+        raw["datasets"][0]["synthetic"] = synthetic
+        with pytest.raises(ConfigError) as config_error:
+            parse_config(raw)
+        with pytest.raises(ContractViolation) as library_error:
+            SyntheticSource(**synthetic)
+        assert str(config_error.value) == (
+            f"config invalid at datasets/0/synthetic/{library_error.value}")
 
     def test_duplicate_dataset_names(self):
         raw = fixture_config()
@@ -438,6 +458,8 @@ SCHEMA_CORPUS = [
     [(("datasets", 0, "extra"), 1)],
     [(("algorithms", 0, "param"), {})],
     [(CSV + ("sep",), ";")],
+    [(("datasets", 0, "synthetic", "size"), 3)],
+    [(ALGO + ("inertia",), {"kind": "linear", "wmax": 0.5})],
     # minItems, and arrays without it
     [(("datasets",), [])],
     [(("algorithms",), [])],
@@ -453,6 +475,7 @@ SCHEMA_CORPUS = [
     [(("datasets", 0, "name"), 3), (("algorithms", 0, "id"), "x")],
     [(("emit",), []), (("repetitions",), "2")],
     [(ALGO + ("inertia",), {"kind": "linear", "w_max": -1, "w_min": "x"})],
+    [(ALGO + ("inertia",), {"kind": "linear", "w_max": -1, "wmax": 0.5})],
     [(("datasets", 1, "name"), 3), (("datasets", 0, "name"), 4)],
     [(("repetitions",), 0), (("base_seed",), DELETE), (("seeds",), 1)],
 ]
@@ -880,9 +903,33 @@ class TestRunGrid:
     def test_unmatched_algorithm_filter_loads_no_dataset(self, monkeypatch):
         loads = []
         monkeypatch.setattr(bench, "load_dataset", lambda spec: loads.append(spec.name))
-        with pytest.raises(ConfigError, match="^algorithm filter matched nothing$"):
+        with pytest.raises(ConfigError,
+                           match="^filter values match nothing in the config: algo=nope$"):
             run_grid(parse_config(fixture_config(reps=1)), algo_filter={"nope"})
         assert loads == []
+
+    @pytest.mark.parametrize("dataset_filter, algo_filter, unmatched", [
+        ({"nope"}, None, "dataset=nope"),
+        ({"two_blob", "nope"}, {"kmeans"}, "dataset=nope"),
+        ({"two_blob"}, {"sc_br_apso", "psoo", "kmeansx"}, "algo=kmeansx, algo=psoo"),
+        ({"two_blob", "zz", "a"}, {"kmeans", "psoo"}, "dataset=a, dataset=zz, algo=psoo"),
+    ])
+    def test_every_unmatched_filter_value_named_before_any_load(
+            self, monkeypatch, dataset_filter, algo_filter, unmatched):
+        # a value that matches nothing is a typo, even beside one that matches
+        loads = []
+        monkeypatch.setattr(bench, "load_dataset", lambda spec: loads.append(spec.name))
+        with pytest.raises(ConfigError) as info:
+            run_grid(parse_config(fixture_config(reps=1)), dataset_filter=dataset_filter,
+                     algo_filter=algo_filter)
+        assert str(info.value) == f"filter values match nothing in the config: {unmatched}"
+        assert loads == []
+
+    def test_filters_matching_config_names_run_their_cells(self):
+        cfg = parse_config(fixture_config(reps=1, algorithms=[
+            {"id": "kmeans"}, {"id": "kmeans", "label": "km2"}, {"id": "pso"}]))
+        report = run_grid(cfg, dataset_filter={"two_blob"}, algo_filter={"km2", "pso"})
+        assert [r["algorithm"] for r in report.records] == ["km2", "pso"]
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs, monkeypatch):
@@ -1396,6 +1443,18 @@ class TestCli:
         assert result.exit_code == 0, result.output
         loaded = json.loads((out / "report.json").read_text())
         assert {r["algorithm"] for r in loaded["records"]} == {"kmeans"}
+
+    def test_run_filter_value_matching_nothing_exits_2(self, tmp_path):
+        path = self.write_config(tmp_path, fixture_config(reps=1))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run", "--config", path, "--out", str(out),
+                   "--filter", "dataset=two_blob|nope,algo=kmeans|psoo"]
+        )
+        assert result.exit_code == 2, result.output
+        assert ("error: filter values match nothing in the config: dataset=nope, algo=psoo\n"
+                in result.output)
+        assert not out.exists()
 
     def test_preset_validates(self):
         result = CliRunner().invoke(main, ["validate", "--config", "fixtures"])

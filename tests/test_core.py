@@ -132,6 +132,49 @@ class TestDomainTypes:
         a = Assignment(cluster_of=np.array([0, 1, 0]), k=2)
         assert a.n == 3
 
+    NOT_INTEGERS = [
+        ([0.7, 1.9], "float64"), ([0.0, 1.0], "float64"),
+        (np.array([True, False, True]), "bool"), (np.array(["0", "1"]), "<U1"),
+        (np.array([0, 1], dtype=object), "object"),
+    ]
+
+    @pytest.mark.parametrize("values, dtype", NOT_INTEGERS)
+    def test_cluster_of_refused_unless_integers(self, values, dtype):
+        # never cast: [0.7, 1.9] would become [0, 1] and True cluster 1
+        with pytest.raises(ContractViolation) as info:
+            Assignment(values, k=2)
+        assert str(info.value) == f"cluster_of must be integers, got dtype {dtype}"
+
+    @pytest.mark.parametrize("labels, dtype", [([0.2, 1.5, 1.0], "float64"),
+                                               (np.array([False, True, True]), "bool")])
+    def test_labels_refused_unless_integers(self, labels, dtype):
+        with pytest.raises(ContractViolation) as info:
+            Dataset(points=np.zeros((3, 1)), labels=labels)
+        assert str(info.value) == f"labels must be integers, got dtype {dtype}"
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.int64])
+    def test_integer_dtypes_accepted_as_int64(self, dtype):
+        values = np.array([1, 0, 1], dtype=dtype)
+        a = Assignment(values, k=2)
+        ds = Dataset(points=np.zeros((3, 1)), labels=values)
+        for got in (a.cluster_of, ds.labels):
+            assert got.dtype == np.int64 and got.tolist() == [1, 0, 1]
+            assert not got.flags.writeable
+
+    def test_empty_assignment_accepted(self):
+        # np.asarray([]) is float64, yet holds no id to cast
+        assert Assignment([], k=1).n == 0
+
+    @pytest.mark.parametrize("k_true", [2.5, 2.0, True, "2", np.float64(2), 0, -1])
+    def test_k_true_refused_unless_an_integer_of_at_least_1(self, k_true):
+        with pytest.raises(ContractViolation) as info:
+            Dataset(points=np.zeros((4, 1)), k_true=k_true)
+        assert str(info.value) == f"k_true must be an integer >= 1, got {k_true!r}"
+
+    @pytest.mark.parametrize("k_true", [2, np.int64(2), np.uint8(2)])
+    def test_integer_k_true_accepted(self, k_true):
+        assert Dataset(points=np.zeros((4, 1)), k_true=k_true).k_true == 2
+
 
 class TestMapBlocks:
     @staticmethod

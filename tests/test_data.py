@@ -12,6 +12,7 @@ from swarmclust.data import (
     DatasetSpec,
     Expected,
     LoadError,
+    SyntheticSource,
     denormalize,
     load_csv,
     load_dataset,
@@ -197,18 +198,39 @@ class TestMakeBlobs:
             make_blobs("two_blob", {"wat": 1}, seed=0)
 
     @pytest.mark.parametrize("params, message", [
-        ({"n": 20.7, "d": 2.9}, "n: 20.7 is not of type 'integer'"),
-        ({"d": 2.0}, "d: 2.0 is not of type 'integer'"),
-        ({"n": True}, "n: True is not of type 'integer'"),
-        ({"n": 0}, "n: 0 is less than the minimum of 1"),
-        ({"sep": "10"}, "sep: '10' is not of type 'number'"),
-        ({"spread": float("nan")}, "spread: nan is not of type 'number'"),
+        ({"n": 20.7, "d": 2.9}, "params/n: 20.7 is not of type 'integer'"),
+        ({"d": 2.0}, "params/d: 2.0 is not of type 'integer'"),
+        ({"n": True}, "params/n: True is not of type 'integer'"),
+        ({"n": 0}, "params/n: 0 is less than the minimum of 1"),
+        ({"sep": "10"}, "params/sep: '10' is not of type 'number'"),
+        ({"spread": float("nan")}, "params/spread: nan is not of type 'number'"),
     ])
     def test_param_breaking_its_rule_refused(self, params, message):
         # the rule a config's params meet: never truncated to fit
         with pytest.raises(ContractViolation) as info:
             make_blobs("two_blob", params, seed=0)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind, params, seed, message", [
+        ("nope", {}, 0, "kind: 'nope' is not one of ['two_blob', 'grid', 'art_like']"),
+        ("two_blob", {"n": 20, "side": 2}, 0, "params: unknown keys ['side']"),
+        ("art_like", {"sep": 1.0, "scale": 2.0}, 0, "params: unknown keys ['scale', 'sep']"),
+        ("two_blob", {"n": "20"}, 0, "params/n: '20' is not of type 'integer'"),
+        ("grid", {"scale": True}, 0, "params/scale: True is not of type 'number'"),
+        ("two_blob", None, 0, "params: None is not of type 'object'"),
+        ("two_blob", {}, 1.0, "seed: 1.0 is not of type 'integer'"),
+    ])
+    def test_synthetic_source_checks_itself(self, kind, params, seed, message):
+        with pytest.raises(ContractViolation) as info:
+            SyntheticSource(kind, params, seed)
+        assert str(info.value) == message
+        with pytest.raises(ContractViolation):  # so no spec holds it
+            DatasetSpec("blobs", SyntheticSource(kind, params, seed))
+
+    def test_synthetic_source_defaults(self):
+        source = SyntheticSource("grid")
+        assert (source.params, source.seed) == ({}, 0)
+        assert SyntheticSource("art_like", {"k": np.int64(4), "box": 3}, np.int32(2)).seed == 2
 
     def test_numpy_and_int_values_accepted(self):
         a = make_blobs("grid", {"n": np.int64(24), "side": np.int32(2), "scale": 10}, seed=1)

@@ -127,6 +127,19 @@ class TestErrorRate:
         with pytest.raises(ContractViolation, match="nonnegative"):
             error_rate(a, np.array([-1, 0, 1, 1]))
 
+    @pytest.mark.parametrize("labels", [[0.9, 1.2, 0.3], [True, False, True],
+                                        np.array(["0", "1", "1"])])
+    def test_labels_refused_unless_integers(self, labels):
+        # cast, [0.9, 1.2, 0.3] would read as [0, 1, 0] and score 33.3
+        a = Assignment([0, 1, 1], k=2)
+        with pytest.raises(ContractViolation, match="^labels must be integers, got dtype"):
+            error_rate(a, labels)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int64])
+    def test_integer_label_dtypes_accepted(self, dtype):
+        a = Assignment([0, 1, 1], k=2)
+        assert error_rate(a, np.array([1, 0, 0], dtype=dtype))[0] == 0.0
+
     def test_relabeling_recovers_zero(self):
         rng = Rng(5)
         labels = rng.integers(0, 3, size=30)
