@@ -151,7 +151,7 @@ CONFIG_SCHEMA = {
                                 "if": {"type": "string"},
                                 "then": {"enum": list(INERTIA_KINDS)},
                             },
-                            "kmeans_max_iter": {"type": "integer", "minimum": 1},
+                            "kmeans_max_iter": field_rules(PsoConfig)["max_iter"],
                             "stop": {"type": "string", "enum": list(STOP_RULES)},
                         },
                     },
@@ -220,18 +220,9 @@ def parse_config(raw: dict) -> BenchConfig:
             raise ConfigError(
                 f"config invalid at algorithms/{i}/params: unknown keys {unknown}"
             )
-        # fixed_k seeding has no use for epsilon; density_ratio picks k itself
-        stop = _stop_of(params, params.get("k"))
-        if "epsilon" in params and stop == "fixed_k":
-            raise ConfigError(
-                f"config invalid at algorithms/{i}/params: epsilon applies only to "
-                "stop: density_ratio, but this entry seeds with stop: fixed_k"
-            )
-        if "k" in params and stop == "density_ratio":
-            raise ConfigError(
-                f"config invalid at algorithms/{i}/params: k applies only to "
-                "stop: fixed_k, but this entry seeds with stop: density_ratio"
-            )
+        _, problem = _stop_of(params, params.get("k"))
+        if problem:
+            raise ConfigError(f"config invalid at algorithms/{i}/params: {problem}")
 
     data_dir = raw.get("data_dir")
     datasets = []
@@ -319,10 +310,17 @@ def _pso_config(base: PsoConfig, params: dict) -> PsoConfig:
     return replace(base, **overrides)
 
 
-def _stop_of(params: dict, k: Optional[int]) -> str:
-    """The stop rule an entry seeds with: its ``stop``, else ``fixed_k``
-    when k is known and ``density_ratio`` when it is not."""
-    return params.get("stop", "fixed_k" if k is not None else "density_ratio")
+def _stop_of(params: dict, k: Optional[int]) -> tuple[str, Optional[str]]:
+    """(stop rule, problem) of an entry's ``params`` when its k is ``k``.
+    The rule is the entry's ``stop``, else ``fixed_k`` when k is known and
+    ``density_ratio`` when it is not. The problem names the param that rule
+    has no use for, if the entry sets it (fixed_k takes no epsilon, and
+    density_ratio picks k itself); otherwise it is None."""
+    stop = params.get("stop", "fixed_k" if k is not None else "density_ratio")
+    unused, other = ("epsilon", "density_ratio") if stop == "fixed_k" else ("k", "fixed_k")
+    if unused not in params:
+        return stop, None
+    return stop, f"{unused} applies only to stop: {other}, but this entry seeds with stop: {stop}"
 
 
 def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec):
@@ -331,14 +329,15 @@ def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec):
     arguments), with keyword arguments only where the params set them. A
     subtractive entry's positional arguments are its SubtractiveConfig and
     PsoConfig. Raises ConfigError for a pair no cell could run: a missing
-    k, a k above the dataset's points, or an epsilon that fixed_k seeding
-    would ignore."""
+    k, a k above the dataset's points, or a param its stop rule would
+    ignore, such as an epsilon beside the dataset's class count."""
     row = ALGORITHMS[algo.id]
     params = algo.params
     k = params.get("k", dataset.k_true)
     pso = _pso_config(row.pso, params) if row.pso is not None else None
     where = f"config invalid for algorithm {algo.key} on dataset {name}"
-    uses_k = row.seeding != "subtractive" or _stop_of(params, k) == "fixed_k"
+    stop, problem = _stop_of(params, k)
+    uses_k = row.seeding != "subtractive" or stop == "fixed_k"
     if uses_k and k is None:
         raise ConfigError(f"{where}: needs k: set it in params, since the dataset "
                           "has no class count")
@@ -347,15 +346,9 @@ def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec):
     if row.seeding != "subtractive":
         kwargs = {key: params[key] for key in SEEDING_PARAMS[row.seeding] if key in params}
         return row.entry, (k,) if pso is None else (k, pso), kwargs
-    if not uses_k:
-        rule = DensityRatio(params.get("epsilon", DensityRatio.epsilon))
-    elif "epsilon" in params:  # parse_config has rejected it beside stop or k
-        raise ConfigError(
-            f"{where}: epsilon applies only to stop: density_ratio, but this entry seeds "
-            f"with stop: fixed_k from the dataset's {dataset.k_true} classes"
-        )
-    else:
-        rule = FixedK(k)
+    if problem:  # parse_config has rejected those it could see without the dataset
+        raise ConfigError(f"{where}: {problem} from the dataset's {k} classes")
+    rule = FixedK(k) if uses_k else DensityRatio(params.get("epsilon", DensityRatio.epsilon))
     knobs = {f.name: params[f.name] for f in fields(SubtractiveConfig) if f.name in params}
     return row.entry, (SubtractiveConfig(stop_rule=rule, **knobs), pso), {}
 

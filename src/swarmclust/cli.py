@@ -55,13 +55,12 @@ def _parse_filters(filters) -> tuple:
             if "=" not in part:
                 raise ConfigError(f"bad filter {part!r}, expected key=value")
             key, value = part.split("=", 1)
-            values = {v for v in value.split("|") if v}
-            if key == "dataset":
-                datasets |= values
-            elif key in ("algo", "algorithm"):
-                algos |= values
-            else:
+            if key not in ("dataset", "algo", "algorithm"):
                 raise ConfigError(f"unknown filter key {key!r}")
+            values = value.split("|")
+            if "" in values:  # such as "dataset=$DS" with DS unset
+                raise ConfigError(f"empty value in filter {part!r}")
+            (datasets if key == "dataset" else algos).update(values)
     return (datasets or None, algos or None)
 
 

@@ -59,7 +59,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Union
 
 import numpy as np
 
-from .schema import TYPES
+from .schema import TYPES, check_fields
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -73,6 +73,17 @@ class ContractViolation(ValueError):
 
 class DegenerateInput(ValueError):
     """Structurally valid input that is too small or too degenerate to process."""
+
+
+class Checked:
+    """Base of the dataclasses whose fields carry :func:`swarmclust.schema.rule`
+    schemas: building one checks those fields and raises ContractViolation,
+    with the message a config would get, for the first that breaks its rule.
+    A subclass with a rule across fields checks it after
+    ``super().__post_init__()``."""
+
+    def __post_init__(self):
+        check_fields(self, ContractViolation)
 
 
 def _as_matrix(points) -> np.ndarray:
@@ -181,7 +192,8 @@ class SearchBounds:
 
 @dataclass(frozen=True)
 class Assignment:
-    """Cluster membership for every point: integer cluster_of[j] in [0, k)."""
+    """Cluster membership for every point: integer cluster_of[j] in [0, k),
+    where ``k`` is an integer >= 1."""
 
     cluster_of: np.ndarray
     k: int
@@ -190,8 +202,8 @@ class Assignment:
         idx = int_array(self.cluster_of, "cluster_of")
         if idx.ndim != 1:
             raise ContractViolation("cluster_of must be a 1-D vector")
-        if self.k < 1:
-            raise ContractViolation("k must be >= 1")
+        if not TYPES["integer"](self.k) or self.k < 1:
+            raise ContractViolation(f"k must be an integer >= 1, got {self.k!r}")
         if idx.size and (idx.min() < 0 or idx.max() >= self.k):
             raise ContractViolation("cluster indices out of [0, k)")
         idx.setflags(write=False)

@@ -8,8 +8,9 @@ column. Registry loading validates the advertised (N, d, k, class sizes)
 characteristics exactly and fails loudly on any mismatch; class sizes are
 compared as multisets because the within-file class order is arbitrary.
 
-The spec dataclasses check themselves when built, by the field rules the
-benchmark config schema is built from, so a bad spec fails before any load.
+The spec dataclasses are :class:`~swarmclust.core.Checked`: they check
+themselves when built, by the field rules the benchmark config schema is
+built from, so a bad spec fails before any load.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import ContractViolation, Dataset, Rng
-from .schema import check_fields, rule
+from .core import Checked, ContractViolation, Dataset, Rng
+from .schema import rule
 
 DATA_DIR_ENV = "SWARMCLUST_DATA"
 
@@ -33,7 +34,7 @@ class LoadError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class CsvSource:
+class CsvSource(Checked):
     """A delimited text file: optional header, label column by index or name.
 
     Column indices refer to the raw file columns. ``drop_columns`` discards
@@ -49,9 +50,6 @@ class CsvSource:
     drop_columns: tuple = rule((), type="array", items={"type": "integer"})
     na_values: tuple = rule((), type="array", items={"type": "string"})
     na_policy: str = rule("error", enum=["error", "drop"])
-
-    def __post_init__(self):
-        check_fields(self, ContractViolation)
 
 
 # Each synthetic kind's params and their defaults.
@@ -70,7 +68,7 @@ SYNTHETIC_RULES = {
 
 
 @dataclass(frozen=True)
-class SyntheticSource:
+class SyntheticSource(Checked):
     """A :func:`make_blobs` fixture: its kind, the params it sets among that
     kind's in :data:`SYNTHETIC_PARAMS`, each meeting its rule in
     :data:`SYNTHETIC_RULES`, and its seed."""
@@ -80,21 +78,18 @@ class SyntheticSource:
     seed: int = rule(0, type="integer")
 
     def __post_init__(self):
-        check_fields(self, ContractViolation)
+        super().__post_init__()
         unknown = sorted(set(self.params) - set(SYNTHETIC_PARAMS[self.kind]))
         if unknown:
             raise ContractViolation(f"params: unknown keys {unknown}")
 
 
 @dataclass(frozen=True)
-class Expected:
+class Expected(Checked):
     n: int = rule(type="integer", minimum=1)
     d: int = rule(type="integer", minimum=1)
     k: int = rule(type="integer", minimum=1)
     class_sizes: tuple = rule(type="array", items={"type": "integer"})
-
-    def __post_init__(self):
-        check_fields(self, ContractViolation)
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,8 @@ from .core import (
     Rng,
 )
 from .metrics import sicd, stalled
-from .subtractive import SeedingResult, SubtractiveConfig, select_centers
+from .schema import field_rules
+from .subtractive import DensityRatio, SeedingResult, SubtractiveConfig, select_centers
 from .swarm import (
     PsoConfig,
     decode,
@@ -69,7 +70,7 @@ ADAPTIVE_PSO = PsoConfig(inertia=exponential_normalized(0.9), boundary="restrict
 # random rows (Lloyd's algorithm) ``max_iter`` counts Lloyd iterations.
 SEEDING_PARAMS = {
     "random_rows": ("max_iter",), "random": (), "kmeans": ("kmeans_max_iter",),
-    "subtractive": ("stop", "epsilon", "r_a", "r_b", "max_centers"),
+    "subtractive": ("stop", *field_rules(DensityRatio), *field_rules(SubtractiveConfig)),
 }
 PSO_PARAMS = tuple(f.name for f in fields(PsoConfig))
 

@@ -20,10 +20,11 @@ counts, sizes and seeds are used as ints; a ``number`` is a finite non-bool
 real, never NaN or an infinity; and an ``array`` may be a tuple.
 
 A dataclass field declared with :func:`rule` carries its schema, which
-:func:`check_fields` enforces from ``__post_init__`` and :func:`field_rules`
-hands to a config schema, so the library and configs accept the same values.
-A rule that depends on another field, such as the params a synthetic kind
-takes, is the dataclass's own ``__post_init__`` check.
+:func:`check_fields` enforces from :class:`swarmclust.core.Checked`, the
+base of every such dataclass, and :func:`field_rules` hands to a config
+schema, so the library and configs accept the same values. A rule that
+depends on another field, such as the params a synthetic kind takes, is
+the dataclass's own ``__post_init__`` check, after ``Checked``'s.
 """
 
 from __future__ import annotations

@@ -33,36 +33,30 @@ from typing import Union
 import numpy as np
 
 from . import core
-from .core import ContractViolation, Dataset, DegenerateInput
-from .schema import check_fields, rule
+from .core import Checked, ContractViolation, Dataset, DegenerateInput
+from .schema import rule
 
 
 @dataclass(frozen=True)
-class FixedK:
+class FixedK(Checked):
     """Stop after exactly k centers."""
 
     k: int = rule(type="integer", minimum=1)
 
-    def __post_init__(self):
-        check_fields(self, ContractViolation)
-
 
 @dataclass(frozen=True)
-class DensityRatio:
+class DensityRatio(Checked):
     """Stop before accepting a center whose density falls below
     epsilon times the first peak's density."""
 
     epsilon: float = rule(0.15, type="number", exclusiveMinimum=0, exclusiveMaximum=1)
-
-    def __post_init__(self):
-        check_fields(self, ContractViolation)
 
 
 StopRule = Union[FixedK, DensityRatio]
 
 
 @dataclass(frozen=True)
-class SubtractiveConfig:
+class SubtractiveConfig(Checked):
     """Radii, stop rule, and safety cap for center selection.
 
     The r_a default of 0.5 assumes min-max normalized data (unit hypercube);
@@ -73,9 +67,6 @@ class SubtractiveConfig:
     r_b: float | None = rule(None, type=["number", "null"], exclusiveMinimum=0)
     stop_rule: StopRule = field(default_factory=DensityRatio)
     max_centers: int = rule(64, type="integer", minimum=1)
-
-    def __post_init__(self):
-        check_fields(self, ContractViolation)
 
     @property
     def effective_r_b(self) -> float:

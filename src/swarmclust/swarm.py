@@ -65,8 +65,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import ContractViolation, Dataset, bounds_of
-from .schema import check_fields, rule
+from .core import Checked, ContractViolation, Dataset, bounds_of
+from .schema import rule
 
 # The ufunc np.clip calls, called directly to skip np.clip's Python-level
 # argument handling; same loop, same bits.
@@ -83,13 +83,10 @@ BOUNDARIES = ("restricted", "none")
 
 
 @dataclass(frozen=True)
-class Inertia:
+class Inertia(Checked):
     kind: str = rule(type="string", enum=list(INERTIA_KINDS))
     w_max: float = rule(0.9, type="number", minimum=0)
     w_min: float = rule(0.4, type="number", minimum=0)
-
-    def __post_init__(self):
-        check_fields(self, ContractViolation)
 
 
 def linear(w_max: float = 0.9, w_min: float = 0.4) -> Inertia:
@@ -105,7 +102,7 @@ def exponential_normalized(maxw: float = 0.9) -> Inertia:
 
 
 @dataclass(frozen=True)
-class PsoConfig:
+class PsoConfig(Checked):
     """Swarm hyperparameters. Lower fitness is better throughout.
 
     ``v_max_fraction`` clamps each velocity component to that fraction of the
@@ -124,9 +121,6 @@ class PsoConfig:
         1.0, type=["number", "null"], exclusiveMinimum=0, maximum=1)
     stall_iters: int = rule(25, type="integer", minimum=1)
     rel_tol: float = rule(1e-8, type="number")
-
-    def __post_init__(self):
-        check_fields(self, ContractViolation)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,14 @@ import csv
 import json
 import math
 import os
+from importlib import resources
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmclust.bench import (
     CONFIG_CHECKER,
@@ -860,6 +863,82 @@ class TestSeedingPass:
         assert args[0] == 2
 
 
+FIXTURES = yaml.safe_load(
+    resources.files("swarmclust").joinpath("presets", "fixtures.yaml").read_text("utf-8"))
+# The entries sub-grids draw from: the fixtures preset's six, one more that
+# shares sub_pso's seeding, and one whose seeding fails on grid4 (see
+# TestSeedingPass). Each keeps its label, and so its cells' seeds.
+ENTRY_POOL = [*FIXTURES["algorithms"],
+              {"id": "sub_pso", "label": "sub_pso_5", "params": {"swarm_size": 5}},
+              {"id": "sc_br_apso", "label": "big_k", "params": {"k": 9}}]
+
+
+@st.composite
+def grid_pairs(draw):
+    """Two sub-grids of the fixtures preset that share at least one cell,
+    each as (raw config, dataset filter, algorithm filter).
+
+    Each grid takes a shared part of the preset's datasets and of
+    ENTRY_POOL plus extras of its own, all in an order of its own, and 1-3
+    repetitions. Its filters are each None or a set of its names that keeps
+    the first shared dataset and entry. Both grids take one base seed, and
+    every entry one max_iter of at most 5."""
+    max_iter, base_seed = draw(st.integers(1, 5)), draw(st.integers(0, 2**32))
+    pool = [{**e, "params": {**e.get("params", {}), "max_iter": max_iter}} for e in ENTRY_POOL]
+
+    def subset(items, min_size=0):
+        return draw(st.lists(st.sampled_from(items), min_size=min_size, unique_by=repr)
+                    if items else st.just([]))
+
+    def parts(items, name):
+        """Draws (items, filter) for one grid from ``items``' shared part."""
+        shared = subset(items, 1)
+        extras = [item for item in items if item not in shared]
+
+        def grid_part():
+            chosen = draw(st.permutations(shared + subset(extras)))
+            names = st.sets(st.sampled_from([name(item) for item in chosen]))
+            return chosen, draw(st.none() | names.map(lambda s: s | {name(shared[0])}))
+        return grid_part
+
+    dataset_part = parts(FIXTURES["datasets"], lambda d: d["name"])
+    entry_part = parts(pool, lambda e: e.get("label", e["id"]))
+    grids = []
+    for _ in range(2):
+        (datasets, dataset_filter), (entries, algo_filter) = dataset_part(), entry_part()
+        raw = {"base_seed": base_seed, "repetitions": draw(st.integers(1, 3)),
+               "datasets": datasets, "algorithms": entries}
+        grids.append((raw, dataset_filter, algo_filter))
+    return grids
+
+
+def grid_cells(raw, dataset_filter, algo_filter):
+    """(dataset, algorithm key, rep) -> the cell's record without wall_ms and
+    its trace, as JSON text, from a run of ``raw`` under the filters."""
+    report = run_grid(parse_config(raw), dataset_filter=dataset_filter, algo_filter=algo_filter)
+    cells = {}
+    for rec in report.records:
+        key = (rec["dataset"], rec["algorithm"], rec["rep"])
+        cells[key] = json.dumps([strip_wall(rec), report.traces.get(key, [])], sort_keys=True)
+    return cells
+
+
+class TestCellIndependence:
+    """A cell depends only on its own coordinates (base seed, dataset,
+    algorithm entry and rep): reordering, adding or dropping datasets and
+    entries, more repetitions, filters, a seeding another entry shares and
+    another pair's failed seeding leave its record and trace byte-identical."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid_pairs())
+    def test_shared_cells_equal_across_sub_grids(self, grids):
+        first, second = (grid_cells(*grid) for grid in grids)
+        shared = first.keys() & second.keys()
+        assert shared
+        for key in shared:
+            assert first[key] == second[key], key
+
+
 class TestSeedSplitting:
     def test_injective_over_a_million_cells(self):
         seeds = set()
@@ -1455,6 +1534,34 @@ class TestCli:
         assert ("error: filter values match nothing in the config: dataset=nope, algo=psoo\n"
                 in result.output)
         assert not out.exists()
+
+    @pytest.mark.parametrize("clause, part", [
+        ("dataset=", "dataset="), ("algo=", "algo="), ("dataset=|", "dataset=|"),
+        ("dataset=two_blob|", "dataset=two_blob|"), ("dataset=two_blob,algo=", "algo="),
+    ])
+    def test_run_filter_with_an_empty_value_exits_2(self, tmp_path, monkeypatch, clause, part):
+        # what --filter "dataset=$DS" gives with DS unset: it used to drop the
+        # value and run every cell the other clauses let through
+        def no_cell(args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench, "_execute_cell", no_cell)
+        path = self.write_config(tmp_path, fixture_config(reps=1))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run", "--config", path, "--out", str(out), "--filter", clause])
+        assert result.exit_code == 2, result.output
+        assert f"error: empty value in filter {part!r}\n" in result.output
+        assert not out.exists()
+
+    def test_run_filter_skips_an_empty_clause(self, tmp_path):
+        path = self.write_config(tmp_path, fixture_config(reps=1))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run", "--config", path, "--out", str(out), "--filter", "algo=kmeans,,"])
+        assert result.exit_code == 0, result.output
+        loaded = json.loads((out / "report.json").read_text())
+        assert {r["algorithm"] for r in loaded["records"]} == {"kmeans"}
 
     def test_preset_validates(self):
         result = CliRunner().invoke(main, ["validate", "--config", "fixtures"])

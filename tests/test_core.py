@@ -23,6 +23,7 @@ from swarmclust.core import (
     row_parts,
 )
 from swarmclust.data import make_blobs, normalize_minmax
+from swarmclust.metrics import error_rate
 
 
 class TestBoundsOf:
@@ -164,6 +165,18 @@ class TestDomainTypes:
     def test_empty_assignment_accepted(self):
         # np.asarray([]) is float64, yet holds no id to cast
         assert Assignment([], k=1).n == 0
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", np.float64(2), 0, -1])
+    def test_assignment_k_refused_unless_an_integer_of_at_least_1(self, k):
+        # 2.5 and 2.0 used to pass, and error_rate then raised TypeError
+        with pytest.raises(ContractViolation) as info:
+            Assignment([0, 1], k=k)
+        assert str(info.value) == f"k must be an integer >= 1, got {k!r}"
+
+    @pytest.mark.parametrize("k", [2, np.int64(2), np.uint8(2)])
+    def test_integer_assignment_k_accepted(self, k):
+        a = Assignment([0, 1], k=k)
+        assert a.k == 2 and error_rate(a, np.array([1, 0]))[0] == 0.0
 
     @pytest.mark.parametrize("k_true", [2.5, 2.0, True, "2", np.float64(2), 0, -1])
     def test_k_true_refused_unless_an_integer_of_at_least_1(self, k_true):
