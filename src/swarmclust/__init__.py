@@ -10,8 +10,6 @@ from .core import (
     Dataset,
     DegenerateInput,
     Rng,
-    SearchBounds,
-    bounds_of,
     derive_seed,
 )
 from .data import (

@@ -329,8 +329,9 @@ def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec):
     arguments), with keyword arguments only where the params set them. A
     subtractive entry's positional arguments are its SubtractiveConfig and
     PsoConfig. Raises ConfigError for a pair no cell could run: a missing
-    k, a k above the dataset's points, or a param its stop rule would
-    ignore, such as an epsilon beside the dataset's class count."""
+    k, a k above the dataset's points or above ``max_centers``, or a param
+    its stop rule would ignore, such as an epsilon beside the dataset's
+    class count."""
     row = ALGORITHMS[algo.id]
     params = algo.params
     k = params.get("k", dataset.k_true)
@@ -350,7 +351,11 @@ def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec):
         raise ConfigError(f"{where}: {problem} from the dataset's {k} classes")
     rule = FixedK(k) if uses_k else DensityRatio(params.get("epsilon", DensityRatio.epsilon))
     knobs = {f.name: params[f.name] for f in fields(SubtractiveConfig) if f.name in params}
-    return row.entry, (SubtractiveConfig(stop_rule=rule, **knobs), pso), {}
+    try:
+        sub_config = SubtractiveConfig(stop_rule=rule, **knobs)
+    except ContractViolation as exc:  # a fixed k above max_centers
+        raise ConfigError(f"{where}: {exc}") from None
+    return row.entry, (sub_config, pso), {}
 
 
 def _execute_cell(args):
@@ -372,7 +377,7 @@ def _execute_cell(args):
         outcome = globals()[entry](dataset, *entry_args, rng=Rng(seed), **kwargs)
         stall = algo.params.get("stall_iters", PsoConfig.stall_iters)
         rel_tol = algo.params.get("rel_tol", PsoConfig.rel_tol)
-        report = evaluation_report(outcome, dataset, "optimal", rel_tol, stall)
+        report = evaluation_report(outcome, dataset, rel_tol, stall)
         record.update(
             k=int(outcome.centroids.shape[0]),
             sicd=float(outcome.sicd),
@@ -534,15 +539,8 @@ def aggregate_records(records: list) -> list:
 
 
 def report_to_dict(report: BenchReport) -> dict:
-    return {
-        "schema_version": report.schema_version,
-        "config": report.config,
-        "versions": report.versions,
-        "normalization": report.normalization,
-        "records": report.records,
-        "aggregates": report.aggregates,
-        "failed_cells": report.failed_cells,
-    }
+    """Every field of ``report`` but ``traces``, which go to their own file."""
+    return {f.name: getattr(report, f.name) for f in fields(BenchReport) if f.name != "traces"}
 
 
 def check_out_dir(out_dir) -> None:

@@ -1,5 +1,5 @@
-"""Shared domain types and primitives: datasets, search bounds, assignments,
-seeded random streams, and the row-block driver the distance kernels run on.
+"""Shared domain types and primitives: datasets, assignments, seeded random
+streams, and the row-block driver the distance kernels run on.
 
 All floating point work is float64. Distances are computed and compared in
 squared form internally; square roots are taken only where the clustering
@@ -161,36 +161,6 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class SearchBounds:
-    """Per-dimension closed box [lower, upper] delimiting the search space."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=np.float64).copy()
-        hi = np.asarray(self.upper, dtype=np.float64).copy()
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise ContractViolation("bounds must be 1-D vectors of equal length")
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ContractViolation("bounds must be finite")
-        if np.any(lo > hi):
-            raise ContractViolation("lower bound exceeds upper bound")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-
-    @property
-    def d(self) -> int:
-        return self.lower.shape[0]
-
-    def tiled(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds for k centroids flattened row-major into one k*d vector."""
-        return np.tile(self.lower, k), np.tile(self.upper, k)
-
-
-@dataclass(frozen=True)
 class Assignment:
     """Cluster membership for every point: integer cluster_of[j] in [0, k),
     where ``k`` is an integer >= 1."""
@@ -268,11 +238,6 @@ class Rng:
 
     def __repr__(self):
         return f"Rng(seed={self.seed})"
-
-
-def bounds_of(dataset: Dataset) -> SearchBounds:
-    """Tight per-dimension bounding box of the dataset; every row lies inside."""
-    return SearchBounds(dataset.points.min(axis=0), dataset.points.max(axis=0))
 
 
 _KERNEL_MODULE = "scipy.spatial._distance_pybind"

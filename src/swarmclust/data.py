@@ -246,12 +246,8 @@ def _check_expected(dataset: Dataset, spec: DatasetSpec) -> None:
             problems.append(
                 f"class sizes {sizes}, expected {tuple(sorted(exp.class_sizes))}"
             )
-    return _raise_if(problems, spec.name)
-
-
-def _raise_if(problems: list, name: str) -> None:
     if problems:
-        raise LoadError(f"{name}: characteristics mismatch: " + "; ".join(problems))
+        raise LoadError(f"{spec.name}: characteristics mismatch: " + "; ".join(problems))
 
 
 def normalize_minmax(dataset: Dataset) -> tuple[Dataset, NormalizationRecord]:

@@ -40,11 +40,11 @@ class UnsupportedEvaluation(RuntimeError):
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    sicd: float
+    """What a benchmark cell records beside the outcome: the error rate
+    (None on an unlabeled dataset) and the convergence index."""
+
     error_rate_percent: Optional[float]
     iterations_to_converge: int
-    confusion: Optional[np.ndarray]
-    mapping: Optional[Dict[int, Optional[int]]]
 
 
 def sicd(centroids: np.ndarray, assignment: Assignment, dataset: Dataset) -> float:
@@ -228,13 +228,13 @@ def convergence_stats(sicd_trace, rel_tol: float = 1e-8, stall_iters: int = 25) 
 def evaluation_report(
     outcome,
     dataset: Dataset,
-    mapping_mode: str = "optimal",
     rel_tol: float = 1e-8,
     stall_iters: int = 25,
 ) -> EvaluationReport:
-    """Bundle the standard criteria for one clustering outcome."""
+    """The error rate of ``outcome``'s assignment under the optimal
+    cluster-to-class mapping (None when ``dataset`` has no labels), and
+    :func:`convergence_stats` of its SICD trace."""
     iters = convergence_stats(outcome.sicd_trace, rel_tol, stall_iters)
     if dataset.labels is None:
-        return EvaluationReport(outcome.sicd, None, iters, None, None)
-    percent, mapping, conf = error_rate(outcome.assignment, dataset.labels, mapping_mode)
-    return EvaluationReport(outcome.sicd, percent, iters, conf, mapping)
+        return EvaluationReport(None, iters)
+    return EvaluationReport(error_rate(outcome.assignment, dataset.labels)[0], iters)

@@ -335,7 +335,8 @@ def run_kmeans(
     max_iter: int = 100,
 ) -> ClusteringOutcome:
     """Lloyd's algorithm: assign to nearest centers, recompute means, repeat
-    until the assignment stabilizes or ``max_iter`` passes."""
+    until the assignment stabilizes or ``max_iter`` passes. An array
+    ``init`` holds the k starting centers, which must be finite."""
     if max_iter < 1:
         raise ContractViolation(f"k-means needs max_iter >= 1, got {max_iter}")
     if not 1 <= k <= dataset.n:
@@ -352,6 +353,8 @@ def run_kmeans(
             raise ContractViolation(
                 f"given centers shape {centroids.shape} != ({k}, {dataset.d})"
             )
+        if not np.all(np.isfinite(centroids)):
+            raise ContractViolation("given centers must be finite")
 
     trace = []
     prev_assign = None

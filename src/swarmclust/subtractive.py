@@ -60,13 +60,21 @@ class SubtractiveConfig(Checked):
     """Radii, stop rule, and safety cap for center selection.
 
     The r_a default of 0.5 assumes min-max normalized data (unit hypercube);
-    r_b defaults to 1.5 * r_a.
+    r_b defaults to 1.5 * r_a. ``max_centers`` caps how many centers a
+    ``DensityRatio`` rule may pick; a ``FixedK`` rule whose k exceeds it
+    raises ContractViolation.
     """
 
     r_a: float = rule(0.5, type="number", exclusiveMinimum=0)
     r_b: float | None = rule(None, type=["number", "null"], exclusiveMinimum=0)
     stop_rule: StopRule = field(default_factory=DensityRatio)
     max_centers: int = rule(64, type="integer", minimum=1)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if isinstance(self.stop_rule, FixedK) and self.stop_rule.k > self.max_centers:
+            raise ContractViolation(
+                f"stop_rule: k={self.stop_rule.k} exceeds max_centers={self.max_centers}")
 
     @property
     def effective_r_b(self) -> float:
@@ -152,8 +160,9 @@ def select_centers(dataset: Dataset, config: SubtractiveConfig) -> SeedingResult
     (suppression around a negative-density center raises its neighbours).
     Under ``DensityRatio(eps)`` selection stops before accepting a
     candidate whose pre-selection density is below eps times the first
-    peak's density, so it never picks a negative one. ``max_centers`` caps
-    either rule.
+    peak's density, so it never picks a negative one, and stops at
+    ``max_centers`` centers; that cap binds ``DensityRatio`` only, since
+    ``SubtractiveConfig`` refuses a k above it.
     """
     rule = config.stop_rule
     if isinstance(rule, FixedK) and rule.k > dataset.n:
@@ -164,8 +173,7 @@ def select_centers(dataset: Dataset, config: SubtractiveConfig) -> SeedingResult
     if not np.any(densities > 0):
         raise AssertionError("densities must be positive initially (self term)")
 
-    target = min(rule.k, config.max_centers) if isinstance(rule, FixedK) else config.max_centers
-    target = min(target, dataset.n)
+    target = rule.k if isinstance(rule, FixedK) else min(config.max_centers, dataset.n)
     chosen: list[int] = []
     selected_density: list[float] = []
     first_peak = None

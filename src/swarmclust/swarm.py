@@ -65,7 +65,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Checked, ContractViolation, Dataset, bounds_of
+from .core import Checked, ContractViolation, Dataset
 from .schema import rule
 
 # The ufunc np.clip calls, called directly to skip np.clip's Python-level
@@ -146,8 +146,6 @@ class Swarm:
     iter: int
     lower: np.ndarray
     upper: np.ndarray
-    k: int
-    d: int
     _constants: Optional[_StepConstants] = field(default=None, init=False, repr=False,
                                                  compare=False)
 
@@ -239,16 +237,18 @@ def init_swarm(
 ) -> Swarm:
     """Build and evaluate the initial swarm.
 
-    With ``seed_centers`` the first particle sits exactly at the seeds and
-    the rest jitter around them by up to +/-5% of each dimension's range,
-    clipped into bounds. Without seeds, positions are uniform inside the
-    dataset's bounding box. Velocities start at zero and pbest at the
+    The search box is the dataset's bounding box (each column's min and
+    max) tiled once per centroid: ``lower`` and ``upper`` are k*d vectors.
+    With ``seed_centers``, which must be finite, the first particle sits
+    exactly at the seeds and the rest jitter around them by up to +/-5% of
+    each dimension's range, clipped into the box. Without seeds, positions
+    are uniform inside the box. Velocities start at zero and pbest at the
     initial position.
     """
     if k < 1 or dataset.d < 1:
         raise ContractViolation("k and d must be >= 1")
-    bounds = bounds_of(dataset)
-    lower, upper = bounds.tiled(k)
+    lower = np.tile(dataset.points.min(axis=0), k)
+    upper = np.tile(dataset.points.max(axis=0), k)
     span = upper - lower
     kd = k * dataset.d
     size = config.swarm_size
@@ -259,6 +259,8 @@ def init_swarm(
             raise ContractViolation(
                 f"seed_centers shape {seeds.shape} != ({k}, {dataset.d})"
             )
+        if not np.all(np.isfinite(seeds)):
+            raise ContractViolation("given centers must be finite")
         base = encode(seeds)
         draws = rng.random((size - 1) * kd).reshape(size - 1, kd)
         jitter = (draws * 2.0 - 1.0) * 0.05 * span
@@ -278,8 +280,6 @@ def init_swarm(
         iter=0,
         lower=lower,
         upper=upper,
-        k=k,
-        d=dataset.d,
     )
 
 

@@ -822,6 +822,16 @@ class TestSeedingPass:
         assert report.failed_cells == 0
         assert {r["algorithm"]: r["k"] for r in report.records} == {"sub_pso": 4, "k_is_n": 24}
 
+    def test_fixed_k_at_max_centers_runs(self):
+        raw = two_datasets_config(reps=1, algorithms=[
+            {"id": "sc_br_apso", "params": {"max_centers": 4}},
+            {"id": "sub_pso", "params": {"k": 3, "max_centers": 3}},
+        ])
+        report = run_grid(parse_config(raw), dataset_filter={"grid4"})
+        assert report.failed_cells == 0
+        assert {r["algorithm"]: r["k"] for r in report.records} == {"sc_br_apso": 4,
+                                                                     "sub_pso": 3}
+
     def test_ignored_epsilon_rejected_before_any_cell(self, monkeypatch):
         calls = select_centers_spy(monkeypatch)
         raw = fixture_config(reps=1, algorithms=[
@@ -1344,6 +1354,24 @@ class TestCli:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2
         assert message in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("algo, message", [
+        ({"id": "sc_br_apso", "params": {"max_centers": 2}},
+         "algorithm sc_br_apso on dataset grid4: stop_rule: k=4 exceeds max_centers=2"),
+        ({"id": "sub_pso", "params": {"k": 4, "max_centers": 3}},
+         "algorithm sub_pso on dataset two_blob: stop_rule: k=4 exceeds max_centers=3"),
+    ], ids=["sc_br_apso", "sub_pso"])
+    def test_fixed_k_above_max_centers_exits_2(self, tmp_path, command, algo, message):
+        raw = two_datasets_config(reps=1, algorithms=[algo])
+        args = [command, "--config", self.write_config(tmp_path, raw)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2
+        assert f"config invalid for {message}" in result.output
+        assert "config ok" not in result.output
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])

@@ -16,43 +16,52 @@ from swarmclust.core import (
     ContractViolation,
     Dataset,
     Rng,
-    SearchBounds,
-    bounds_of,
     derive_seed,
     map_blocks,
     row_parts,
 )
 from swarmclust.data import make_blobs, normalize_minmax
 from swarmclust.metrics import error_rate
+from swarmclust.swarm import PsoConfig, init_swarm
+
+
+def box_of(dataset, k=1):
+    """The search box ``init_swarm`` gives a k-centroid swarm, reshaped to
+    one (lower, upper) row pair per centroid."""
+    swarm = init_swarm(None, k, dataset, PsoConfig(swarm_size=2), Rng(0),
+                       lambda positions: np.zeros(len(positions)))
+    return swarm.lower.reshape(k, dataset.d), swarm.upper.reshape(k, dataset.d)
 
 
 class TestBoundsOf:
+    """The swarm's box is the dataset's bounding box, tiled per centroid."""
+
     def test_single_point_degenerate(self):
         ds = Dataset(points=np.array([[2.0, -3.0]]))
-        b = bounds_of(ds)
-        assert np.array_equal(b.lower, [2.0, -3.0])
-        assert np.array_equal(b.upper, [2.0, -3.0])
+        lower, upper = box_of(ds)
+        assert np.array_equal(lower, [[2.0, -3.0]])
+        assert np.array_equal(upper, [[2.0, -3.0]])
 
     def test_column_min_max(self):
         ds = Dataset(points=np.array([[0.0, 5.0], [2.0, 1.0]]))
-        b = bounds_of(ds)
-        assert np.array_equal(b.lower, [0.0, 1.0])
-        assert np.array_equal(b.upper, [2.0, 5.0])
+        lower, upper = box_of(ds, k=3)
+        assert np.array_equal(lower, [[0.0, 1.0]] * 3)
+        assert np.array_equal(upper, [[2.0, 5.0]] * 3)
 
     def test_normalized_dataset_unit_box(self):
         raw = make_blobs("two_blob", {"n": 12, "sep": 5.0, "spread": 0.3}, seed=3)
         norm, _ = normalize_minmax(raw)
-        b = bounds_of(norm)
-        assert np.allclose(b.lower, 0.0)
-        assert np.allclose(b.upper, 1.0)
+        lower, upper = box_of(norm, k=2)
+        assert np.allclose(lower, 0.0)
+        assert np.allclose(upper, 1.0)
 
     @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 20), st.integers(1, 4)),
                       elements=st.floats(-1e9, 1e9, allow_nan=False)))
     def test_containment(self, points):
         ds = Dataset(points=points)
-        b = bounds_of(ds)
-        assert np.all(ds.points >= b.lower)
-        assert np.all(ds.points <= b.upper)
+        lower, upper = box_of(ds)
+        assert np.all(ds.points >= lower)
+        assert np.all(ds.points <= upper)
 
 
 class TestRng:
@@ -122,10 +131,6 @@ class TestDomainTypes:
         ds = Dataset(points=np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
             ds.points[0, 0] = 5.0
-
-    def test_bounds_ordering_enforced(self):
-        with pytest.raises(ContractViolation):
-            SearchBounds(lower=np.array([1.0]), upper=np.array([0.0]))
 
     def test_assignment_range_checked(self):
         with pytest.raises(ContractViolation):

@@ -54,14 +54,18 @@ def degenerate_datasets(draw):
 
 @st.composite
 def sub_configs(draw, n):
-    """Stop rules that ask for 1 to n + 1 centers, or one center only."""
+    """Stop rules that ask for 1 to n + 1 centers, or a density ratio capped
+    at one center. A fixed k above max_centers is refused, so a fixed k's
+    cap of one is raised to k."""
     r_a = draw(st.sampled_from([0.05, 0.5, 4.0]))
     rule = draw(st.one_of(
         st.builds(FixedK, st.integers(1, n + 1)),
         st.builds(DensityRatio, st.sampled_from([0.15, 0.5, 0.99])),
     ))
-    return SubtractiveConfig(r_a=r_a, stop_rule=rule,
-                             max_centers=draw(st.sampled_from([1, 64])))
+    cap = draw(st.sampled_from([1, 64]))
+    if isinstance(rule, FixedK):
+        cap = max(cap, rule.k)
+    return SubtractiveConfig(r_a=r_a, stop_rule=rule, max_centers=cap)
 
 
 def run(algo_id, dataset, k, sub_config, seed):

@@ -12,12 +12,15 @@ from hypothesis import strategies as st
 from swarmclust import core
 from swarmclust.core import Assignment, ContractViolation, Dataset, Rng, derive_seed
 from swarmclust.metrics import (
+    EvaluationReport,
     UnsupportedEvaluation,
     convergence_stats,
     error_rate,
+    evaluation_report,
     _max_weight_matching,
     sicd,
 )
+from swarmclust.pipelines import ClusteringOutcome
 
 from oracles import (
     convergence_stats_ref,
@@ -358,3 +361,39 @@ class TestConvergenceStats:
         trace = np.concatenate([[start], start - np.cumsum(drops)])
         assert convergence_stats(trace, rel_tol, stall_iters) == convergence_stats_ref(
             trace, rel_tol, stall_iters)
+
+
+class TestEvaluationReport:
+    @staticmethod
+    def outcome(dataset, cluster_of, trace):
+        assignment = Assignment(cluster_of=np.array(cluster_of), k=3)
+        return ClusteringOutcome(
+            centroids=np.zeros((3, dataset.d)), assignment=assignment, sicd=float(trace[-1]),
+            iterations_used=len(trace) - 1, sicd_trace=np.array(trace, dtype=np.float64),
+            seed=0)
+
+    # a labelled instance whose optimal and majority mappings disagree
+    LABELS = [0, 0, 0, 0, 0, 1, 1, 2]
+    CLUSTERS = [0, 0, 0, 1, 1, 1, 2, 2]
+    TRACE = [9.0, 5.0, 4.0, 4.0, 3.99999, 3.99999, 3.99999]
+
+    def test_labelled_error_rate_is_the_optimal_mapping_one(self):
+        ds = Dataset(points=np.zeros((8, 2)), labels=np.array(self.LABELS))
+        report = evaluation_report(self.outcome(ds, self.CLUSTERS, self.TRACE), ds)
+        assignment = Assignment(cluster_of=np.array(self.CLUSTERS), k=3)
+        assert report.error_rate_percent == error_rate(assignment, ds.labels, "optimal")[0]
+        assert report.error_rate_percent != error_rate(assignment, ds.labels, "majority")[0]
+        assert report.iterations_to_converge == convergence_stats(self.TRACE)
+
+    def test_unlabelled_has_no_error_rate(self):
+        ds = Dataset(points=np.zeros((8, 2)))
+        report = evaluation_report(self.outcome(ds, self.CLUSTERS, self.TRACE), ds)
+        assert report == EvaluationReport(None, convergence_stats(self.TRACE))
+
+    def test_convergence_uses_the_given_tolerance_and_window(self):
+        ds = Dataset(points=np.zeros((8, 2)))
+        outcome = self.outcome(ds, self.CLUSTERS, self.TRACE)
+        report = evaluation_report(outcome, ds, rel_tol=1e-3, stall_iters=2)
+        assert report.iterations_to_converge == convergence_stats(self.TRACE, 1e-3, 2)
+        # the non-default values change the answer
+        assert report.iterations_to_converge != convergence_stats(self.TRACE)

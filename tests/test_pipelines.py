@@ -443,6 +443,13 @@ class TestRunKmeans:
         with pytest.raises(DegenerateInput):
             run_kmeans(ds, 3, "random_points", Rng(0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_given_centers_rejected(self, bad):
+        ds = Dataset(points=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]))
+        with pytest.raises(ContractViolation) as info:
+            run_kmeans(ds, 2, np.array([[bad, 0.0], [1.0, 1.0]]))
+        assert str(info.value) == "given centers must be finite"
+
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_no_lloyd_iteration_rejected(self, max_iter):
         # max_iter=0 used to return the random initial centers as the result

@@ -218,6 +218,17 @@ class TestConfigRules:
             build()
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("k, max_centers", [(4, 3), (65, 64)])
+    def test_fixed_k_above_max_centers_rejected(self, k, max_centers):
+        with pytest.raises(ContractViolation) as info:
+            SubtractiveConfig(stop_rule=FixedK(k), max_centers=max_centers)
+        assert str(info.value) == f"stop_rule: k={k} exceeds max_centers={max_centers}"
+
+    def test_fixed_k_at_max_centers_selects_k(self):
+        ds = Dataset(points=Rng(2).uniform(0, 1, size=(20, 2)))
+        config = SubtractiveConfig(stop_rule=FixedK(3), max_centers=3)
+        assert select_centers(ds, config).k == 3
+
     def test_numpy_integers_and_default_r_b_accepted(self):
         assert FixedK(np.int64(3)).k == 3
         assert SubtractiveConfig(r_b=None, max_centers=np.int32(5)).effective_r_b == 0.75

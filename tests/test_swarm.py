@@ -57,8 +57,6 @@ def one_step(position, velocity, pbest, gbest, *, w, c1=2.0, c2=2.0, v_max_fract
         iter=0,
         lower=np.array(lower * position.shape[1]),
         upper=np.array(upper * position.shape[1]),
-        k=position.shape[1],
-        d=1,
     )
     cfg = PsoConfig(c1=c1, c2=c2, inertia=exponential_literal(w),
                     v_max_fraction=v_max_fraction, boundary=boundary)
@@ -140,7 +138,7 @@ class TestVelocityAndPosition:
         cfg = PsoConfig(c1=1.3, c2=1.9, inertia=exponential_literal(0.7),
                         v_max_fraction=None, boundary="none")
         swarm = Swarm(pos.copy(), vel.copy(), pbest.copy(), np.full(5, np.inf),
-                      gbest.copy(), np.inf, 0, np.full(4, -9.0), np.full(4, 9.0), 2, 2)
+                      gbest.copy(), np.inf, 0, np.full(4, -9.0), np.full(4, 9.0))
         step(swarm, quadratic_fitness(0.0), cfg, Rng(8))
         for i in range(5):
             v = (0.7 * vel[i] + 1.3 * draws[i, 0] * (pbest[i] - pos[i])
@@ -204,6 +202,21 @@ class TestInitSwarm:
             assert np.all(swarm.position <= swarm.upper)
             assert np.array_equal(swarm.velocity, np.zeros((8, 4)))
             assert np.array_equal(swarm.pbest_position, swarm.position)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_seed_centers_rejected(self, bad):
+        # refused before the swarm is built or evaluated
+        calls = []
+
+        def fitness(positions):
+            calls.append(positions.shape)
+            return quadratic_fitness(0.0)(positions)
+
+        seeds = np.array([[bad, 0.5], [4.5, 0.5]])
+        with pytest.raises(ContractViolation) as info:
+            init_swarm(seeds, 2, tiny_dataset(), PsoConfig(swarm_size=4), Rng(0), fitness)
+        assert str(info.value) == "given centers must be finite"
+        assert calls == []
 
     def test_equal_seeds_identical_swarms(self):
         ds = tiny_dataset()
@@ -451,7 +464,7 @@ def step_cases(draw):
         position=block((size, kd)), velocity=block((size, kd)) * 2.0, pbest_position=pbest,
         pbest_fitness=quadratic_fitness(target)(pbest),
         gbest_position=pbest[draw(st.integers(0, size - 1))].copy(),
-        iter=draw(st.integers(0, 10)), lower=lower, upper=upper, k=k, d=d,
+        iter=draw(st.integers(0, 10)), lower=lower, upper=upper,
     )
     state["gbest_fitness"] = float(quadratic_fitness(target)(state["gbest_position"][None])[0])
     return state, config, target, draw(st.integers(0, 2**32)), draw(st.integers(1, 4))
@@ -497,7 +510,7 @@ class TestReferenceStep:
         state = dict(position=rng.uniform(-1, 1, (4, 6)), velocity=np.zeros((4, 6)),
                      pbest_position=rng.uniform(-1, 1, (4, 6)), pbest_fitness=np.full(4, np.inf),
                      gbest_position=np.zeros(6), gbest_fitness=np.inf, iter=0,
-                     lower=np.full(6, -1.0), upper=np.full(6, 1.0), k=2, d=3)
+                     lower=np.full(6, -1.0), upper=np.full(6, 1.0))
         new, ref = build(state), build(state)
         fitness = quadratic_fitness(0.3)
         configs = [PsoConfig(c1=1.5, c2=2.5, swarm_size=4, v_max_fraction=0.5),
@@ -514,7 +527,7 @@ class TestReferenceStep:
         state = dict(position=np.zeros((5, 2)), velocity=np.zeros((5, 2)),
                      pbest_position=np.zeros((5, 2)), pbest_fitness=np.ones(5),
                      gbest_position=np.zeros(2), gbest_fitness=1.0, iter=7,
-                     lower=np.full(2, -1.0), upper=np.full(2, 1.0), k=1, d=2)
+                     lower=np.full(2, -1.0), upper=np.full(2, 1.0))
 
         def fitness(positions):
             return np.array([1.0, 2.0, np.nan, 0.5, np.nan])
