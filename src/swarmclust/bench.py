@@ -14,16 +14,16 @@ loss. ``bench run`` checks the output directory with :func:`check_out_dir`
 before any cell runs.
 
 All cells of a (dataset, algorithm entry) pair make the same call but for
-the rng. :func:`load_grid` resolves that call once per pair, for ``bench
-validate`` and :func:`run_grid` alike, and raises ``ConfigError`` for a
-pair no cell could run. :func:`run_grid` hands each pair's call to its
-cells inside their arguments, so ``--jobs`` workers get it too. Subtractive
-seeding draws no random numbers, so :func:`run_grid` seeds each distinct
-(dataset, :class:`~swarmclust.subtractive.SubtractiveConfig`) once, before
-any cell runs and failures included; the seeding time counts toward the
-grid's time but not toward any cell's ``wall_ms``. A failed seeding (such
-as ``DegenerateInput``) is the only error a pair passes on to its cells,
-each of which records it as its error.
+the rng, a ``functools.partial`` of the pair's ``run_*`` entry point.
+:func:`load_grid` resolves that call once per pair, for ``bench validate``
+and :func:`run_grid` alike, and raises ``ConfigError`` for a pair no cell
+could run. :func:`run_grid` hands each pair's call to its cells inside
+their arguments, so ``--jobs`` workers get it too. Subtractive seeding
+draws no random numbers, so :func:`run_grid` seeds each distinct (dataset,
+:class:`~swarmclust.subtractive.SubtractiveConfig`) once, before any cell
+runs and failures included; seeding time counts toward the grid's time,
+not a cell's ``wall_ms``. A failed seeding (such as ``DegenerateInput``)
+is the only error a pair passes on to its cells, each of which records it.
 
 :func:`parse_config` checks a config against :data:`CONFIG_SCHEMA` with
 the in-house :class:`~swarmclust.schema.SchemaChecker`, which reports the
@@ -42,6 +42,7 @@ import os
 import platform
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -59,7 +60,7 @@ from .data import (
     registry_spec,
 )
 from .metrics import evaluation_report
-from .pipelines import (  # noqa: F401  (_execute_cell calls the run_* by name)
+from .pipelines import (  # noqa: F401  (_resolve_call looks the run_* up by name)
     ALGORITHM_IDS,
     ALGORITHMS,
     DEFAULTS_VERSION,
@@ -323,16 +324,19 @@ def _stop_of(params: dict, k: Optional[int]) -> tuple[str, Optional[str]]:
     return stop, f"{unused} applies only to stop: {other}, but this entry seeds with stop: {stop}"
 
 
-def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec):
-    """The call every cell of (``dataset``, ``algo``) makes but for its rng:
-    (entry-point name, positional arguments after the dataset, keyword
-    arguments), with keyword arguments only where the params set them. A
-    subtractive entry's positional arguments are its SubtractiveConfig and
-    PsoConfig. Raises ConfigError for a pair no cell could run: a missing
-    k, a k above the dataset's points or above ``max_centers``, or a param
-    its stop rule would ignore, such as an epsilon beside the dataset's
-    class count."""
+def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec) -> partial:
+    """The call every cell of (``dataset``, ``algo``) makes as
+    ``call(dataset, rng=rng)``: a partial of its ``run_*`` entry point that
+    holds ``k`` and the swarm ``config``, or a subtractive entry's
+    ``sub_config`` and ``pso_config``, and other keywords only where the
+    params set them. Raises ConfigError for a pair no cell could run: a
+    missing k, a k above the dataset's points or above ``max_centers``, or
+    a param its stop rule would ignore, such as an epsilon beside the
+    dataset's class count."""
     row = ALGORITHMS[algo.id]
+    # Looked up in this module's namespace when a grid resolves its pairs,
+    # so that perfbench/tracer.py can wrap the entry points here.
+    entry = globals()[row.entry]
     params = algo.params
     k = params.get("k", dataset.k_true)
     pso = _pso_config(row.pso, params) if row.pso is not None else None
@@ -346,7 +350,7 @@ def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec):
         raise ConfigError(f"{where}: k={k} exceeds the dataset's {dataset.n} points")
     if row.seeding != "subtractive":
         kwargs = {key: params[key] for key in SEEDING_PARAMS[row.seeding] if key in params}
-        return row.entry, (k,) if pso is None else (k, pso), kwargs
+        return partial(entry, k=k, **kwargs, **({} if pso is None else {"config": pso}))
     if problem:  # parse_config has rejected those it could see without the dataset
         raise ConfigError(f"{where}: {problem} from the dataset's {k} classes")
     rule = FixedK(k) if uses_k else DensityRatio(params.get("epsilon", DensityRatio.epsilon))
@@ -355,7 +359,7 @@ def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec):
         sub_config = SubtractiveConfig(stop_rule=rule, **knobs)
     except ContractViolation as exc:  # a fixed k above max_centers
         raise ConfigError(f"{where}: {exc}") from None
-    return row.entry, (sub_config, pso), {}
+    return partial(entry, sub_config=sub_config, pso_config=pso)
 
 
 def _execute_cell(args):
@@ -371,10 +375,7 @@ def _execute_cell(args):
     try:
         if isinstance(call, Exception):  # the pair's seeding failed
             raise call
-        entry, entry_args, kwargs = call
-        # Looked up in this module's namespace at call time, so that
-        # perfbench/tracer.py can wrap the entry points here.
-        outcome = globals()[entry](dataset, *entry_args, rng=Rng(seed), **kwargs)
+        outcome = call(dataset, rng=Rng(seed))
         stall = algo.params.get("stall_iters", PsoConfig.stall_iters)
         rel_tol = algo.params.get("rel_tol", PsoConfig.rel_tol)
         report = evaluation_report(outcome, dataset, rel_tol, stall)
@@ -457,9 +458,7 @@ def run_grid(
     seedings: dict = {}  # (dataset name, SubtractiveConfig) -> result or exception
     cells = []
     for name, algo, call in calls:
-        entry, args, _ = call
-        if ALGORITHMS[algo.id].seeding == "subtractive":
-            sub, pso = args
+        if (sub := call.keywords.get("sub_config")) is not None:
             if (name, sub) not in seedings:
                 try:
                     # through the module attribute, so perfbench/tracer.py times it
@@ -467,8 +466,8 @@ def run_grid(
                 except Exception as exc:  # recorded by each of the pair's cells
                     seedings[name, sub] = exc
             seeding = seedings[name, sub]
-            call = seeding if isinstance(seeding, Exception) else (
-                entry, (None, pso), {"seeding": seeding})
+            call = seeding if isinstance(seeding, Exception) else partial(
+                call, sub_config=None, seeding=seeding)
         for rep in range(config.repetitions):
             seed = derive_seed(config.base_seed, name, algo.key, rep)
             cells.append((name, loaded[name], algo, rep, seed, call))

@@ -289,7 +289,6 @@ def _run_swarm(
     swarm = init_swarm(seed_centers, k, dataset, config, rng, fitness)
     trace = [swarm.gbest_fitness]
     stall_streak = 0
-    iterations = 0
     rejected = None  # gbest fitness at the last rejected refine
 
     for _ in range(config.max_iter):
@@ -309,7 +308,6 @@ def _run_swarm(
                 swarm.gbest_fitness = refined_fit
             else:
                 rejected = swarm.gbest_fitness
-        iterations += 1
         trace.append(swarm.gbest_fitness)
         stall_streak = stall_streak + 1 if stalled(trace[-2], trace[-1], config.rel_tol) else 0
         if stall_streak >= config.stall_iters:
@@ -321,7 +319,7 @@ def _run_swarm(
         centroids=centroids,
         assignment=assignment,
         sicd=swarm.gbest_fitness,
-        iterations_used=iterations,
+        iterations_used=swarm.iter,
         sicd_trace=np.asarray(trace),
         seed=rng.seed,
     )
@@ -359,9 +357,7 @@ def run_kmeans(
     trace = []
     prev_assign = None
     assignment = assign_nearest(dataset, centroids)
-    iterations = 0
     for _ in range(max_iter):
-        iterations += 1
         trace.append(sicd(centroids, assignment, dataset))
         if prev_assign is not None and np.array_equal(
             prev_assign.cluster_of, assignment.cluster_of
@@ -371,8 +367,9 @@ def run_kmeans(
         prev_assign = assignment
         assignment = assign_nearest(dataset, centroids)
 
+    iterations = len(trace)
     final = sicd(centroids, assignment, dataset)
-    if not trace or trace[-1] != final:
+    if trace[-1] != final:
         trace.append(final)
     return ClusteringOutcome(
         centroids=centroids,

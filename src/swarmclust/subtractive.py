@@ -15,7 +15,7 @@ defaults to 1.5 * r_a. Revised densities may go negative; they are kept as
 is, since clamping would change later argmax picks.
 
 Selection is fully deterministic: argmax ties break toward the lowest point
-index and previously chosen rows are excluded from later picks.
+index, and a chosen row's density is set to -inf, which no suppression changes.
 
 Memory and threads: the initial densities need all N^2 kernel terms, but
 never all at once. :func:`density_initial` runs on
@@ -72,6 +72,9 @@ class SubtractiveConfig(Checked):
 
     def __post_init__(self):
         super().__post_init__()
+        if not isinstance(self.stop_rule, (FixedK, DensityRatio)):
+            raise ContractViolation(
+                f"stop_rule: {self.stop_rule!r} is not a FixedK or DensityRatio")
         if isinstance(self.stop_rule, FixedK) and self.stop_rule.k > self.max_centers:
             raise ContractViolation(
                 f"stop_rule: k={self.stop_rule.k} exceeds max_centers={self.max_centers}")
@@ -162,7 +165,7 @@ def select_centers(dataset: Dataset, config: SubtractiveConfig) -> SeedingResult
     candidate whose pre-selection density is below eps times the first
     peak's density, so it never picks a negative one, and stops at
     ``max_centers`` centers; that cap binds ``DensityRatio`` only, since
-    ``SubtractiveConfig`` refuses a k above it.
+    ``SubtractiveConfig`` refuses a k above it; a picked row's density becomes -inf.
     """
     rule = config.stop_rule
     if isinstance(rule, FixedK) and rule.k > dataset.n:
@@ -176,35 +179,30 @@ def select_centers(dataset: Dataset, config: SubtractiveConfig) -> SeedingResult
     target = rule.k if isinstance(rule, FixedK) else min(config.max_centers, dataset.n)
     chosen: list[int] = []
     selected_density: list[float] = []
-    first_peak = None
-    available = np.ones(dataset.n, dtype=bool)
 
     while len(chosen) < target:
-        masked = np.where(available, densities, -np.inf)
-        candidate = int(np.argmax(masked))
+        candidate = int(np.argmax(densities))
         cand_density = float(densities[candidate])
-        if first_peak is None:
-            first_peak = cand_density
-        elif isinstance(rule, DensityRatio):
-            if cand_density < rule.epsilon * first_peak:
+        if chosen and isinstance(rule, DensityRatio):
+            if cand_density < rule.epsilon * selected_density[0]:
                 break
-        elif cand_density > selected_density[-1]:
+        elif chosen and cand_density > selected_density[-1]:
             raise DegenerateInput(
                 f"cannot select {rule.k} centers: after {len(chosen)}, suppression "
                 "around negative-density centers raised the remaining densities"
             )
         chosen.append(candidate)
         selected_density.append(cand_density)
-        available[candidate] = False
         densities = density_revise(
             densities, candidate, cand_density, dataset, config.effective_r_b
         )
+        densities[candidate] = -np.inf
 
     indices = np.array(chosen, dtype=np.int64)
     return SeedingResult(
         centers=dataset.points[indices].copy(),
         k=len(chosen),
-        first_peak_density=float(first_peak),
+        first_peak_density=selected_density[0],
         densities_at_selection=np.array(selected_density, dtype=np.float64),
         indices=indices,
     )

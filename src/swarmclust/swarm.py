@@ -122,6 +122,11 @@ class PsoConfig(Checked):
     stall_iters: int = rule(25, type="integer", minimum=1)
     rel_tol: float = rule(1e-8, type="number")
 
+    def __post_init__(self):
+        super().__post_init__()
+        if not isinstance(self.inertia, Inertia):
+            raise ContractViolation(f"inertia: {self.inertia!r} is not an Inertia")
+
 
 @dataclass(frozen=True)
 class Particle:

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
@@ -24,11 +25,11 @@ from swarmclust.bench import (
 )
 from swarmclust import bench, core, pipelines
 from swarmclust.cli import main
-from swarmclust.core import ContractViolation, Dataset, derive_seed
+from swarmclust.core import ContractViolation, Dataset, Rng, derive_seed
 from swarmclust.data import SYNTHETIC_PARAMS, SyntheticSource, make_blobs
 from swarmclust.pipelines import ALGORITHMS
 from swarmclust.schema import SchemaChecker, field_rules
-from swarmclust.swarm import Inertia, PsoConfig
+from swarmclust.swarm import Inertia, PsoConfig, linear
 from swarmclust.subtractive import DensityRatio, FixedK, SubtractiveConfig, density_initial
 
 # A value of the right type for every benchmark-config param name
@@ -697,8 +698,8 @@ class TestFieldRules:
         params = {"r_a": 0.4, "r_b": None}
         config = parse_config(fixture_config(algorithms=[{"id": "sc_br_apso", "params": params}]))
         dataset = make_blobs("two_blob", {"n": 20}, seed=7)
-        _, (sub, _), _ = bench._resolve_call("blobs", dataset, config.algorithms[0])
-        assert sub.effective_r_b == 1.5 * 0.4
+        call = bench._resolve_call("blobs", dataset, config.algorithms[0])
+        assert call.keywords["sub_config"].effective_r_b == 1.5 * 0.4
 
 
 def two_datasets_config(reps, algorithms):
@@ -854,7 +855,8 @@ class TestSeedingPass:
             {"id": "sc_br_apso", "params": {"epsilon": 0.3}}])
         raw["datasets"][0]["name"] = "u"
         cfg = parse_config(raw)
-        [(_, _, (_, (sub, _), _))] = bench.load_grid(cfg, cfg.algorithms)[2]
+        [(_, _, call)] = bench.load_grid(cfg, cfg.algorithms)[2]
+        sub = call.keywords["sub_config"]
         assert sub == SubtractiveConfig(stop_rule=DensityRatio(0.3))
         run_grid(cfg)
         assert calls == [("u", sub)]
@@ -868,9 +870,55 @@ class TestSeedingPass:
     ])
     def test_keyword_arguments_only_where_params_set_them(self, algo_id, params, kwargs):
         dataset = make_blobs("two_blob", {"n": 20}, seed=7)
-        _, args, got = bench._resolve_call("b", dataset, bench.AlgorithmSpec(algo_id, params))
+        call = bench._resolve_call("b", dataset, bench.AlgorithmSpec(algo_id, params))
+        assert call.func is getattr(bench, ALGORITHMS[algo_id].entry)
+        assert call.args == ()
+        got = dict(call.keywords)
+        assert got.pop("k") == 2
+        assert isinstance(got.pop("config", None), PsoConfig) == (algo_id != "kmeans")
         assert got == kwargs
-        assert args[0] == 2
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Per id: params, and the pipelines entry point called directly with the
+# configs those params stand for on two_blob (two classes).
+DIRECT_CALLS = {
+    "kmeans": ({"max_iter": 2}, lambda ds, rng: pipelines.run_kmeans(
+        ds, 2, "random_points", rng, max_iter=2)),
+    "pso": ({"swarm_size": 5, "max_iter": 8}, lambda ds, rng: pipelines.run_pso(
+        ds, 2, replace(pipelines.PLAIN_PSO, swarm_size=5, max_iter=8), rng)),
+    "kmeans_pso": ({"kmeans_max_iter": 3, "max_iter": 8},
+                   lambda ds, rng: pipelines.run_kmeans_pso(
+                       ds, 2, replace(pipelines.PLAIN_PSO, max_iter=8), rng, kmeans_max_iter=3)),
+    "sub_pso": ({"r_a": 0.4, "max_iter": 8}, lambda ds, rng: pipelines.run_subtractive_pso(
+        ds, SubtractiveConfig(r_a=0.4, stop_rule=FixedK(2)),
+        replace(pipelines.PLAIN_PSO, max_iter=8), rng)),
+    "brapso": ({"inertia": "linear", "max_iter": 8}, lambda ds, rng: pipelines.run_brapso(
+        ds, 2, replace(pipelines.ADAPTIVE_PSO, inertia=linear(), max_iter=8), rng)),
+    "sc_br_apso": ({"stop": "density_ratio", "epsilon": 0.3, "max_iter": 8},
+                   lambda ds, rng: pipelines.run_sc_br_apso(
+                       ds, SubtractiveConfig(stop_rule=DensityRatio(0.3)),
+                       replace(pipelines.ADAPTIVE_PSO, max_iter=8), rng)),
+}
+
+
+@pytest.mark.parametrize("algo_id", ALGORITHMS)
+def test_resolved_call_equals_the_entry_point_called_directly(algo_id):
+    params, direct = DIRECT_CALLS[algo_id]
+    dataset = make_blobs("two_blob", {"n": 20, "spread": 1.0}, seed=7)
+    call = bench._resolve_call("b", dataset, bench.AlgorithmSpec(algo_id, params))
+    for s in (0, 1):
+        got, want = call(dataset, rng=Rng(s)), direct(dataset, Rng(s))
+        for f in fields(pipelines.ClusteringOutcome):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "assignment":
+                assert same_bits(a.k, b.k)
+                a, b = a.cluster_of, b.cluster_of
+            assert same_bits(a, b), f.name
 
 
 FIXTURES = yaml.safe_load(

@@ -212,6 +212,9 @@ class TestConfigRules:
         (lambda: DensityRatio(math.nan), "epsilon: nan is not of type 'number'"),
         (lambda: FixedK(0), "k: 0 is less than the minimum of 1"),
         (lambda: FixedK(3.0), "k: 3.0 is not of type 'integer'"),
+        (lambda: SubtractiveConfig(stop_rule=3), "stop_rule: 3 is not a FixedK or DensityRatio"),
+        (lambda: SubtractiveConfig(stop_rule="fixed_k"),
+         "stop_rule: 'fixed_k' is not a FixedK or DensityRatio"),
     ])
     def test_bad_field_raises_naming_it(self, build, message):
         with pytest.raises(ContractViolation) as info:

@@ -241,6 +241,8 @@ class TestInitSwarm:
         ("max_iter", 5.0, "max_iter: 5.0 is not of type 'integer'"),
         ("c1", True, "c1: True is not of type 'number'"),
         ("boundary", "restrict", "boundary: 'restrict' is not one of ['restricted', 'none']"),
+        ("inertia", "linear", "inertia: 'linear' is not an Inertia"),
+        ("inertia", None, "inertia: None is not an Inertia"),
     ])
     def test_config_fields_checked_by_their_rules(self, field, value, message):
         with pytest.raises(ContractViolation) as info:
