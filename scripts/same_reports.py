@@ -10,13 +10,14 @@ Each tree (TREE defaults to this checkout) runs ``bench run`` as
 into one directory, so that its report replaced an earlier one) and at
 ``--jobs 2``, a six-algorithm grid over iris and wine read from this
 checkout's ``data/``, and a grid on 60 000 synthetic points whose N-sized
-passes all run in several blocks (the other grids fit one). The stripped artifacts (``perfbench/benchlib.py``,
-``strip_wall_ms``) are compared twice: TREE's fixtures reports at
-``--jobs 1`` and ``--jobs 2`` with each other, and every run of TREE with
-the same run of BASE_TREE. The second comparison, and BASE_TREE's runs, are
-skipped when ``bench.SCHEMA_VERSION`` or ``pipelines.DEFAULTS_VERSION``
-differs between the trees, since a version bump is how report bytes may
-change; the first is always made.
+passes all run in several blocks (the other grids fit one). The artifacts,
+stripped of their timing fields by this checkout's ``bench.strip_timings``,
+are compared twice: TREE's fixtures reports at ``--jobs 1`` and ``--jobs 2``
+with each other, and every run of TREE with the same run of BASE_TREE. The
+second comparison, and BASE_TREE's runs, are skipped when
+``bench.SCHEMA_VERSION`` or ``pipelines.DEFAULTS_VERSION`` differs between
+the trees, since a version bump is how report bytes may change; the first
+is always made.
 
 Exits 0 when the compared reports are equal, 1 when they differ or a run
 fails a cell, 2 on bad arguments.
@@ -33,10 +34,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-from benchlib import strip_wall_ms  # noqa: E402
+sys.path.insert(0, str(ROOT / "src"))
+from swarmclust.bench import ARTIFACT_FILES, strip_timings  # noqa: E402
 
-ARTIFACTS = {"json": "report.json", "csv": "records.csv", "plot_data": "traces.csv"}
 VERSIONS = (("bench.py", "SCHEMA_VERSION"), ("pipelines.py", "DEFAULTS_VERSION"))
 IRIS_WINE = {
     "base_seed": 2014,
@@ -84,7 +84,7 @@ def run_reports(tree: Path, runs: dict, out: Path) -> dict:
         if failed:
             # equal reports of failed cells would show nothing
             raise SystemExit(f"{tree}: {failed} cells of {name} failed")
-        reports[name] = strip_wall_ms({fmt: where / file for fmt, file in ARTIFACTS.items()})
+        reports[name] = strip_timings({fmt: where / file for fmt, file in ARTIFACT_FILES.items()})
     return reports
 
 
@@ -109,10 +109,10 @@ def main(argv: list) -> int:
             (tmp / label).mkdir()
             results[label] = run_reports(checkout, runs, tmp / label)
     ours = results["tree"]
-    differ = [f"fixtures {fmt} between --jobs 1 and 2" for fmt in ARTIFACTS
+    differ = [f"fixtures {fmt} between --jobs 1 and 2" for fmt in ARTIFACT_FILES
               if ours["fixtures_jobs1"][fmt] != ours["fixtures_jobs2"][fmt]]
     if across:
-        differ += [f"{name} {fmt}" for name in runs for fmt in ARTIFACTS
+        differ += [f"{name} {fmt}" for name in runs for fmt in ARTIFACT_FILES
                    if results["base"][name][fmt] != ours[name][fmt]]
     for item in differ:
         print(f"differs: {item}")

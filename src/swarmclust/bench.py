@@ -4,7 +4,10 @@ reproducible reports.
 Every cell derives its own seed from (base_seed, dataset name, algorithm
 label, repetition), so results are independent of worker count and
 completion order; reports serialize with sorted keys, making reruns
-byte-identical apart from wall-clock fields.
+byte-identical apart from the record fields named in :data:`TIMING_FIELDS`.
+:func:`strip_timings` removes those from the written artifacts, whose file
+names :data:`ARTIFACT_FILES` gives, so that two reports can be compared
+byte for byte.
 
 Each report file is replaced in one ``os.replace`` of a temp file named for
 the writing process (``report.json.<pid>.tmp``), so readers and a crashed
@@ -82,7 +85,13 @@ if TYPE_CHECKING:
 
 SCHEMA_VERSION = 1
 
-EMIT_FORMATS = ("json", "csv", "plot_data")
+# Each report format and the file it is written to in the output directory
+ARTIFACT_FILES = {"json": "report.json", "csv": "records.csv", "plot_data": "traces.csv"}
+EMIT_FORMATS = tuple(ARTIFACT_FILES)
+
+# The record fields that hold wall-clock time: all that may differ between
+# two runs of one config
+TIMING_FIELDS = ("wall_ms",)
 
 STOP_RULES = ("fixed_k", "density_ratio")
 
@@ -586,21 +595,21 @@ def _csv_text(rows) -> str:
 
 
 def emit_report(report: BenchReport, formats, out_dir) -> dict[str, Path]:
-    """Write the requested report artifacts; returns format -> path."""
+    """Write the requested report artifacts to their :data:`ARTIFACT_FILES`
+    in ``out_dir``; returns format -> path. report.json holds one key a
+    line, which :func:`strip_timings` relies on."""
     unknown = set(formats) - set(EMIT_FORMATS)
     if unknown:
         raise ConfigError(f"unknown emit formats: {sorted(unknown)}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
+    written = {fmt: out / ARTIFACT_FILES[fmt] for fmt in EMIT_FORMATS if fmt in formats}
 
-    if "json" in formats:
-        path = out / "report.json"
-        _write_atomic(path, json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n")
-        written["json"] = path
+    if "json" in written:
+        _write_atomic(written["json"],
+                      json.dumps(report_to_dict(report), sort_keys=True, indent=2) + "\n")
 
-    if "csv" in formats:
-        path = out / "records.csv"
+    if "csv" in written:
         columns = [
             "dataset", "algorithm", "rep", "seed", "status", "k", "sicd",
             "error_percent", "iterations", "iterations_to_converge",
@@ -618,16 +627,34 @@ def emit_report(report: BenchReport, formats, out_dir) -> dict[str, Path]:
                 else:
                     row.append(str(value))
             rows.append(row)
-        _write_atomic(path, _csv_text(rows))
-        written["csv"] = path
+        _write_atomic(written["csv"], _csv_text(rows))
 
-    if "plot_data" in formats:
-        path = out / "traces.csv"
+    if "plot_data" in written:
         rows = [["dataset", "algorithm", "rep", "iteration", "sicd"]]
         for (dataset, algorithm, rep), trace in sorted(report.traces.items()):
             for i, value in enumerate(trace):
                 rows.append([dataset, algorithm, str(rep), str(i), repr(value)])
-        _write_atomic(path, _csv_text(rows))
-        written["plot_data"] = path
+        _write_atomic(written["plot_data"], _csv_text(rows))
 
     return written
+
+
+def strip_timings(paths) -> dict[str, bytes]:
+    """The bytes of each artifact in ``paths`` (format -> path, as
+    :func:`emit_report` returns them) without the :data:`TIMING_FIELDS`:
+    their lines go from report.json and their columns from records.csv,
+    which is read as CSV, so that a cell holding a comma keeps its column.
+    traces.csv holds no timing and comes back as it is."""
+    keys = tuple(f'"{name}":'.encode() for name in TIMING_FIELDS)
+    stripped = {}
+    for fmt, path in paths.items():
+        data = Path(path).read_bytes()
+        if fmt == "json":
+            data = b"".join(line for line in data.splitlines(keepends=True)
+                            if not line.lstrip().startswith(keys))
+        elif fmt == "csv":
+            rows = list(csv.reader(io.StringIO(data.decode("utf-8"), newline="")))
+            keep = [i for i, name in enumerate(rows[0]) if name not in TIMING_FIELDS]
+            data = _csv_text([[row[i] for i in keep] for row in rows]).encode("utf-8")
+        stripped[fmt] = data
+    return stripped

@@ -59,9 +59,12 @@ SYNTHETIC_PARAMS = {
     "art_like": {"n": 60, "d": 2, "k": 3, "box": 10.0, "spread": 0.1},
 }
 # Each param's rule, typed by its defaults: an integer of at least 1 where
-# the default is an int, a number where it is a float.
+# the default is an int, a number where it is a float, and for the widths
+# box and spread a number of at least 0.
 SYNTHETIC_RULES = {
-    name: {"type": "integer", "minimum": 1} if isinstance(default, int) else {"type": "number"}
+    name: {"type": "integer", "minimum": 1} if isinstance(default, int)
+    else {"type": "number", "minimum": 0} if name in ("box", "spread")
+    else {"type": "number"}
     for table in SYNTHETIC_PARAMS.values()
     for name, default in table.items()
 }

@@ -27,6 +27,7 @@ building the whole N x N matrix on one thread.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -78,6 +79,18 @@ class SubtractiveConfig(Checked):
         if isinstance(self.stop_rule, FixedK) and self.stop_rule.k > self.max_centers:
             raise ContractViolation(
                 f"stop_rule: k={self.stop_rule.k} exceeds max_centers={self.max_centers}")
+        # a zero scale would make each density's self term exp(-0/0), NaN,
+        # and an overflowing one cannot be computed
+        r_b = "r_b" if self.r_b is not None else "r_b (1.5 * r_a)"
+        for name, radius in (("r_a", float(self.r_a)), (r_b, float(self.effective_r_b))):
+            try:
+                scale = (radius / 2.0) ** 2
+            except OverflowError:
+                scale = math.inf
+            if not 0 < scale < math.inf:
+                raise ContractViolation(
+                    f"{name}: radius {radius!r} gives kernel scale (r/2)**2 = {scale!r}, "
+                    "not a positive finite float")
 
     @property
     def effective_r_b(self) -> float:
@@ -90,7 +103,6 @@ class SeedingResult:
 
     centers: np.ndarray
     k: int
-    first_peak_density: float
     densities_at_selection: np.ndarray
     indices: np.ndarray
 
@@ -173,8 +185,6 @@ def select_centers(dataset: Dataset, config: SubtractiveConfig) -> SeedingResult
             f"cannot select {rule.k} centers from {dataset.n} points"
         )
     densities = density_initial(dataset, config.r_a)
-    if not np.any(densities > 0):
-        raise AssertionError("densities must be positive initially (self term)")
 
     target = rule.k if isinstance(rule, FixedK) else min(config.max_centers, dataset.n)
     chosen: list[int] = []
@@ -202,7 +212,6 @@ def select_centers(dataset: Dataset, config: SubtractiveConfig) -> SeedingResult
     return SeedingResult(
         centers=dataset.points[indices].copy(),
         k=len(chosen),
-        first_peak_density=selected_density[0],
         densities_at_selection=np.array(selected_density, dtype=np.float64),
         indices=indices,
     )

@@ -1,5 +1,6 @@
 import copy
 import csv
+import io
 import json
 import math
 import os
@@ -60,8 +61,9 @@ def fixture_config(reps=2, algorithms=None, base_seed=4242):
 
 
 def strip_wall(obj):
+    """``obj`` (records, or a report as a dict) without its timing fields."""
     if isinstance(obj, dict):
-        return {k: strip_wall(v) for k, v in obj.items() if k != "wall_ms"}
+        return {k: strip_wall(v) for k, v in obj.items() if k not in bench.TIMING_FIELDS}
     if isinstance(obj, list):
         return [strip_wall(v) for v in obj]
     return obj
@@ -286,7 +288,8 @@ class TestConfigParsing:
         params = synthetic["properties"]["params"]["properties"]
         assert params == {
             **{name: {"type": "integer", "minimum": 1} for name in ("n", "d", "side", "k")},
-            **{name: {"type": "number"} for name in ("sep", "spread", "scale", "box")},
+            **{name: {"type": "number"} for name in ("sep", "scale")},
+            **{name: {"type": "number", "minimum": 0} for name in ("spread", "box")},
         }
 
     @pytest.mark.parametrize("kind, params, message", [
@@ -299,6 +302,8 @@ class TestConfigParsing:
         ("two_blob", {"d": 0}, "params/d: 0 is less than the minimum of 1"),
         ("grid", {"side": 0}, "params/side: 0 is less than the minimum of 1"),
         ("art_like", {"box": "10"}, "params/box: '10' is not of type 'number'"),
+        ("art_like", {"box": -1.0}, "params/box: -1.0 is less than the minimum of 0"),
+        ("grid", {"spread": -1e-300}, "params/spread: -1e-300 is less than the minimum of 0"),
     ])
     def test_bad_synthetic_params_rejected(self, kind, params, message):
         raw = fixture_config()
@@ -1163,6 +1168,38 @@ class TestRunGrid:
             assert agg["sicd_best"] == sicds.min()
             assert agg["sicd_worst"] == sicds.max()
 
+    def test_aggregates_from_hand_built_records(self):
+        def ok(algorithm, sicd, error_percent, iterations, to_converge):
+            return {"dataset": "d", "algorithm": algorithm, "status": "ok", "sicd": sicd,
+                    "error_percent": error_percent, "iterations": iterations,
+                    "iterations_to_converge": to_converge}
+
+        failed = {"dataset": "d", "status": "error", "error": "DegenerateInput: x"}
+        records = [
+            ok("b", 6.0, None, 7, 6), {**failed, "algorithm": "c"}, ok("b", 1.0, 10.0, 3, 2),
+            {**failed, "algorithm": "b"}, ok("b", 2.0, 20.0, 5, 4), {**failed, "algorithm": "c"},
+            ok("a", 5.0, None, 4, 1),
+        ]
+        assert aggregate_records(records) == [
+            {"dataset": "d", "algorithm": "a", "cells": 1, "failures": 0, "sicd_mean": 5.0,
+             "sicd_std": 0.0, "sicd_best": 5.0, "sicd_worst": 5.0, "error_percent_mean": None,
+             "iterations_mean": 4.0, "iterations_to_converge_mean": 1.0},
+            {"dataset": "d", "algorithm": "b", "cells": 4, "failures": 1, "sicd_mean": 3.0,
+             # the population deviation of 1, 2 and 6 (ddof=0)
+             "sicd_std": pytest.approx(math.sqrt(14 / 3), rel=1e-15),
+             "sicd_best": 1.0, "sicd_worst": 6.0, "error_percent_mean": 15.0,
+             "iterations_mean": 5.0, "iterations_to_converge_mean": 4.0},
+            {"dataset": "d", "algorithm": "c", "cells": 2, "failures": 2},
+        ]
+
+    def test_every_cell_of_three_repetitions_gets_its_own_seed(self):
+        raw = fixture_config(reps=3, algorithms=[{"id": "kmeans"}, {"id": "kmeans", "label": "km"}])
+        records = run_grid(parse_config(raw)).records
+        assert [r["seed"] for r in records] == [
+            derive_seed(4242, r["dataset"], r["algorithm"], r["rep"]) for r in records]
+        assert sorted(r["rep"] for r in records) == [0, 0, 1, 1, 2, 2]
+        assert len({r["seed"] for r in records}) == 6
+
     def test_every_algorithm_separates_the_blobs(self):
         raw = fixture_config(reps=10, algorithms=[
             {"id": "kmeans"}, {"id": "pso"}, {"id": "kmeans_pso"},
@@ -1172,6 +1209,21 @@ class TestRunGrid:
         assert report.failed_cells == 0
         for agg in report.aggregates:
             assert agg["error_percent_mean"] <= 5.0, agg
+
+
+def emitted(report, out):
+    """``report`` emitted in every format to ``out``: format -> path."""
+    return emit_report(report, bench.EMIT_FORMATS, out)
+
+
+def comma_report():
+    """A grid whose dataset name, one label and failed cells' errors hold commas."""
+    raw = two_datasets_config(1, [
+        {"id": "kmeans", "label": "k-means, k=2", "params": {"k": 2}},
+        {"id": "sc_br_apso", "params": {"k": 9}},
+    ])
+    raw["datasets"][0]["name"] = "two, blob"
+    return run_grid(parse_config(raw))
 
 
 class TestEmitReport:
@@ -1197,14 +1249,7 @@ class TestEmitReport:
         assert len(lines) == len(report.records) + 1
 
     def test_csv_cells_with_commas_keep_their_columns(self, tmp_path):
-        # a dataset name and a label with commas, and a failing cell whose
-        # error message has one
-        raw = two_datasets_config(1, [
-            {"id": "kmeans", "label": "k-means, k=2", "params": {"k": 2}},
-            {"id": "sc_br_apso", "params": {"k": 9}},
-        ])
-        raw["datasets"][0]["name"] = "two, blob"
-        report = run_grid(parse_config(raw))
+        report = comma_report()
         failed = [r for r in report.records if r["status"] == "error"]
         assert failed and all("," in r["error"] for r in failed)
         paths = emit_report(report, ["csv", "plot_data"], tmp_path)
@@ -1234,13 +1279,49 @@ class TestEmitReport:
         assert len(lines) == expected + 1
 
 
-def stripped_report(out):
-    """The artifacts in ``out`` without their wall_ms fields and column."""
-    report = strip_wall(json.loads((out / "report.json").read_text(encoding="utf-8")))
-    with open(out / "records.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    col = rows[0].index("wall_ms")
-    return report, [row[:col] + row[col + 1:] for row in rows], (out / "traces.csv").read_bytes()
+class TestStripTimings:
+    def test_reports_differing_only_in_timings_strip_equal(self, tmp_path):
+        report = run_grid(parse_config(fixture_config(reps=2)))
+        slower = replace(report, records=[{**rec, "wall_ms": rec["wall_ms"] * 3 + 1.0}
+                                          for rec in report.records])
+        one, two = emitted(report, tmp_path / "one"), emitted(slower, tmp_path / "two")
+        assert one["json"].read_bytes() != two["json"].read_bytes()
+        assert one["csv"].read_bytes() != two["csv"].read_bytes()
+        assert bench.strip_timings(one) == bench.strip_timings(two)
+
+    def test_one_sicd_bit_strips_different(self, tmp_path):
+        report = run_grid(parse_config(fixture_config(reps=2)))
+        records = copy.deepcopy(report.records)
+        records[1]["sicd"] = float(np.nextafter(records[1]["sicd"], np.inf))
+        one = bench.strip_timings(emitted(report, tmp_path / "one"))
+        two = bench.strip_timings(emitted(replace(report, records=records), tmp_path / "two"))
+        assert one["json"] != two["json"] and one["csv"] != two["csv"]
+        assert one["plot_data"] == two["plot_data"]
+
+    def test_csv_cells_with_commas_keep_their_columns(self, tmp_path):
+        paths = emitted(comma_report(), tmp_path)
+        with open(paths["csv"], newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        stripped = bench.strip_timings(paths)["csv"].decode("utf-8")
+        got_header, *got = csv.reader(io.StringIO(stripped, newline=""))
+        assert got_header == [name for name in header if name != "wall_ms"]
+        assert "iterations_to_converge" in got_header
+        assert [dict(zip(got_header, row)) for row in got] == [
+            {name: cell for name, cell in zip(header, row) if name != "wall_ms"} for row in rows]
+
+    def test_traces_come_back_as_written(self, tmp_path):
+        paths = emitted(comma_report(), tmp_path)
+        assert bench.strip_timings(paths)["plot_data"] == paths["plot_data"].read_bytes()
+
+    def test_every_timing_field_leaves_report_and_records(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(bench, "TIMING_FIELDS", ("wall_ms", "iterations"))
+        stripped = bench.strip_timings(emitted(comma_report(), tmp_path))
+        lines = [line.strip() for line in stripped["json"].decode("utf-8").splitlines()]
+        assert not [line for line in lines if line.startswith(('"wall_ms":', '"iterations":'))]
+        assert any(line.startswith('"iterations_to_converge":') for line in lines)
+        header = next(csv.reader(io.StringIO(stripped["csv"].decode("utf-8"))))
+        assert "wall_ms" not in header and "iterations" not in header
+        assert "iterations_to_converge" in header
 
 
 class TestWriteAtomic:
@@ -1466,6 +1547,19 @@ class TestCli:
         pytest.param([(("datasets", 0, "synthetic", "params", "n"), 1)],
                      "config invalid for dataset two_blob: need at least 2 points for 2 blobs",
                      id="synthetic-too-few-points"),
+        pytest.param([(("datasets", 0, "synthetic"),
+                       {"kind": "art_like", "params": {"box": -1.0}})],
+                     "datasets/0/synthetic/params/box: -1.0 is less than the minimum of 0",
+                     id="synthetic-negative-box"),
+        pytest.param([(("datasets", 0, "synthetic", "params", "spread"), -0.5)],
+                     "datasets/0/synthetic/params/spread: -0.5 is less than the minimum of 0",
+                     id="synthetic-negative-spread"),
+        *(pytest.param([(("algorithms", 0), {"id": "sc_br_apso", "params": {name: radius}})],
+                       f"config invalid for algorithm sc_br_apso on dataset two_blob: {name}: "
+                       f"radius {radius!r} gives kernel scale (r/2)**2 = {scale}, not a "
+                       "positive finite float", id=f"subtractive-{name}={radius!r}")
+          for name, radius, scale in [("r_a", 1.0e-300, "0.0"), ("r_a", 1.0e300, "inf"),
+                                      ("r_b", 1.0e300, "inf")]),
         pytest.param([(("datasets", 0), {"registry": "irs"})],
                      "datasets/0/registry: 'irs' is not one of", id="registry-name"),
         pytest.param(None, "config.yaml: not valid YAML", id="invalid-yaml"),
@@ -1560,7 +1654,9 @@ class TestCli:
             result = CliRunner().invoke(main, ["run", "--config", path,
                                                "--out", str(tmp_path / out)])
             assert result.exit_code == 0, result.output
-        assert stripped_report(tmp_path / "rerun") == stripped_report(tmp_path / "fresh")
+        fresh, rerun = ({fmt: tmp_path / out / name for fmt, name in bench.ARTIFACT_FILES.items()}
+                        for out in ("fresh", "rerun"))
+        assert bench.strip_timings(rerun) == bench.strip_timings(fresh)
         assert not list(tmp_path.rglob("*.tmp"))
 
     def test_out_dir_created_under_its_nearest_ancestor(self, tmp_path):

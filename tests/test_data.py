@@ -151,6 +151,15 @@ class TestNormalizeMinmax:
         assert np.all(norm.points[:, 0] == 0.0)
         assert record.constant_columns == (0,)
 
+    def test_constant_column_of_signed_zeros_maps_to_positive_zero(self):
+        # the column's minimum is +0.0, so without the explicit zeroing its
+        # -0.0 entry would scale to -0.0
+        ds = Dataset(points=np.array([[0.0, 1.0], [-0.0, 2.0], [0.0, 3.0]]))
+        norm, record = normalize_minmax(ds)
+        assert record.constant_columns == (0,)
+        assert norm.points[:, 0].tolist() == [0.0, 0.0, 0.0]
+        assert not np.any(np.signbit(norm.points[:, 0]))
+
     @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 12), st.integers(1, 4)),
                       elements=st.floats(-1e6, 1e6, allow_nan=False)))
     def test_round_trip(self, points):

@@ -463,6 +463,17 @@ class TestRunKmeans:
         ds = blob_fixture()
         assert run_kmeans(ds, 2, "random_points", Rng(0), 1).iterations_used == 1
 
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    def test_trace_ends_at_the_result_when_max_iter_stops_the_loop(self, max_iter):
+        # the centers still move after max_iter passes, so the last traced
+        # SICD is of the centers before the last recompute, and the result's
+        # is appended after it
+        ds = Dataset(points=np.array([[0.0], [2.0], [10.0], [12.0]]))
+        out = run_kmeans(ds, 2, np.array([[0.0], [2.0]]), max_iter=max_iter)
+        assert out.iterations_used == max_iter
+        assert len(out.sicd_trace) == max_iter + 1
+        assert out.sicd_trace[-1] == out.sicd < out.sicd_trace[-2]
+
     def test_trace_non_increasing_on_fixture(self):
         ds = blob_fixture()
         for seed in range(20):

@@ -205,6 +205,18 @@ class TestConfigRules:
         (lambda: SubtractiveConfig(r_a=0.0),
          "r_a: 0.0 is less than or equal to the minimum of 0"),
         (lambda: SubtractiveConfig(r_b=math.inf), "r_b: inf is not of type 'number', 'null'"),
+        (lambda: SubtractiveConfig(r_a=1.0e-300), "r_a: radius 1e-300 gives kernel scale "
+         "(r/2)**2 = 0.0, not a positive finite float"),
+        (lambda: SubtractiveConfig(r_a=1.0e300), "r_a: radius 1e+300 gives kernel scale "
+         "(r/2)**2 = inf, not a positive finite float"),
+        (lambda: SubtractiveConfig(r_a=np.float64(1.0e300)), "r_a: radius 1e+300 gives kernel "
+         "scale (r/2)**2 = inf, not a positive finite float"),
+        (lambda: SubtractiveConfig(r_b=1.0e300), "r_b: radius 1e+300 gives kernel scale "
+         "(r/2)**2 = inf, not a positive finite float"),
+        (lambda: SubtractiveConfig(r_a=2.0e154), "r_b (1.5 * r_a): radius 3e+154 gives kernel "
+         "scale (r/2)**2 = inf, not a positive finite float"),
+        (lambda: SubtractiveConfig(r_a=1.0, r_b=1.0e-300), "r_b: radius 1e-300 gives kernel "
+         "scale (r/2)**2 = 0.0, not a positive finite float"),
         (lambda: SubtractiveConfig(max_centers=0),
          "max_centers: 0 is less than the minimum of 1"),
         (lambda: DensityRatio(1.0),
@@ -231,6 +243,16 @@ class TestConfigRules:
         ds = Dataset(points=Rng(2).uniform(0, 1, size=(20, 2)))
         config = SubtractiveConfig(stop_rule=FixedK(3), max_centers=3)
         assert select_centers(ds, config).k == 3
+
+    @pytest.mark.parametrize("r_a", [1.0e-161, 1.0, 1.0e154])
+    def test_every_admitted_radius_keeps_the_self_term(self, r_a):
+        # why select_centers need not check that densities are positive:
+        # every term is an exp, at least 0, and a radius the config admits
+        # has a positive kernel scale, so the self term exp(-0/scale) is 1
+        config = SubtractiveConfig(r_a=r_a, stop_rule=FixedK(1))
+        ds = Dataset(points=np.array([[0.5, 0.5], [0.5, 0.5]]))
+        assert np.array_equal(density_initial(ds, config.r_a), [2.0, 2.0])
+        assert select_centers(ds, config).densities_at_selection.tolist() == [2.0]
 
     def test_numpy_integers_and_default_r_b_accepted(self):
         assert FixedK(np.int64(3)).k == 3
@@ -302,7 +324,7 @@ class TestSelectCenters:
             ds = Dataset(points=pts)
             res = select_centers(ds, SubtractiveConfig(r_a=0.4, stop_rule=FixedK(6)))
             assert np.all(np.diff(res.densities_at_selection) <= 0)
-            assert res.densities_at_selection[0] == res.first_peak_density
+            assert res.densities_at_selection[0] == density_initial(ds, 0.4).max()
 
     def test_deterministic(self):
         pts = Rng(9).uniform(0, 1, size=(15, 3))
