@@ -41,7 +41,7 @@ def main() -> None:
                        max_iter=1, swarm_size=4)
     cells = {
         "brapso": lambda: run_brapso(dataset, K, config, Rng(3)),
-        "kmeans": lambda: run_kmeans(dataset, K, "random_points", Rng(3), 1),
+        "kmeans": lambda: run_kmeans(dataset, K, rng=Rng(3), max_iter=1),
     }
     print(f"N = {N}, d = 2, k = {K}: points {dataset.points.nbytes / 1e6:.2f} MB, "
           f"kernel budget {8 * core.KERNEL_BLOCK / 1e6:.2f} MB")

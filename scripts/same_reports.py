@@ -8,9 +8,11 @@ Each tree (TREE defaults to this checkout) runs ``bench run`` as
 ``python -m swarmclust.cli run`` in a fresh interpreter with
 ``PYTHONPATH=<tree>/src``: the ``fixtures`` preset at ``--jobs 1`` (twice
 into one directory, so that its report replaced an earlier one) and at
-``--jobs 2``, a six-algorithm grid over iris and wine read from this
-checkout's ``data/``, and a grid on 60 000 synthetic points whose N-sized
-passes all run in several blocks (the other grids fit one). The artifacts,
+``--jobs 2``, a grid over iris and wine read from this checkout's
+``data/`` (the six algorithms, and the two subtractive ones again with
+seeding stopped by the density ratio), and a grid on 60 000 synthetic
+points whose N-sized passes all run in several blocks (the other grids fit
+one). The artifacts,
 stripped of their timing fields by this checkout's ``bench.strip_timings``,
 are compared twice: TREE's fixtures reports at ``--jobs 1`` and ``--jobs 2``
 with each other, and every run of TREE with the same run of BASE_TREE. The
@@ -44,7 +46,10 @@ IRIS_WINE = {
     "emit": ["json", "csv", "plot_data"],
     "datasets": [{"registry": "iris"}, {"registry": "wine"}],
     "algorithms": [{"id": algo} for algo in (
-        "kmeans", "pso", "kmeans_pso", "sub_pso", "brapso", "sc_br_apso")],
+        "kmeans", "pso", "kmeans_pso", "sub_pso", "brapso", "sc_br_apso")] + [
+        # seeding stopped by the density ratio, which no other grid reaches
+        {"id": algo, "label": f"{algo}_ratio", "params": {"stop": "density_ratio"}}
+        for algo in ("sub_pso", "sc_br_apso")],
 }
 # (k+1)*N, 2k*N and (d+1)*N entries all exceed core.KERNEL_BLOCK: the fitness
 # rows are tiled, and the assignment and the SICD split over blocks of points

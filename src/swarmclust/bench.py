@@ -17,7 +17,9 @@ loss. ``bench run`` checks the output directory with :func:`check_out_dir`
 before any cell runs.
 
 All cells of a (dataset, algorithm entry) pair make the same call but for
-the rng, a ``functools.partial`` of the pair's ``run_*`` entry point.
+the rng, a ``functools.partial`` of the pair's ``run_*`` entry point, and
+read their convergence index under the stop rule of that call's swarm
+``config``.
 :func:`load_grid` resolves that call once per pair, for ``bench validate``
 and :func:`run_grid` alike, and raises ``ConfigError`` for a pair no cell
 could run. :func:`run_grid` hands each pair's call to its cells inside
@@ -312,7 +314,7 @@ def load_config(path) -> BenchConfig:
     return parse_config(raw)
 
 
-def _pso_config(base: PsoConfig, params: dict) -> PsoConfig:
+def _swarm_config(base: PsoConfig, params: dict) -> PsoConfig:
     overrides = {name: params[name] for name in PSO_PARAMS if name in params}
     if "inertia" in overrides:
         spec = overrides["inertia"]
@@ -336,19 +338,18 @@ def _stop_of(params: dict, k: Optional[int]) -> tuple[str, Optional[str]]:
 def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec) -> partial:
     """The call every cell of (``dataset``, ``algo``) makes as
     ``call(dataset, rng=rng)``: a partial of its ``run_*`` entry point that
-    holds ``k`` and the swarm ``config``, or a subtractive entry's
-    ``sub_config`` and ``pso_config``, and other keywords only where the
-    params set them. Raises ConfigError for a pair no cell could run: a
-    missing k, a k above the dataset's points or above ``max_centers``, or
-    a param its stop rule would ignore, such as an epsilon beside the
-    dataset's class count."""
+    holds ``k`` (or a subtractive entry's ``sub_config``) and the swarm
+    ``config``, and other keywords only where the params set them. Raises
+    ConfigError for a pair no cell could run: a missing k, a k above the
+    dataset's points or above ``max_centers``, or a param its stop rule
+    would ignore, such as an epsilon beside the dataset's class count."""
     row = ALGORITHMS[algo.id]
     # Looked up in this module's namespace when a grid resolves its pairs,
     # so that perfbench/tracer.py can wrap the entry points here.
     entry = globals()[row.entry]
     params = algo.params
     k = params.get("k", dataset.k_true)
-    pso = _pso_config(row.pso, params) if row.pso is not None else None
+    pso = _swarm_config(row.pso, params) if row.pso is not None else None
     where = f"config invalid for algorithm {algo.key} on dataset {name}"
     stop, problem = _stop_of(params, k)
     uses_k = row.seeding != "subtractive" or stop == "fixed_k"
@@ -368,14 +369,14 @@ def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec) -> partial:
         sub_config = SubtractiveConfig(stop_rule=rule, **knobs)
     except ContractViolation as exc:  # a fixed k above max_centers
         raise ConfigError(f"{where}: {exc}") from None
-    return partial(entry, sub_config=sub_config, pso_config=pso)
+    return partial(entry, sub_config=sub_config, config=pso)
 
 
 def _execute_cell(args):
-    name, dataset, algo, rep, seed, call = args
+    name, dataset, label, rep, seed, call = args
     record = {
         "dataset": name,
-        "algorithm": algo.key,
+        "algorithm": label,
         "rep": rep,
         "seed": seed,
         "status": "ok",
@@ -385,9 +386,9 @@ def _execute_cell(args):
         if isinstance(call, Exception):  # the pair's seeding failed
             raise call
         outcome = call(dataset, rng=Rng(seed))
-        stall = algo.params.get("stall_iters", PsoConfig.stall_iters)
-        rel_tol = algo.params.get("rel_tol", PsoConfig.rel_tol)
-        report = evaluation_report(outcome, dataset, rel_tol, stall)
+        # the swarm's stop rule, or for Lloyd's algorithm PsoConfig's defaults
+        config = call.keywords.get("config", PsoConfig)
+        report = evaluation_report(outcome, dataset, config.rel_tol, config.stall_iters)
         record.update(
             k=int(outcome.centroids.shape[0]),
             sicd=float(outcome.sicd),
@@ -479,7 +480,7 @@ def run_grid(
                 call, sub_config=None, seeding=seeding)
         for rep in range(config.repetitions):
             seed = derive_seed(config.base_seed, name, algo.key, rep)
-            cells.append((name, loaded[name], algo, rep, seed, call))
+            cells.append((name, loaded[name], algo.key, rep, seed, call))
 
     if jobs > 1 and len(cells) > 1:
         with _process_pool(jobs) as pool:
@@ -617,16 +618,8 @@ def emit_report(report: BenchReport, formats, out_dir) -> dict[str, Path]:
         ]
         rows = [columns]
         for rec in report.records:
-            row = []
-            for col in columns:
-                value = rec.get(col)
-                if value is None:
-                    row.append("")
-                elif isinstance(value, float):
-                    row.append(repr(value))
-                else:
-                    row.append(str(value))
-            rows.append(row)
+            # a missing value is an empty cell; a float's str is its repr
+            rows.append(["" if rec.get(col) is None else str(rec[col]) for col in columns])
         _write_atomic(written["csv"], _csv_text(rows))
 
     if "plot_data" in written:

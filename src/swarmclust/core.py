@@ -86,11 +86,16 @@ class Checked:
         check_fields(self, ContractViolation)
 
 
-def _as_matrix(points) -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ContractViolation(f"points must be a 2-D matrix, got ndim={pts.ndim}")
-    return pts
+def given_centers(centers, k: int, d: int) -> np.ndarray:
+    """``centers`` given to ``run_kmeans`` or ``init_swarm``, copied into a
+    k x d float64 matrix; another shape or a non-finite entry raises
+    ContractViolation."""
+    c = np.array(centers, dtype=np.float64)
+    if c.shape != (k, d):
+        raise ContractViolation(f"given centers shape {c.shape} != ({k}, {d})")
+    if not np.all(np.isfinite(c)):
+        raise ContractViolation("given centers must be finite")
+    return c
 
 
 def int_array(values, name: str) -> np.ndarray:
@@ -118,7 +123,9 @@ class Dataset:
     k_true: Optional[int] = None
 
     def __post_init__(self):
-        pts = _as_matrix(self.points).copy()
+        pts = np.array(self.points, dtype=np.float64)
+        if pts.ndim != 2:
+            raise ContractViolation(f"points must be a 2-D matrix, got ndim={pts.ndim}")
         if pts.shape[0] < 1 or pts.shape[1] < 1:
             raise ContractViolation("dataset needs at least one row and one column")
         if not np.all(np.isfinite(pts)):

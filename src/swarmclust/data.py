@@ -136,12 +136,14 @@ def load_csv(spec: DatasetSpec) -> Dataset:
     if len(src.delimiter) != 1:
         raise LoadError(f"{spec.name}: delimiter {src.delimiter!r} is not one character")
     path = Path(src.path)
-    if not path.exists():
-        raise LoadError(f"{spec.name}: file not found: {path}")
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=src.delimiter)
-        rows = [row for row in reader if row and any(field.strip() for field in row)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=src.delimiter)
+            rows = [row for row in reader if row and any(field.strip() for field in row)]
+    except FileNotFoundError:
+        raise LoadError(f"{spec.name}: file not found: {path}") from None
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise LoadError(f"{spec.name}: cannot read {path}: {exc.strerror or exc}") from None
     if not rows:
         raise LoadError(f"{spec.name}: {path} is empty")
 

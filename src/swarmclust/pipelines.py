@@ -37,7 +37,7 @@ each distinct (dataset, config) once and hands the result to every cell.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -282,7 +282,7 @@ def _run_swarm(
     elif not 1 <= k <= dataset.n:
         raise DegenerateInput(f"k={k} outside [1, {dataset.n}]")
     elif algo.seeding == "kmeans":
-        seed_centers = run_kmeans(dataset, k, "random_points", rng, kmeans_max_iter).centroids
+        seed_centers = run_kmeans(dataset, k, None, rng, kmeans_max_iter).centroids
     config = config or algo.pso
 
     fitness = _fitness_for(dataset, k)
@@ -328,31 +328,24 @@ def _run_swarm(
 def run_kmeans(
     dataset: Dataset,
     k: int,
-    init: Union[str, np.ndarray] = "random_points",
+    init: Optional[np.ndarray] = None,
     rng: Optional[Rng] = None,
     max_iter: int = 100,
 ) -> ClusteringOutcome:
     """Lloyd's algorithm: assign to nearest centers, recompute means, repeat
-    until the assignment stabilizes or ``max_iter`` passes. An array
-    ``init`` holds the k starting centers, which must be finite."""
+    until the assignment stabilizes or ``max_iter`` passes. ``init`` holds
+    the k starting centers, a finite k x d matrix; without it they are k
+    distinct data points drawn from ``rng``."""
     if max_iter < 1:
         raise ContractViolation(f"k-means needs max_iter >= 1, got {max_iter}")
     if not 1 <= k <= dataset.n:
         raise DegenerateInput(f"k={k} outside [1, {dataset.n}]")
-    if isinstance(init, str):
-        if init != "random_points":
-            raise ContractViolation(f"unknown init mode {init!r}")
-        if rng is None:
-            raise ContractViolation("random_points init needs an rng")
-        centroids = dataset.points[rng.choice_without_replacement(dataset.n, k)].copy()
+    if init is not None:
+        centroids = core.given_centers(init, k, dataset.d)
+    elif rng is None:
+        raise ContractViolation("run_kmeans needs init centers or an rng")
     else:
-        centroids = np.asarray(init, dtype=np.float64).copy()
-        if centroids.shape != (k, dataset.d):
-            raise ContractViolation(
-                f"given centers shape {centroids.shape} != ({k}, {dataset.d})"
-            )
-        if not np.all(np.isfinite(centroids)):
-            raise ContractViolation("given centers must be finite")
+        centroids = dataset.points[rng.choice_without_replacement(dataset.n, k)].copy()
 
     trace = []
     prev_assign = None
@@ -406,14 +399,14 @@ def run_kmeans_pso(
 def run_subtractive_pso(
     dataset: Dataset,
     sub_config: Optional[SubtractiveConfig] = None,
-    pso_config: Optional[PsoConfig] = None,
+    config: Optional[PsoConfig] = None,
     rng: Optional[Rng] = None,
     seeding: Optional[SeedingResult] = None,
 ) -> ClusteringOutcome:
     """Subtractive seeding determines k and the seeds; plain PSO refines.
     ``seeding``, if given, is ``select_centers(dataset, sub_config)``
     computed beforehand, and replaces ``sub_config``."""
-    return _run_swarm("sub_pso", dataset, None, pso_config, rng, sub_config,
+    return _run_swarm("sub_pso", dataset, None, config, rng, sub_config,
                       seeding=seeding)
 
 
@@ -431,7 +424,7 @@ def run_brapso(
 def run_sc_br_apso(
     dataset: Dataset,
     sub_config: Optional[SubtractiveConfig] = None,
-    pso_config: Optional[PsoConfig] = None,
+    config: Optional[PsoConfig] = None,
     rng: Optional[Rng] = None,
     seeding: Optional[SeedingResult] = None,
 ) -> ClusteringOutcome:
@@ -439,5 +432,5 @@ def run_sc_br_apso(
     centers, then boundary-restricted adaptive PSO with per-iteration center
     recalculation refines them until convergence. ``seeding`` is as for
     :func:`run_subtractive_pso`."""
-    return _run_swarm("sc_br_apso", dataset, None, pso_config, rng, sub_config,
+    return _run_swarm("sc_br_apso", dataset, None, config, rng, sub_config,
                       seeding=seeding)

@@ -14,6 +14,10 @@ and selection repeats until a stop rule fires. The suppression radius r_b
 defaults to 1.5 * r_a. Revised densities may go negative; they are kept as
 is, since clamping would change later argmax picks.
 
+A radius near 1e-161 has a subnormal kernel scale (r/2)**2, by which a
+squared distance's quotient may overflow to -inf. Its term exp(-inf) = 0 is
+right, so both kernels divide with numpy's overflow warning off.
+
 Selection is fully deterministic: argmax ties break toward the lowest point
 index, and a chosen row's density is set to -inf, which no suppression changes.
 
@@ -120,10 +124,11 @@ def density_initial(dataset: Dataset, r_a: float) -> np.ndarray:
     :func:`swarmclust.core.map_blocks` hands it, the block's squared
     distances come from :func:`swarmclust.core.sqeuclidean` (scipy's
     compiled ``cdist(..., "sqeuclidean")``), are divided by ``-(r_a/2)**2``
-    and exponentiated in place, then summed per row into the result. Dividing by the negated scale gives exactly the bits of
-    negating and then dividing (IEEE division is sign-symmetric), every
-    term is elementwise, and each row is summed as one contiguous length-N
-    vector, so the densities are bit-identical to
+    and exponentiated in place, then summed per row into the result.
+    Dividing by the negated scale gives exactly the bits of negating and
+    then dividing (IEEE division is sign-symmetric), every term is
+    elementwise, and each row is summed as one contiguous length-N vector,
+    so the densities are bit-identical to
     ``np.exp(-cdist(x, x, "sqeuclidean") / (r_a/2)**2).sum(axis=1)``
     whatever the block size and thread count.
     """
@@ -136,7 +141,8 @@ def density_initial(dataset: Dataset, r_a: float) -> np.ndarray:
 
     def fill(lo: int, hi: int) -> None:
         block = core.sqeuclidean(x[lo:hi], x)
-        block /= -scale
+        with np.errstate(over="ignore"):  # per thread: helpers do not inherit it
+            block /= -scale
         np.exp(block, out=block)
         block.sum(axis=1, out=densities[lo:hi])
 
@@ -164,7 +170,8 @@ def density_revise(
         raise ContractViolation("center_density must equal densities[center_index]")
     diff = dataset.points - dataset.points[center_index]
     sq = np.einsum("ij,ij->i", diff, diff)
-    return densities - center_density * np.exp(-sq / (r_b / 2.0) ** 2)
+    with np.errstate(over="ignore"):  # a subnormal scale: see the module docstring
+        return densities - center_density * np.exp(-sq / (r_b / 2.0) ** 2)
 
 
 def select_centers(dataset: Dataset, config: SubtractiveConfig) -> SeedingResult:

@@ -65,7 +65,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Checked, ContractViolation, Dataset
+from .core import Checked, ContractViolation, Dataset, given_centers
 from .schema import rule
 
 # The ufunc np.clip calls, called directly to skip np.clip's Python-level
@@ -244,14 +244,14 @@ def init_swarm(
 
     The search box is the dataset's bounding box (each column's min and
     max) tiled once per centroid: ``lower`` and ``upper`` are k*d vectors.
-    With ``seed_centers``, which must be finite, the first particle sits
+    With ``seed_centers``, a finite k x d matrix, the first particle sits
     exactly at the seeds and the rest jitter around them by up to +/-5% of
     each dimension's range, clipped into the box. Without seeds, positions
     are uniform inside the box. Velocities start at zero and pbest at the
     initial position.
     """
-    if k < 1 or dataset.d < 1:
-        raise ContractViolation("k and d must be >= 1")
+    if k < 1:
+        raise ContractViolation("k must be >= 1")
     lower = np.tile(dataset.points.min(axis=0), k)
     upper = np.tile(dataset.points.max(axis=0), k)
     span = upper - lower
@@ -259,14 +259,7 @@ def init_swarm(
     size = config.swarm_size
 
     if seed_centers is not None:
-        seeds = np.asarray(seed_centers, dtype=np.float64)
-        if seeds.shape != (k, dataset.d):
-            raise ContractViolation(
-                f"seed_centers shape {seeds.shape} != ({k}, {dataset.d})"
-            )
-        if not np.all(np.isfinite(seeds)):
-            raise ContractViolation("given centers must be finite")
-        base = encode(seeds)
+        base = given_centers(seed_centers, k, dataset.d).reshape(-1)
         draws = rng.random((size - 1) * kd).reshape(size - 1, kd)
         jitter = (draws * 2.0 - 1.0) * 0.05 * span
         position = np.vstack([base, np.clip(base + jitter, lower, upper)])

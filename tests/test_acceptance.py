@@ -82,7 +82,7 @@ SIX = ("kmeans", "pso", "kmeans_pso", "sub_pso", "brapso", "sc_br_apso")
 def run_algorithm(algo, dataset, k, rng):
     sub = SubtractiveConfig(stop_rule=FixedK(k))
     if algo == "kmeans":
-        return run_kmeans(dataset, k, "random_points", rng)
+        return run_kmeans(dataset, k, None, rng)
     if algo == "pso":
         return run_pso(dataset, k, rng=rng)
     if algo == "kmeans_pso":

@@ -28,6 +28,7 @@ from swarmclust import bench, core, pipelines
 from swarmclust.cli import main
 from swarmclust.core import ContractViolation, Dataset, Rng, derive_seed
 from swarmclust.data import SYNTHETIC_PARAMS, SyntheticSource, make_blobs
+from swarmclust.metrics import convergence_stats
 from swarmclust.pipelines import ALGORITHMS
 from swarmclust.schema import SchemaChecker, field_rules
 from swarmclust.swarm import Inertia, PsoConfig, linear
@@ -789,7 +790,7 @@ class TestSeedingPass:
                     # from the SubtractiveConfig in the call
                     call = bench._resolve_call(spec.name, dataset, algo)
                     seed = derive_seed(cfg.base_seed, spec.name, algo.key, rep)
-                    cell = (spec.name, dataset, algo, rep, seed, call)
+                    cell = (spec.name, dataset, algo.key, rep, seed, call)
                     records.append(bench._execute_cell(cell)[0])
         records.sort(key=lambda r: (r["dataset"], r["algorithm"], r["rep"]))
         assert strip_wall(report.records) == strip_wall(records)
@@ -872,6 +873,10 @@ class TestSeedingPass:
         ("kmeans_pso", {}, {}),
         ("kmeans_pso", {"kmeans_max_iter": 7, "max_iter": 5}, {"kmeans_max_iter": 7}),
         ("pso", {"max_iter": 5}, {}),  # a swarm's max_iter is in its PsoConfig
+        # subtractive seeding picks k itself, from its sub_config
+        ("sub_pso", {"max_iter": 5}, {"sub_config": SubtractiveConfig(stop_rule=FixedK(2))}),
+        ("sc_br_apso", {"r_a": 0.4},
+         {"sub_config": SubtractiveConfig(r_a=0.4, stop_rule=FixedK(2))}),
     ])
     def test_keyword_arguments_only_where_params_set_them(self, algo_id, params, kwargs):
         dataset = make_blobs("two_blob", {"n": 20}, seed=7)
@@ -879,9 +884,21 @@ class TestSeedingPass:
         assert call.func is getattr(bench, ALGORITHMS[algo_id].entry)
         assert call.args == ()
         got = dict(call.keywords)
-        assert got.pop("k") == 2
+        assert got.pop("k", None) == (None if "sub_config" in kwargs else 2)
         assert isinstance(got.pop("config", None), PsoConfig) == (algo_id != "kmeans")
         assert got == kwargs
+
+    def test_cells_are_evaluated_under_the_config_they_ran_with(self, monkeypatch):
+        # a stop rule set in the base config, not in the params, reaches the
+        # cell's record only through its call's config
+        row = ALGORITHMS["pso"]
+        monkeypatch.setitem(ALGORITHMS, "pso", replace(row, pso=replace(row.pso, stall_iters=3)))
+        report = run_grid(parse_config(fixture_config(algorithms=[{"id": "pso"}])))
+        assert report.failed_cells == 0
+        for rec in report.records:
+            trace = report.traces[rec["dataset"], rec["algorithm"], rec["rep"]]
+            assert rec["iterations"] < row.pso.max_iter  # the stall stopped the run
+            assert rec["iterations_to_converge"] == convergence_stats(trace, 1e-8, 3)
 
 
 def same_bits(a, b) -> bool:
@@ -893,7 +910,7 @@ def same_bits(a, b) -> bool:
 # configs those params stand for on two_blob (two classes).
 DIRECT_CALLS = {
     "kmeans": ({"max_iter": 2}, lambda ds, rng: pipelines.run_kmeans(
-        ds, 2, "random_points", rng, max_iter=2)),
+        ds, 2, None, rng, max_iter=2)),
     "pso": ({"swarm_size": 5, "max_iter": 8}, lambda ds, rng: pipelines.run_pso(
         ds, 2, replace(pipelines.PLAIN_PSO, swarm_size=5, max_iter=8), rng)),
     "kmeans_pso": ({"kmeans_max_iter": 3, "max_iter": 8},
@@ -1571,6 +1588,9 @@ class TestCli:
         pytest.param([(("datasets", 0), {"name": "nolab",
                                          "csv": {"path": "nolab.csv", "drop_columns": [99]}})],
                      "error: nolab: drop column 99 out of range", id="csv-drop-column"),
+        # the path names the working directory, which open() refuses
+        pytest.param([(("datasets", 0), {"name": "nolab", "csv": {"path": "."}})],
+                     "error: nolab: cannot read .: Is a directory", id="csv-path-directory"),
         pytest.param([(("datasets", 0), {"name": "nolab", "csv": {"path": "nolab.csv"},
                                          "expected": {"n": 4, "d": 2, "k": 0,
                                                       "class_sizes": []}})],

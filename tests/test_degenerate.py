@@ -73,7 +73,7 @@ def run(algo_id, dataset, k, sub_config, seed):
     entry = getattr(pipelines, algo.entry)
     rng = Rng(seed)
     if algo.pso is None:
-        return entry(dataset, k, "random_points", rng, max_iter=8)
+        return entry(dataset, k, None, rng, max_iter=8)
     config = replace(algo.pso, **SHORT)
     if algo_id in SUBTRACTIVE:
         return entry(dataset, sub_config, config, rng)

@@ -230,7 +230,7 @@ class TestLargeNCellMemory:
                            max_iter=1, swarm_size=4)
         runs = {
             "brapso": lambda: run_brapso(dataset, self.K, config, Rng(3)),
-            "kmeans": lambda: run_kmeans(dataset, self.K, "random_points", Rng(3), 1),
+            "kmeans": lambda: run_kmeans(dataset, self.K, None, Rng(3), 1),
         }
         runs[cell]()  # starts the helper threads before the trace
         limit = 3 * dataset.points.nbytes + 8 * core.KERNEL_BLOCK
@@ -403,7 +403,7 @@ class TestRecomputeCentroids:
 class TestRunKmeans:
     def test_k_equals_n_zero_cost(self):
         ds = Dataset(points=np.array([[0.0], [3.0], [9.0]]))
-        out = run_kmeans(ds, 3, "random_points", Rng(1))
+        out = run_kmeans(ds, 3, None, Rng(1))
         assert out.sicd == 0.0
 
     def test_two_pairs_given_centers(self):
@@ -419,7 +419,7 @@ class TestRunKmeans:
         ds = Dataset(points=pts)
         best = exhaustive_best_sicd(pts.tolist(), 2)
         for seed in range(10):
-            out = run_kmeans(ds, 2, "random_points", Rng(seed))
+            out = run_kmeans(ds, 2, None, Rng(seed))
             assert out.sicd >= best - 1e-9
 
     def test_random_init_never_beats_worst_exhaustive_restart(self):
@@ -435,13 +435,13 @@ class TestRunKmeans:
         ]
         worst = max(restarts)
         for seed in range(10):
-            out = run_kmeans(ds, 2, "random_points", Rng(seed))
+            out = run_kmeans(ds, 2, None, Rng(seed))
             assert out.sicd <= worst + 1e-12
 
     def test_k_above_n_rejected(self):
         ds = Dataset(points=np.zeros((2, 1)))
         with pytest.raises(DegenerateInput):
-            run_kmeans(ds, 3, "random_points", Rng(0))
+            run_kmeans(ds, 3, None, Rng(0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_given_centers_rejected(self, bad):
@@ -450,18 +450,37 @@ class TestRunKmeans:
             run_kmeans(ds, 2, np.array([[bad, 0.0], [1.0, 1.0]]))
         assert str(info.value) == "given centers must be finite"
 
+    @pytest.mark.parametrize("centers, message", [
+        ([[0.0, 0.0]], "given centers shape (1, 2) != (2, 2)"),
+        ([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], "given centers shape (2, 3) != (2, 2)"),
+        ([[np.inf, 0.0], [1.0, 1.0]], "given centers must be finite"),
+    ])
+    def test_given_centers_checked_as_swarm_seeds_are(self, centers, message):
+        ds = Dataset(points=np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]]))
+        with pytest.raises(ContractViolation) as lloyd:
+            run_kmeans(ds, 2, np.array(centers))
+        with pytest.raises(ContractViolation) as swarm:
+            init_swarm(np.array(centers), 2, ds, PsoConfig(swarm_size=2), Rng(0),
+                       lambda positions: np.zeros(len(positions)))
+        assert str(lloyd.value) == str(swarm.value) == message
+
+    def test_random_rows_need_an_rng(self):
+        with pytest.raises(ContractViolation) as info:
+            run_kmeans(blob_fixture(), 2)
+        assert str(info.value) == "run_kmeans needs init centers or an rng"
+
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_no_lloyd_iteration_rejected(self, max_iter):
         # max_iter=0 used to return the random initial centers as the result
         ds = blob_fixture()
         with pytest.raises(ContractViolation, match=f"max_iter >= 1, got {max_iter}"):
-            run_kmeans(ds, 2, "random_points", Rng(0), max_iter)
+            run_kmeans(ds, 2, None, Rng(0), max_iter)
         with pytest.raises(ContractViolation, match=f"max_iter >= 1, got {max_iter}"):
             run_kmeans_pso(ds, 2, FAST_PLAIN, Rng(0), kmeans_max_iter=max_iter)
 
     def test_one_lloyd_iteration(self):
         ds = blob_fixture()
-        assert run_kmeans(ds, 2, "random_points", Rng(0), 1).iterations_used == 1
+        assert run_kmeans(ds, 2, None, Rng(0), 1).iterations_used == 1
 
     @pytest.mark.parametrize("max_iter", [1, 2])
     def test_trace_ends_at_the_result_when_max_iter_stops_the_loop(self, max_iter):
@@ -477,12 +496,12 @@ class TestRunKmeans:
     def test_trace_non_increasing_on_fixture(self):
         ds = blob_fixture()
         for seed in range(20):
-            out = run_kmeans(ds, 2, "random_points", Rng(seed))
+            out = run_kmeans(ds, 2, None, Rng(seed))
             assert np.all(np.diff(out.sicd_trace) <= 0)
 
 
 ALL_RUNNERS = {
-    "kmeans": lambda ds, k, sub, rng: run_kmeans(ds, k, "random_points", rng),
+    "kmeans": lambda ds, k, sub, rng: run_kmeans(ds, k, None, rng),
     "pso": lambda ds, k, sub, rng: run_pso(ds, k, FAST_PLAIN, rng),
     "kmeans_pso": lambda ds, k, sub, rng: run_kmeans_pso(ds, k, FAST_PLAIN, rng),
     "sub_pso": lambda ds, k, sub, rng: run_subtractive_pso(ds, sub, FAST_PLAIN, rng),
@@ -561,7 +580,7 @@ class TestHybrids:
     def test_kmeans_pso_not_worse_than_its_kmeans_stage(self):
         ds = blob_fixture(seed=15)
         for s in range(10):
-            km = run_kmeans(ds, 2, "random_points", Rng(derive_seed(3, "km", s)))
+            km = run_kmeans(ds, 2, None, Rng(derive_seed(3, "km", s)))
             hybrid = run_kmeans_pso(ds, 2, FAST_PLAIN, Rng(derive_seed(3, "km", s)))
             assert hybrid.sicd <= km.sicd + 1e-12
 
@@ -602,7 +621,7 @@ class TestPrecomputedSeeding:
         seeding = select_centers(ds, sub)
         for s in range(3):
             assert same_outcome(entry(ds, sub, pso, Rng(s)),
-                                entry(ds, pso_config=pso, rng=Rng(s), seeding=seeding))
+                                entry(ds, config=pso, rng=Rng(s), seeding=seeding))
 
     def test_default_config_when_neither_given(self):
         ds = blob_fixture(seed=3)

@@ -244,15 +244,23 @@ class TestConfigRules:
         config = SubtractiveConfig(stop_rule=FixedK(3), max_centers=3)
         assert select_centers(ds, config).k == 3
 
-    @pytest.mark.parametrize("r_a", [1.0e-161, 1.0, 1.0e154])
-    def test_every_admitted_radius_keeps_the_self_term(self, r_a):
+    @pytest.mark.parametrize("r_a, points, densities", [
+        (1.0e-161, [[0.5, 0.5], [0.5, 0.5]], [2.0, 2.0]),
+        # a subnormal scale: the other point's quotient overflows to -inf,
+        # and its term exp(-inf) is 0, without a RuntimeWarning
+        (1.0e-161, [[0.0, 0.0], [1.0, 1.0]], [1.0, 1.0]),
+        (1.0, [[0.5, 0.5], [0.5, 0.5]], [2.0, 2.0]),
+        (1.0e154, [[0.5, 0.5], [0.5, 0.5]], [2.0, 2.0]),
+    ])
+    def test_every_admitted_radius_keeps_the_self_term(self, r_a, points, densities):
         # why select_centers need not check that densities are positive:
         # every term is an exp, at least 0, and a radius the config admits
         # has a positive kernel scale, so the self term exp(-0/scale) is 1
         config = SubtractiveConfig(r_a=r_a, stop_rule=FixedK(1))
-        ds = Dataset(points=np.array([[0.5, 0.5], [0.5, 0.5]]))
-        assert np.array_equal(density_initial(ds, config.r_a), [2.0, 2.0])
-        assert select_centers(ds, config).densities_at_selection.tolist() == [2.0]
+        ds = Dataset(points=np.array(points))
+        assert np.array_equal(density_initial(ds, config.r_a), densities)
+        # the one pick's revision divides by the r_b scale, subnormal too
+        assert select_centers(ds, config).densities_at_selection.tolist() == densities[:1]
 
     def test_numpy_integers_and_default_r_b_accepted(self):
         assert FixedK(np.int64(3)).k == 3
@@ -260,6 +268,16 @@ class TestConfigRules:
 
 
 class TestSelectCenters:
+    def test_density_ratio_accepts_a_peak_at_exactly_epsilon(self):
+        # four points at one spot and two at a far one: the densities are
+        # exactly 4.0 and, once the first is suppressed, 2.0 = 0.5 * 4.0,
+        # so the stop, which refuses a peak below the ratio, accepts it
+        pts = np.array([[0.0, 0.0]] * 4 + [[100.0, 100.0]] * 2)
+        res = select_centers(Dataset(points=pts),
+                             SubtractiveConfig(r_a=0.5, stop_rule=DensityRatio(0.5)))
+        assert res.densities_at_selection.tolist() == [4.0, 2.0]
+        assert res.k == 2
+
     def test_one_point_fixed_k(self):
         ds = Dataset(points=np.array([[3.0, 4.0]]))
         res = select_centers(ds, SubtractiveConfig(stop_rule=FixedK(1)))
