@@ -9,12 +9,13 @@ Each tree (TREE defaults to this checkout) runs ``bench run`` as
 ``PYTHONPATH=<tree>/src``: the ``fixtures`` preset at ``--jobs 1`` (twice
 into one directory, so that its report replaced an earlier one) and at
 ``--jobs 2``, a grid over iris and wine read from this checkout's
-``data/`` (the six algorithms, and the two subtractive ones again with
-seeding stopped by the density ratio), and a grid on 60 000 synthetic
-points whose N-sized passes all run in several blocks (the other grids fit
-one). The artifacts,
-stripped of their timing fields by this checkout's ``bench.strip_timings``,
-are compared twice: TREE's fixtures reports at ``--jobs 1`` and ``--jobs 2``
+``data/`` (the six algorithms, the two subtractive ones again with
+seeding stopped by the density ratio, and ``pso`` and ``sc_br_apso`` again
+under a stall rule of 5 steps at ``rel_tol`` 1e-4, so that a runner that
+read PsoConfig's default stop rule would show), and a grid on 60 000
+synthetic points whose N-sized passes all run in several blocks (the other
+grids fit one). The artifacts, stripped of their timing fields by this
+checkout's ``bench.strip_timings``, are compared twice: TREE's fixtures reports at ``--jobs 1`` and ``--jobs 2``
 with each other, and every run of TREE with the same run of BASE_TREE. The
 second comparison, and BASE_TREE's runs, are skipped when
 ``bench.SCHEMA_VERSION`` or ``pipelines.DEFAULTS_VERSION`` differs between
@@ -49,7 +50,10 @@ IRIS_WINE = {
         "kmeans", "pso", "kmeans_pso", "sub_pso", "brapso", "sc_br_apso")] + [
         # seeding stopped by the density ratio, which no other grid reaches
         {"id": algo, "label": f"{algo}_ratio", "params": {"stop": "density_ratio"}}
-        for algo in ("sub_pso", "sc_br_apso")],
+        for algo in ("sub_pso", "sc_br_apso")] + [
+        # a stall rule other than PsoConfig's defaults, which stops every run
+        {"id": algo, "label": f"{algo}_stall5", "params": {"stall_iters": 5, "rel_tol": 1.0e-4}}
+        for algo in ("pso", "sc_br_apso")],
 }
 # (k+1)*N, 2k*N and (d+1)*N entries all exceed core.KERNEL_BLOCK: the fitness
 # rows are tiled, and the assignment and the SICD split over blocks of points

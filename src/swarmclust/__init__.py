@@ -27,7 +27,6 @@ from .data import (
     registry_spec,
 )
 from .metrics import (
-    EvaluationReport,
     UnsupportedEvaluation,
     convergence_stats,
     error_rate,

@@ -17,9 +17,7 @@ loss. ``bench run`` checks the output directory with :func:`check_out_dir`
 before any cell runs.
 
 All cells of a (dataset, algorithm entry) pair make the same call but for
-the rng, a ``functools.partial`` of the pair's ``run_*`` entry point, and
-read their convergence index under the stop rule of that call's swarm
-``config``.
+the rng, a ``functools.partial`` of the pair's ``run_*`` entry point.
 :func:`load_grid` resolves that call once per pair, for ``bench validate``
 and :func:`run_grid` alike, and raises ``ConfigError`` for a pair no cell
 could run. :func:`run_grid` hands each pair's call to its cells inside
@@ -386,18 +384,12 @@ def _execute_cell(args):
         if isinstance(call, Exception):  # the pair's seeding failed
             raise call
         outcome = call(dataset, rng=Rng(seed))
-        # the swarm's stop rule, or for Lloyd's algorithm PsoConfig's defaults
-        config = call.keywords.get("config", PsoConfig)
-        report = evaluation_report(outcome, dataset, config.rel_tol, config.stall_iters)
         record.update(
             k=int(outcome.centroids.shape[0]),
             sicd=float(outcome.sicd),
-            error_percent=(
-                None if report.error_rate_percent is None
-                else float(report.error_rate_percent)
-            ),
+            error_percent=evaluation_report(outcome, dataset),
             iterations=int(outcome.iterations_used),
-            iterations_to_converge=int(report.iterations_to_converge),
+            iterations_to_converge=int(outcome.iterations_to_converge),
         )
         trace = [float(v) for v in outcome.sicd_trace]
     except Exception as exc:  # recorded per-cell, grid continues

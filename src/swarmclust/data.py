@@ -142,6 +142,8 @@ def load_csv(spec: DatasetSpec) -> Dataset:
             rows = [row for row in reader if row and any(field.strip() for field in row)]
     except FileNotFoundError:
         raise LoadError(f"{spec.name}: file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise LoadError(f"{spec.name}: {path} is not UTF-8 text: {exc.reason}") from None
     except OSError as exc:  # a directory, or a file this process may not read
         raise LoadError(f"{spec.name}: cannot read {path}: {exc.strerror or exc}") from None
     if not rows:

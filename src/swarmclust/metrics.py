@@ -25,7 +25,6 @@ no module of this package imports it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
@@ -36,15 +35,6 @@ from .core import Assignment, ContractViolation, Dataset
 
 class UnsupportedEvaluation(RuntimeError):
     """Requested a label-based metric on an unlabeled dataset."""
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    """What a benchmark cell records beside the outcome: the error rate
-    (None on an unlabeled dataset) and the convergence index."""
-
-    error_rate_percent: Optional[float]
-    iterations_to_converge: int
 
 
 def sicd(centroids: np.ndarray, assignment: Assignment, dataset: Dataset) -> float:
@@ -225,16 +215,10 @@ def convergence_stats(sicd_trace, rel_tol: float = 1e-8, stall_iters: int = 25) 
     return len(values)
 
 
-def evaluation_report(
-    outcome,
-    dataset: Dataset,
-    rel_tol: float = 1e-8,
-    stall_iters: int = 25,
-) -> EvaluationReport:
+def evaluation_report(outcome, dataset: Dataset) -> Optional[float]:
     """The error rate of ``outcome``'s assignment under the optimal
-    cluster-to-class mapping (None when ``dataset`` has no labels), and
-    :func:`convergence_stats` of its SICD trace."""
-    iters = convergence_stats(outcome.sicd_trace, rel_tol, stall_iters)
+    cluster-to-class mapping, in percent; None when ``dataset`` has no
+    labels."""
     if dataset.labels is None:
-        return EvaluationReport(None, iters)
-    return EvaluationReport(error_rate(outcome.assignment, dataset.labels)[0], iters)
+        return None
+    return error_rate(outcome.assignment, dataset.labels)[0]

@@ -2,7 +2,10 @@
 
 Every ``run_*`` function returns a :class:`ClusteringOutcome` whose
 ``sicd_trace`` is the per-iteration best cost (non-increasing for the swarm
-family, and per-iteration cost for Lloyd's algorithm).
+family, and per-iteration cost for Lloyd's algorithm), and whose
+``iterations_to_converge`` is :func:`~swarmclust.metrics.convergence_stats`
+of that trace: a swarm reports the stall window that stopped it under its
+own config, and Lloyd's algorithm applies ``PsoConfig``'s default rule.
 
 The algorithms differ only in seeding, boundary, inertia and gbest refine.
 :data:`ALGORITHMS` holds one row per algorithm with those choices; the
@@ -49,7 +52,7 @@ from .core import (
     DegenerateInput,
     Rng,
 )
-from .metrics import sicd, stalled
+from .metrics import convergence_stats, sicd, stalled
 from .schema import field_rules
 from .subtractive import DensityRatio, SeedingResult, SubtractiveConfig, select_centers
 from .swarm import (
@@ -120,7 +123,7 @@ class ClusteringOutcome:
     sicd: float
     iterations_used: int
     sicd_trace: np.ndarray
-    seed: int
+    iterations_to_converge: int
 
 
 def assign_nearest(dataset: Dataset, centroids: np.ndarray) -> Assignment:
@@ -311,7 +314,10 @@ def _run_swarm(
         trace.append(swarm.gbest_fitness)
         stall_streak = stall_streak + 1 if stalled(trace[-2], trace[-1], config.rel_tol) else 0
         if stall_streak >= config.stall_iters:
+            converged_at = swarm.iter - config.stall_iters
             break
+    else:
+        converged_at = len(trace)
 
     centroids = decode(swarm.gbest_position, k, dataset.d)
     assignment = assign_nearest(dataset, centroids)
@@ -321,7 +327,7 @@ def _run_swarm(
         sicd=swarm.gbest_fitness,
         iterations_used=swarm.iter,
         sicd_trace=np.asarray(trace),
-        seed=rng.seed,
+        iterations_to_converge=converged_at,
     )
 
 
@@ -370,7 +376,7 @@ def run_kmeans(
         sicd=final,
         iterations_used=iterations,
         sicd_trace=np.asarray(trace),
-        seed=rng.seed if rng is not None else 0,
+        iterations_to_converge=convergence_stats(trace, PsoConfig.rel_tol, PsoConfig.stall_iters),
     )
 
 

@@ -106,7 +106,6 @@ class SeedingResult:
     """Selected centers (rows of the input dataset) in selection order."""
 
     centers: np.ndarray
-    k: int
     densities_at_selection: np.ndarray
     indices: np.ndarray
 
@@ -114,6 +113,10 @@ class SeedingResult:
         dens = np.asarray(self.densities_at_selection, dtype=np.float64)
         if np.any(np.diff(dens) > 0):
             raise ContractViolation("selection densities must be non-increasing")
+
+    @property
+    def k(self) -> int:
+        return len(self.indices)
 
 
 def density_initial(dataset: Dataset, r_a: float) -> np.ndarray:
@@ -153,11 +156,11 @@ def density_initial(dataset: Dataset, r_a: float) -> np.ndarray:
 def density_revise(
     densities: np.ndarray,
     center_index: int,
-    center_density: float,
     dataset: Dataset,
     r_b: float,
 ) -> np.ndarray:
-    """Suppress density around a freshly chosen center.
+    """Suppress density around a freshly chosen center, scaled by the
+    center's own density ``densities[center_index]``.
 
     The revised density at the center itself is exactly zero. Values may go
     negative and are not clamped.
@@ -166,8 +169,7 @@ def density_revise(
         raise ContractViolation("r_b must be positive")
     if not 0 <= center_index < dataset.n:
         raise ContractViolation(f"center_index {center_index} out of range")
-    if densities[center_index] != center_density:
-        raise ContractViolation("center_density must equal densities[center_index]")
+    center_density = densities[center_index]
     diff = dataset.points - dataset.points[center_index]
     sq = np.einsum("ij,ij->i", diff, diff)
     with np.errstate(over="ignore"):  # a subnormal scale: see the module docstring
@@ -210,15 +212,12 @@ def select_centers(dataset: Dataset, config: SubtractiveConfig) -> SeedingResult
             )
         chosen.append(candidate)
         selected_density.append(cand_density)
-        densities = density_revise(
-            densities, candidate, cand_density, dataset, config.effective_r_b
-        )
+        densities = density_revise(densities, candidate, dataset, config.effective_r_b)
         densities[candidate] = -np.inf
 
     indices = np.array(chosen, dtype=np.int64)
     return SeedingResult(
         centers=dataset.points[indices].copy(),
-        k=len(chosen),
         densities_at_selection=np.array(selected_density, dtype=np.float64),
         indices=indices,
     )

@@ -112,7 +112,7 @@ def test_criterion_1_equation_oracles():
             assert dens == pytest.approx(density_initial_ref(pts.tolist(), r_a), rel=1e-9)
             c = int(np.argmax(dens))
             r_b = 1.5 * r_a
-            revised = density_revise(dens, c, dens[c], ds, r_b)
+            revised = density_revise(dens, c, ds, r_b)
             ref = density_revise_ref(dens.tolist(), c, float(dens[c]), pts.tolist(), r_b)
             assert revised == pytest.approx(ref, rel=1e-9, abs=1e-12)
 

@@ -1616,6 +1616,22 @@ class TestCli:
         assert "Traceback" not in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "nolab.csv"]
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_csv_not_utf8_exits_2_without_traceback(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "latin1.csv").write_bytes(b"a,b\n1,\xff\n")
+        raw = fixture_config(reps=1, algorithms=[{"id": "kmeans", "params": {"k": 1}}])
+        raw["datasets"] = [{"name": "latin1", "csv": {"path": "latin1.csv", "header": True}}]
+        args = [command, "--config", self.write_config(tmp_path, raw)]
+        if command == "run":
+            args += ["--out", "out"]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: latin1: latin1.csv is not UTF-8 text: invalid start byte" in result.output
+        assert "Traceback" not in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "latin1.csv"]
+
     @pytest.mark.parametrize("command, path, value", [
         pytest.param("validate", *case.values, id=f"validate-{case.id}") for case in BAD_VALUES
     ] + [

@@ -132,6 +132,15 @@ class TestLoadCsv:
         with pytest.raises(LoadError, match="not found"):
             load_csv(spec)
 
+    def test_file_not_utf8_fails(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b\n1,\xff\n")
+        spec = DatasetSpec("latin1", CsvSource(str(path), header=True))
+        with pytest.raises(LoadError) as info:
+            load_csv(spec)
+        assert str(info.value) == f"latin1: {path} is not UTF-8 text: invalid start byte"
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
 
 class TestNormalizeMinmax:
     def test_affine_map(self):

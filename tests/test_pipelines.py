@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
@@ -13,8 +15,9 @@ from swarmclust.core import (
     derive_seed,
 )
 from swarmclust.data import make_blobs, normalize_minmax
-from swarmclust.metrics import sicd
+from swarmclust.metrics import convergence_stats, sicd
 from swarmclust.pipelines import (
+    ALGORITHMS,
     _fitness_for,
     assign_nearest,
     recompute_centroids,
@@ -602,11 +605,41 @@ def test_swarm_entry_point_without_rng_is_a_contract_violation(entry):
         entry(*args)
 
 
+# (id, PsoConfig overrides): each swarm runs under its row's config with them
+STALL_RULES = [
+    ("defaults", {}),
+    ("stall3", {"stall_iters": 3, "rel_tol": 1e-3}),
+    # the seeded swarms stall on their one step, which also ends the run
+    ("last_iter_ends_window", {"max_iter": 1, "stall_iters": 1}),
+    ("max_iter_stops", {"max_iter": 2}),
+]
+
+
+@pytest.mark.parametrize("overrides", [rule for _, rule in STALL_RULES],
+                         ids=[name for name, _ in STALL_RULES])
+@pytest.mark.parametrize("algo_id", ALGORITHMS)
+def test_runner_reports_the_convergence_index_of_its_stop_rule(algo_id, overrides):
+    """A swarm's index is that of its own config's stop rule, which stopped
+    it; Lloyd's algorithm uses PsoConfig's defaults whatever ran it."""
+    ds = blob_fixture()
+    row = ALGORITHMS[algo_id]
+    if row.pso is None:
+        cfg = PsoConfig()
+        outcome = run_kmeans(ds, 2, rng=Rng(5), max_iter=overrides.get("max_iter", 100))
+    else:
+        cfg = replace(row.pso, swarm_size=10, **overrides)
+        k = {} if row.seeding == "subtractive" else {"k": 2}
+        outcome = getattr(pipelines, row.entry)(ds, config=cfg, rng=Rng(5), **k)
+    assert outcome.iterations_to_converge == convergence_stats(
+        outcome.sicd_trace, cfg.rel_tol, cfg.stall_iters)
+
+
 def same_outcome(a, b):
     return (np.array_equal(a.centroids, b.centroids)
             and np.array_equal(a.assignment.cluster_of, b.assignment.cluster_of)
             and a.sicd == b.sicd and a.iterations_used == b.iterations_used
-            and np.array_equal(a.sicd_trace, b.sicd_trace) and a.seed == b.seed)
+            and np.array_equal(a.sicd_trace, b.sicd_trace)
+            and a.iterations_to_converge == b.iterations_to_converge)
 
 
 class TestPrecomputedSeeding:

@@ -163,26 +163,26 @@ class TestDensityRevise:
         ds = line_dataset()
         d = density_initial(ds, 2.0)
         with pytest.raises(ContractViolation, match="r_b must be positive"):
-            density_revise(d, 1, d[1], ds, r_b=r_b)
+            density_revise(d, 1, ds, r_b=r_b)
 
     def test_zero_at_center(self):
         ds = line_dataset()
         d = density_initial(ds, 2.0)
-        revised = density_revise(d, 1, d[1], ds, r_b=3.0)
+        revised = density_revise(d, 1, ds, r_b=3.0)
         assert revised[1] == 0.0
 
     def test_far_point_unchanged(self):
         pts = np.array([[0.0], [1e9]])
         ds = Dataset(points=pts)
         d = density_initial(ds, 2.0)
-        revised = density_revise(d, 0, d[0], ds, r_b=3.0)
+        revised = density_revise(d, 0, ds, r_b=3.0)
         assert revised[1] == pytest.approx(d[1], abs=1e-300)
 
     def test_three_point_line_value(self):
         ds = line_dataset()
         d = density_initial(ds, 2.0)
         assert int(np.argmax(d)) == 1
-        revised = density_revise(d, 1, d[1], ds, r_b=3.0)
+        revised = density_revise(d, 1, ds, r_b=3.0)
         expected = (1 + math.exp(-1) + math.exp(-4)) - (1 + 2 * math.exp(-1)) * math.exp(-1 / 2.25)
         assert revised[0] == pytest.approx(expected, rel=1e-12)
         assert revised[0] == pytest.approx(0.2733, abs=5e-5)
@@ -193,7 +193,7 @@ class TestDensityRevise:
         ds = Dataset(points=pts)
         d = density_initial(ds, 1.0)
         c = int(np.argmax(d))
-        revised = density_revise(d, c, d[c], ds, 1.5)
+        revised = density_revise(d, c, ds, 1.5)
         ref = density_revise_ref(d.tolist(), c, float(d[c]), pts.tolist(), 1.5)
         assert revised == pytest.approx(ref, rel=1e-12)
         assert np.any(revised < 0)
