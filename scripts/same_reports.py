@@ -14,9 +14,12 @@ seeding stopped by the density ratio, and ``pso`` and ``sc_br_apso`` again
 under a stall rule of 5 steps at ``rel_tol`` 1e-4, so that a runner that
 read PsoConfig's default stop rule would show), and a grid on 60 000
 synthetic points whose N-sized passes all run in several blocks (the other
-grids fit one). The artifacts, stripped of their timing fields by this
-checkout's ``bench.strip_timings``, are compared twice: TREE's fixtures reports at ``--jobs 1`` and ``--jobs 2``
-with each other, and every run of TREE with the same run of BASE_TREE. The
+grids fit one), at ``--jobs 1`` and ``--jobs 2``: a worker of two jobs
+splits its kernels over fewer threads, so the fitness tiles its rows
+differently. The artifacts, stripped of their timing fields by this
+checkout's ``bench.strip_timings``, are compared twice: TREE's fixtures
+and 60 000-point reports at ``--jobs 1`` with those at ``--jobs 2``, and
+every run of TREE with the same run of BASE_TREE. The
 second comparison, and BASE_TREE's runs, are skipped when
 ``bench.SCHEMA_VERSION`` or ``pipelines.DEFAULTS_VERSION`` differs between
 the trees, since a version bump is how report bytes may change; the first
@@ -67,6 +70,10 @@ LARGE_N = {
                                        for algo in ("pso", "brapso"))],
 }
 
+# (grid, its run at --jobs 1, its run at --jobs 2)
+JOBS_PAIRS = (("fixtures", "fixtures_jobs1", "fixtures_jobs2"),
+              ("large_n", "large_n", "large_n_jobs2"))
+
 
 def versions(tree: Path) -> dict:
     found = {}
@@ -111,22 +118,24 @@ def main(argv: list) -> int:
             (tmp / f"{name}.yaml").write_text(json.dumps(grid))  # JSON is YAML
         # name -> (config, --jobs, runs into its directory)
         runs = {"fixtures_jobs1": ("fixtures", 1, 2), "fixtures_jobs2": ("fixtures", 2, 1),
-                **{name: (str(tmp / f"{name}.yaml"), 1, 1) for name in grids}}
+                **{name: (str(tmp / f"{name}.yaml"), 1, 1) for name in grids},
+                "large_n_jobs2": (str(tmp / "large_n.yaml"), 2, 1)}
         checkouts = {"tree": tree, **({"base": base} if across else {})}
         results = {}
         for label, checkout in checkouts.items():
             (tmp / label).mkdir()
             results[label] = run_reports(checkout, runs, tmp / label)
     ours = results["tree"]
-    differ = [f"fixtures {fmt} between --jobs 1 and 2" for fmt in ARTIFACT_FILES
-              if ours["fixtures_jobs1"][fmt] != ours["fixtures_jobs2"][fmt]]
+    differ = [f"{grid} {fmt} between --jobs 1 and 2" for grid, one, two in JOBS_PAIRS
+              for fmt in ARTIFACT_FILES if ours[one][fmt] != ours[two][fmt]]
     if across:
         differ += [f"{name} {fmt}" for name in runs for fmt in ARTIFACT_FILES
                    if results["base"][name][fmt] != ours[name][fmt]]
     for item in differ:
         print(f"differs: {item}")
     if not differ:
-        print("same reports: fixtures at --jobs 1 and 2")
+        print(f"same reports: {' and '.join(grid for grid, _, _ in JOBS_PAIRS)} "
+              "at --jobs 1 and 2")
     if not across:
         print(f"skipped the base tree: versions differ, {base_versions} -> {tree_versions}")
     elif not differ:

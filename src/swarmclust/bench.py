@@ -248,6 +248,8 @@ def parse_config(raw: dict) -> BenchConfig:
             )
             if "name" in entry and entry["name"] != spec.name:
                 raise ConfigError("registry entries take their registry name")
+            if "expected" in entry:
+                raise ConfigError("registry entries take their registry characteristics")
         else:
             if "name" not in entry:
                 raise ConfigError(f"dataset entry needs a name: {entry}")
@@ -300,11 +302,28 @@ def _from_mapping(cls, mapping: dict):
 
 
 def load_config(path) -> BenchConfig:
+    """The BenchConfig of the YAML file at ``path``. A key given twice in
+    one mapping raises ConfigError naming the file, line and key, where
+    PyYAML alone keeps the last value; merge keys (``<<``) merge as before,
+    a mapping's own key overriding a merged one."""
     import yaml  # here, so that a run from a parsed mapping never loads it
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            seen = set()
+            for key_node, _ in node.value:
+                if (isinstance(key_node, yaml.ScalarNode)
+                        and key_node.tag != "tag:yaml.org,2002:merge"):
+                    key = self.construct_object(key_node)
+                    if key in seen:
+                        raise ConfigError(f"{path}: line {key_node.start_mark.line + 1}: "
+                                          f"key {key!r} given twice in one mapping")
+                    seen.add(key)
+            return super().construct_mapping(node, deep)
 
     with open(path, encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=UniqueKeyLoader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     if not isinstance(raw, dict):

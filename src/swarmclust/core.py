@@ -20,13 +20,14 @@ call under 2 * ``PARALLEL_MIN`` entries stays on the calling thread), and
 each thread walks its range in blocks of rows whose entries, over all
 threads, fit ``KERNEL_BLOCK``. The assignment and the SICD take points as
 rows (2k and d + 1 entries each), and a fitness row larger than a thread's
-share of the budget is tiled over its points the same way
+share of the budget is walked in tiles of points that fit that share
 (``swarmclust.pipelines``). So at any N a call holds ``KERNEL_BLOCK``
-entries of temporaries, plus one length-N minima vector in a tiled fitness
-call. Only a density row, N entries, is never split: seeding at N above
-``KERNEL_BLOCK`` holds one such row a thread. Each output entry is computed
-as it would be alone and each row's sum runs over one contiguous vector,
-so results are bit-identical whatever the thread count and block size.
+entries of temporaries, plus one length-N minima vector per thread in a
+tiled fitness call. Only a density row, N entries, is never split:
+seeding at N above ``KERNEL_BLOCK`` holds one such row a thread. Each
+output entry is computed as it would be alone and each row's sum runs over
+one contiguous vector, so results are bit-identical whatever the thread
+count and block size.
 numpy and scipy release the interpreter lock while they work. The helper
 threads, and ``concurrent.futures``, are loaded by the first call that
 splits, so a process whose kernels all run inline never imports them.

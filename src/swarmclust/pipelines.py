@@ -26,8 +26,9 @@ fitness, so the next iteration always refines.
 The swarms' batched SICD fitness and the nearest-center assignment are
 N-sized passes on ``swarmclust.core.map_blocks``, within the threads and
 memory budget the ``swarmclust.core`` docstring describes: the fitness over
-rows, or over each row's points when one row is larger than a thread's
-share of the budget, and the assignment over points.
+rows, each block walking its rows' points in tiles that fit a thread's
+share of the budget (all N unless a row is larger), and the assignment
+over points.
 ``recompute_centroids`` is not blocked; its bincount holds about twice the
 points.
 
@@ -207,55 +208,39 @@ def _fitness_for(dataset: Dataset, k: int):
     length-N vector, so it is bit-identical to
     ``cdist(x, c).min(axis=1).sum()`` for that row alone.
 
-    A row holds (k+1)*N entries, distances and minima. When that fits each
-    thread's share of ``KERNEL_BLOCK``, the rows run on
-    :func:`swarmclust.core.map_blocks`; a call it would run as one block on
-    one thread, such as any one-row refine, is computed directly, skipping
-    the driver's per-call cost. Otherwise every row is tiled: its points run
-    on ``map_blocks`` at k distances each, and each tile writes its minima
-    into the row's one length-N minima vector, which is then rooted and
-    summed as above. ``KERNEL_WORKERS``, ``PARALLEL_MIN`` and
-    ``KERNEL_BLOCK`` are read when the closure is built to make these
-    choices; they change which path a call takes, never its values."""
+    A row holds (k+1)*N entries, distances and minima. A call that
+    :func:`swarmclust.core.map_blocks` would run as one block on one
+    thread, such as a one-row refine whose row fits ``KERNEL_BLOCK``, is
+    computed in one go, skipping the driver's per-call cost. Every other
+    call runs its rows on ``map_blocks``: each block walks its rows' points
+    in tiles of ``KERNEL_BLOCK // (KERNEL_WORKERS * (k+1))`` points (all N
+    when a row fits a thread's share of the budget), writing their minima
+    into the block's length-N minima rows, which are then rooted and summed
+    as above. ``KERNEL_WORKERS`` and ``KERNEL_BLOCK`` are read at each
+    call, as is what ``row_parts`` reads; they change which path a call
+    takes and how it is tiled, never its values."""
     x = dataset.points
     n, d = dataset.n, dataset.d
     row_entries = (k + 1) * n
     sqeuclidean = core.sqeuclidean
     min_reduce, add_reduce, sqrt = np.minimum.reduce, np.add.reduce, np.sqrt
 
-    if row_entries * core.KERNEL_WORKERS > core.KERNEL_BLOCK:
-        def tiled_fitness(positions: np.ndarray) -> np.ndarray:
-            out = np.empty(positions.shape[0])
-            mins = np.empty(n)
-            for i, row in enumerate(positions):
-                centers = row.reshape(k, d)
-
-                def fill(lo: int, hi: int) -> None:
-                    min_reduce(sqeuclidean(centers, x[lo:hi]), axis=0, out=mins[lo:hi])
-
-                core.map_blocks(fill, n, k)
-                out[i] = add_reduce(sqrt(mins, out=mins))
-            return out
-
-        return tiled_fitness
-
-    # more rows than one run in one go below this many entries: one block
-    # on one thread (under 2 * PARALLEL_MIN entries, or one worker)
-    one_go_below = core.KERNEL_BLOCK + 1
-    if core.KERNEL_WORKERS > 1:
-        one_go_below = min(one_go_below, 2 * core.PARALLEL_MIN)
-
     def fitness(positions: np.ndarray) -> np.ndarray:
         m = positions.shape[0]
-        if m == 1 or m * row_entries < one_go_below:
+        if m * row_entries <= core.KERNEL_BLOCK and core.row_parts(m, row_entries) == 1:
             mins = min_reduce(sqeuclidean(positions.reshape(-1, d), x).reshape(m, k, n),
                               axis=1)
             return add_reduce(sqrt(mins, out=mins), axis=1)
         out = np.empty(m)
+        tile = max(1, core.KERNEL_BLOCK // (core.KERNEL_WORKERS * (k + 1)))
 
         def fill(lo: int, hi: int) -> None:
-            mins = min_reduce(sqeuclidean(positions[lo:hi].reshape(-1, d), x)
-                              .reshape(hi - lo, k, n), axis=1)
+            centers = positions[lo:hi].reshape(-1, d)
+            mins = np.empty((hi - lo, n))
+            for start in range(0, n, tile):
+                stop = min(start + tile, n)
+                min_reduce(sqeuclidean(centers, x[start:stop]).reshape(hi - lo, k, stop - start),
+                           axis=1, out=mins[:, start:stop])
             add_reduce(sqrt(mins, out=mins), axis=1, out=out[lo:hi])
 
         core.map_blocks(fill, m, row_entries)

@@ -4,6 +4,8 @@ import io
 import json
 import math
 import os
+import string
+import textwrap
 from dataclasses import fields, replace
 from importlib import resources
 
@@ -1399,6 +1401,21 @@ class TestWriteAtomic:
         assert list(tmp_path.iterdir()) == [path]
 
 
+# A config that gives one of $repetitions, $n and $c1 twice in one mapping
+# when that placeholder is filled in and the others are blank; PyYAML alone
+# would keep the key's last value.
+REPEATED_KEY_CONFIG = string.Template("""\
+base_seed: 1
+repetitions: 1$repetitions
+datasets:
+  - name: two_blob
+    synthetic: {kind: two_blob, seed: 7, params: {n: 20$n}}
+algorithms:
+  - id: pso
+    params: {c1: 1.0$c1}
+""")
+
+
 class TestCli:
     def write_config(self, tmp_path, raw):
         path = tmp_path / "config.yaml"
@@ -1410,6 +1427,24 @@ class TestCli:
         result = CliRunner().invoke(main, ["validate", "--config", path])
         assert result.exit_code == 0
         assert "config ok" in result.output
+
+    def test_merge_keys_merge(self, tmp_path):
+        # a mapping's own key overrides a merged one: neither is a repeat
+        path = tmp_path / "config.yaml"
+        path.write_text(textwrap.dedent("""\
+            base_seed: 1
+            repetitions: 1
+            datasets:
+              - name: two_blob
+                synthetic: {kind: two_blob, seed: 7, params: &blob {n: 20, sep: 4.0}}
+              - name: more
+                synthetic: {kind: two_blob, seed: 7, params: {<<: *blob, n: 30}}
+            algorithms:
+              - id: pso
+        """), encoding="utf-8")
+        config = bench.load_config(path)
+        assert [spec.source.params for spec in config.datasets] == [
+            {"n": 20, "sep": 4.0}, {"n": 30, "sep": 4.0}]
 
     def test_validate_bad_config_exits_2(self, tmp_path):
         raw = fixture_config()
@@ -1579,7 +1614,17 @@ class TestCli:
                                       ("r_b", 1.0e300, "inf")]),
         pytest.param([(("datasets", 0), {"registry": "irs"})],
                      "datasets/0/registry: 'irs' is not one of", id="registry-name"),
-        pytest.param(None, "config.yaml: not valid YAML", id="invalid-yaml"),
+        pytest.param([(("datasets", 0), {"registry": "iris", "expected": {
+                         "n": 999, "d": 1, "k": 7, "class_sizes": [1]}})],
+                     "error: registry entries take their registry characteristics",
+                     id="registry-expected"),
+        pytest.param("base_seed: [1\n", "config.yaml: not valid YAML", id="invalid-yaml"),
+        *(pytest.param(REPEATED_KEY_CONFIG.substitute(
+                           dict.fromkeys(("repetitions", "n", "c1"), ""), **{key: again}),
+                       f"config.yaml: line {line}: key {key!r} given twice in one mapping",
+                       id=f"repeated-key-{key}")
+          for key, again, line in [("repetitions", "\nrepetitions: 3", 3),
+                                   ("n", ", n: 40", 5), ("c1", ", c1: 2.5", 8)]),
         pytest.param([(("datasets", 0), {"name": "nolab", "csv": {"path": "nolab.csv"}})],
                      "on dataset nolab: needs k", id="unlabelled-without-k"),
         pytest.param([(("datasets", 0), {"name": "nolab",
@@ -1601,8 +1646,8 @@ class TestCli:
                                                   changes, message):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "nolab.csv").write_text("0,0\n0,1\n5,5\n5,6\n", encoding="utf-8")
-        if changes is None:
-            (tmp_path / "config.yaml").write_text("base_seed: [1\n", encoding="utf-8")
+        if isinstance(changes, str):
+            (tmp_path / "config.yaml").write_text(changes, encoding="utf-8")
         else:
             raw = fixture_config(reps=1, algorithms=[{"id": "pso"}])
             self.write_config(tmp_path, mutated(raw, *changes))

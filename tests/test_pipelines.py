@@ -169,10 +169,10 @@ def spy_sqeuclidean(monkeypatch):
 
 class TestBlockedPasses:
     """With KERNEL_BLOCK at about a third of the points' scratch entries,
-    every fitness row is tiled over its points (the one-row call too) and
-    the assignment splits over blocks of points, on 1-3 threads. Values and
-    picks must equal the unblocked ones, and no distance matrix may exceed
-    the budget."""
+    every fitness row is tiled over its points (the one-row call too), in
+    one driver call over the rows, and the assignment splits over blocks of
+    points, on 1-3 threads. Values and picks must equal the unblocked ones,
+    and no distance matrix may exceed the budget."""
 
     D, K = 3, 4
 
@@ -191,7 +191,16 @@ class TestBlockedPasses:
         x = rng.normal(size=(n, self.D))
         positions = rng.uniform(-2, 2, size=(m, self.K * self.D))
         sizes = spy_sqeuclidean(monkeypatch)
+        driven = []  # rows of each map_blocks call: one call over the m rows
+        real_map_blocks = core.map_blocks
+
+        def spy_map_blocks(fn, n_rows, row_entries):
+            driven.append(n_rows)
+            real_map_blocks(fn, n_rows, row_entries)
+
+        monkeypatch.setattr(core, "map_blocks", spy_map_blocks)
         batched = _fitness_for(Dataset(points=x), self.K)(positions)
+        assert driven == [m]
         assert max(sizes) <= core.KERNEL_BLOCK
         assert len(sizes) >= m * min(n, 3)
         for i in range(m):
