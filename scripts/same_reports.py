@@ -16,7 +16,8 @@ read PsoConfig's default stop rule would show), and a grid on 60 000
 synthetic points whose N-sized passes all run in several blocks (the other
 grids fit one), at ``--jobs 1`` and ``--jobs 2``: a worker of two jobs
 splits its kernels over fewer threads, so the fitness tiles its rows
-differently. The artifacts, stripped of their timing fields by this
+differently. Every run must leave no ``*.tmp`` file beside its report.
+The artifacts, stripped of their timing fields by this
 checkout's ``bench.strip_timings``, are compared twice: TREE's fixtures
 and 60 000-point reports at ``--jobs 1`` with those at ``--jobs 2``, and
 every run of TREE with the same run of BASE_TREE. The
@@ -26,7 +27,7 @@ the trees, since a version bump is how report bytes may change; the first
 is always made.
 
 Exits 0 when the compared reports are equal, 1 when they differ or a run
-fails a cell, 2 on bad arguments.
+fails a cell or leaves a temp file, 2 on bad arguments.
 """
 
 from __future__ import annotations
@@ -96,6 +97,9 @@ def run_reports(tree: Path, runs: dict, out: Path) -> dict:
             subprocess.run([sys.executable, "-m", "swarmclust.cli", "run", "--config", config,
                             "--jobs", str(jobs), "--out", str(where)],
                            env=env, cwd=out, check=True, stdout=subprocess.DEVNULL)
+            left = sorted(p.name for p in where.glob("*.tmp"))
+            if left:
+                raise SystemExit(f"{tree}: a run of {name} left temp files {left}")
         failed = json.loads((where / "report.json").read_text())["failed_cells"]
         if failed:
             # equal reports of failed cells would show nothing

@@ -11,6 +11,10 @@ compared as multisets because the within-file class order is arbitrary.
 The spec dataclasses are :class:`~swarmclust.core.Checked`: they check
 themselves when built, by the field rules the benchmark config schema is
 built from, so a bad spec fails before any load.
+
+Min-max normalization records each column's min and max and nothing
+derived from them: a :class:`NormalizationRecord`'s constant columns are
+those whose max equals their min.
 """
 
 from __future__ import annotations
@@ -105,12 +109,16 @@ class DatasetSpec:
 
 @dataclass(frozen=True)
 class NormalizationRecord:
-    """Per-dimension (min, max) used by min-max scaling; constant columns are
-    mapped to 0 and listed so the inverse transform can restore them."""
+    """Per-dimension (min, max) used by min-max scaling. Constant columns,
+    those whose max equals their min, are mapped to 0 and restored to that
+    value by the inverse transform."""
 
     mins: np.ndarray
     maxs: np.ndarray
-    constant_columns: tuple
+
+    @property
+    def constant_columns(self) -> tuple:
+        return tuple(np.flatnonzero(self.maxs == self.mins).tolist())
 
     def to_dict(self) -> dict:
         return {
@@ -259,7 +267,8 @@ def _check_expected(dataset: Dataset, spec: DatasetSpec) -> None:
 
 def normalize_minmax(dataset: Dataset) -> tuple[Dataset, NormalizationRecord]:
     """Affinely map every non-constant column onto [0, 1]; constant columns
-    map to 0 and are recorded for the inverse transform."""
+    map to 0. The record's per-column min and max are all the inverse
+    transform needs."""
     x = dataset.points
     mins = x.min(axis=0)
     maxs = x.max(axis=0)
@@ -268,12 +277,9 @@ def normalize_minmax(dataset: Dataset) -> tuple[Dataset, NormalizationRecord]:
     safe_span = np.where(constant, 1.0, span)
     scaled = (x - mins) / safe_span
     scaled[:, constant] = 0.0
-    record = NormalizationRecord(
-        mins=mins, maxs=maxs, constant_columns=tuple(np.flatnonzero(constant).tolist())
-    )
     return (
         Dataset(points=scaled, labels=dataset.labels, name=dataset.name, k_true=dataset.k_true),
-        record,
+        NormalizationRecord(mins=mins, maxs=maxs),
     )
 
 

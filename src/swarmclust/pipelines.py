@@ -2,10 +2,21 @@
 
 Every ``run_*`` function returns a :class:`ClusteringOutcome` whose
 ``sicd_trace`` is the per-iteration best cost (non-increasing for the swarm
-family, and per-iteration cost for Lloyd's algorithm), and whose
-``iterations_to_converge`` is :func:`~swarmclust.metrics.convergence_stats`
-of that trace: a swarm reports the stall window that stopped it under its
-own config, and Lloyd's algorithm applies ``PsoConfig``'s default rule.
+family, and per-iteration cost for Lloyd's algorithm), whose ``sicd`` is
+that trace's last entry, and whose ``iterations_to_converge`` is
+:func:`~swarmclust.metrics.convergence_stats` of that trace: a swarm
+reports the stall window that stopped it under its own config, and Lloyd's
+algorithm applies ``PsoConfig``'s default rule. Lloyd's loop computes each
+traced cost once; when ``max_iter`` ends it, the last update's cost follows
+unless it equals the last traced one.
+
+A swarm's initialization and iterations, after seeding, run under one
+``np.errstate(over="raise", invalid="raise")``, so a velocity or position
+that stops being finite raises ``DegenerateInput`` naming the iteration
+without a per-step check. The error state is per thread: the kernels'
+helper threads keep their own. A linear inertia weight that overflows to
+``-inf`` does so in Python arithmetic, out of numpy's sight, and is caught
+after the loop from the last weight used.
 
 The algorithms differ only in seeding, boundary, inertia and gbest refine.
 :data:`ALGORITHMS` holds one row per algorithm with those choices; the
@@ -40,6 +51,7 @@ each distinct (dataset, config) once and hands the result to every cell.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -60,6 +72,7 @@ from .swarm import (
     PsoConfig,
     decode,
     exponential_normalized,
+    inertia_weight,
     init_swarm,
     linear,
     step,
@@ -121,10 +134,15 @@ ALGORITHM_IDS = tuple(ALGORITHMS)
 class ClusteringOutcome:
     centroids: np.ndarray
     assignment: Assignment
-    sicd: float
     iterations_used: int
     sicd_trace: np.ndarray
     iterations_to_converge: int
+
+    @property
+    def sicd(self) -> float:
+        """The run's final cost: the last entry of its trace, which is never
+        empty."""
+        return float(self.sicd_trace[-1])
 
 
 def assign_nearest(dataset: Dataset, centroids: np.ndarray) -> Assignment:
@@ -274,42 +292,58 @@ def _run_swarm(
     config = config or algo.pso
 
     fitness = _fitness_for(dataset, k)
-    swarm = init_swarm(seed_centers, k, dataset, config, rng, fitness)
-    trace = [swarm.gbest_fitness]
-    stall_streak = 0
-    rejected = None  # gbest fitness at the last rejected refine
+    swarm = None
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            swarm = init_swarm(seed_centers, k, dataset, config, rng, fitness)
+            trace = [swarm.gbest_fitness]
+            stall_streak = 0
+            rejected = None  # gbest fitness at the last rejected refine
 
-    for _ in range(config.max_iter):
-        step(swarm, fitness, config, rng)
-        if algo.refine and swarm.gbest_fitness != rejected:
-            # Views, not copies: neither the gbest nor the refined centers
-            # are written to.
-            refined = recompute_centroids(
-                dataset, assign_nearest(dataset, swarm.gbest_position.reshape(k, dataset.d)))
-            refined_pos = refined.reshape(1, -1)
-            refined_fit = float(fitness(refined_pos)[0])
-            if refined_fit < swarm.gbest_fitness:
-                owner = swarm.pbest_fitness.argmin()
-                swarm.pbest_position[owner] = refined_pos[0]
-                swarm.pbest_fitness[owner] = refined_fit
-                swarm.gbest_position = refined_pos[0]
-                swarm.gbest_fitness = refined_fit
+            for _ in range(config.max_iter):
+                step(swarm, fitness, config, rng)
+                if algo.refine and swarm.gbest_fitness != rejected:
+                    # Views, not copies: neither the gbest nor the refined
+                    # centers are written to.
+                    refined = recompute_centroids(dataset, assign_nearest(
+                        dataset, swarm.gbest_position.reshape(k, dataset.d)))
+                    refined_pos = refined.reshape(1, -1)
+                    refined_fit = float(fitness(refined_pos)[0])
+                    if refined_fit < swarm.gbest_fitness:
+                        owner = swarm.pbest_fitness.argmin()
+                        swarm.pbest_position[owner] = refined_pos[0]
+                        swarm.pbest_fitness[owner] = refined_fit
+                        swarm.gbest_position = refined_pos[0]
+                        swarm.gbest_fitness = refined_fit
+                    else:
+                        rejected = swarm.gbest_fitness
+                trace.append(swarm.gbest_fitness)
+                stall_streak = (stall_streak + 1
+                                if stalled(trace[-2], trace[-1], config.rel_tol) else 0)
+                if stall_streak >= config.stall_iters:
+                    converged_at = swarm.iter - config.stall_iters
+                    break
             else:
-                rejected = swarm.gbest_fitness
-        trace.append(swarm.gbest_fitness)
-        stall_streak = stall_streak + 1 if stalled(trace[-2], trace[-1], config.rel_tol) else 0
-        if stall_streak >= config.stall_iters:
-            converged_at = swarm.iter - config.stall_iters
-            break
-    else:
-        converged_at = len(trace)
+                converged_at = len(trace)
+    except FloatingPointError as exc:
+        where = ("search box not finite during swarm initialization" if swarm is None
+                 else f"velocity or position not finite at iteration {swarm.iter}")
+        raise DegenerateInput(f"swarm {where}: {exc}") from None
+    # A linear schedule's weight is Python arithmetic, which numpy's error
+    # state does not see: past some iteration its product overflows, and the
+    # weight is -inf from there on, which the v_max clamp can hide. So the
+    # last weight used tells whether any was not finite.
+    if not math.isfinite(inertia_weight(config, swarm.iter - 1)):
+        first = next(i for i in range(swarm.iter)
+                     if not math.isfinite(inertia_weight(config, i)))
+        raise DegenerateInput(f"swarm velocity not finite at iteration {first}: inertia "
+                              f"weight {inertia_weight(config, first)}")
 
     centroids = decode(swarm.gbest_position, k, dataset.d)
     assignment = assign_nearest(dataset, centroids)
     return ClusteringOutcome(
         centroids=centroids,
         assignment=assignment,
-        sicd=swarm.gbest_fitness,
         iterations_used=swarm.iter,
         sicd_trace=np.asarray(trace),
         iterations_to_converge=converged_at,
@@ -341,7 +375,7 @@ def run_kmeans(
     trace = []
     prev_assign = None
     assignment = assign_nearest(dataset, centroids)
-    for _ in range(max_iter):
+    for iterations in range(1, max_iter + 1):
         trace.append(sicd(centroids, assignment, dataset))
         if prev_assign is not None and np.array_equal(
             prev_assign.cluster_of, assignment.cluster_of
@@ -350,15 +384,13 @@ def run_kmeans(
         centroids = recompute_centroids(dataset, assignment)
         prev_assign = assignment
         assignment = assign_nearest(dataset, centroids)
-
-    iterations = len(trace)
-    final = sicd(centroids, assignment, dataset)
-    if trace[-1] != final:
-        trace.append(final)
+    else:  # the last update's cost is not traced yet
+        final = sicd(centroids, assignment, dataset)
+        if trace[-1] != final:
+            trace.append(final)
     return ClusteringOutcome(
         centroids=centroids,
         assignment=assignment,
-        sicd=final,
         iterations_used=iterations,
         sicd_trace=np.asarray(trace),
         iterations_to_converge=convergence_stats(trace, PsoConfig.rel_tol, PsoConfig.stall_iters),

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import string
 import textwrap
 from dataclasses import fields, replace
@@ -1152,6 +1153,24 @@ class TestRunGrid:
         assert by_algo["pso"]["error_percent"] is None
         assert report.failed_cells == 1
 
+    @pytest.mark.parametrize("algo", [
+        # the linear weight overflows to -inf from iteration 2 on: 0 * -inf
+        # is NaN on grid4, and on two_blob the v_max clamp hides the
+        # infinite velocities
+        {"id": "pso", "params": {"inertia": {"kind": "linear", "w_max": 1.0e308}}},
+        {"id": "pso", "params": {"c1": 1.0e200, "v_max_fraction": None}},
+        {"id": "brapso", "params": {"v_max_fraction": None, "inertia": {
+            "kind": "exponential_normalized", "w_max": 1.0e308}}},
+    ], ids=["pso-linear-w_max", "pso-c1", "brapso-w_max"])
+    def test_overflowing_velocity_is_degenerate_input(self, algo):
+        # a warning raised in a cell would be recorded as its error, since
+        # Tier-1 turns RuntimeWarning into an error
+        report = run_grid(parse_config(two_datasets_config(reps=2, algorithms=[algo])))
+        assert len(report.records) == report.failed_cells == 4
+        for rec in report.records:
+            assert re.fullmatch(r"DegenerateInput: swarm velocity (or position )?not finite "
+                                r"at iteration \d+: .+", rec["error"]), rec["error"]
+
     @pytest.mark.parametrize("row", ALGORITHMS.values(), ids=lambda row: row.id)
     def test_cells_call_entry_points_through_bench(self, row, monkeypatch):
         # perfbench/tracer.py times each cell by wrapping these names in bench
@@ -1416,6 +1435,16 @@ algorithms:
 """)
 
 
+# The CSV files test_bad_config_exits_2_without_traceback loads: no labels,
+# zero bytes, a header alone, and two labelled classes of two points
+CSV_FILES = {
+    "nolab.csv": "0,0\n0,1\n5,5\n5,6\n",
+    "empty.csv": "",
+    "header.csv": "x,y,class\n",
+    "labelled.csv": "x,y,class\n0,0,a\n0,1,a\n5,5,b\n5,6,b\n",
+}
+
+
 class TestCli:
     def write_config(self, tmp_path, raw):
         path = tmp_path / "config.yaml"
@@ -1641,11 +1670,50 @@ class TestCli:
                                                       "class_sizes": []}})],
                      "datasets/0/expected/k: 0 is less than the minimum of 1",
                      id="expected-k-zero"),
+        pytest.param([(("datasets", 0, "registry"), "iris")],
+                     "error: dataset entry needs exactly one of registry/csv/synthetic: ",
+                     id="two-sources"),
+        pytest.param([(("datasets", 0), {"registry": "iris", "name": "flowers"})],
+                     "error: registry entries take their registry name", id="registry-renamed"),
+        pytest.param([(("datasets", 0), {"csv": {"path": "nolab.csv"}})],
+                     "error: dataset entry needs a name: {'csv': ", id="csv-without-name"),
+        pytest.param([(("datasets", 0, "name"), DELETE)],
+                     "error: dataset entry needs a name: {'synthetic': ",
+                     id="synthetic-without-name"),
+        pytest.param([(("algorithms",), [{"id": "pso"}, {"id": "pso"}])],
+                     "error: duplicate algorithm labels: ['pso', 'pso']", id="duplicate-label"),
+        pytest.param([(("datasets", 0), {"name": "nolab", "csv": {"path": "empty.csv"}})],
+                     "error: nolab: empty.csv is empty", id="csv-empty"),
+        pytest.param([(("datasets", 0), {"name": "nolab",
+                                         "csv": {"path": "header.csv", "header": True}})],
+                     "error: nolab: header.csv has a header but no data rows",
+                     id="csv-header-only"),
+        pytest.param([(("datasets", 0), {"name": "lab", "csv": {
+                         "path": "labelled.csv", "label_column": "class"}})],
+                     "error: lab: label column 'class' needs a header row",
+                     id="csv-label-name-without-header"),
+        pytest.param([(("datasets", 0), {"name": "lab", "csv": {
+                         "path": "labelled.csv", "label_column": "klass", "header": True}})],
+                     "error: lab: no column named 'klass' in header", id="csv-unknown-column"),
+        pytest.param([(("datasets", 0), {"name": "nolab", "csv": {
+                         "path": "nolab.csv", "label_column": 2}})],
+                     "error: nolab: label column 2 out of range", id="csv-label-index"),
+        pytest.param([(("datasets", 0), {"name": "nolab", "csv": {
+                         "path": "nolab.csv", "na_values": ["0", "5"], "na_policy": "drop"}})],
+                     "error: nolab: no usable rows in nolab.csv", id="csv-every-row-dropped"),
+        *(pytest.param([(("datasets", 0), {"name": "lab", "csv": {
+                          "path": "labelled.csv", "label_column": "class", "header": True},
+                          "expected": {"n": 4, "d": d, "k": k, "class_sizes": [2, 2]}})],
+                       f"error: lab: characteristics mismatch: {problem}",
+                       id=f"csv-expected-{what}")
+          for what, d, k, problem in [("d", 3, 2, "d=2, expected 3"),
+                                      ("classes", 2, 3, "2 classes, expected 3")]),
     ])
     def test_bad_config_exits_2_without_traceback(self, tmp_path, monkeypatch, command,
                                                   changes, message):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "nolab.csv").write_text("0,0\n0,1\n5,5\n5,6\n", encoding="utf-8")
+        for name, text in CSV_FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
         if isinstance(changes, str):
             (tmp_path / "config.yaml").write_text(changes, encoding="utf-8")
         else:
@@ -1659,7 +1727,7 @@ class TestCli:
         assert isinstance(result.exception, SystemExit)
         assert message in result.output
         assert "Traceback" not in result.output
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.yaml", "nolab.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["config.yaml", *CSV_FILES])
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_csv_not_utf8_exits_2_without_traceback(self, tmp_path, monkeypatch, command):
@@ -1806,6 +1874,39 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert f"error: empty value in filter {part!r}\n" in result.output
         assert not out.exists()
+
+    @pytest.mark.parametrize("clause, message", [
+        ("dataset", "error: bad filter 'dataset', expected key=value\n"),
+        ("bogus=1", "error: unknown filter key 'bogus'\n"),
+    ])
+    def test_run_bad_filter_exits_2(self, tmp_path, monkeypatch, clause, message):
+        def no_cell(args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench, "_execute_cell", no_cell)
+        path = self.write_config(tmp_path, fixture_config(reps=1))
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run", "--config", path, "--out", str(out), "--filter", clause])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert message in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_failed_cell_exits_1_and_still_writes_reports(self, tmp_path):
+        # seeding 9 centers on grid4's 24 points fails, pso runs
+        raw = two_datasets_config(reps=1, algorithms=[
+            {"id": "sc_br_apso", "params": {"k": 9}}, {"id": "pso"}])
+        raw["datasets"] = raw["datasets"][1:]
+        out = tmp_path / "out"
+        result = CliRunner().invoke(
+            main, ["run", "--config", self.write_config(tmp_path, raw), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "1/2 cells ok" in result.stdout
+        assert "failed: grid4/sc_br_apso/rep0: DegenerateInput: " in result.stderr
+        assert sorted(p.name for p in out.iterdir()) == sorted(bench.ARTIFACT_FILES.values())
+        assert json.loads((out / "report.json").read_text())["failed_cells"] == 1
 
     def test_run_filter_skips_an_empty_clause(self, tmp_path):
         path = self.write_config(tmp_path, fixture_config(reps=1))

@@ -367,7 +367,7 @@ class TestEvaluationReport:
     def outcome(dataset, cluster_of, trace):
         assignment = Assignment(cluster_of=np.array(cluster_of), k=3)
         return ClusteringOutcome(
-            centroids=np.zeros((3, dataset.d)), assignment=assignment, sicd=float(trace[-1]),
+            centroids=np.zeros((3, dataset.d)), assignment=assignment,
             iterations_used=len(trace) - 1, sicd_trace=np.array(trace, dtype=np.float64),
             iterations_to_converge=convergence_stats(trace))
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -495,14 +495,16 @@ class TestRunKmeans:
         assert run_kmeans(ds, 2, None, Rng(0), 1).iterations_used == 1
 
     @pytest.mark.parametrize("max_iter", [1, 2])
-    def test_trace_ends_at_the_result_when_max_iter_stops_the_loop(self, max_iter):
+    def test_trace_ends_at_the_result_when_max_iter_stops_the_loop(self, monkeypatch,
+                                                                   max_iter):
         # the centers still move after max_iter passes, so the last traced
         # SICD is of the centers before the last recompute, and the result's
-        # is appended after it
+        # is computed and appended after it
+        calls = self.sicd_spy(monkeypatch)
         ds = Dataset(points=np.array([[0.0], [2.0], [10.0], [12.0]]))
         out = run_kmeans(ds, 2, np.array([[0.0], [2.0]]), max_iter=max_iter)
         assert out.iterations_used == max_iter
-        assert len(out.sicd_trace) == max_iter + 1
+        assert len(calls) == len(out.sicd_trace) == max_iter + 1
         assert out.sicd_trace[-1] == out.sicd < out.sicd_trace[-2]
 
     def test_trace_non_increasing_on_fixture(self):
@@ -510,6 +512,47 @@ class TestRunKmeans:
         for seed in range(20):
             out = run_kmeans(ds, 2, None, Rng(seed))
             assert np.all(np.diff(out.sicd_trace) <= 0)
+
+    @staticmethod
+    def sicd_spy(monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return sicd(*args)
+
+        monkeypatch.setattr(pipelines, "sicd", spy)
+        return calls
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_converged_run_takes_each_cost_once(self, monkeypatch, seed):
+        calls = self.sicd_spy(monkeypatch)
+        out = run_kmeans(blob_fixture(n=60, spread=2.0), 3, None, Rng(seed))
+        assert out.iterations_used == len(out.sicd_trace) < 100
+        assert len(calls) == len(out.sicd_trace)
+
+
+class TestSwarmOverflow:
+    def test_search_box_past_the_float_range(self):
+        # the box's span, max - min, overflows when the swarm is built
+        ds = Dataset(points=np.array([[-1.0e308], [1.0e308], [0.0]]))
+        with pytest.raises(DegenerateInput, match="^swarm search box not finite during swarm "
+                           "initialization: overflow encountered in subtract$"):
+            run_pso(ds, 2, FAST_PLAIN, Rng(0))
+
+    @pytest.mark.parametrize("w_max, first", [(1.0e308, 2), (1.0e306, 180)])
+    def test_linear_weight_overflow_names_its_first_iteration(self, w_max, first):
+        config = replace(FAST_PLAIN, inertia=linear(w_max, 0.4), max_iter=200,
+                         stall_iters=200)
+        with pytest.raises(DegenerateInput, match=f"^swarm velocity not finite at iteration "
+                           f"{first}: inertia weight -inf$"):
+            run_pso(blob_fixture(), 2, config, Rng(0))
+
+    def test_run_stopped_before_the_weight_overflows_is_ok(self):
+        config = replace(FAST_PLAIN, inertia=linear(1.0e306, 0.4), max_iter=200,
+                         stall_iters=3)
+        out = run_pso(blob_fixture(), 2, config, Rng(0))
+        assert out.iterations_used < 180
 
 
 ALL_RUNNERS = {
@@ -531,6 +574,14 @@ class TestOutcomeContracts:
         recomputed = sicd(out.centroids, out.assignment, ds)
         assert out.sicd == pytest.approx(recomputed, rel=1e-9)
         assert out.iterations_used <= 200
+
+    def test_cost_is_the_last_trace_entry(self, algo):
+        ds = blob_fixture(seed=5)
+        sub = SubtractiveConfig(stop_rule=FixedK(2))
+        out = ALL_RUNNERS[algo](ds, 2, sub, Rng(derive_seed(3, algo)))
+        assert "sicd" not in {f.name for f in fields(out)}
+        assert type(out.sicd) is float
+        assert out.sicd == out.sicd_trace[-1]
 
     def test_trace_non_increasing(self, algo):
         ds = blob_fixture(seed=9)
