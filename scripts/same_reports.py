@@ -10,9 +10,12 @@ Each tree (TREE defaults to this checkout) runs ``bench run`` as
 into one directory, so that its report replaced an earlier one) and at
 ``--jobs 2``, a grid over iris and wine read from this checkout's
 ``data/`` (the six algorithms, the two subtractive ones again with
-seeding stopped by the density ratio, and ``pso`` and ``sc_br_apso`` again
+seeding stopped by the density ratio, ``pso`` and ``sc_br_apso`` again
 under a stall rule of 5 steps at ``rel_tol`` 1e-4, so that a runner that
-read PsoConfig's default stop rule would show), and a grid on 60 000
+read PsoConfig's default stop rule would show, ``sc_br_apso`` without the
+boundary restriction and ``brapso`` with linear inertia, so that a
+dataset's stack mixes the per-row weight and boundary columns, and
+``brapso`` with 12 particles, a second stack a dataset), and a grid on 60 000
 synthetic points whose N-sized passes all run in several blocks (the other
 grids fit one), at ``--jobs 1`` and ``--jobs 2``: a worker of two jobs
 splits its kernels over fewer threads, so the fitness tiles its rows
@@ -57,7 +60,13 @@ IRIS_WINE = {
         for algo in ("sub_pso", "sc_br_apso")] + [
         # a stall rule other than PsoConfig's defaults, which stops every run
         {"id": algo, "label": f"{algo}_stall5", "params": {"stall_iters": 5, "rel_tol": 1.0e-4}}
-        for algo in ("pso", "sc_br_apso")],
+        for algo in ("pso", "sc_br_apso")] + [
+        # an adaptive swarm unrestricted and one under linear inertia, which
+        # share their dataset's stack with the others, and a swarm size of
+        # its own, which makes a second stack
+        {"id": "sc_br_apso", "label": "sc_br_apso_unbounded", "params": {"boundary": "none"}},
+        {"id": "brapso", "label": "brapso_linear", "params": {"inertia": "linear"}},
+        {"id": "brapso", "label": "brapso_12", "params": {"swarm_size": 12}}],
 }
 # (k+1)*N, 2k*N and (d+1)*N entries all exceed core.KERNEL_BLOCK: the fitness
 # rows are tiled, and the assignment and the SICD split over blocks of points

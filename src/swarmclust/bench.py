@@ -28,6 +28,25 @@ runs and failures included; seeding time counts toward the grid's time,
 not a cell's ``wall_ms``. A failed seeding (such as ``DegenerateInput``)
 is the only error a pair passes on to its cells, each of which records it.
 
+A Lloyd's-algorithm cell, and a cell whose seeding failed, runs alone
+through its call. The swarm cells of a dataset run in stacks
+(:func:`swarmclust.pipelines.run_stack`), one per (k, ``swarm_size``,
+``c1``, ``c2``, ``v_max_fraction``), which shape a stack's arrays; at
+``--jobs`` J above 1 each such group of cells is cut into ``min(J, cells)``
+stacks of neighbouring cells, so that every worker has work. A stack
+gives each cell the outcome it has alone, so reports do not depend on
+how cells are stacked. If a stack raises, each of its cells runs again
+alone, on a fresh ``Rng(seed)``, and records its own outcome or error;
+the failed stack's time counts toward the grid's time, not a cell's.
+
+A cell's ``wall_ms`` is the time spent on that cell: its own seeding (a
+k-means pre-run), initialization, outcome and evaluation, timed per cell,
+plus its share of each stacked iteration, whose time is split over the
+stack's swarms in proportion to their rows. So the ``wall_ms`` of one
+grid's cells add up to the grid's time in them, as before, but a cell's
+``wall_ms`` depends on its stack-mates: ``cells_per_s`` is the figure to
+compare across changes that stack cells differently.
+
 :func:`parse_config` checks a config against :data:`CONFIG_SCHEMA` with
 the in-house :class:`~swarmclust.schema.SchemaChecker`, which reports the
 error and wording ``jsonschema`` would. Modules a round from a parsed
@@ -390,7 +409,23 @@ def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec) -> partial:
 
 
 def _execute_cell(args):
+    """Run one cell alone, through its call: (record, trace)."""
     name, dataset, label, rep, seed, call = args
+    start = time.perf_counter()
+    try:
+        if isinstance(call, Exception):  # the pair's seeding failed
+            raise call
+        outcome = call(dataset, rng=Rng(seed))
+    except Exception as exc:  # recorded per-cell, grid continues
+        outcome = exc
+    return _cell_result(args, outcome, start)
+
+
+def _cell_result(args, outcome, start: float, spent: float = 0.0):
+    """(record, trace) of the cell ``args`` from its outcome, or from the
+    exception that ended it. ``wall_ms`` counts from ``start`` and adds
+    ``spent`` seconds already spent on the cell."""
+    name, dataset, label, rep, seed, _ = args
     record = {
         "dataset": name,
         "algorithm": label,
@@ -398,11 +433,9 @@ def _execute_cell(args):
         "seed": seed,
         "status": "ok",
     }
-    start = time.perf_counter()
     try:
-        if isinstance(call, Exception):  # the pair's seeding failed
-            raise call
-        outcome = call(dataset, rng=Rng(seed))
+        if isinstance(outcome, Exception):
+            raise outcome
         record.update(
             k=int(outcome.centroids.shape[0]),
             sicd=float(outcome.sicd),
@@ -415,8 +448,56 @@ def _execute_cell(args):
         record["status"] = "error"
         record["error"] = f"{type(exc).__name__}: {exc}"
         trace = []
-    record["wall_ms"] = (time.perf_counter() - start) * 1000.0
+    record["wall_ms"] = (time.perf_counter() - start + spent) * 1000.0
     return record, trace
+
+
+def _execute_stack(cells):
+    """Run swarm cells of one dataset and k, each as (algorithm id, cell
+    args), as one stack: [(record, trace)] in order. If the stack raises,
+    each cell runs again alone, on a fresh ``Rng(seed)``, and records its
+    own outcome or error (see the module docstring)."""
+    dataset = cells[0][1][1]
+    runs = [pipelines.SwarmRun(algo_id, Rng(args[4]), **args[5].keywords)
+            for algo_id, args in cells]
+    try:
+        results = pipelines.run_stack(dataset, runs)
+    except Exception:  # some swarm failed: each cell's rerun records its own error
+        return [_execute_cell(args) for _, args in cells]
+    return [_cell_result(args, result.outcome, time.perf_counter(), result.seconds)
+            for (_, args), result in zip(cells, results)]
+
+
+def _execute_unit(unit):
+    """A lone cell's args, or a stack's list of cells: [(record, trace)]."""
+    if isinstance(unit, list):
+        return _execute_stack(unit)
+    # through the module attribute, so that perfbench/tracer.py times it
+    return [_execute_cell(unit)]
+
+
+def _work_units(cells, jobs: int) -> list:
+    """The grid's cells, each as (algorithm id, cell args), as the units
+    :func:`_execute_unit` runs: every cell without a swarm (Lloyd's
+    algorithm) or whose seeding failed alone, and the swarm cells of each
+    (dataset, k, swarm_size, c1, c2, v_max_fraction) as one stack, cut into
+    ``min(jobs, cells)`` stacks of contiguous cells when ``jobs`` > 1."""
+    units, groups = [], {}
+    for algo_id, args in cells:
+        call = args[5]
+        if ALGORITHMS[algo_id].pso is None or isinstance(call, Exception):
+            units.append(args)
+            continue
+        keywords = call.keywords
+        config = keywords["config"]
+        k = keywords["seeding"].k if "seeding" in keywords else keywords["k"]
+        key = (args[0], k, config.swarm_size, config.c1, config.c2, config.v_max_fraction)
+        groups.setdefault(key, []).append((algo_id, args))
+    for group in groups.values():
+        parts = min(jobs, len(group))
+        units += [group[len(group) * i // parts:len(group) * (i + 1) // parts]
+                  for i in range(parts)]
+    return units
 
 
 def _process_pool(jobs: int) -> ProcessPoolExecutor:
@@ -491,13 +572,15 @@ def run_grid(
                 call, sub_config=None, seeding=seeding)
         for rep in range(config.repetitions):
             seed = derive_seed(config.base_seed, name, algo.key, rep)
-            cells.append((name, loaded[name], algo.key, rep, seed, call))
+            cells.append((algo.id, (name, loaded[name], algo.key, rep, seed, call)))
 
-    if jobs > 1 and len(cells) > 1:
+    units = _work_units(cells, jobs)
+    if jobs > 1 and len(units) > 1:
         with _process_pool(jobs) as pool:
-            results = list(pool.map(_execute_cell, cells, chunksize=1))
+            done = list(pool.map(_execute_unit, units, chunksize=1))
     else:
-        results = [_execute_cell(cell) for cell in cells]
+        done = [_execute_unit(unit) for unit in units]
+    results = [result for unit in done for result in unit]
 
     records = [rec for rec, _ in results]
     traces = {

@@ -29,8 +29,8 @@ output entry is computed as it would be alone and each row's sum runs over
 one contiguous vector, so results are bit-identical whatever the thread
 count and block size.
 numpy and scipy release the interpreter lock while they work. The helper
-threads, and ``concurrent.futures``, are loaded by the first call that
-splits, so a process whose kernels all run inline never imports them.
+threads wait on a queue for ranges to run; they start with the first call
+that splits, so a process whose kernels all run inline starts none.
 
 Every distance those kernels and the nearest-center assignment compute
 goes through :func:`sqeuclidean`, an (m, d) x (n, d) -> (m, n) matrix of
@@ -63,7 +63,7 @@ import numpy as np
 from .schema import TYPES, check_fields
 
 if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
+    from queue import SimpleQueue
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -113,6 +113,11 @@ def int_array(values, name: str) -> np.ndarray:
 class Dataset:
     """An immutable N x d point matrix with optional integer class labels.
 
+    Every value must be finite, and so must every column's range, max - min:
+    the search box, the normalization and the distances all subtract
+    points, so data past that is refused here, once, rather than
+    overflowing in each of them.
+
     Labels, when present, must be integers, 0-based and contiguous (every
     value in [0, n_classes) appears at least once); the CSV loader
     factorizes raw labels into this form. ``k_true`` is an integer >= 1.
@@ -131,6 +136,12 @@ class Dataset:
             raise ContractViolation("dataset needs at least one row and one column")
         if not np.all(np.isfinite(pts)):
             raise ContractViolation("dataset contains non-finite values")
+        with np.errstate(over="ignore"):
+            span = pts.max(axis=0) - pts.min(axis=0)
+        if not np.all(np.isfinite(span)):
+            raise ContractViolation(
+                f"dataset columns {np.flatnonzero(~np.isfinite(span)).tolist()} span more "
+                "than the float range (max - min overflows)")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         if self.labels is not None:
@@ -287,16 +298,20 @@ sqeuclidean = _load_sqeuclidean()
 KERNEL_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count() or 1)
 # Fewest kernel entries (distances or kernel terms) worth a thread of their
-# own; a call of fewer than twice this many runs inline.
-PARALLEL_MIN = 1 << 16
+# own; a call of fewer than twice this many runs inline. A split costs a
+# queue hand-off to a waiting helper thread, 12-13 us on a 2-vCPU VM, where
+# 2^14 entries of the fitness are 30-60 us of work. 2^14 ran paired
+# paper_grid and large_n rounds 4-6 % faster than 2^15, and 2^15 7 % faster
+# than 2^17, which keeps every paper_grid call on one thread.
+PARALLEL_MIN = 1 << 14
 # Entries a kernel call's blocks hold at once over all threads (float64,
 # 2 MB), numpy's temporaries included. At N = 4000 the densities take as
 # long at 2^16 to 2^20 entries; 2^17 held 0.6 MB less on large_n's fitness
 # but ran its cells 3% slower.
 KERNEL_BLOCK = 1 << 18
 
-# (helper thread count, pool), made on first use
-_pool: Optional[tuple[int, ThreadPoolExecutor]] = None
+# (helper thread count, the queue they take ranges from), made on first use
+_pool: Optional[tuple[int, SimpleQueue]] = None
 _pool_lock = threading.Lock()
 
 
@@ -316,18 +331,38 @@ def set_kernel_workers(threads: int) -> None:
     KERNEL_WORKERS = max(1, int(threads))
 
 
-def _helper_pool() -> ThreadPoolExecutor:
-    """The ``KERNEL_WORKERS - 1`` helper threads that run beside the caller,
-    started on first use and replaced when ``KERNEL_WORKERS`` changes."""
-    from concurrent.futures import ThreadPoolExecutor
+def _helper(tasks: SimpleQueue) -> None:
+    """A helper thread's loop: each ``(run, lo, hi, done)`` taken from
+    ``tasks`` runs ``run(lo, hi)`` and puts None, or the error it raised,
+    on ``done``. A None task ends the thread."""
+    while (task := tasks.get()) is not None:
+        run, lo, hi, done = task
+        try:
+            run(lo, hi)
+        except BaseException as exc:  # map_blocks raises it in the caller
+            done.put(exc)
+        else:
+            done.put(None)
+
+
+def _helper_pool() -> SimpleQueue:
+    """The queue of the ``KERNEL_WORKERS - 1`` helper threads that run beside
+    the caller, started on first use and replaced when ``KERNEL_WORKERS``
+    changes. They are daemon threads, idle between calls."""
+    from queue import SimpleQueue
 
     global _pool
     helpers = KERNEL_WORKERS - 1
     with _pool_lock:
         if _pool is None or _pool[0] != helpers:
             if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = helpers, ThreadPoolExecutor(helpers, "swarmclust-kernel")
+                for _ in range(_pool[0]):
+                    _pool[1].put(None)
+            tasks = SimpleQueue()
+            for i in range(helpers):
+                threading.Thread(target=_helper, args=(tasks,), daemon=True,
+                                 name=f"swarmclust-kernel-{i}").start()
+            _pool = helpers, tasks
         return _pool[1]
 
 
@@ -365,14 +400,16 @@ def map_blocks(fn: Callable[[int, int], None], n_rows: int, row_entries: int) ->
     if parts == 1:
         blocks(0, n_rows)
         return
-    from concurrent.futures import wait
+    from queue import SimpleQueue
 
     edges = [n_rows * i // parts for i in range(parts + 1)]
-    pool = _helper_pool()
-    futures = [pool.submit(blocks, edges[i], edges[i + 1]) for i in range(parts - 1)]
+    tasks, done = _helper_pool(), SimpleQueue()
+    for i in range(parts - 1):
+        tasks.put((blocks, edges[i], edges[i + 1], done))
     try:
         blocks(edges[-2], edges[-1])
     finally:
-        wait(futures)
-    for future in futures:
-        future.result()
+        errors = [done.get() for _ in range(parts - 1)]
+    for error in errors:
+        if error is not None:
+            raise error

@@ -21,7 +21,34 @@ after the loop from the last weight used.
 The algorithms differ only in seeding, boundary, inertia and gbest refine.
 :data:`ALGORITHMS` holds one row per algorithm with those choices; the
 frozen baseline defaults (version 1) let ablations vary only these
-dimensions. The five swarm entry points all run one shared body.
+dimensions.
+
+Swarms run in stacks. :func:`run_stack` takes several swarm runs
+(:class:`SwarmRun`) on one dataset that share k, ``swarm_size``, ``c1``,
+``c2`` and ``v_max_fraction``, and runs them as one
+:class:`~swarmclust.swarm.SwarmStack`, whose layout and per-swarm draw
+order the ``swarmclust.swarm`` docstring gives:
+
+- Each run's checks, seeding (a subtractive selection or a k-means
+  pre-run on the run's own stream) and initialization run in run order,
+  as they would alone.
+- Each iteration moves every swarm still in the stack with one step and
+  one fitness call, then refines the gbests of the swarms that refine in
+  that iteration with one batched Lloyd step and one fitness call.
+- Each swarm stops on its own stall or ``max_iter`` rule and leaves the
+  stack, which goes on with the others.
+
+Every swarm's trajectory, and so its outcome, is bit for bit the one it
+has alone. The five swarm entry points run their swarm as a stack of one,
+the same loop. A stack's time is split over its swarms for
+:class:`StackedRun`'s ``seconds``: each swarm's seeding, initialization
+and outcome are timed on their own, and each iteration's time is shared
+equally by the swarms in the stack during it (they have equal rows).
+
+The first error of any swarm ends the whole stack: its exception says
+what failed, but not always in the words a lone run would use. A caller
+that wants each swarm's own outcome or error runs the swarms again one by
+one on fresh streams, as the benchmark grid does.
 
 "gbest refine" is the adaptive family's per-iteration nearest-assignment /
 center-recalculation pass: the swarm's best centroid set is refined by one
@@ -39,9 +66,9 @@ N-sized passes on ``swarmclust.core.map_blocks``, within the threads and
 memory budget the ``swarmclust.core`` docstring describes: the fitness over
 rows, each block walking its rows' points in tiles that fit a thread's
 share of the budget (all N unless a row is larger), and the assignment
-over points.
+over points, for every center set of a batched refine at once.
 ``recompute_centroids`` is not blocked; its bincount holds about twice the
-points.
+points, and a refine of m gbests about 2m times.
 
 The two subtractive entry points take either a ``sub_config`` or a
 precomputed ``seeding`` (a :class:`~swarmclust.subtractive.SeedingResult`,
@@ -52,6 +79,7 @@ each distinct (dataset, config) once and hands the result to every cell.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -68,8 +96,10 @@ from .core import (
 from .metrics import convergence_stats, sicd, stalled
 from .schema import field_rules
 from .subtractive import DensityRatio, SeedingResult, SubtractiveConfig, select_centers
-from .swarm import (
+from .swarm import (  # noqa: F401  (step: perfbench/tracer.py wraps it here)
     PsoConfig,
+    Swarm,
+    SwarmStack,
     decode,
     exponential_normalized,
     inertia_weight,
@@ -163,15 +193,27 @@ def assign_nearest(dataset: Dataset, centroids: np.ndarray) -> Assignment:
     if c.shape[1] != dataset.d:
         raise ContractViolation(
             f"centroids of shape {c.shape} do not fit points of shape {dataset.points.shape}")
-    x, k = dataset.points, c.shape[0]
+    return Assignment(_nearest(dataset, c[None])[0], k=c.shape[0])
+
+
+def _nearest(dataset: Dataset, centers: np.ndarray) -> np.ndarray:
+    """The (m, N) nearest-center picks of each of the m k x d center sets in
+    ``centers``, as :func:`assign_nearest` makes them: the m*k centers'
+    distances to a block of points come from one kernel call, and each
+    entry is the one a set alone would get, so every pick is too. 2mk
+    entries a point."""
+    m, k, d = centers.shape
+    x = dataset.points
     n = x.shape[0]
-    nearest = np.empty(n, dtype=np.intp)
+    flat = centers.reshape(m * k, d)
+    nearest = np.empty((m, n), dtype=np.intp)
 
     def pick(lo: int, hi: int) -> None:
-        np.argmin(core.sqeuclidean(c, x[lo:hi]), axis=0, out=nearest[lo:hi])
+        np.argmin(core.sqeuclidean(flat, x[lo:hi]).reshape(m, k, hi - lo), axis=1,
+                  out=nearest[:, lo:hi])
 
-    core.map_blocks(pick, n, 2 * k)
-    return Assignment(nearest, k=k)
+    core.map_blocks(pick, n, 2 * m * k)
+    return nearest
 
 
 def recompute_centroids(dataset: Dataset, assignment: Assignment) -> np.ndarray:
@@ -190,27 +232,45 @@ def recompute_centroids(dataset: Dataset, assignment: Assignment) -> np.ndarray:
     """
     if assignment.n != dataset.n:
         raise ContractViolation("assignment length differs from dataset size")
-    k, d = assignment.k, dataset.d
-    x = dataset.points
-    cluster_of = assignment.cluster_of
-    counts = np.bincount(cluster_of, minlength=k).astype(np.float64)
-    # Entry (cluster c, column j) is bin c*d + j. bincount walks the points
-    # in order, so each sum accumulates exactly as np.add.at would.
-    bins = (cluster_of[:, None] * d + np.arange(d)).ravel()
-    centroids = np.bincount(bins, weights=x.ravel(), minlength=k * d).reshape(k, d)
+    return _means(dataset, assignment.cluster_of[None], assignment.k)[0]
+
+
+def _means(dataset: Dataset, cluster_of: np.ndarray, k: int) -> np.ndarray:
+    """The (m, k, d) centroids :func:`recompute_centroids` gives each of the
+    m assignments in the (m, N) ``cluster_of``. One bincount takes them all:
+    each bin belongs to one assignment and accumulates its points in order,
+    as that assignment's own bincount would. For m > 1 it also holds an
+    m*N*d copy of the points."""
+    m, n = cluster_of.shape
+    d, x = dataset.d, dataset.points
+    groups = cluster_of + (np.arange(m) * k)[:, None] if m > 1 else cluster_of
+    counts = np.bincount(groups.ravel(), minlength=m * k).astype(np.float64)
+    # Entry (assignment i, cluster c, column j) is bin (i*k + c)*d + j.
+    bins = (groups[:, :, None] * d + np.arange(d)).ravel()
+    weights = x.ravel() if m == 1 else np.broadcast_to(x, (m, n, d)).ravel()
+    centroids = np.bincount(bins, weights=weights, minlength=m * k * d).reshape(m * k, d)
     nonempty = counts > 0
     centroids[nonempty] /= counts[nonempty, None]
+    centroids = centroids.reshape(m, k, d)
 
-    empty = np.flatnonzero(~nonempty)
-    if empty.size:
-        cluster_of = cluster_of.copy()  # the repairs reassign points
-    for i in empty:
-        diffs = x - centroids[cluster_of]
-        dist_to_own = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-        farthest = int(np.argmax(dist_to_own))
-        centroids[i] = x[farthest]
-        cluster_of[farthest] = i
+    for i in range(m):
+        empty = np.flatnonzero(~nonempty[i * k:(i + 1) * k])
+        own = cluster_of[i].copy() if empty.size else None  # the repairs reassign points
+        for c in empty:
+            diffs = x - centroids[i][own]
+            dist_to_own = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
+            farthest = int(np.argmax(dist_to_own))
+            centroids[i, c] = x[farthest]
+            own[farthest] = c
     return centroids
+
+
+def _refine(dataset: Dataset, gbests: np.ndarray, k: int) -> np.ndarray:
+    """One Lloyd step from each row of the (m, k*d) ``gbests``: the (m, k*d)
+    means of their nearest-center assignments."""
+    m = gbests.shape[0]
+    centers = gbests.reshape(m, k, dataset.d)
+    return _means(dataset, _nearest(dataset, centers), k).reshape(m, -1)
 
 
 def _fitness_for(dataset: Dataset, k: int):
@@ -267,87 +327,160 @@ def _fitness_for(dataset: Dataset, k: int):
     return fitness
 
 
+@dataclass(frozen=True)
+class SwarmRun:
+    """One swarm cell of a stack: the ``ALGORITHMS[algo_id]`` swarm on its
+    own ``rng``, with the inputs its ``run_*`` entry point takes (``k`` is
+    unused by subtractive seeding, which picks k itself; a given ``seeding``
+    stands in for selecting the centers from ``sub_config``; ``config``
+    defaults to the row's)."""
+
+    algo_id: str
+    rng: Optional[Rng]
+    k: Optional[int] = None
+    config: Optional[PsoConfig] = None
+    sub_config: Optional[SubtractiveConfig] = None
+    kmeans_max_iter: int = 100
+    seeding: Optional[SeedingResult] = None
+
+
+@dataclass(frozen=True)
+class StackedRun:
+    """What :func:`run_stack` gives for one swarm: its outcome, its final
+    state and the seconds spent on it (see the module docstring)."""
+
+    outcome: ClusteringOutcome
+    swarm: Swarm
+    seconds: float
+
+
+def _seed_run(dataset: Dataset, run: SwarmRun) -> tuple[int, Optional[np.ndarray]]:
+    """(k, seed centers or None) of ``run``, after checking its inputs."""
+    algo = ALGORITHMS[run.algo_id]
+    if run.rng is None:
+        raise ContractViolation(f"{algo.entry} needs an rng")
+    if run.seeding is not None and run.sub_config is not None:
+        raise ContractViolation(f"{algo.entry} takes a seeding or a sub_config, not both")
+    if algo.seeding == "subtractive":
+        seeding = run.seeding or select_centers(dataset, run.sub_config or SubtractiveConfig())
+        return seeding.k, seeding.centers
+    if not 1 <= run.k <= dataset.n:
+        raise DegenerateInput(f"k={run.k} outside [1, {dataset.n}]")
+    if algo.seeding == "kmeans":
+        return run.k, run_kmeans(dataset, run.k, None, run.rng, run.kmeans_max_iter).centroids
+    return run.k, None
+
+
+def run_stack(dataset: Dataset, runs) -> list[StackedRun]:
+    """Run the swarms of ``runs`` (:class:`SwarmRun`) on ``dataset`` as one
+    :class:`~swarmclust.swarm.SwarmStack`; one :class:`StackedRun` per run,
+    in order. Each run's seeding and initialization run in order, as they
+    would alone; the runs must then agree on k, ``swarm_size``, ``c1``,
+    ``c2`` and ``v_max_fraction``, or ContractViolation is raised. The
+    first error of any swarm ends the whole stack (see the module
+    docstring)."""
+    clock = time.perf_counter
+    runs = list(runs)
+    swarms, configs, seconds = [], [], []
+    k = fitness = None
+    for run in runs:
+        start = clock()
+        run_k, seed_centers = _seed_run(dataset, run)
+        if fitness is None:
+            k, fitness = run_k, _fitness_for(dataset, run_k)
+        elif run_k != k:
+            raise ContractViolation(f"stacked swarms need one k, got {k} and {run_k}")
+        config = run.config or ALGORITHMS[run.algo_id].pso
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                swarms.append(init_swarm(seed_centers, k, dataset, config, run.rng, fitness))
+        except FloatingPointError as exc:
+            raise DegenerateInput(f"swarm not finite during initialization: {exc}") from None
+        configs.append(config)
+        seconds.append(clock() - start)
+    if not swarms:
+        raise ContractViolation("a stack needs at least one swarm")
+    stack = SwarmStack(swarms, configs)
+
+    refines = [ALGORITHMS[run.algo_id].refine for run in runs]
+    traces = [[swarm.gbest_fitness] for swarm in swarms]
+    streaks = [0] * len(runs)
+    rejected = [None] * len(runs)  # gbest fitness at the last rejected refine
+    converged_at, finals = [None] * len(runs), [None] * len(runs)
+    active = list(range(len(runs)))  # run of each stacked swarm
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            while active:
+                start = clock()
+                stack.step(fitness, [runs[i].rng for i in active])
+                gbest = stack.gbest_fitness.tolist()
+                refiners = [j for j, i in enumerate(active)
+                            if refines[i] and gbest[j] != rejected[i]]
+                if refiners:
+                    refined = _refine(dataset, stack.gbest_position[refiners], k)
+                    for j, position, value in zip(refiners, refined, fitness(refined).tolist()):
+                        if value < gbest[j]:
+                            stack.replace_gbest(j, position, value)
+                            gbest[j] = value
+                        else:
+                            rejected[active[j]] = gbest[j]
+                leaving = []
+                for j, i in enumerate(active):
+                    trace, config = traces[i], configs[i]
+                    trace.append(gbest[j])
+                    streaks[i] = streaks[i] + 1 if stalled(trace[-2], trace[-1],
+                                                           config.rel_tol) else 0
+                    if streaks[i] >= config.stall_iters:
+                        converged_at[i] = stack.iters[j] - config.stall_iters
+                    elif stack.iters[j] == config.max_iter:
+                        converged_at[i] = len(trace)
+                    else:
+                        continue
+                    leaving.append(j)
+                share = (clock() - start) / len(active)
+                for i in active:
+                    seconds[i] += share
+                if leaving:
+                    for j, swarm in zip(leaving, stack.remove(leaving)):
+                        finals[active[j]] = swarm
+                    active = [i for j, i in enumerate(active) if j not in leaving]
+    except FloatingPointError as exc:
+        raise DegenerateInput(f"swarm velocity or position not finite at iteration "
+                              f"{min(stack.iters)}: {exc}") from None
+
+    results = []
+    for run, swarm, config, trace, at, spent in zip(runs, finals, configs, traces,
+                                                     converged_at, seconds):
+        start = clock()
+        # A linear schedule's weight is Python arithmetic, which numpy's error
+        # state does not see: past some iteration its product overflows, and
+        # the weight is -inf from there on, which the v_max clamp can hide.
+        # So the last weight used tells whether any was not finite.
+        if not math.isfinite(inertia_weight(config, swarm.iter - 1)):
+            first = next(i for i in range(swarm.iter)
+                         if not math.isfinite(inertia_weight(config, i)))
+            raise DegenerateInput(f"swarm velocity not finite at iteration {first}: inertia "
+                                  f"weight {inertia_weight(config, first)}")
+        centroids = decode(swarm.gbest_position, k, dataset.d)
+        outcome = ClusteringOutcome(
+            centroids=centroids,
+            assignment=assign_nearest(dataset, centroids),
+            iterations_used=swarm.iter,
+            sicd_trace=np.asarray(trace),
+            iterations_to_converge=at,
+        )
+        results.append(StackedRun(outcome, swarm, spent + clock() - start))
+    return results
+
+
 def _run_swarm(
     algo_id: str, dataset: Dataset, k: Optional[int], config: Optional[PsoConfig],
     rng: Optional[Rng], sub_config: Optional[SubtractiveConfig] = None,
     kmeans_max_iter: int = 100, seeding: Optional[SeedingResult] = None,
 ) -> ClusteringOutcome:
-    """Seed and run the swarm of ``ALGORITHMS[algo_id]``. Subtractive
-    seeding picks k itself, so ``k`` is unused there; a given ``seeding``
-    stands in for selecting the centers from ``sub_config``."""
-    algo = ALGORITHMS[algo_id]
-    if rng is None:
-        raise ContractViolation(f"{algo.entry} needs an rng")
-    if seeding is not None and sub_config is not None:
-        raise ContractViolation(f"{algo.entry} takes a seeding or a sub_config, not both")
-    seed_centers = None
-    if algo.seeding == "subtractive":
-        if seeding is None:
-            seeding = select_centers(dataset, sub_config or SubtractiveConfig())
-        k, seed_centers = seeding.k, seeding.centers
-    elif not 1 <= k <= dataset.n:
-        raise DegenerateInput(f"k={k} outside [1, {dataset.n}]")
-    elif algo.seeding == "kmeans":
-        seed_centers = run_kmeans(dataset, k, None, rng, kmeans_max_iter).centroids
-    config = config or algo.pso
-
-    fitness = _fitness_for(dataset, k)
-    swarm = None
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            swarm = init_swarm(seed_centers, k, dataset, config, rng, fitness)
-            trace = [swarm.gbest_fitness]
-            stall_streak = 0
-            rejected = None  # gbest fitness at the last rejected refine
-
-            for _ in range(config.max_iter):
-                step(swarm, fitness, config, rng)
-                if algo.refine and swarm.gbest_fitness != rejected:
-                    # Views, not copies: neither the gbest nor the refined
-                    # centers are written to.
-                    refined = recompute_centroids(dataset, assign_nearest(
-                        dataset, swarm.gbest_position.reshape(k, dataset.d)))
-                    refined_pos = refined.reshape(1, -1)
-                    refined_fit = float(fitness(refined_pos)[0])
-                    if refined_fit < swarm.gbest_fitness:
-                        owner = swarm.pbest_fitness.argmin()
-                        swarm.pbest_position[owner] = refined_pos[0]
-                        swarm.pbest_fitness[owner] = refined_fit
-                        swarm.gbest_position = refined_pos[0]
-                        swarm.gbest_fitness = refined_fit
-                    else:
-                        rejected = swarm.gbest_fitness
-                trace.append(swarm.gbest_fitness)
-                stall_streak = (stall_streak + 1
-                                if stalled(trace[-2], trace[-1], config.rel_tol) else 0)
-                if stall_streak >= config.stall_iters:
-                    converged_at = swarm.iter - config.stall_iters
-                    break
-            else:
-                converged_at = len(trace)
-    except FloatingPointError as exc:
-        where = ("search box not finite during swarm initialization" if swarm is None
-                 else f"velocity or position not finite at iteration {swarm.iter}")
-        raise DegenerateInput(f"swarm {where}: {exc}") from None
-    # A linear schedule's weight is Python arithmetic, which numpy's error
-    # state does not see: past some iteration its product overflows, and the
-    # weight is -inf from there on, which the v_max clamp can hide. So the
-    # last weight used tells whether any was not finite.
-    if not math.isfinite(inertia_weight(config, swarm.iter - 1)):
-        first = next(i for i in range(swarm.iter)
-                     if not math.isfinite(inertia_weight(config, i)))
-        raise DegenerateInput(f"swarm velocity not finite at iteration {first}: inertia "
-                              f"weight {inertia_weight(config, first)}")
-
-    centroids = decode(swarm.gbest_position, k, dataset.d)
-    assignment = assign_nearest(dataset, centroids)
-    return ClusteringOutcome(
-        centroids=centroids,
-        assignment=assignment,
-        iterations_used=swarm.iter,
-        sicd_trace=np.asarray(trace),
-        iterations_to_converge=converged_at,
-    )
+    """The swarm of ``ALGORITHMS[algo_id]`` run alone: a stack of one."""
+    run = SwarmRun(algo_id, rng, k, config, sub_config, kmeans_max_iter, seeding)
+    return run_stack(dataset, [run])[0].outcome
 
 
 def run_kmeans(

@@ -16,52 +16,68 @@ Boundary handling ("restricted"): a component that leaves the search box is
 reverted to its pre-update value; a component that was already out of
 bounds before the update is clamped to the nearer bound.
 
-Array layout: a :class:`Swarm` holds the whole swarm as arrays with one row
-per particle, ``position``, ``velocity`` and ``pbest_position`` of shape
-(S, k*d) and ``pbest_fitness`` of shape (S,). A step is a handful of
-whole-swarm array operations; every update is elementwise, so each row gets
-exactly the floating-point operations a lone particle would.
+Array layout: a :class:`Swarm` holds one swarm as arrays with one row per
+particle, ``position``, ``velocity`` and ``pbest_position`` of shape
+(S, k*d) and ``pbest_fitness`` of shape (S,). A :class:`SwarmStack` holds
+several swarms of one shape in one block of those arrays: member j owns
+rows ``j*S`` to ``(j+1)*S`` (its row offset is ``j*S``), and row j of the
+stack's (n, k*d) ``gbest_position`` and (n,) ``gbest_fitness``. The
+members share the search box, ``swarm_size``, ``c1``, ``c2`` and
+``v_max_fraction``, which set the arrays' shapes and the constants every
+row is multiplied or clipped by. What else a member's config sets becomes
+a per-row column: the inertia weight each step, and whether the boundary
+restriction applies to the member's rows. A step is a handful of
+whole-block array operations and one fitness call for all members; every
+update is elementwise, so each row gets exactly the floating-point
+operations a lone particle would, whatever the other rows are. The weight
+column multiplies as the scalar weight does, and the clips take the
+(k*d,) bounds row by row as a lone swarm's do, so a stacked member's
+trajectory is its lone trajectory bit for bit, signs of zeros included.
+:func:`step` moves a lone swarm as a stack of one.
 
 A step makes a few dozen numpy calls, so on small data their fixed cost, not
-the arithmetic, sets its time; the step is written to make few calls, on
-contiguous arrays of one shape where it can, in place where it may:
+the arithmetic, sets its time; stacking swarms spreads that cost over them.
+The step is written to make few calls, on contiguous arrays of one shape
+where it can, in place where it may:
 
-- Per-swarm constants. The first step builds what every later step reuses
-  and keeps it on the swarm: v_max and -v_max, ``lower`` and ``upper``
-  tiled to (S, k*d) for the boundary comparisons, a (2, S, k*d) block of c1
-  and c2 and two scratch blocks of that shape. They are built again when a
-  step gets another config object or finds ``lower`` or ``upper`` rebound
-  or the swarm's shape changed; bounds changed in place go unnoticed.
-- The step draws as below, copies the draws out as contiguous rand1 and
-  rand2 blocks, and turns those in place into c1*rand1*(pbest - x) and
-  c2*rand2*(gbest - x), each product in the order of the plain update.
-- ``position`` and ``velocity`` are new arrays every step, and a new gbest
-  is a copy of its pbest row. ``pbest_position`` and ``pbest_fitness`` are
-  updated in place, so they must not share memory with other arrays.
+- Per-stack constants. A stack builds what every step reuses when it is
+  made: v_max and -v_max, ``lower`` and ``upper`` tiled to the block's
+  shape for the boundary comparisons, and two (2, rows, k*d) scratch
+  blocks. Members leaving the stack leave the first rows of these in use;
+  the rows the boundary restricts are marked again.
+- The step draws as below, multiplies the draws by c1 and c2 into
+  contiguous c1*rand1 and c2*rand2 blocks, and turns those in place into
+  c1*rand1*(pbest - x) and c2*rand2*(gbest - x), each product in the order
+  of the plain update.
+- ``position`` and ``velocity`` are new arrays every step.
+  ``pbest_position`` and ``pbest_fitness`` are updated in place, so they
+  must not share memory with other arrays; a lone swarm's are its own
+  arrays, updated in place too, and its new gbest is a new array.
 
 Draw order is part of the engine contract so runs are reproducible and can
-be replayed against a straight-line reference with a stubbed stream.
-Unseeded init draws one S*k*d block, row by row; seeded init draws one
-(S-1)*k*d jitter block for the non-seed particles. Each step draws one flat
-S*2*k*d block and reads it as (S, 2, k*d): per particle in order, first the
-rand1 block, then the rand2 block, which is the same stream as drawing
-rand1 and rand2 particle by particle. Any object with a ``random(size)``
-method taking an int and returning draws in [0, 1) can stand in for the
-stream.
+be replayed against a straight-line reference with a stubbed stream. Each
+swarm draws from its own stream, and a stacked swarm draws exactly what it
+would alone. Unseeded init draws one S*k*d block, row by row; seeded init
+draws one (S-1)*k*d jitter block for the non-seed particles. Each step
+draws one flat S*2*k*d block per member, from the member's stream, and
+reads it as (S, 2, k*d): per particle in order, first the rand1 block,
+then the rand2 block, which is the same stream as drawing rand1 and rand2
+particle by particle. Any object with a ``random(size)`` method taking an
+int and returning draws in [0, 1) can stand in for the stream.
 
 Fitness is batched: ``fitness(positions)`` maps an (m, k*d) block of
 positions to an (m,) vector, lower is better. The engine makes one call per
-init and one per step, and updates pbest and gbest only after it returns.
-The SICD fitness built in :mod:`swarmclust.pipelines` gives each row the
-value of evaluating that particle alone, bit for bit, whatever the batch,
-thread count or block size.
+init and one per step of a whole stack, and updates pbest and gbest only
+after it returns. The SICD fitness built in :mod:`swarmclust.pipelines`
+gives each row the value of evaluating that particle alone, bit for bit,
+whatever the batch, thread count or block size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -151,8 +167,6 @@ class Swarm:
     iter: int
     lower: np.ndarray
     upper: np.ndarray
-    _constants: Optional[_StepConstants] = field(default=None, init=False, repr=False,
-                                                 compare=False)
 
     @property
     def particles(self) -> list[Particle]:
@@ -200,15 +214,20 @@ def _apply_boundary(
     upper: np.ndarray,
     low: np.ndarray,
     high: np.ndarray,
+    rows: Optional[np.ndarray] = None,
 ) -> None:
     """Restrict ``position`` in place: an out-of-box component goes back to
     its ``previous`` value, or to ``previous`` clipped into the box when that
     is out too. ``low`` and ``high`` are ``lower`` and ``upper`` tiled to the
-    swarm's shape, for the comparisons; the clip takes the (k*d,) rows, as
+    block's shape, for the comparisons; the clip takes the (k*d,) rows, as
     the earlier ``np.clip`` did (its contiguous loop can flip the sign of a
-    zero that the broadcast one keeps)."""
+    zero that the broadcast one keeps). ``rows``, a (rows, 1) boolean
+    column, limits the restriction to the rows it marks; None restricts
+    them all."""
     out = position < low
     out |= position > high
+    if rows is not None:
+        out &= rows
     if not np.count_nonzero(out):
         return
     np.copyto(position, previous, where=out)
@@ -220,15 +239,23 @@ def _apply_boundary(
 
 
 def _evaluate(fitness: Callable[[np.ndarray], np.ndarray], positions: np.ndarray,
-              iteration: Optional[int]) -> np.ndarray:
-    """One batched fitness call; a NaN names the first particle that gave it.
-    ``iteration`` is None during initialization."""
+              iterations: Optional[list] = None, size: int = 0) -> np.ndarray:
+    """One batched fitness call; a NaN names the first particle that gave it
+    and the iteration of its swarm, ``iterations[j]`` for member j of a
+    stack of ``size``-row members, and the member too when there are
+    several. ``iterations`` is None during initialization."""
     evals = np.asarray(fitness(positions), dtype=np.float64)
     nan = np.isnan(evals)
     if np.count_nonzero(nan):
-        when = ("during swarm initialization" if iteration is None
-                else f"at iteration {iteration}")
-        raise RuntimeError(f"fitness returned NaN {when}, particle {int(np.argmax(nan))}")
+        particle = int(np.argmax(nan))
+        if iterations is None:
+            when = "during swarm initialization"
+        else:
+            member, particle = divmod(particle, size)
+            when = f"at iteration {iterations[member]}"
+            if len(iterations) > 1:
+                when += f", stacked swarm {member}"
+        raise RuntimeError(f"fitness returned NaN {when}, particle {particle}")
     return evals
 
 
@@ -281,25 +308,165 @@ def init_swarm(
     )
 
 
-class _StepConstants:
-    """What every step of one swarm reuses (see the module docstring)."""
+class SwarmStack:
+    """Swarms of one shape moved together, one block of rows (see the module
+    docstring). Built from lone swarms and their configs, in member order;
+    a lone swarm's arrays are used as they are, several swarms' are copied
+    into the block. ``iters[j]`` counts member j's steps.
 
-    __slots__ = ("config", "lower", "upper", "shape", "v_max", "neg_v_max", "low",
-                 "high", "coef", "terms", "pull")
+    The members must share ``lower`` and ``upper`` (equal values), the
+    shape of their arrays, and ``c1``, ``c2`` and ``v_max_fraction``;
+    otherwise building the stack raises ContractViolation."""
 
-    def __init__(self, swarm: Swarm, config: PsoConfig):
-        self.config, self.lower, self.upper = config, swarm.lower, swarm.upper
-        self.shape = size, kd = swarm.position.shape
+    def __init__(self, swarms: Sequence[Swarm], configs: Sequence[PsoConfig]):
+        if not swarms or len(swarms) != len(configs):
+            raise ContractViolation("a stack needs one config per swarm, and a swarm")
+        first, base = swarms[0], configs[0]
+        shared = (base.c1, base.c2, base.v_max_fraction)
+        for swarm, config in zip(swarms[1:], configs[1:]):
+            if (swarm.position.shape != first.position.shape
+                    or (config.c1, config.c2, config.v_max_fraction) != shared
+                    or not np.array_equal(swarm.lower, first.lower)
+                    or not np.array_equal(swarm.upper, first.upper)):
+                raise ContractViolation("stacked swarms need one shape, one search box "
+                                        "and one c1, c2 and v_max_fraction")
+
+        def block(name):
+            if len(swarms) == 1:
+                return getattr(first, name)
+            return np.concatenate([getattr(swarm, name) for swarm in swarms])
+
+        self.position, self.velocity = block("position"), block("velocity")
+        self.pbest_position, self.pbest_fitness = block("pbest_position"), block("pbest_fitness")
+        self.gbest_position = np.array([swarm.gbest_position for swarm in swarms],
+                                       dtype=np.float64)
+        self.gbest_fitness = np.array([swarm.gbest_fitness for swarm in swarms],
+                                      dtype=np.float64)
+        self.iters = [swarm.iter for swarm in swarms]
+        self.configs = list(configs)
+        self.lower, self.upper = first.lower, first.upper
+        self.size = first.position.shape[0]
         self.v_max = self.neg_v_max = None
-        if config.v_max_fraction is not None:
-            self.v_max = config.v_max_fraction * (swarm.upper - swarm.lower)
+        if base.v_max_fraction is not None:
+            self.v_max = base.v_max_fraction * (self.upper - self.lower)
             self.neg_v_max = -self.v_max
-        self.low = np.broadcast_to(swarm.lower, (size, kd)).copy()
-        self.high = np.broadcast_to(swarm.upper, (size, kd)).copy()
-        self.coef = np.empty((2, size, kd))
-        self.coef[0], self.coef[1] = config.c1, config.c2
-        self.terms = np.empty((2, size, kd))
-        self.pull = np.empty((2, size, kd))
+        # Scratch and tiled bounds for every first member count; members
+        # leaving the stack leave the first rows in use.
+        rows = self.position.shape
+        self._all_terms, self._all_pull = np.empty((2, *rows)), np.empty((2, *rows))
+        if any(c.boundary == "restricted" for c in self.configs):
+            self._all_low = np.broadcast_to(self.lower, rows).copy()
+            self._all_high = np.broadcast_to(self.upper, rows).copy()
+        self._fit()
+
+    def _fit(self) -> None:
+        """The views of the scratch and bounds the current members use, and
+        the rows the boundary restricts: ``_bounded_rows`` is None when it
+        restricts them all."""
+        rows = self.position.shape[0]
+        self._terms, self._pull = self._all_terms[:, :rows], self._all_pull[:, :rows]
+        restricted = [c.boundary == "restricted" for c in self.configs]
+        self._bounded = any(restricted)
+        if self._bounded:
+            self._low, self._high = self._all_low[:rows], self._all_high[:rows]
+            self._bounded_rows = (None if all(restricted)
+                                  else np.repeat(restricted, self.size)[:, None])
+
+    def step(self, fitness: Callable[[np.ndarray], np.ndarray], rngs: Sequence) -> None:
+        """Advance every member one iteration in place, member j drawing from
+        ``rngs[j]``.
+
+        Every particle moves against its swarm's previous gbest; pbest and
+        gbest refresh only on strict improvement, after the stack's one
+        fitness call. gbest ties go to the lowest particle index. The
+        boundary revert restores the saved pre-update component exactly,
+        which keeps in-bounds swarms in bounds without float round-off."""
+        n, size = len(self.configs), self.size
+        if len(rngs) != n:
+            raise ContractViolation(f"{len(rngs)} streams for {n} stacked swarms")
+        previous = self.position
+        rows, kd = previous.shape
+        # The draws, read as (rows, 2, kd), times c1 and c2 make contiguous
+        # c1*rand1 and c2*rand2 blocks, which then become c1*rand1*(pbest - x)
+        # and c2*rand2*(gbest - x) in place, each product taken in the order
+        # the plain expression takes it.
+        terms, pull = self._terms, self._pull
+        draws = [rng.random(size * 2 * kd) for rng in rngs]
+        draws = (draws[0] if n == 1 else np.concatenate(draws)).reshape(rows, 2, kd)
+        config = self.configs[0]
+        np.multiply(draws[:, 0], config.c1, out=terms[0])
+        np.multiply(draws[:, 1], config.c2, out=terms[1])
+        np.subtract(self.pbest_position, previous, out=pull[0])
+        np.subtract(self.gbest_position[:, None], previous.reshape(n, size, kd),
+                    out=pull[1].reshape(n, size, kd))
+        terms *= pull
+        weights = np.array([inertia_weight(c, i) for c, i in zip(self.configs, self.iters)])
+        velocity = np.multiply(self.velocity.reshape(n, size, kd),
+                               weights[:, None, None]).reshape(rows, kd)
+        velocity += terms[0]
+        velocity += terms[1]
+        if self.v_max is not None:
+            _clip(velocity, self.neg_v_max, self.v_max, out=velocity)
+        position = previous + velocity
+        if self._bounded:
+            _apply_boundary(position, previous, self.lower, self.upper, self._low, self._high,
+                            self._bounded_rows)
+        self.velocity = velocity
+        self.position = position
+
+        evals = _evaluate(fitness, position, self.iters, size)
+        improved = evals < self.pbest_fitness
+        np.copyto(self.pbest_fitness, evals, where=improved)
+        np.copyto(self.pbest_position, position, where=improved[:, None])
+
+        by_member = self.pbest_fitness.reshape(n, size)
+        best, values = by_member.argmin(axis=1), by_member.min(axis=1)
+        better = (values < self.gbest_fitness).nonzero()[0]
+        if better.size:
+            self.gbest_fitness[better] = values[better]
+            self.gbest_position[better] = self.pbest_position[better * size + best[better]]
+        self.iters = [i + 1 for i in self.iters]
+
+    def replace_gbest(self, member: int, position: np.ndarray, value: float) -> None:
+        """Make ``position``, whose fitness ``value`` is below member's gbest
+        fitness, its gbest and the pbest of its best particle (the lowest
+        index on ties), which keeps gbest = min pbest."""
+        lo = member * self.size
+        owner = lo + int(self.pbest_fitness[lo:lo + self.size].argmin())
+        self.pbest_position[owner] = position
+        self.pbest_fitness[owner] = value
+        self.gbest_position[member] = position
+        self.gbest_fitness[member] = value
+
+    def remove(self, members: Sequence[int]) -> list[Swarm]:
+        """Take ``members`` out of the stack; returns each one's state as a
+        lone swarm of copied arrays, in the order given. The others keep
+        their order, renumbered from 0."""
+        size = self.size
+        out = [Swarm(
+            position=self.position[j * size:(j + 1) * size].copy(),
+            velocity=self.velocity[j * size:(j + 1) * size].copy(),
+            pbest_position=self.pbest_position[j * size:(j + 1) * size].copy(),
+            pbest_fitness=self.pbest_fitness[j * size:(j + 1) * size].copy(),
+            gbest_position=self.gbest_position[j].copy(),
+            gbest_fitness=float(self.gbest_fitness[j]),
+            iter=self.iters[j],
+            lower=self.lower,
+            upper=self.upper,
+        ) for j in members]
+        keep = np.ones(len(self.configs), dtype=bool)
+        keep[list(members)] = False
+        self.configs = [c for c, kept in zip(self.configs, keep) if kept]
+        self.iters = [i for i, kept in zip(self.iters, keep) if kept]
+        if self.configs:
+            rows = np.repeat(keep, size)
+            self.position, self.velocity = self.position[rows], self.velocity[rows]
+            self.pbest_position = self.pbest_position[rows]
+            self.pbest_fitness = self.pbest_fitness[rows]
+            self.gbest_position = self.gbest_position[keep]
+            self.gbest_fitness = self.gbest_fitness[keep]
+            self._fit()
+        return out
 
 
 def step(
@@ -308,49 +475,12 @@ def step(
     config: PsoConfig,
     rng,
 ) -> Swarm:
-    """Advance the swarm one iteration in place (and return it).
-
-    Every particle moves against the previous iteration's gbest; pbest and
-    gbest refresh only on strict improvement, after the swarm's one fitness
-    call. gbest ties go to the lowest particle index. The boundary revert
-    restores the saved pre-update component exactly, which keeps in-bounds
-    swarms in bounds without float round-off.
-    """
-    previous = swarm.position
-    const = swarm._constants
-    if (const is None or const.config is not config or const.lower is not swarm.lower
-            or const.upper is not swarm.upper or const.shape != previous.shape):
-        const = swarm._constants = _StepConstants(swarm, config)
-    size, kd = const.shape
-    # The draws, read as (S, 2, kd), are copied out as rand1 and rand2
-    # blocks, which then become c1*rand1*(pbest - x) and c2*rand2*(gbest - x)
-    # in place, each product taken in the order the plain expression takes it.
-    terms, pull = const.terms, const.pull
-    np.copyto(terms, rng.random(size * 2 * kd).reshape(size, 2, kd).transpose(1, 0, 2))
-    terms *= const.coef
-    np.subtract(swarm.pbest_position, previous, out=pull[0])
-    np.subtract(swarm.gbest_position, previous, out=pull[1])
-    terms *= pull
-    velocity = swarm.velocity * inertia_weight(config, swarm.iter)
-    velocity += terms[0]
-    velocity += terms[1]
-    if const.v_max is not None:
-        _clip(velocity, const.neg_v_max, const.v_max, out=velocity)
-    position = previous + velocity
-    if config.boundary == "restricted":
-        _apply_boundary(position, previous, const.lower, const.upper, const.low, const.high)
-    swarm.velocity = velocity
-    swarm.position = position
-
-    evals = _evaluate(fitness, position, swarm.iter)
-    improved = evals < swarm.pbest_fitness
-    np.copyto(swarm.pbest_fitness, evals, where=improved)
-    np.copyto(swarm.pbest_position, position, where=improved[:, None])
-
-    best = swarm.pbest_fitness.argmin()
-    if swarm.pbest_fitness[best] < swarm.gbest_fitness:
-        swarm.gbest_fitness = float(swarm.pbest_fitness[best])
-        swarm.gbest_position = swarm.pbest_position[best].copy()
-
-    swarm.iter += 1
+    """Advance a lone swarm one iteration in place (and return it), as a
+    stack of one (see :meth:`SwarmStack.step`)."""
+    stack = SwarmStack([swarm], [config])
+    stack.step(fitness, [rng])
+    swarm.position, swarm.velocity = stack.position, stack.velocity
+    swarm.gbest_position = stack.gbest_position[0]
+    swarm.gbest_fitness = float(stack.gbest_fitness[0])
+    swarm.iter = stack.iters[0]
     return swarm

@@ -37,6 +37,8 @@ from swarmclust.schema import SchemaChecker, field_rules
 from swarmclust.swarm import Inertia, PsoConfig, linear
 from swarmclust.subtractive import DensityRatio, FixedK, SubtractiveConfig, density_initial
 
+from oracles import assign_nearest_ref, sicd_ref
+
 # A value of the right type for every benchmark-config param name
 VALID_PARAM_VALUES = {
     "k": 2, "max_iter": 5, "swarm_size": 4, "stall_iters": 3, "kmeans_max_iter": 5,
@@ -1171,23 +1173,71 @@ class TestRunGrid:
             assert re.fullmatch(r"DegenerateInput: swarm velocity (or position )?not finite "
                                 r"at iteration \d+: .+", rec["error"]), rec["error"]
 
-    @pytest.mark.parametrize("row", ALGORITHMS.values(), ids=lambda row: row.id)
-    def test_cells_call_entry_points_through_bench(self, row, monkeypatch):
-        # perfbench/tracer.py times each cell by wrapping these names in bench
-        import swarmclust.bench as bench_mod
+    def test_cells_are_dispatched_by_kind(self, monkeypatch):
+        # Lloyd's cells run alone through bench.run_kmeans, which
+        # perfbench/tracer.py wraps; each dataset's swarm cells run as one
+        # stack, never through the swarm entry points
+        kmeans_calls, stacks = [], []
+        real_kmeans, real_stack = bench.run_kmeans, pipelines.run_stack
 
-        real = getattr(bench_mod, row.entry)
-        calls = []
+        def kmeans_spy(dataset, *args, **kwargs):
+            kmeans_calls.append(dataset.name)
+            return real_kmeans(dataset, *args, **kwargs)
 
-        def spy(*args, **kwargs):
-            calls.append(args[0].name)
-            return real(*args, **kwargs)
+        def stack_spy(dataset, runs):
+            stacks.append((dataset.name, [run.algo_id for run in runs]))
+            return real_stack(dataset, runs)
 
-        monkeypatch.setattr(bench_mod, row.entry, spy)
-        raw = fixture_config(reps=2, algorithms=[{"id": row.id}])
-        report = run_grid(parse_config(raw))
+        def no_entry(*args, **kwargs):
+            raise AssertionError("a swarm cell ran through its entry point")
+
+        monkeypatch.setattr(bench, "run_kmeans", kmeans_spy)
+        monkeypatch.setattr(pipelines, "run_stack", stack_spy)
+        for row in ALGORITHMS.values():
+            if row.pso is not None:
+                monkeypatch.setattr(bench, row.entry, no_entry)
+        report = run_grid(parse_config(two_datasets_config(2, FIXTURES["algorithms"])))
         assert report.failed_cells == 0
-        assert calls == ["two_blob", "two_blob"]
+        assert kmeans_calls == ["two_blob"] * 2 + ["grid4"] * 2
+        swarm_ids = [row.id for row in ALGORITHMS.values() if row.pso is not None]
+        assert stacks == [(name, [i for i in swarm_ids for _ in range(2)])
+                          for name in ("two_blob", "grid4")]
+
+    @pytest.mark.parametrize("jobs, fixture_parts, pair_parts", [
+        (1, [10], [2]), (2, [5, 5], [1, 1]), (3, [3, 3, 4], [1, 1]), (11, [1] * 10, [1, 1])])
+    def test_jobs_cut_each_stack_into_one_part_per_job(self, monkeypatch, jobs, fixture_parts,
+                                                        pair_parts):
+        # A dataset's ten fixture swarm cells share one k and one stack; a
+        # swarm_size or a k of their own makes a stack of two. --jobs J cuts
+        # each into min(J, cells) stacks of neighbouring cells; kmeans cells
+        # run alone.
+        calls = []
+        real = bench._work_units
+
+        def spy(cells, jobs):
+            calls.append((cells, jobs))
+            return real(cells, jobs)
+
+        monkeypatch.setattr(bench, "_work_units", spy)
+        raw = two_datasets_config(2, [*FIXTURES["algorithms"],
+                                      {"id": "pso", "label": "pso_5", "params": {"swarm_size": 5}},
+                                      {"id": "brapso", "label": "brapso_k3", "params": {"k": 3}}])
+        run_grid(parse_config(raw), jobs=2, algo_filter={"kmeans", "pso_5"})
+        assert calls[-1][1] == 2  # run_grid cuts by its jobs
+        run_grid(parse_config(raw))
+        cells = calls[-1][0]
+        units = real(cells, jobs)
+        assert [unit for unit in units if not isinstance(unit, list)] == [
+            args for algo_id, args in cells if algo_id == "kmeans"]
+        stacks = [unit for unit in units if isinstance(unit, list)]
+        assert [len(stack) for stack in stacks] == (fixture_parts + pair_parts * 2) * 2
+        groups = {}
+        for algo_id, args in cells:
+            if algo_id != "kmeans":
+                groups.setdefault((args[0], args[2] in ("pso_5", "brapso_k3") and args[2]),
+                                  []).append((algo_id, args))
+        assert [cell for stack in stacks for cell in stack] == [
+            cell for group in groups.values() for cell in group]
 
     def test_aggregates_match_recomputation(self):
         cfg = parse_config(fixture_config(reps=4))
@@ -1824,7 +1874,7 @@ class TestCli:
         def no_cell(args):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(bench, "_execute_cell", no_cell)
+        monkeypatch.setattr(bench, "_execute_unit", no_cell)
         result = CliRunner().invoke(main, ["run", "--config", "config.yaml", "--out", out])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
@@ -1866,7 +1916,7 @@ class TestCli:
         def no_cell(args):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(bench, "_execute_cell", no_cell)
+        monkeypatch.setattr(bench, "_execute_unit", no_cell)
         path = self.write_config(tmp_path, fixture_config(reps=1))
         out = tmp_path / "out"
         result = CliRunner().invoke(
@@ -1883,7 +1933,7 @@ class TestCli:
         def no_cell(args):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(bench, "_execute_cell", no_cell)
+        monkeypatch.setattr(bench, "_execute_unit", no_cell)
         path = self.write_config(tmp_path, fixture_config(reps=1))
         out = tmp_path / "out"
         result = CliRunner().invoke(
@@ -1949,3 +1999,91 @@ class TestCli:
         assert algos.exit_code == 0
         for row in ALGORITHMS.values():
             assert f"{row.id:12s} {row.summary}\n" in algos.output
+
+
+def test_stacked_cells_of_the_fixtures_grid_equal_the_oracles(monkeypatch):
+    # each stacked cell's cost and assignment against the loop oracles, as
+    # perfbench's tracer checks the cells that run through bench.run_*
+    stacked = []
+    real = pipelines.run_stack
+
+    def spy(dataset, runs):
+        results = real(dataset, runs)
+        stacked.extend((dataset, result.outcome) for result in results)
+        return results
+
+    monkeypatch.setattr(pipelines, "run_stack", spy)
+    report = run_grid(parse_config(FIXTURES))
+    assert report.failed_cells == 0
+    for dataset, outcome in stacked:
+        points, centroids = dataset.points.tolist(), outcome.centroids.tolist()
+        cluster_of = outcome.assignment.cluster_of.tolist()
+        assert cluster_of == assign_nearest_ref(points, centroids)
+        assert outcome.sicd == pytest.approx(sicd_ref(centroids, cluster_of, points), rel=1e-9)
+    assert sorted(outcome.sicd for _, outcome in stacked) == sorted(
+        r["sicd"] for r in report.records if r["algorithm"] != "kmeans")
+
+
+class TestFailingSwarmInAStack:
+    """A swarm that fails inside a stack fails the whole stack, whose cells
+    then run alone: the failing cell records the error it records alone,
+    and its stack-mates' records and traces are those of a grid without it."""
+
+    # boundary-restricted, so that their particles never leave the box
+    MATES = [{"id": "brapso"}, {"id": "sc_br_apso"},
+             {"id": "pso", "label": "pso_restricted", "params": {"boundary": "restricted"}}]
+
+    @staticmethod
+    def cells(entries, reps=2):
+        report = run_grid(parse_config(two_datasets_config(reps, entries)))
+        return {(r["dataset"], r["algorithm"], r["rep"]): json.dumps(
+            [strip_wall(r), report.traces.get((r["dataset"], r["algorithm"], r["rep"]), [])],
+            sort_keys=True) for r in report.records}
+
+    def check(self, monkeypatch, bad):
+        raised = []
+        real = pipelines.run_stack
+
+        def spy(dataset, runs):
+            try:
+                return real(dataset, runs)
+            except Exception as exc:
+                raised.append((len(runs), type(exc).__name__))
+                raise
+
+        monkeypatch.setattr(pipelines, "run_stack", spy)
+        together = self.cells([*self.MATES, bad])
+        # one stack of eight a dataset raised; its cells then ran alone, and
+        # the failing cell's two repetitions raised again
+        assert sorted(size for size, _ in raised) == [1] * 4 + [8, 8]
+        without, alone = self.cells(self.MATES), self.cells([bad])
+        label = bad.get("label", bad["id"])
+        for key, cell in together.items():
+            if key[1] == label:
+                assert cell == alone[key]
+                assert json.loads(cell)[0]["status"] == "error"
+            else:
+                assert cell == without[key]
+
+    def test_overflowing_swarm(self, monkeypatch):
+        # the linear weight is -inf from iteration 2 on: an invalid product
+        # on grid4, and the last weight's check on two_blob
+        self.check(monkeypatch, {"id": "pso", "label": "overflows", "params": {
+            "inertia": {"kind": "linear", "w_max": 1.0e308}}})
+
+    def test_swarm_whose_fitness_gives_nan(self, monkeypatch):
+        real = pipelines._fitness_for
+
+        def fitness_for(dataset, k):
+            fitness = real(dataset, k)
+            upper = np.tile(dataset.points.max(axis=0), k)
+
+            def outside_is_nan(positions):
+                values = fitness(positions)
+                values[(positions > upper).any(axis=1)] = np.nan
+                return values
+
+            return outside_is_nan
+
+        monkeypatch.setattr(pipelines, "_fitness_for", fitness_for)
+        self.check(monkeypatch, {"id": "pso", "label": "leaves_the_box"})

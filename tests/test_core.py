@@ -292,6 +292,42 @@ class TestMapBlocks:
         map_blocks(fn, 17, 2)
         assert np.array_equal(out, 2.0 * np.arange(17))
 
+    def test_concurrent_calls_share_the_helpers(self, monkeypatch):
+        # callers in several threads queue their ranges to the same helper
+        # threads: each call must get back exactly its own rows, all of them
+        monkeypatch.setattr(core, "KERNEL_WORKERS", 4)
+        monkeypatch.setattr(core, "PARALLEL_MIN", 1)
+        monkeypatch.setattr(core, "KERNEL_BLOCK", 16)
+        failures = []
+
+        def caller(seed):
+            try:
+                for call in range(40):
+                    n = 10 + (seed * 7 + call) % 50
+                    out = np.zeros(n)
+
+                    def fn(lo, hi):
+                        out[lo:hi] += np.arange(lo, hi) + seed
+
+                    map_blocks(fn, n, 2)
+                    if not np.array_equal(out, np.arange(n) + seed):
+                        failures.append((seed, call))
+            except BaseException as exc:
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
     def test_set_kernel_workers_floor_is_one(self, monkeypatch):
         monkeypatch.setattr(core, "KERNEL_WORKERS", core.KERNEL_WORKERS)
         core.set_kernel_workers(0)

@@ -16,8 +16,8 @@ from hypothesis.extra import numpy as hnp
 
 from swarmclust import pipelines
 from swarmclust.core import Assignment, ContractViolation, Dataset, DegenerateInput, Rng
-from swarmclust.data import make_blobs, normalize_minmax
-from swarmclust.subtractive import DensityRatio, FixedK, SubtractiveConfig
+from swarmclust.data import CsvSource, DatasetSpec, load_dataset, make_blobs, normalize_minmax
+from swarmclust.subtractive import DensityRatio, FixedK, SubtractiveConfig, select_centers
 
 SUBTRACTIVE = ("sub_pso", "sc_br_apso")
 # Short swarms keep each example to a few milliseconds.
@@ -140,3 +140,42 @@ def test_seeding_one_center(algo_id, sub_config):
     check_outcome(outcome, dataset)
     assert outcome.centroids.shape[0] == 1
     assert np.array_equal(outcome.assignment.cluster_of, np.zeros(dataset.n))
+
+
+# A column whose range, max - min, overflows the float range. Each call
+# site below subtracts points (the normalization's span, Lloyd's SICD, the
+# subtractive densities and the swarm's search box) and used to overflow
+# there; the dataset refuses such points when it is built.
+OVERFLOWING_RANGE = [[-1.0e308], [1.0e308], [0.0]]
+RANGE_REFUSED = (r"^dataset columns \[0\] span more than the float range "
+                 r"\(max - min overflows\)$")
+
+
+@pytest.mark.parametrize("call_site", [
+    normalize_minmax,
+    lambda ds: pipelines.run_kmeans(ds, 2, rng=Rng(0)),
+    lambda ds: select_centers(ds, SubtractiveConfig(stop_rule=FixedK(2))),
+    lambda ds: pipelines.run_pso(ds, 2, rng=Rng(0)),
+], ids=["normalize_minmax", "run_kmeans", "select_centers", "run_pso"])
+def test_column_range_past_the_float_range_is_refused_before_the_call_site(call_site):
+    with pytest.raises(ContractViolation, match=RANGE_REFUSED):
+        call_site(Dataset(points=np.array(OVERFLOWING_RANGE)))
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_column_range_past_the_float_range_is_refused_at_load(tmp_path, normalize):
+    path = tmp_path / "wide.csv"
+    path.write_text("x,class\n" + "".join(f"{row[0]!r},a\n" for row in OVERFLOWING_RANGE),
+                    encoding="utf-8")
+    spec = DatasetSpec("wide", CsvSource(str(path), label_column="class", header=True),
+                       normalize=normalize)
+    with pytest.raises(ContractViolation, match=RANGE_REFUSED):
+        load_dataset(spec)
+
+
+def test_column_range_at_the_float_range_is_normalized():
+    # max - min = 1.6e308 is finite: the span is taken without a warning
+    points = np.array([[-8.0e307, 1.0], [8.0e307, 3.0], [0.0, 2.0]])
+    scaled, record = normalize_minmax(Dataset(points=points))
+    assert np.array_equal(scaled.points, [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
+    assert record.constant_columns == ()

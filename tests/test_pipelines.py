@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import fields, replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from swarmclust.data import make_blobs, normalize_minmax
 from swarmclust.metrics import convergence_stats, sicd
 from swarmclust.pipelines import (
     ALGORITHMS,
+    SwarmRun,
     _fitness_for,
     assign_nearest,
     recompute_centroids,
@@ -27,10 +29,12 @@ from swarmclust.pipelines import (
     run_pso,
     run_sc_br_apso,
     run_subtractive_pso,
+    run_stack,
 )
 from swarmclust.subtractive import DensityRatio, FixedK, SubtractiveConfig, select_centers
 from swarmclust.swarm import (
-    PsoConfig, decode, encode, exponential_normalized, init_swarm, linear, step,
+    PsoConfig, SwarmStack, decode, encode, exponential_literal, exponential_normalized,
+    init_swarm, linear, step,
 )
 
 from oracles import assign_nearest_ref, exhaustive_best_sicd, recompute_centroids_ref
@@ -533,13 +537,6 @@ class TestRunKmeans:
 
 
 class TestSwarmOverflow:
-    def test_search_box_past_the_float_range(self):
-        # the box's span, max - min, overflows when the swarm is built
-        ds = Dataset(points=np.array([[-1.0e308], [1.0e308], [0.0]]))
-        with pytest.raises(DegenerateInput, match="^swarm search box not finite during swarm "
-                           "initialization: overflow encountered in subtract$"):
-            run_pso(ds, 2, FAST_PLAIN, Rng(0))
-
     @pytest.mark.parametrize("w_max, first", [(1.0e308, 2), (1.0e306, 180)])
     def test_linear_weight_overflow_names_its_first_iteration(self, w_max, first):
         config = replace(FAST_PLAIN, inertia=linear(w_max, 0.4), max_iter=200,
@@ -802,7 +799,7 @@ class TestRefineSkip:
                                                          monkeypatch):
         # counting fitness: step calls evaluate the whole swarm, refine one row
         events = []
-        real_fitness_for, real_step = pipelines._fitness_for, pipelines.step
+        real_fitness_for, real_step = pipelines._fitness_for, SwarmStack.step
 
         def fitness_for(dataset, k):
             fit = real_fitness_for(dataset, k)
@@ -815,13 +812,14 @@ class TestRefineSkip:
 
             return counting
 
-        def counted_step(swarm, *args):
-            out = real_step(swarm, *args)
-            events.append(("step", swarm.gbest_fitness))
+        def counted_step(stack, *args):
+            # a lone run is a stack of one swarm
+            out = real_step(stack, *args)
+            events.append(("step", float(stack.gbest_fitness[0])))
             return out
 
         monkeypatch.setattr(pipelines, "_fitness_for", fitness_for)
-        monkeypatch.setattr(pipelines, "step", counted_step)
+        monkeypatch.setattr(SwarmStack, "step", counted_step)
         total_skips = 0
         for seed in range(4):
             events.clear()
@@ -842,3 +840,96 @@ class TestRefineSkip:
             assert accepts == refine_every_iteration(ds, 4, sub, FAST_ADAPTIVE, Rng(seed))[3]
             total_skips += skips
         assert total_skips > 0
+
+
+SWARM_IDS = [algo_id for algo_id, row in ALGORITHMS.items() if row.pso is not None]
+STACK_SUB = SubtractiveConfig(r_a=0.2, stop_rule=FixedK(4))
+# Stack-mates, cycled: every swarm id, refining or not, under inertia
+# schedules, boundary modes, stop rules and max_iters its row does not set,
+# so that members stop at different iterations
+STACK_MATES = [
+    ("brapso", {"max_iter": 12}),
+    ("pso", {"boundary": "restricted", "inertia": exponential_literal(0.9)}),
+    ("sc_br_apso", {"inertia": linear(0.9, 0.4), "stall_iters": 3, "rel_tol": 1e-3}),
+    ("kmeans_pso", {"max_iter": 7, "boundary": "restricted"}),
+    ("sub_pso", {"inertia": exponential_normalized(0.9), "stall_iters": 4, "rel_tol": 1e-4}),
+    ("brapso", {"boundary": "none", "inertia": linear(0.9, 0.4)}),
+]
+
+
+def swarm_runs(plan):
+    """A fresh SwarmRun per (algorithm id, config overrides), seeded by its
+    place; subtractive ones seed from STACK_SUB, the others take k = 4."""
+    runs = []
+    for seed, (algo_id, overrides) in enumerate(plan):
+        row = ALGORITHMS[algo_id]
+        config = replace(row.pso, **{"swarm_size": 6, "max_iter": 40, **overrides})
+        if row.seeding == "subtractive":
+            runs.append(SwarmRun(algo_id, Rng(seed), config=config, sub_config=STACK_SUB))
+        else:
+            runs.append(SwarmRun(algo_id, Rng(seed), k=4, config=config, kmeans_max_iter=5))
+    return runs
+
+
+def bits(value):
+    value = np.asarray(value)
+    return value.dtype, value.shape, value.tobytes()
+
+
+def assert_same_run(a, b):
+    """Two StackedRuns' outcomes and final swarms equal bit for bit."""
+    for f in fields(a.outcome):
+        x, y = getattr(a.outcome, f.name), getattr(b.outcome, f.name)
+        if f.name == "assignment":
+            assert x.k == y.k
+            x, y = x.cluster_of, y.cluster_of
+        assert bits(x) == bits(y), f.name
+    for name in ("position", "velocity", "pbest_position", "pbest_fitness", "gbest_position",
+                 "gbest_fitness", "iter", "lower", "upper"):
+        assert bits(getattr(a.swarm, name)) == bits(getattr(b.swarm, name)), name
+
+
+class TestStackedRuns:
+    """Each swarm of a stack ends as it does alone, bit for bit, whatever
+    its stack-mates, their configs and when they stop."""
+
+    @staticmethod
+    def dataset():
+        return normalize_minmax(make_blobs(**dict(OVERLAPPING, seed=3)))[0]
+
+    @pytest.mark.parametrize("size", [1, 2, 7])
+    @pytest.mark.parametrize("algo_id", SWARM_IDS)
+    def test_each_swarm_equals_its_lone_run(self, algo_id, size):
+        ds = self.dataset()
+        plan = [(algo_id, {}), *itertools.islice(itertools.cycle(STACK_MATES), size - 1)]
+        stacked = run_stack(ds, swarm_runs(plan))
+        assert len(stacked) == size
+        for run, got in zip(swarm_runs(plan), stacked):
+            [alone] = run_stack(ds, [run])
+            assert_same_run(got, alone)
+        if size == 7:
+            assert len({got.outcome.iterations_used for got in stacked}) >= 4
+        # the first run's entry point runs it alone too
+        run = swarm_runs(plan)[0]
+        entry = getattr(pipelines, ALGORITHMS[algo_id].entry)
+        kwargs = ({"sub_config": run.sub_config} if run.k is None
+                  else {"k": run.k, **({"kmeans_max_iter": 5} if algo_id == "kmeans_pso" else {})})
+        outcome = entry(ds, config=run.config, rng=run.rng, **kwargs)
+        assert all(bits(getattr(outcome, f.name)) == bits(getattr(stacked[0].outcome, f.name))
+                   for f in fields(outcome) if f.name != "assignment")
+
+    def test_seconds_cover_every_swarm(self):
+        stacked = run_stack(self.dataset(), swarm_runs(STACK_MATES))
+        assert all(got.seconds > 0 for got in stacked)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"k": 3}, "stacked swarms need one k, got 4 and 3"),
+        ({"config": replace(pipelines.PLAIN_PSO, swarm_size=6, c2=1.0)},
+         "stacked swarms need one shape, one search box and one c1, c2 and v_max_fraction"),
+        ({"config": replace(pipelines.PLAIN_PSO, swarm_size=5)},
+         "stacked swarms need one shape, one search box and one c1, c2 and v_max_fraction"),
+    ])
+    def test_swarms_that_cannot_share_a_stack_are_refused(self, change, message):
+        first, second = swarm_runs([("pso", {}), ("pso", {})])
+        with pytest.raises(ContractViolation, match=f"^{message}$"):
+            run_stack(self.dataset(), [first, replace(second, **change)])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from swarmclust.core import ContractViolation, Dataset, Rng
 from swarmclust.swarm import (
     PsoConfig,
     Swarm,
+    SwarmStack,
     decode,
     encode,
     exponential_literal,
@@ -447,21 +449,37 @@ def step_cases(draw):
     def block(shape):
         return draw(hnp.arrays(np.float64, shape, elements=EDGE_VALUES))
 
-    kind = draw(st.sampled_from(["linear", "exponential_literal",
-                                 "exponential_normalized"]))
-    w_max = draw(st.floats(0.0, 1.2))
-    inertia = (linear(w_max, draw(st.floats(0.0, 1.2))) if kind == "linear"
-               else exponential_literal(w_max) if kind == "exponential_literal"
-               else exponential_normalized(w_max))
     config = PsoConfig(
-        c1=draw(st.floats(0.0, 3.0)), c2=draw(st.floats(0.0, 3.0)), inertia=inertia,
+        c1=draw(st.floats(0.0, 3.0)), c2=draw(st.floats(0.0, 3.0)), inertia=draw(inertias()),
         max_iter=draw(st.integers(1, 50)), swarm_size=size,
         boundary=draw(st.sampled_from(["restricted", "none"])),
         v_max_fraction=draw(st.one_of(st.none(), st.sampled_from([1.0, 0.25]),
                                       st.floats(1e-3, 1.0))),
     )
-    pbest = block((size, kd))
     target = block((kd,))
+    state = draw(swarm_states(size, kd, lower, upper, target))
+    return state, config, target, draw(st.integers(0, 2**32)), draw(st.integers(1, 4))
+
+
+@st.composite
+def inertias(draw):
+    kind = draw(st.sampled_from(["linear", "exponential_literal",
+                                 "exponential_normalized"]))
+    w_max = draw(st.floats(0.0, 1.2))
+    return (linear(w_max, draw(st.floats(0.0, 1.2))) if kind == "linear"
+            else exponential_literal(w_max) if kind == "exponential_literal"
+            else exponential_normalized(w_max))
+
+
+@st.composite
+def swarm_states(draw, size, kd, lower, upper, target):
+    """A hand-built swarm's fields of edge values in the box lower..upper,
+    its fitness the squared distance to ``target``."""
+
+    def block(shape):
+        return draw(hnp.arrays(np.float64, shape, elements=EDGE_VALUES))
+
+    pbest = block((size, kd))
     state = dict(
         position=block((size, kd)), velocity=block((size, kd)) * 2.0, pbest_position=pbest,
         pbest_fitness=quadratic_fitness(target)(pbest),
@@ -469,7 +487,26 @@ def step_cases(draw):
         iter=draw(st.integers(0, 10)), lower=lower, upper=upper,
     )
     state["gbest_fitness"] = float(quadratic_fitness(target)(state["gbest_position"][None])[0])
-    return state, config, target, draw(st.integers(0, 2**32)), draw(st.integers(1, 4))
+    return state
+
+
+@st.composite
+def stack_cases(draw):
+    """Members of one stack: one shape, box, c1, c2 and v_max_fraction, and
+    each its own state, inertia schedule, boundary mode, max_iter and
+    iteration count. Returns ([(state, config)], target, seeds, steps)."""
+    state, config, target, _, steps = draw(step_cases())
+    size, kd = state["position"].shape
+    members = [(state, config)]
+    for _ in range(draw(st.integers(1, 6))):
+        members.append((
+            draw(swarm_states(size, kd, state["lower"], state["upper"], target)),
+            replace(config, inertia=draw(inertias()), max_iter=draw(st.integers(1, 50)),
+                    boundary=draw(st.sampled_from(["restricted", "none"]))),
+        ))
+    seeds = draw(st.lists(st.integers(0, 2**32), min_size=len(members),
+                          max_size=len(members)))
+    return members, target, seeds, steps
 
 
 def build(state):
@@ -540,3 +577,91 @@ class TestReferenceStep:
                 advance(build(state), fitness, PsoConfig(swarm_size=5), Rng(1))
             messages.append(str(err.value))
         assert messages[0] == messages[1] == "fitness returned NaN at iteration 7, particle 2"
+
+
+def member_of(stack, j):
+    """Member j of ``stack`` as a lone swarm sharing the stack's arrays."""
+    rows = slice(j * stack.size, (j + 1) * stack.size)
+    return Swarm(stack.position[rows], stack.velocity[rows], stack.pbest_position[rows],
+                 stack.pbest_fitness[rows], stack.gbest_position[j],
+                 float(stack.gbest_fitness[j]), stack.iters[j], stack.lower, stack.upper)
+
+
+class TestStackLockstep:
+    """Every member of a stack steps as the earlier whole-expression step
+    (oracles.reference_step) steps it alone on its own stream, bit for bit:
+    the weight column multiplies as the scalar weight does, the boundary
+    applies to the restricted members' rows only, and the clips keep the
+    signs of zeros that the lone step's (k*d,) bounds keep."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(stack_cases())
+    def test_members_equal_reference_steps(self, case):
+        members, target, seeds, steps = case
+
+        def fitness(positions):
+            return np.round(quadratic_fitness(target)(positions), 1)
+
+        stack = SwarmStack([build(state) for state, _ in members],
+                           [config for _, config in members])
+        alone = [build(state) for state, _ in members]
+        stack_rngs, lone_rngs = [Rng(s) for s in seeds], [Rng(s) for s in seeds]
+        for _ in range(steps):
+            stack.step(fitness, stack_rngs)
+            for swarm, (_, config), rng in zip(alone, members, lone_rngs):
+                reference_step(swarm, fitness, config, rng)
+            for j, swarm in enumerate(alone):
+                assert_same_bits(member_of(stack, j), swarm)
+
+    def test_weight_column_and_clips_keep_signed_zeros(self):
+        # w = 0.5 on a -0.0 velocity is -0.0; the zero-span box [-0.0, +0.0]
+        # clips a -0.0 that left it and came back as in the lone step
+        def state():
+            return dict(position=np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, -1.0]]),
+                        velocity=np.array([[-0.0, 0.0, 0.5], [-0.0, 2.0, -0.0]]),
+                        pbest_position=np.zeros((2, 3)), pbest_fitness=np.full(2, np.inf),
+                        gbest_position=np.array([-0.0, 0.0, 0.0]), gbest_fitness=np.inf,
+                        iter=0, lower=np.array([-0.0, -0.0, 0.0]),
+                        upper=np.array([0.0, 0.0, 0.5]))
+        configs = [PsoConfig(c1=0.0, c2=0.0, inertia=exponential_literal(0.5), swarm_size=2,
+                             v_max_fraction=None, boundary=boundary)
+                   for boundary in ("restricted", "none", "restricted")]
+        stack = SwarmStack([build(state()) for _ in configs], configs)
+        stack.step(quadratic_fitness(0.0), [ConstantStream(0.5)] * 3)
+        for j, config in enumerate(configs):
+            lone = reference_step(build(state()), quadratic_fitness(0.0), config,
+                                  ConstantStream(0.5))
+            assert_same_bits(member_of(stack, j), lone)
+        # member 0 reverts a component to its -0.0; member 1, unrestricted, moves it
+        assert stack.position[1, 1] == 0.0 and np.signbit(stack.position[1, 1])
+        assert stack.position[3, 1] == 1.0
+
+    def test_members_leave_with_their_own_state(self):
+        ds = tiny_dataset()
+        fitness = quadratic_fitness(0.5)
+        configs = [PsoConfig(swarm_size=4, inertia=linear()), PsoConfig(swarm_size=4),
+                   PsoConfig(swarm_size=4, boundary="none")]
+
+        def swarms():
+            return [init_swarm(None, 2, ds, c, Rng(i), fitness) for i, c in enumerate(configs)]
+
+        stack, alone = SwarmStack(swarms(), configs), swarms()
+        rngs, lone_rngs = [Rng(10 + i) for i in range(3)], [Rng(10 + i) for i in range(3)]
+        stack.step(fitness, rngs)
+        [left] = stack.remove([1])
+        stack.step(fitness, [rngs[0], rngs[2]])
+        for j, (swarm, config, rng) in enumerate(zip(alone, configs, lone_rngs)):
+            step(swarm, fitness, config, rng)
+            if j != 1:
+                step(swarm, fitness, config, rng)
+        assert_same_bits(left, alone[1])
+        assert stack.iters == [2, 2] and stack.position.shape == (8, 4)
+        assert_same_bits(member_of(stack, 0), alone[0])
+        assert_same_bits(member_of(stack, 1), alone[2])
+
+    def test_mismatched_members_rejected(self):
+        ds = tiny_dataset()
+        a = init_swarm(None, 2, ds, PsoConfig(swarm_size=4), Rng(0), quadratic_fitness(0.5))
+        b = init_swarm(None, 2, ds, PsoConfig(swarm_size=4), Rng(1), quadratic_fitness(0.5))
+        with pytest.raises(ContractViolation, match="one c1, c2 and v_max_fraction"):
+            SwarmStack([a, b], [PsoConfig(swarm_size=4), PsoConfig(swarm_size=4, c1=1.0)])
