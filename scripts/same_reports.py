@@ -15,11 +15,12 @@ under a stall rule of 5 steps at ``rel_tol`` 1e-4, so that a runner that
 read PsoConfig's default stop rule would show, ``sc_br_apso`` without the
 boundary restriction and ``brapso`` with linear inertia, so that a
 dataset's stack mixes the per-row weight and boundary columns, and
-``brapso`` with 12 particles, a second stack a dataset), and a grid on 60 000
-synthetic points whose N-sized passes all run in several blocks (the other
-grids fit one), at ``--jobs 1`` and ``--jobs 2``: a worker of two jobs
-splits its kernels over fewer threads, so the fitness tiles its rows
-differently. Every run must leave no ``*.tmp`` file beside its report.
+``brapso`` with 12 particles, a second stack a dataset, and ``kmeans`` and
+``kmeans_pso`` under Lloyd limits of 3 and 2, which end their Lloyd runs),
+and a grid on 60 000 synthetic points whose N-sized passes all run in
+several blocks (the other grids fit one), at ``--jobs 1`` and ``--jobs 2``:
+a worker of two jobs splits its kernels over fewer threads, so the fitness
+tiles its rows differently. Every run must leave no ``*.tmp`` file beside its report.
 The artifacts, stripped of their timing fields by this
 checkout's ``bench.strip_timings``, are compared twice: TREE's fixtures
 and 60 000-point reports at ``--jobs 1`` with those at ``--jobs 2``, and
@@ -66,7 +67,10 @@ IRIS_WINE = {
         # its own, which makes a second stack
         {"id": "sc_br_apso", "label": "sc_br_apso_unbounded", "params": {"boundary": "none"}},
         {"id": "brapso", "label": "brapso_linear", "params": {"inertia": "linear"}},
-        {"id": "brapso", "label": "brapso_12", "params": {"swarm_size": 12}}],
+        {"id": "brapso", "label": "brapso_12", "params": {"swarm_size": 12}}] + [
+        # both keys that set the Lloyd limit, low enough that it ends runs
+        {"id": "kmeans", "label": "kmeans_3", "params": {"max_iter": 3}},
+        {"id": "kmeans_pso", "label": "kmeans_pso_2", "params": {"kmeans_max_iter": 2}}],
 }
 # (k+1)*N, 2k*N and (d+1)*N entries all exceed core.KERNEL_BLOCK: the fitness
 # rows are tiled, and the assignment and the SICD split over blocks of points

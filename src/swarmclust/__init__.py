@@ -55,7 +55,6 @@ from .subtractive import (
 )
 from .swarm import (
     Inertia,
-    Particle,
     PsoConfig,
     Swarm,
     decode,

@@ -16,20 +16,22 @@ share a temp file. Nothing is synced, so there is no promise across power
 loss. ``bench run`` checks the output directory with :func:`check_out_dir`
 before any cell runs.
 
-All cells of a (dataset, algorithm entry) pair make the same call but for
-the rng, a ``functools.partial`` of the pair's ``run_*`` entry point.
-:func:`load_grid` resolves that call once per pair, for ``bench validate``
+All cells of a (dataset, algorithm entry) pair run one
+:class:`~swarmclust.pipelines.Plan`, each on its own rng.
+:func:`load_grid` resolves that plan once per pair, for ``bench validate``
 and :func:`run_grid` alike, and raises ``ConfigError`` for a pair no cell
-could run. :func:`run_grid` hands each pair's call to its cells inside
+could run. :func:`run_grid` hands each pair's plan to its cells inside
 their arguments, so ``--jobs`` workers get it too. Subtractive seeding
 draws no random numbers, so :func:`run_grid` seeds each distinct (dataset,
 :class:`~swarmclust.subtractive.SubtractiveConfig`) once, before any cell
-runs and failures included; seeding time counts toward the grid's time,
-not a cell's ``wall_ms``. A failed seeding (such as ``DegenerateInput``)
-is the only error a pair passes on to its cells, each of which records it.
+runs and failures included, and puts the result in the plan; seeding time
+counts toward the grid's time, not a cell's ``wall_ms``. A failed seeding
+(such as ``DegenerateInput``) is the only error a pair passes on to its
+cells, each of which records it.
 
-A Lloyd's-algorithm cell, and a cell whose seeding failed, runs alone
-through its call. The swarm cells of a dataset run in stacks
+A Lloyd's-algorithm cell runs alone through
+:func:`swarmclust.pipelines.run`, and a cell whose seeding failed records
+that error. The swarm cells of a dataset run in stacks
 (:func:`swarmclust.pipelines.run_stack`), one per (k, ``swarm_size``,
 ``c1``, ``c2``, ``v_max_fraction``), which shape a stack's arrays; at
 ``--jobs`` J above 1 each such group of cells is cut into ``min(J, cells)``
@@ -64,7 +66,6 @@ import os
 import platform
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -82,12 +83,15 @@ from .data import (
     registry_spec,
 )
 from .metrics import evaluation_report
-from .pipelines import (  # noqa: F401  (_resolve_call looks the run_* up by name)
+# The run_* entry points are imported only for perfbench/tracer.py, whose
+# patches() wraps them here; no cell calls them.
+from .pipelines import (  # noqa: F401
     ALGORITHM_IDS,
     ALGORITHMS,
     DEFAULTS_VERSION,
     PSO_PARAMS,
     SEEDING_PARAMS,
+    Plan,
     run_brapso,
     run_kmeans,
     run_kmeans_pso,
@@ -371,18 +375,15 @@ def _stop_of(params: dict, k: Optional[int]) -> tuple[str, Optional[str]]:
     return stop, f"{unused} applies only to stop: {other}, but this entry seeds with stop: {stop}"
 
 
-def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec) -> partial:
-    """The call every cell of (``dataset``, ``algo``) makes as
-    ``call(dataset, rng=rng)``: a partial of its ``run_*`` entry point that
-    holds ``k`` (or a subtractive entry's ``sub_config``) and the swarm
-    ``config``, and other keywords only where the params set them. Raises
-    ConfigError for a pair no cell could run: a missing k, a k above the
-    dataset's points or above ``max_centers``, or a param its stop rule
-    would ignore, such as an epsilon beside the dataset's class count."""
+def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec) -> Plan:
+    """The plan every cell of (``dataset``, ``algo``) runs: ``k`` (or a
+    subtractive entry's ``sub_config``), the swarm ``config``, and the
+    Lloyd limit, which Lloyd's ``max_iter`` and ``kmeans_pso``'s
+    ``kmeans_max_iter`` set. Raises ConfigError for a pair no cell could
+    run: a missing k, a k above the dataset's points or above
+    ``max_centers``, or a param its stop rule would ignore, such as an
+    epsilon beside the dataset's class count."""
     row = ALGORITHMS[algo.id]
-    # Looked up in this module's namespace when a grid resolves its pairs,
-    # so that perfbench/tracer.py can wrap the entry points here.
-    entry = globals()[row.entry]
     params = algo.params
     k = params.get("k", dataset.k_true)
     pso = _swarm_config(row.pso, params) if row.pso is not None else None
@@ -395,8 +396,9 @@ def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec) -> partial:
     if uses_k and k > dataset.n:
         raise ConfigError(f"{where}: k={k} exceeds the dataset's {dataset.n} points")
     if row.seeding != "subtractive":
-        kwargs = {key: params[key] for key in SEEDING_PARAMS[row.seeding] if key in params}
-        return partial(entry, k=k, **kwargs, **({} if pso is None else {"config": pso}))
+        limit = next((params[key] for key in SEEDING_PARAMS[row.seeding] if key in params),
+                     Plan.kmeans_max_iter)
+        return Plan(algo.id, k, pso, kmeans_max_iter=limit)
     if problem:  # parse_config has rejected those it could see without the dataset
         raise ConfigError(f"{where}: {problem} from the dataset's {k} classes")
     rule = FixedK(k) if uses_k else DensityRatio(params.get("epsilon", DensityRatio.epsilon))
@@ -405,17 +407,18 @@ def _resolve_call(name: str, dataset: Dataset, algo: AlgorithmSpec) -> partial:
         sub_config = SubtractiveConfig(stop_rule=rule, **knobs)
     except ContractViolation as exc:  # a fixed k above max_centers
         raise ConfigError(f"{where}: {exc}") from None
-    return partial(entry, sub_config=sub_config, config=pso)
+    return Plan(algo.id, config=pso, sub_config=sub_config)
 
 
 def _execute_cell(args):
-    """Run one cell alone, through its call: (record, trace)."""
-    name, dataset, label, rep, seed, call = args
+    """Run one cell alone, through :func:`swarmclust.pipelines.run`:
+    (record, trace)."""
+    name, dataset, label, rep, seed, plan = args
     start = time.perf_counter()
     try:
-        if isinstance(call, Exception):  # the pair's seeding failed
-            raise call
-        outcome = call(dataset, rng=Rng(seed))
+        if isinstance(plan, Exception):  # the pair's seeding failed
+            raise plan
+        outcome = pipelines.run(dataset, plan, Rng(seed))
     except Exception as exc:  # recorded per-cell, grid continues
         outcome = exc
     return _cell_result(args, outcome, start)
@@ -453,19 +456,17 @@ def _cell_result(args, outcome, start: float, spent: float = 0.0):
 
 
 def _execute_stack(cells):
-    """Run swarm cells of one dataset and k, each as (algorithm id, cell
-    args), as one stack: [(record, trace)] in order. If the stack raises,
-    each cell runs again alone, on a fresh ``Rng(seed)``, and records its
-    own outcome or error (see the module docstring)."""
-    dataset = cells[0][1][1]
-    runs = [pipelines.SwarmRun(algo_id, Rng(args[4]), **args[5].keywords)
-            for algo_id, args in cells]
+    """Run the args of swarm cells of one dataset and k as one stack:
+    [(record, trace)] in order. If the stack raises, each cell runs again
+    alone, on a fresh ``Rng(seed)``, and records its own outcome or error
+    (see the module docstring)."""
+    dataset = cells[0][1]
     try:
-        results = pipelines.run_stack(dataset, runs)
+        results = pipelines.run_stack(dataset, [(args[5], Rng(args[4])) for args in cells])
     except Exception:  # some swarm failed: each cell's rerun records its own error
-        return [_execute_cell(args) for _, args in cells]
+        return [_execute_cell(args) for args in cells]
     return [_cell_result(args, result.outcome, time.perf_counter(), result.seconds)
-            for (_, args), result in zip(cells, results)]
+            for args, result in zip(cells, results)]
 
 
 def _execute_unit(unit):
@@ -477,22 +478,21 @@ def _execute_unit(unit):
 
 
 def _work_units(cells, jobs: int) -> list:
-    """The grid's cells, each as (algorithm id, cell args), as the units
-    :func:`_execute_unit` runs: every cell without a swarm (Lloyd's
-    algorithm) or whose seeding failed alone, and the swarm cells of each
-    (dataset, k, swarm_size, c1, c2, v_max_fraction) as one stack, cut into
-    ``min(jobs, cells)`` stacks of contiguous cells when ``jobs`` > 1."""
+    """The grid's cells' args as the units :func:`_execute_unit` runs:
+    every cell without a swarm config (Lloyd's algorithm) or whose seeding
+    failed alone, and the swarm cells of each (dataset, k, swarm_size, c1,
+    c2, v_max_fraction) as one stack, cut into ``min(jobs, cells)`` stacks
+    of contiguous cells when ``jobs`` > 1."""
     units, groups = [], {}
-    for algo_id, args in cells:
-        call = args[5]
-        if ALGORITHMS[algo_id].pso is None or isinstance(call, Exception):
+    for args in cells:
+        plan = args[5]
+        if isinstance(plan, Exception) or plan.config is None:
             units.append(args)
             continue
-        keywords = call.keywords
-        config = keywords["config"]
-        k = keywords["seeding"].k if "seeding" in keywords else keywords["k"]
+        config = plan.config
+        k = plan.seeding.k if plan.seeding is not None else plan.k
         key = (args[0], k, config.swarm_size, config.c1, config.c2, config.v_max_fraction)
-        groups.setdefault(key, []).append((algo_id, args))
+        groups.setdefault(key, []).append(args)
     for group in groups.values():
         parts = min(jobs, len(group))
         units += [group[len(group) * i // parts:len(group) * (i + 1) // parts]
@@ -514,9 +514,9 @@ def _process_pool(jobs: int) -> ProcessPoolExecutor:
 
 def load_grid(config: BenchConfig, algorithms, dataset_filter: Optional[set] = None):
     """Load the datasets (those in ``dataset_filter``, if given) and resolve
-    each (dataset, algorithm entry) pair's call, for ``bench validate`` and
+    each (dataset, algorithm entry) pair's plan, for ``bench validate`` and
     :func:`run_grid` alike: (name -> Dataset, name -> normalization,
-    [(name, AlgorithmSpec, call)]). Raises ConfigError or LoadError."""
+    [(name, AlgorithmSpec, Plan)]). Raises ConfigError or LoadError."""
     loaded: dict[str, Dataset] = {}
     normalization: dict[str, Optional[dict]] = {}
     for spec in config.datasets:
@@ -528,9 +528,9 @@ def load_grid(config: BenchConfig, algorithms, dataset_filter: Optional[set] = N
             raise ConfigError(f"config invalid for dataset {spec.name}: {exc}") from None
         loaded[spec.name] = dataset
         normalization[spec.name] = record.to_dict() if record else None
-    calls = [(name, algo, _resolve_call(name, dataset, algo))
+    plans = [(name, algo, _resolve_call(name, dataset, algo))
              for name, dataset in loaded.items() for algo in algorithms]
-    return loaded, normalization, calls
+    return loaded, normalization, plans
 
 
 def run_grid(
@@ -541,7 +541,7 @@ def run_grid(
 ) -> BenchReport:
     """Execute the grid, or its cells of the dataset names and algorithm
     labels the filters give, each of which must be in the config. Datasets
-    must all load and every pair's call resolve up front, and each distinct
+    must all load and every pair's plan resolve up front, and each distinct
     seeding runs once before the first cell (see the module docstring);
     individual cell failures are recorded and do not stop the grid."""
     if jobs < 1:
@@ -555,12 +555,12 @@ def run_grid(
     algorithms = [
         a for a in config.algorithms if not algo_filter or a.key in algo_filter
     ]
-    loaded, normalization, calls = load_grid(config, algorithms, dataset_filter)
+    loaded, normalization, plans = load_grid(config, algorithms, dataset_filter)
 
     seedings: dict = {}  # (dataset name, SubtractiveConfig) -> result or exception
     cells = []
-    for name, algo, call in calls:
-        if (sub := call.keywords.get("sub_config")) is not None:
+    for name, algo, plan in plans:
+        if (sub := plan.sub_config) is not None:
             if (name, sub) not in seedings:
                 try:
                     # through the module attribute, so perfbench/tracer.py times it
@@ -568,11 +568,11 @@ def run_grid(
                 except Exception as exc:  # recorded by each of the pair's cells
                     seedings[name, sub] = exc
             seeding = seedings[name, sub]
-            call = seeding if isinstance(seeding, Exception) else partial(
-                call, sub_config=None, seeding=seeding)
+            plan = seeding if isinstance(seeding, Exception) else replace(
+                plan, sub_config=None, seeding=seeding)
         for rep in range(config.repetitions):
             seed = derive_seed(config.base_seed, name, algo.key, rep)
-            cells.append((algo.id, (name, loaded[name], algo.key, rep, seed, call)))
+            cells.append((name, loaded[name], algo.key, rep, seed, plan))
 
     units = _work_units(cells, jobs)
     if jobs > 1 and len(units) > 1:

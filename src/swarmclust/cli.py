@@ -111,16 +111,16 @@ def run(config_name, out, jobs, filters):
 @click.option("--config", "config_name", required=True, help="Config file or preset name.")
 def validate_cmd(config_name):
     """Check a config against the schema, verify datasets load and resolve
-    every (dataset, algorithm) pair's call, as ``run`` does."""
+    every (dataset, algorithm) pair's plan, as ``run`` does."""
     config = _load(config_name)
     try:
-        loaded, _, calls = load_grid(config, config.algorithms)
+        loaded, _, plans = load_grid(config, config.algorithms)
     except (ConfigError, LoadError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     for name, dataset in loaded.items():
         click.echo(f"dataset {name}: N={dataset.n}, d={dataset.d} ok")
-    click.echo(f"config ok: {len(calls) * config.repetitions} cells")
+    click.echo(f"config ok: {len(plans) * config.repetitions} cells")
 
 
 @main.command("list-datasets")

@@ -23,8 +23,16 @@ The algorithms differ only in seeding, boundary, inertia and gbest refine.
 frozen baseline defaults (version 1) let ablations vary only these
 dimensions.
 
-Swarms run in stacks. :func:`run_stack` takes several swarm runs
-(:class:`SwarmRun`) on one dataset that share k, ``swarm_size``, ``c1``,
+A :class:`Plan` is one run but for its rng: the algorithm id, k, the
+swarm config, the subtractive config or a precomputed ``seeding`` (a
+:class:`~swarmclust.subtractive.SeedingResult`, which depends only on the
+dataset and the config: a benchmark grid seeds each distinct (dataset,
+config) once and hands the result to every cell), and the Lloyd limit of
+Lloyd's algorithm or of a k-means pre-run. :func:`run` runs one plan on
+one rng, and each ``run_*`` entry point is :func:`run` of its plan.
+
+Swarms run in stacks. :func:`run_stack` takes several swarm runs, each a
+(plan, rng) pair, on one dataset that share k, ``swarm_size``, ``c1``,
 ``c2`` and ``v_max_fraction``, and runs them as one
 :class:`~swarmclust.swarm.SwarmStack`, whose layout and per-swarm draw
 order the ``swarmclust.swarm`` docstring gives:
@@ -39,11 +47,11 @@ order the ``swarmclust.swarm`` docstring gives:
   stack, which goes on with the others.
 
 Every swarm's trajectory, and so its outcome, is bit for bit the one it
-has alone. The five swarm entry points run their swarm as a stack of one,
-the same loop. A stack's time is split over its swarms for
-:class:`StackedRun`'s ``seconds``: each swarm's seeding, initialization
-and outcome are timed on their own, and each iteration's time is shared
-equally by the swarms in the stack during it (they have equal rows).
+has alone. :func:`run` runs a swarm as a stack of one, the same loop. A
+stack's time is split over its swarms for :class:`StackedRun`'s
+``seconds``: each swarm's seeding, initialization and outcome are timed
+on their own, and each iteration's time is shared equally by the swarms
+in the stack during it (they have equal rows).
 
 The first error of any swarm ends the whole stack: its exception says
 what failed, but not always in the words a lone run would use. A caller
@@ -69,11 +77,6 @@ share of the budget (all N unless a row is larger), and the assignment
 over points, for every center set of a batched refine at once.
 ``recompute_centroids`` is not blocked; its bincount holds about twice the
 points, and a refine of m gbests about 2m times.
-
-The two subtractive entry points take either a ``sub_config`` or a
-precomputed ``seeding`` (a :class:`~swarmclust.subtractive.SeedingResult`,
-which depends only on the dataset and the config): a benchmark grid seeds
-each distinct (dataset, config) once and hands the result to every cell.
 """
 
 from __future__ import annotations
@@ -94,7 +97,7 @@ from .core import (
     Rng,
 )
 from .metrics import convergence_stats, sicd, stalled
-from .schema import field_rules
+from .schema import TYPES, field_rules
 from .subtractive import DensityRatio, SeedingResult, SubtractiveConfig, select_centers
 from .swarm import (  # noqa: F401  (step: perfbench/tracer.py wraps it here)
     PsoConfig,
@@ -328,15 +331,13 @@ def _fitness_for(dataset: Dataset, k: int):
 
 
 @dataclass(frozen=True)
-class SwarmRun:
-    """One swarm cell of a stack: the ``ALGORITHMS[algo_id]`` swarm on its
-    own ``rng``, with the inputs its ``run_*`` entry point takes (``k`` is
-    unused by subtractive seeding, which picks k itself; a given ``seeding``
-    stands in for selecting the centers from ``sub_config``; ``config``
-    defaults to the row's)."""
+class Plan:
+    """One run of ``ALGORITHMS[algo_id]`` but for its rng (see the module
+    docstring). ``k`` is unused by subtractive seeding, which picks k
+    itself; a given ``seeding`` stands in for selecting the centers from
+    ``sub_config``; ``config`` defaults to the row's."""
 
     algo_id: str
-    rng: Optional[Rng]
     k: Optional[int] = None
     config: Optional[PsoConfig] = None
     sub_config: Optional[SubtractiveConfig] = None
@@ -354,46 +355,66 @@ class StackedRun:
     seconds: float
 
 
-def _seed_run(dataset: Dataset, run: SwarmRun) -> tuple[int, Optional[np.ndarray]]:
-    """(k, seed centers or None) of ``run``, after checking its inputs."""
-    algo = ALGORITHMS[run.algo_id]
-    if run.rng is None:
+def _check_k(dataset: Dataset, k) -> None:
+    """Raise ContractViolation unless ``k`` is an integer by the config
+    schema's rule (numpy integers pass, bools and floats do not), and
+    DegenerateInput unless it is in [1, N]."""
+    if not TYPES["integer"](k):
+        raise ContractViolation(f"k must be an integer, got {k!r}")
+    if not 1 <= k <= dataset.n:
+        raise DegenerateInput(f"k={k} outside [1, {dataset.n}]")
+
+
+def _seed_run(dataset: Dataset, plan: Plan, rng) -> tuple[int, Optional[np.ndarray]]:
+    """(k, seed centers or None) of ``plan``'s swarm on ``rng``, after
+    checking its inputs."""
+    algo = ALGORITHMS[plan.algo_id]
+    if algo.pso is None:
+        raise ContractViolation(f"{plan.algo_id} runs no swarm")
+    if rng is None:
         raise ContractViolation(f"{algo.entry} needs an rng")
-    if run.seeding is not None and run.sub_config is not None:
+    if plan.seeding is not None and plan.sub_config is not None:
         raise ContractViolation(f"{algo.entry} takes a seeding or a sub_config, not both")
     if algo.seeding == "subtractive":
-        seeding = run.seeding or select_centers(dataset, run.sub_config or SubtractiveConfig())
+        seeding = plan.seeding or select_centers(dataset, plan.sub_config or SubtractiveConfig())
         return seeding.k, seeding.centers
-    if not 1 <= run.k <= dataset.n:
-        raise DegenerateInput(f"k={run.k} outside [1, {dataset.n}]")
+    _check_k(dataset, plan.k)
     if algo.seeding == "kmeans":
-        return run.k, run_kmeans(dataset, run.k, None, run.rng, run.kmeans_max_iter).centroids
-    return run.k, None
+        return plan.k, run_kmeans(dataset, plan.k, None, rng, plan.kmeans_max_iter).centroids
+    return plan.k, None
+
+
+def run(dataset: Dataset, plan: Plan, rng: Optional[Rng]) -> ClusteringOutcome:
+    """``plan`` run on ``dataset`` with ``rng``: Lloyd's algorithm for
+    ``kmeans``, a stack of one otherwise."""
+    if ALGORITHMS[plan.algo_id].pso is None:
+        return run_kmeans(dataset, plan.k, None, rng, plan.kmeans_max_iter)
+    return run_stack(dataset, [(plan, rng)])[0].outcome
 
 
 def run_stack(dataset: Dataset, runs) -> list[StackedRun]:
-    """Run the swarms of ``runs`` (:class:`SwarmRun`) on ``dataset`` as one
-    :class:`~swarmclust.swarm.SwarmStack`; one :class:`StackedRun` per run,
-    in order. Each run's seeding and initialization run in order, as they
-    would alone; the runs must then agree on k, ``swarm_size``, ``c1``,
-    ``c2`` and ``v_max_fraction``, or ContractViolation is raised. The
-    first error of any swarm ends the whole stack (see the module
-    docstring)."""
+    """Run the swarms of ``runs``, (:class:`Plan`, rng) pairs, on
+    ``dataset`` as one :class:`~swarmclust.swarm.SwarmStack`; one
+    :class:`StackedRun` per run, in order. Each run's seeding and
+    initialization run in order, as they would alone; the runs must then
+    agree on k, ``swarm_size``, ``c1``, ``c2`` and ``v_max_fraction``, or
+    ContractViolation is raised. The first error of any swarm ends the
+    whole stack (see the module docstring)."""
     clock = time.perf_counter
     runs = list(runs)
     swarms, configs, seconds = [], [], []
     k = fitness = None
-    for run in runs:
+    for plan, rng in runs:
         start = clock()
-        run_k, seed_centers = _seed_run(dataset, run)
+        run_k, seed_centers = _seed_run(dataset, plan, rng)
         if fitness is None:
             k, fitness = run_k, _fitness_for(dataset, run_k)
         elif run_k != k:
             raise ContractViolation(f"stacked swarms need one k, got {k} and {run_k}")
-        config = run.config or ALGORITHMS[run.algo_id].pso
+        config = plan.config or ALGORITHMS[plan.algo_id].pso
         try:
             with np.errstate(over="raise", invalid="raise"):
-                swarms.append(init_swarm(seed_centers, k, dataset, config, run.rng, fitness))
+                swarms.append(init_swarm(seed_centers, k, dataset, config, rng, fitness))
         except FloatingPointError as exc:
             raise DegenerateInput(f"swarm not finite during initialization: {exc}") from None
         configs.append(config)
@@ -402,7 +423,8 @@ def run_stack(dataset: Dataset, runs) -> list[StackedRun]:
         raise ContractViolation("a stack needs at least one swarm")
     stack = SwarmStack(swarms, configs)
 
-    refines = [ALGORITHMS[run.algo_id].refine for run in runs]
+    rngs = [rng for _, rng in runs]
+    refines = [ALGORITHMS[plan.algo_id].refine for plan, _ in runs]
     traces = [[swarm.gbest_fitness] for swarm in swarms]
     streaks = [0] * len(runs)
     rejected = [None] * len(runs)  # gbest fitness at the last rejected refine
@@ -412,7 +434,7 @@ def run_stack(dataset: Dataset, runs) -> list[StackedRun]:
         with np.errstate(over="raise", invalid="raise"):
             while active:
                 start = clock()
-                stack.step(fitness, [runs[i].rng for i in active])
+                stack.step(fitness, [rngs[i] for i in active])
                 gbest = stack.gbest_fitness.tolist()
                 refiners = [j for j, i in enumerate(active)
                             if refines[i] and gbest[j] != rejected[i]]
@@ -449,8 +471,7 @@ def run_stack(dataset: Dataset, runs) -> list[StackedRun]:
                               f"{min(stack.iters)}: {exc}") from None
 
     results = []
-    for run, swarm, config, trace, at, spent in zip(runs, finals, configs, traces,
-                                                     converged_at, seconds):
+    for swarm, config, trace, at, spent in zip(finals, configs, traces, converged_at, seconds):
         start = clock()
         # A linear schedule's weight is Python arithmetic, which numpy's error
         # state does not see: past some iteration its product overflows, and
@@ -473,16 +494,6 @@ def run_stack(dataset: Dataset, runs) -> list[StackedRun]:
     return results
 
 
-def _run_swarm(
-    algo_id: str, dataset: Dataset, k: Optional[int], config: Optional[PsoConfig],
-    rng: Optional[Rng], sub_config: Optional[SubtractiveConfig] = None,
-    kmeans_max_iter: int = 100, seeding: Optional[SeedingResult] = None,
-) -> ClusteringOutcome:
-    """The swarm of ``ALGORITHMS[algo_id]`` run alone: a stack of one."""
-    run = SwarmRun(algo_id, rng, k, config, sub_config, kmeans_max_iter, seeding)
-    return run_stack(dataset, [run])[0].outcome
-
-
 def run_kmeans(
     dataset: Dataset,
     k: int,
@@ -494,10 +505,9 @@ def run_kmeans(
     until the assignment stabilizes or ``max_iter`` passes. ``init`` holds
     the k starting centers, a finite k x d matrix; without it they are k
     distinct data points drawn from ``rng``."""
-    if max_iter < 1:
-        raise ContractViolation(f"k-means needs max_iter >= 1, got {max_iter}")
-    if not 1 <= k <= dataset.n:
-        raise DegenerateInput(f"k={k} outside [1, {dataset.n}]")
+    if not (TYPES["integer"](max_iter) and max_iter >= 1):
+        raise ContractViolation(f"k-means needs an integer max_iter >= 1, got {max_iter!r}")
+    _check_k(dataset, k)
     if init is not None:
         centroids = core.given_centers(init, k, dataset.d)
     elif rng is None:
@@ -537,7 +547,7 @@ def run_pso(
     rng: Optional[Rng] = None,
 ) -> ClusteringOutcome:
     """Plain PSO over centroid sets, random initialization."""
-    return _run_swarm("pso", dataset, k, config, rng)
+    return run(dataset, Plan("pso", k, config), rng)
 
 
 def run_kmeans_pso(
@@ -549,7 +559,7 @@ def run_kmeans_pso(
 ) -> ClusteringOutcome:
     """Sequential hybrid: k-means first, its centroids seed one particle of a
     plain PSO which refines them."""
-    return _run_swarm("kmeans_pso", dataset, k, config, rng, kmeans_max_iter=kmeans_max_iter)
+    return run(dataset, Plan("kmeans_pso", k, config, kmeans_max_iter=kmeans_max_iter), rng)
 
 
 def run_subtractive_pso(
@@ -562,8 +572,7 @@ def run_subtractive_pso(
     """Subtractive seeding determines k and the seeds; plain PSO refines.
     ``seeding``, if given, is ``select_centers(dataset, sub_config)``
     computed beforehand, and replaces ``sub_config``."""
-    return _run_swarm("sub_pso", dataset, None, config, rng, sub_config,
-                      seeding=seeding)
+    return run(dataset, Plan("sub_pso", None, config, sub_config, seeding=seeding), rng)
 
 
 def run_brapso(
@@ -574,7 +583,7 @@ def run_brapso(
 ) -> ClusteringOutcome:
     """Boundary-restricted adaptive PSO: random initialization, exponential
     inertia, boundary restriction, per-iteration gbest refinement."""
-    return _run_swarm("brapso", dataset, k, config, rng)
+    return run(dataset, Plan("brapso", k, config), rng)
 
 
 def run_sc_br_apso(
@@ -588,5 +597,4 @@ def run_sc_br_apso(
     centers, then boundary-restricted adaptive PSO with per-iteration center
     recalculation refines them until convergence. ``seeding`` is as for
     :func:`run_subtractive_pso`."""
-    return _run_swarm("sc_br_apso", dataset, None, config, rng, sub_config,
-                      seeding=seeding)
+    return run(dataset, Plan("sc_br_apso", None, config, sub_config, seeding=seeding), rng)

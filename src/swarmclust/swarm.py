@@ -1,4 +1,4 @@
-"""Particle swarm engine over flattened centroid sets.
+"""The particle swarm engine over flattened centroid sets.
 
 A particle's position is k centroids flattened row-major into one k*d
 vector. Velocities and positions follow the classic update
@@ -144,16 +144,6 @@ class PsoConfig(Checked):
             raise ContractViolation(f"inertia: {self.inertia!r} is not an Inertia")
 
 
-@dataclass(frozen=True)
-class Particle:
-    """One particle's state, as copied out by :attr:`Swarm.particles`."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    pbest_position: np.ndarray
-    pbest_fitness: float
-
-
 @dataclass
 class Swarm:
     """Whole-swarm state, one row per particle (see the module docstring)."""
@@ -167,18 +157,6 @@ class Swarm:
     iter: int
     lower: np.ndarray
     upper: np.ndarray
-
-    @property
-    def particles(self) -> list[Particle]:
-        """Read-only snapshot: a copy of each particle's row, in order.
-        Writing to it does not change the swarm."""
-        return [
-            Particle(pos, vel, pbest, f)
-            for pos, vel, pbest, f in zip(
-                self.position.copy(), self.velocity.copy(), self.pbest_position.copy(),
-                self.pbest_fitness.tolist(),
-            )
-        ]
 
 
 def encode(centroids: np.ndarray) -> np.ndarray:

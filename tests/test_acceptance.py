@@ -221,9 +221,9 @@ def test_criterion_3_boundary_containment():
             swarm = init_swarm(None, 2, ds, cfg, rng, fitness)
             for _ in range(100):
                 step(swarm, fitness, cfg, rng)
-                for p in swarm.particles:
+                for position in swarm.position:
                     sampled += 1
-                    if np.any(p.position < swarm.lower) or np.any(p.position > swarm.upper):
+                    if np.any(position < swarm.lower) or np.any(position > swarm.upper):
                         out_of_bounds += 1
         assert sampled >= 100_000
         assert out_of_bounds == 0

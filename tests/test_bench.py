@@ -709,8 +709,8 @@ class TestFieldRules:
         params = {"r_a": 0.4, "r_b": None}
         config = parse_config(fixture_config(algorithms=[{"id": "sc_br_apso", "params": params}]))
         dataset = make_blobs("two_blob", {"n": 20}, seed=7)
-        call = bench._resolve_call("blobs", dataset, config.algorithms[0])
-        assert call.keywords["sub_config"].effective_r_b == 1.5 * 0.4
+        plan = bench._resolve_call("blobs", dataset, config.algorithms[0])
+        assert plan.sub_config.effective_r_b == 1.5 * 0.4
 
 
 def two_datasets_config(reps, algorithms):
@@ -791,11 +791,11 @@ class TestSeedingPass:
             dataset = bench.load_dataset(spec)[0]
             for algo in cfg.algorithms:
                 for rep in range(2):
-                    # each cell resolved on its own: its entry point seeds
-                    # from the SubtractiveConfig in the call
-                    call = bench._resolve_call(spec.name, dataset, algo)
+                    # each cell resolved on its own: its run seeds from
+                    # the SubtractiveConfig in the plan
+                    plan = bench._resolve_call(spec.name, dataset, algo)
                     seed = derive_seed(cfg.base_seed, spec.name, algo.key, rep)
-                    cell = (spec.name, dataset, algo.key, rep, seed, call)
+                    cell = (spec.name, dataset, algo.key, rep, seed, plan)
                     records.append(bench._execute_cell(cell)[0])
         records.sort(key=lambda r: (r["dataset"], r["algorithm"], r["rep"]))
         assert strip_wall(report.records) == strip_wall(records)
@@ -866,36 +866,34 @@ class TestSeedingPass:
             {"id": "sc_br_apso", "params": {"epsilon": 0.3}}])
         raw["datasets"][0]["name"] = "u"
         cfg = parse_config(raw)
-        [(_, _, call)] = bench.load_grid(cfg, cfg.algorithms)[2]
-        sub = call.keywords["sub_config"]
+        [(_, _, plan)] = bench.load_grid(cfg, cfg.algorithms)[2]
+        sub = plan.sub_config
         assert sub == SubtractiveConfig(stop_rule=DensityRatio(0.3))
         run_grid(cfg)
         assert calls == [("u", sub)]
 
-    @pytest.mark.parametrize("algo_id, params, kwargs", [
+    @pytest.mark.parametrize("algo_id, params, expected", [
         ("kmeans", {}, {}),
-        ("kmeans", {"max_iter": 5}, {"max_iter": 5}),
+        # Lloyd's max_iter and kmeans_pso's kmeans_max_iter set one limit
+        ("kmeans", {"max_iter": 5}, {"kmeans_max_iter": 5}),
         ("kmeans_pso", {}, {}),
         ("kmeans_pso", {"kmeans_max_iter": 7, "max_iter": 5}, {"kmeans_max_iter": 7}),
         ("pso", {"max_iter": 5}, {}),  # a swarm's max_iter is in its PsoConfig
         # subtractive seeding picks k itself, from its sub_config
-        ("sub_pso", {"max_iter": 5}, {"sub_config": SubtractiveConfig(stop_rule=FixedK(2))}),
+        ("sub_pso", {"max_iter": 5},
+         {"k": None, "sub_config": SubtractiveConfig(stop_rule=FixedK(2))}),
         ("sc_br_apso", {"r_a": 0.4},
-         {"sub_config": SubtractiveConfig(r_a=0.4, stop_rule=FixedK(2))}),
+         {"k": None, "sub_config": SubtractiveConfig(r_a=0.4, stop_rule=FixedK(2))}),
     ])
-    def test_keyword_arguments_only_where_params_set_them(self, algo_id, params, kwargs):
+    def test_plan_fields_only_where_params_set_them(self, algo_id, params, expected):
         dataset = make_blobs("two_blob", {"n": 20}, seed=7)
-        call = bench._resolve_call("b", dataset, bench.AlgorithmSpec(algo_id, params))
-        assert call.func is getattr(bench, ALGORITHMS[algo_id].entry)
-        assert call.args == ()
-        got = dict(call.keywords)
-        assert got.pop("k", None) == (None if "sub_config" in kwargs else 2)
-        assert isinstance(got.pop("config", None), PsoConfig) == (algo_id != "kmeans")
-        assert got == kwargs
+        plan = bench._resolve_call("b", dataset, bench.AlgorithmSpec(algo_id, params))
+        assert isinstance(plan.config, PsoConfig) == (algo_id != "kmeans")
+        assert replace(plan, config=None) == pipelines.Plan(algo_id, **{"k": 2, **expected})
 
     def test_cells_are_evaluated_under_the_config_they_ran_with(self, monkeypatch):
         # a stop rule set in the base config, not in the params, reaches the
-        # cell's record only through its call's config
+        # cell's record only through its plan's config
         row = ALGORITHMS["pso"]
         monkeypatch.setitem(ALGORITHMS, "pso", replace(row, pso=replace(row.pso, stall_iters=3)))
         report = run_grid(parse_config(fixture_config(algorithms=[{"id": "pso"}])))
@@ -934,12 +932,12 @@ DIRECT_CALLS = {
 
 
 @pytest.mark.parametrize("algo_id", ALGORITHMS)
-def test_resolved_call_equals_the_entry_point_called_directly(algo_id):
+def test_resolved_plan_equals_the_entry_point_called_directly(algo_id):
     params, direct = DIRECT_CALLS[algo_id]
     dataset = make_blobs("two_blob", {"n": 20, "spread": 1.0}, seed=7)
-    call = bench._resolve_call("b", dataset, bench.AlgorithmSpec(algo_id, params))
+    plan = bench._resolve_call("b", dataset, bench.AlgorithmSpec(algo_id, params))
     for s in (0, 1):
-        got, want = call(dataset, rng=Rng(s)), direct(dataset, Rng(s))
+        got, want = pipelines.run(dataset, plan, Rng(s)), direct(dataset, Rng(s))
         for f in fields(pipelines.ClusteringOutcome):
             a, b = getattr(got, f.name), getattr(want, f.name)
             if f.name == "assignment":
@@ -1174,31 +1172,24 @@ class TestRunGrid:
                                 r"at iteration \d+: .+", rec["error"]), rec["error"]
 
     def test_cells_are_dispatched_by_kind(self, monkeypatch):
-        # Lloyd's cells run alone through bench.run_kmeans, which
-        # perfbench/tracer.py wraps; each dataset's swarm cells run as one
-        # stack, never through the swarm entry points
-        kmeans_calls, stacks = [], []
-        real_kmeans, real_stack = bench.run_kmeans, pipelines.run_stack
+        # Lloyd's cells run alone through pipelines.run; each dataset's
+        # swarm cells run as one stack, never alone
+        lone, stacks = [], []
+        real_run, real_stack = pipelines.run, pipelines.run_stack
 
-        def kmeans_spy(dataset, *args, **kwargs):
-            kmeans_calls.append(dataset.name)
-            return real_kmeans(dataset, *args, **kwargs)
+        def run_spy(dataset, plan, rng):
+            lone.append((dataset.name, plan.algo_id))
+            return real_run(dataset, plan, rng)
 
         def stack_spy(dataset, runs):
-            stacks.append((dataset.name, [run.algo_id for run in runs]))
+            stacks.append((dataset.name, [plan.algo_id for plan, _ in runs]))
             return real_stack(dataset, runs)
 
-        def no_entry(*args, **kwargs):
-            raise AssertionError("a swarm cell ran through its entry point")
-
-        monkeypatch.setattr(bench, "run_kmeans", kmeans_spy)
+        monkeypatch.setattr(pipelines, "run", run_spy)
         monkeypatch.setattr(pipelines, "run_stack", stack_spy)
-        for row in ALGORITHMS.values():
-            if row.pso is not None:
-                monkeypatch.setattr(bench, row.entry, no_entry)
         report = run_grid(parse_config(two_datasets_config(2, FIXTURES["algorithms"])))
         assert report.failed_cells == 0
-        assert kmeans_calls == ["two_blob"] * 2 + ["grid4"] * 2
+        assert lone == [("two_blob", "kmeans")] * 2 + [("grid4", "kmeans")] * 2
         swarm_ids = [row.id for row in ALGORITHMS.values() if row.pso is not None]
         assert stacks == [(name, [i for i in swarm_ids for _ in range(2)])
                           for name in ("two_blob", "grid4")]
@@ -1228,14 +1219,14 @@ class TestRunGrid:
         cells = calls[-1][0]
         units = real(cells, jobs)
         assert [unit for unit in units if not isinstance(unit, list)] == [
-            args for algo_id, args in cells if algo_id == "kmeans"]
+            args for args in cells if args[5].algo_id == "kmeans"]
         stacks = [unit for unit in units if isinstance(unit, list)]
         assert [len(stack) for stack in stacks] == (fixture_parts + pair_parts * 2) * 2
         groups = {}
-        for algo_id, args in cells:
-            if algo_id != "kmeans":
+        for args in cells:
+            if args[5].algo_id != "kmeans":
                 groups.setdefault((args[0], args[2] in ("pso_5", "brapso_k3") and args[2]),
-                                  []).append((algo_id, args))
+                                  []).append(args)
         assert [cell for stack in stacks for cell in stack] == [
             cell for group in groups.values() for cell in group]
 
@@ -2001,27 +1992,27 @@ class TestCli:
             assert f"{row.id:12s} {row.summary}\n" in algos.output
 
 
-def test_stacked_cells_of_the_fixtures_grid_equal_the_oracles(monkeypatch):
-    # each stacked cell's cost and assignment against the loop oracles, as
-    # perfbench's tracer checks the cells that run through bench.run_*
-    stacked = []
-    real = pipelines.run_stack
+def test_cells_of_the_fixtures_grid_equal_the_oracles(monkeypatch):
+    # each cell's cost and assignment, stacked or alone, against the loop
+    # oracles: every cell's outcome passes _cell_result
+    outcomes = []
+    real = bench._cell_result
 
-    def spy(dataset, runs):
-        results = real(dataset, runs)
-        stacked.extend((dataset, result.outcome) for result in results)
-        return results
+    def spy(args, outcome, *rest):
+        outcomes.append((args[1], outcome))
+        return real(args, outcome, *rest)
 
-    monkeypatch.setattr(pipelines, "run_stack", spy)
+    monkeypatch.setattr(bench, "_cell_result", spy)
     report = run_grid(parse_config(FIXTURES))
     assert report.failed_cells == 0
-    for dataset, outcome in stacked:
+    assert len(outcomes) == len(report.records)
+    for dataset, outcome in outcomes:
         points, centroids = dataset.points.tolist(), outcome.centroids.tolist()
         cluster_of = outcome.assignment.cluster_of.tolist()
         assert cluster_of == assign_nearest_ref(points, centroids)
         assert outcome.sicd == pytest.approx(sicd_ref(centroids, cluster_of, points), rel=1e-9)
-    assert sorted(outcome.sicd for _, outcome in stacked) == sorted(
-        r["sicd"] for r in report.records if r["algorithm"] != "kmeans")
+    assert sorted(outcome.sicd for _, outcome in outcomes) == sorted(
+        r["sicd"] for r in report.records)
 
 
 class TestFailingSwarmInAStack:

@@ -19,7 +19,7 @@ from swarmclust.data import make_blobs, normalize_minmax
 from swarmclust.metrics import convergence_stats, sicd
 from swarmclust.pipelines import (
     ALGORITHMS,
-    SwarmRun,
+    Plan,
     _fitness_for,
     assign_nearest,
     recompute_centroids,
@@ -43,6 +43,8 @@ FAST_PLAIN = PsoConfig(inertia=linear(0.9, 0.4), boundary="none", max_iter=60,
                        swarm_size=10)
 FAST_ADAPTIVE = PsoConfig(inertia=exponential_normalized(0.9), boundary="restricted",
                           max_iter=60, swarm_size=10)
+# k and Lloyd limits the runners refuse with ContractViolation
+NOT_INTEGERS = [None, 2.0, True, 2.5, "2"]
 
 
 def blob_fixture(seed=7, **overrides):
@@ -485,14 +487,16 @@ class TestRunKmeans:
             run_kmeans(blob_fixture(), 2)
         assert str(info.value) == "run_kmeans needs init centers or an rng"
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
+    @pytest.mark.parametrize("max_iter", [0, -1, *NOT_INTEGERS], ids=repr)
     def test_no_lloyd_iteration_rejected(self, max_iter):
         # max_iter=0 used to return the random initial centers as the result
         ds = blob_fixture()
-        with pytest.raises(ContractViolation, match=f"max_iter >= 1, got {max_iter}"):
+        with pytest.raises(ContractViolation) as lloyd:
             run_kmeans(ds, 2, None, Rng(0), max_iter)
-        with pytest.raises(ContractViolation, match=f"max_iter >= 1, got {max_iter}"):
+        with pytest.raises(ContractViolation) as hybrid:
             run_kmeans_pso(ds, 2, FAST_PLAIN, Rng(0), kmeans_max_iter=max_iter)
+        assert str(lloyd.value) == str(hybrid.value) == (
+            f"k-means needs an integer max_iter >= 1, got {max_iter!r}")
 
     def test_one_lloyd_iteration(self):
         ds = blob_fixture()
@@ -660,6 +664,29 @@ def test_swarm_entry_point_without_rng_is_a_contract_violation(entry):
     args = (ds,) if entry in (run_subtractive_pso, run_sc_br_apso) else (ds, 2)
     with pytest.raises(ContractViolation, match=f"{entry.__name__} needs an rng"):
         entry(*args)
+
+
+@pytest.mark.parametrize("k", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("entry", [run_kmeans, run_pso, run_brapso, run_kmeans_pso],
+                         ids=lambda entry: entry.__name__)
+def test_k_that_is_not_an_integer_is_a_contract_violation(entry, k):
+    with pytest.raises(ContractViolation) as info:
+        entry(blob_fixture(), k, rng=Rng(0))
+    assert str(info.value) == f"k must be an integer, got {k!r}"
+
+
+@pytest.mark.parametrize("entry", [run_kmeans, run_pso], ids=lambda entry: entry.__name__)
+def test_numpy_integers_pass_as_k_and_lloyd_limit(entry):
+    ds = blob_fixture()
+    limit = {"max_iter": np.int64(3)} if entry is run_kmeans else {}
+    got = entry(ds, np.int64(2), rng=Rng(4), **limit)
+    want = entry(ds, 2, rng=Rng(4), **{key: 3 for key in limit})
+    assert same_outcome(got, want)
+
+
+def test_stack_refuses_a_plan_without_a_swarm():
+    with pytest.raises(ContractViolation, match="^kmeans runs no swarm$"):
+        run_stack(blob_fixture(), [(Plan("kmeans", 2), Rng(0))])
 
 
 # (id, PsoConfig overrides): each swarm runs under its row's config with them
@@ -857,17 +884,19 @@ STACK_MATES = [
 ]
 
 
-def swarm_runs(plan):
-    """A fresh SwarmRun per (algorithm id, config overrides), seeded by its
-    place; subtractive ones seed from STACK_SUB, the others take k = 4."""
+def swarm_runs(mates):
+    """A (Plan, fresh Rng) pair per (algorithm id, config overrides), seeded
+    by its place; subtractive ones seed from STACK_SUB, the others take
+    k = 4."""
     runs = []
-    for seed, (algo_id, overrides) in enumerate(plan):
+    for seed, (algo_id, overrides) in enumerate(mates):
         row = ALGORITHMS[algo_id]
         config = replace(row.pso, **{"swarm_size": 6, "max_iter": 40, **overrides})
         if row.seeding == "subtractive":
-            runs.append(SwarmRun(algo_id, Rng(seed), config=config, sub_config=STACK_SUB))
+            plan = Plan(algo_id, config=config, sub_config=STACK_SUB)
         else:
-            runs.append(SwarmRun(algo_id, Rng(seed), k=4, config=config, kmeans_max_iter=5))
+            plan = Plan(algo_id, 4, config, kmeans_max_iter=5)
+        runs.append((plan, Rng(seed)))
     return runs
 
 
@@ -901,20 +930,20 @@ class TestStackedRuns:
     @pytest.mark.parametrize("algo_id", SWARM_IDS)
     def test_each_swarm_equals_its_lone_run(self, algo_id, size):
         ds = self.dataset()
-        plan = [(algo_id, {}), *itertools.islice(itertools.cycle(STACK_MATES), size - 1)]
-        stacked = run_stack(ds, swarm_runs(plan))
+        mates = [(algo_id, {}), *itertools.islice(itertools.cycle(STACK_MATES), size - 1)]
+        stacked = run_stack(ds, swarm_runs(mates))
         assert len(stacked) == size
-        for run, got in zip(swarm_runs(plan), stacked):
+        for run, got in zip(swarm_runs(mates), stacked):
             [alone] = run_stack(ds, [run])
             assert_same_run(got, alone)
         if size == 7:
             assert len({got.outcome.iterations_used for got in stacked}) >= 4
         # the first run's entry point runs it alone too
-        run = swarm_runs(plan)[0]
+        plan, rng = swarm_runs(mates)[0]
         entry = getattr(pipelines, ALGORITHMS[algo_id].entry)
-        kwargs = ({"sub_config": run.sub_config} if run.k is None
-                  else {"k": run.k, **({"kmeans_max_iter": 5} if algo_id == "kmeans_pso" else {})})
-        outcome = entry(ds, config=run.config, rng=run.rng, **kwargs)
+        kwargs = ({"sub_config": plan.sub_config} if plan.k is None
+                  else {"k": plan.k, **({"kmeans_max_iter": 5} if algo_id == "kmeans_pso" else {})})
+        outcome = entry(ds, config=plan.config, rng=rng, **kwargs)
         assert all(bits(getattr(outcome, f.name)) == bits(getattr(stacked[0].outcome, f.name))
                    for f in fields(outcome) if f.name != "assignment")
 
@@ -930,6 +959,6 @@ class TestStackedRuns:
          "stacked swarms need one shape, one search box and one c1, c2 and v_max_fraction"),
     ])
     def test_swarms_that_cannot_share_a_stack_are_refused(self, change, message):
-        first, second = swarm_runs([("pso", {}), ("pso", {})])
+        first, (second, rng) = swarm_runs([("pso", {}), ("pso", {})])
         with pytest.raises(ContractViolation, match=f"^{message}$"):
-            run_stack(self.dataset(), [first, replace(second, **change)])
+            run_stack(self.dataset(), [first, (replace(second, **change), rng)])

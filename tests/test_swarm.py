@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from dataclasses import replace
 
@@ -291,22 +290,6 @@ class TestInitSwarm:
         swarm = init_swarm(None, 2, ds, cfg, Rng(7), fitness)
         step(swarm, fitness, cfg, Rng(8))
         assert calls == [(6, 4), (6, 4)]
-
-    def test_particles_is_a_snapshot(self):
-        ds = tiny_dataset()
-        swarm = init_swarm(None, 2, ds, PsoConfig(swarm_size=3), Rng(7),
-                           quadratic_fitness(0.5))
-        before = swarm.position.copy()
-        snapshot = swarm.particles
-        assert len(snapshot) == 3
-        for i, p in enumerate(snapshot):
-            assert np.array_equal(p.position, swarm.position[i])
-            assert np.array_equal(p.pbest_position, swarm.pbest_position[i])
-            assert p.pbest_fitness == swarm.pbest_fitness[i]
-            p.position[:] = 99.0
-        assert np.array_equal(swarm.position, before)
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            snapshot[0].position = before[0]
 
 
 class TestStep:
