@@ -15,7 +15,8 @@ under a stall rule of 5 steps at ``rel_tol`` 1e-4, so that a runner that
 read PsoConfig's default stop rule would show, ``sc_br_apso`` without the
 boundary restriction and ``brapso`` with linear inertia, so that a
 dataset's stack mixes the per-row weight and boundary columns, and
-``brapso`` with 12 particles, a second stack a dataset, and ``kmeans`` and
+``brapso`` with 12 particles, ``pso`` with ``c1`` 1.5 and ``brapso`` with
+``v_max_fraction`` 0.5, each a stack of its own, and ``kmeans`` and
 ``kmeans_pso`` under Lloyd limits of 3 and 2, which end their Lloyd runs),
 and a grid on 60 000 synthetic points whose N-sized passes all run in
 several blocks (the other grids fit one), at ``--jobs 1`` and ``--jobs 2``:
@@ -67,7 +68,10 @@ IRIS_WINE = {
         # its own, which makes a second stack
         {"id": "sc_br_apso", "label": "sc_br_apso_unbounded", "params": {"boundary": "none"}},
         {"id": "brapso", "label": "brapso_linear", "params": {"inertia": "linear"}},
-        {"id": "brapso", "label": "brapso_12", "params": {"swarm_size": 12}}] + [
+        {"id": "brapso", "label": "brapso_12", "params": {"swarm_size": 12}},
+        # a c1 and a v_max_fraction of their own, each a stack of its own
+        {"id": "pso", "label": "pso_c1", "params": {"c1": 1.5}},
+        {"id": "brapso", "label": "brapso_vmax", "params": {"v_max_fraction": 0.5}}] + [
         # both keys that set the Lloyd limit, low enough that it ends runs
         {"id": "kmeans", "label": "kmeans_3", "params": {"max_iter": 3}},
         {"id": "kmeans_pso", "label": "kmeans_pso_2", "params": {"kmeans_max_iter": 2}}],

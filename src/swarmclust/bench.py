@@ -27,27 +27,25 @@ draws no random numbers, so :func:`run_grid` seeds each distinct (dataset,
 runs and failures included, and puts the result in the plan; seeding time
 counts toward the grid's time, not a cell's ``wall_ms``. A failed seeding
 (such as ``DegenerateInput``) is the only error a pair passes on to its
-cells, each of which records it.
+cells: each records it, and none runs.
 
-A Lloyd's-algorithm cell runs alone through
-:func:`swarmclust.pipelines.run`, and a cell whose seeding failed records
-that error. The swarm cells of a dataset run in stacks
-(:func:`swarmclust.pipelines.run_stack`), one per (k, ``swarm_size``,
-``c1``, ``c2``, ``v_max_fraction``), which shape a stack's arrays; at
-``--jobs`` J above 1 each such group of cells is cut into ``min(J, cells)``
-stacks of neighbouring cells, so that every worker has work. A stack
-gives each cell the outcome it has alone, so reports do not depend on
-how cells are stacked. If a stack raises, each of its cells runs again
-alone, on a fresh ``Rng(seed)``, and records its own outcome or error;
-the failed stack's time counts toward the grid's time, not a cell's.
+Each dataset's cells run as one :func:`swarmclust.pipelines.run_stack`
+call, whose module docstring says which runs share a stack; at ``--jobs``
+J above 1 they are cut into ``min(J, cells)`` calls of neighbouring
+cells, so that every worker has work. A call gives each cell the outcome
+it has alone, so reports do not depend on how cells are cut or stacked.
+If a call raises, each of its cells runs again alone, on a fresh
+``Rng(seed)``, and records its own outcome or error; the failed call's
+time counts toward the grid's time, not a cell's.
 
-A cell's ``wall_ms`` is the time spent on that cell: its own seeding (a
-k-means pre-run), initialization, outcome and evaluation, timed per cell,
-plus its share of each stacked iteration, whose time is split over the
-stack's swarms in proportion to their rows. So the ``wall_ms`` of one
-grid's cells add up to the grid's time in them, as before, but a cell's
-``wall_ms`` depends on its stack-mates: ``cells_per_s`` is the figure to
-compare across changes that stack cells differently.
+A cell's ``wall_ms`` is the time spent on that cell: the ``seconds`` its
+run gets from :func:`~swarmclust.pipelines.run_stack` (its own seeding and
+initialization, or its Lloyd's algorithm, its outcome, and an equal share
+of each iteration of its stack with the other swarms in it), plus its
+evaluation. So the ``wall_ms`` of one grid's cells add up to the grid's
+time in them, but a cell's ``wall_ms`` depends on its stack-mates:
+``cells_per_s`` is the figure to compare across changes that stack cells
+differently.
 
 :func:`parse_config` checks a config against :data:`CONFIG_SCHEMA` with
 the in-house :class:`~swarmclust.schema.SchemaChecker`, which reports the
@@ -416,8 +414,6 @@ def _execute_cell(args):
     name, dataset, label, rep, seed, plan = args
     start = time.perf_counter()
     try:
-        if isinstance(plan, Exception):  # the pair's seeding failed
-            raise plan
         outcome = pipelines.run(dataset, plan, Rng(seed))
     except Exception as exc:  # recorded per-cell, grid continues
         outcome = exc
@@ -455,45 +451,30 @@ def _cell_result(args, outcome, start: float, spent: float = 0.0):
     return record, trace
 
 
-def _execute_stack(cells):
-    """Run the args of swarm cells of one dataset and k as one stack:
-    [(record, trace)] in order. If the stack raises, each cell runs again
-    alone, on a fresh ``Rng(seed)``, and records its own outcome or error
-    (see the module docstring)."""
-    dataset = cells[0][1]
+def _execute_unit(cells):
+    """Run the args of cells of one dataset as one
+    :func:`swarmclust.pipelines.run_stack` call: [(record, trace)] in order.
+    If the call raises, each cell runs again alone, on a fresh
+    ``Rng(seed)``, and records its own outcome or error (see the module
+    docstring)."""
     try:
-        results = pipelines.run_stack(dataset, [(args[5], Rng(args[4])) for args in cells])
-    except Exception:  # some swarm failed: each cell's rerun records its own error
+        results = pipelines.run_stack(cells[0][1], [(args[5], Rng(args[4])) for args in cells])
+    except Exception:  # some run failed: each cell's rerun records its own error
+        # through the module attribute, so that perfbench/tracer.py times it
         return [_execute_cell(args) for args in cells]
     return [_cell_result(args, result.outcome, time.perf_counter(), result.seconds)
             for args, result in zip(cells, results)]
 
 
-def _execute_unit(unit):
-    """A lone cell's args, or a stack's list of cells: [(record, trace)]."""
-    if isinstance(unit, list):
-        return _execute_stack(unit)
-    # through the module attribute, so that perfbench/tracer.py times it
-    return [_execute_cell(unit)]
-
-
 def _work_units(cells, jobs: int) -> list:
-    """The grid's cells' args as the units :func:`_execute_unit` runs:
-    every cell without a swarm config (Lloyd's algorithm) or whose seeding
-    failed alone, and the swarm cells of each (dataset, k, swarm_size, c1,
-    c2, v_max_fraction) as one stack, cut into ``min(jobs, cells)`` stacks
-    of contiguous cells when ``jobs`` > 1."""
-    units, groups = [], {}
+    """The grid's cells' args as the units :func:`_execute_unit` runs: each
+    dataset's cells, cut into ``min(jobs, cells)`` units of contiguous
+    cells."""
+    by_dataset = {}
     for args in cells:
-        plan = args[5]
-        if isinstance(plan, Exception) or plan.config is None:
-            units.append(args)
-            continue
-        config = plan.config
-        k = plan.seeding.k if plan.seeding is not None else plan.k
-        key = (args[0], k, config.swarm_size, config.c1, config.c2, config.v_max_fraction)
-        groups.setdefault(key, []).append(args)
-    for group in groups.values():
+        by_dataset.setdefault(args[0], []).append(args)
+    units = []
+    for group in by_dataset.values():
         parts = min(jobs, len(group))
         units += [group[len(group) * i // parts:len(group) * (i + 1) // parts]
                   for i in range(parts)]
@@ -558,8 +539,9 @@ def run_grid(
     loaded, normalization, plans = load_grid(config, algorithms, dataset_filter)
 
     seedings: dict = {}  # (dataset name, SubtractiveConfig) -> result or exception
-    cells = []
+    cells, results = [], []
     for name, algo, plan in plans:
+        failed = None
         if (sub := plan.sub_config) is not None:
             if (name, sub) not in seedings:
                 try:
@@ -568,11 +550,17 @@ def run_grid(
                 except Exception as exc:  # recorded by each of the pair's cells
                     seedings[name, sub] = exc
             seeding = seedings[name, sub]
-            plan = seeding if isinstance(seeding, Exception) else replace(
-                plan, sub_config=None, seeding=seeding)
+            if isinstance(seeding, Exception):
+                failed = seeding
+            else:
+                plan = replace(plan, sub_config=None, seeding=seeding)
         for rep in range(config.repetitions):
             seed = derive_seed(config.base_seed, name, algo.key, rep)
-            cells.append((name, loaded[name], algo.key, rep, seed, plan))
+            args = (name, loaded[name], algo.key, rep, seed, plan)
+            if failed is None:
+                cells.append(args)
+            else:
+                results.append(_cell_result(args, failed, time.perf_counter()))
 
     units = _work_units(cells, jobs)
     if jobs > 1 and len(units) > 1:
@@ -580,7 +568,7 @@ def run_grid(
             done = list(pool.map(_execute_unit, units, chunksize=1))
     else:
         done = [_execute_unit(unit) for unit in units]
-    results = [result for unit in done for result in unit]
+    results += [result for unit in done for result in unit]
 
     records = [rec for rec, _ in results]
     traces = {

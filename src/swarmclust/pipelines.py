@@ -28,35 +28,37 @@ swarm config, the subtractive config or a precomputed ``seeding`` (a
 :class:`~swarmclust.subtractive.SeedingResult`, which depends only on the
 dataset and the config: a benchmark grid seeds each distinct (dataset,
 config) once and hands the result to every cell), and the Lloyd limit of
-Lloyd's algorithm or of a k-means pre-run. :func:`run` runs one plan on
-one rng, and each ``run_*`` entry point is :func:`run` of its plan.
+Lloyd's algorithm or of a k-means pre-run. :func:`run_stack` runs several
+plans, each on its own rng, on one dataset; :func:`run` is a
+:func:`run_stack` of one, and each ``run_*`` entry point is :func:`run`
+of its plan. This is where the stacking rule lives:
 
-Swarms run in stacks. :func:`run_stack` takes several swarm runs, each a
-(plan, rng) pair, on one dataset that share k, ``swarm_size``, ``c1``,
-``c2`` and ``v_max_fraction``, and runs them as one
-:class:`~swarmclust.swarm.SwarmStack`, whose layout and per-swarm draw
-order the ``swarmclust.swarm`` docstring gives:
-
-- Each run's checks, seeding (a subtractive selection or a k-means
-  pre-run on the run's own stream) and initialization run in run order,
-  as they would alone.
+- Each run's checks and seeding (a subtractive selection or a k-means
+  pre-run on the run's own stream) and its swarm's initialization run in
+  run order, as they would alone. Lloyd's algorithm (``kmeans``) runs
+  there, whole and alone.
+- The swarms of one k, ``swarm_size``, ``c1``, ``c2`` and
+  ``v_max_fraction``, which shape a stack's arrays, then run as one
+  :class:`~swarmclust.swarm.SwarmStack`, whose layout and per-swarm draw
+  order the ``swarmclust.swarm`` docstring gives; the stacks run one
+  after another.
 - Each iteration moves every swarm still in the stack with one step and
   one fitness call, then refines the gbests of the swarms that refine in
   that iteration with one batched Lloyd step and one fitness call.
 - Each swarm stops on its own stall or ``max_iter`` rule and leaves the
   stack, which goes on with the others.
 
-Every swarm's trajectory, and so its outcome, is bit for bit the one it
-has alone. :func:`run` runs a swarm as a stack of one, the same loop. A
-stack's time is split over its swarms for :class:`StackedRun`'s
-``seconds``: each swarm's seeding, initialization and outcome are timed
-on their own, and each iteration's time is shared equally by the swarms
-in the stack during it (they have equal rows).
+Every run's trajectory, and so its outcome, is bit for bit the one it has
+alone. A call's time is split over its runs for :class:`StackedRun`'s
+``seconds``: each run's seeding and initialization, or its Lloyd's
+algorithm, and each swarm's outcome are timed on their own, and each
+iteration's time is shared equally by the swarms in the stack during it
+(they have equal rows).
 
-The first error of any swarm ends the whole stack: its exception says
-what failed, but not always in the words a lone run would use. A caller
-that wants each swarm's own outcome or error runs the swarms again one by
-one on fresh streams, as the benchmark grid does.
+The first error of any run ends the whole call: its exception says what
+failed, but not always in the words a lone run would use. A caller that
+wants each run's own outcome or error runs them again one by one on fresh
+streams, as the benchmark grid does.
 
 "gbest refine" is the adaptive family's per-iteration nearest-assignment /
 center-recalculation pass: the swarm's best centroid set is refined by one
@@ -347,11 +349,12 @@ class Plan:
 
 @dataclass(frozen=True)
 class StackedRun:
-    """What :func:`run_stack` gives for one swarm: its outcome, its final
-    state and the seconds spent on it (see the module docstring)."""
+    """What :func:`run_stack` gives for one run: its outcome, its swarm's
+    final state (None for Lloyd's algorithm) and the seconds spent on it
+    (see the module docstring)."""
 
     outcome: ClusteringOutcome
-    swarm: Swarm
+    swarm: Optional[Swarm]
     seconds: float
 
 
@@ -369,8 +372,6 @@ def _seed_run(dataset: Dataset, plan: Plan, rng) -> tuple[int, Optional[np.ndarr
     """(k, seed centers or None) of ``plan``'s swarm on ``rng``, after
     checking its inputs."""
     algo = ALGORITHMS[plan.algo_id]
-    if algo.pso is None:
-        raise ContractViolation(f"{plan.algo_id} runs no swarm")
     if rng is None:
         raise ContractViolation(f"{algo.entry} needs an rng")
     if plan.seeding is not None and plan.sub_config is not None:
@@ -385,113 +386,111 @@ def _seed_run(dataset: Dataset, plan: Plan, rng) -> tuple[int, Optional[np.ndarr
 
 
 def run(dataset: Dataset, plan: Plan, rng: Optional[Rng]) -> ClusteringOutcome:
-    """``plan`` run on ``dataset`` with ``rng``: Lloyd's algorithm for
-    ``kmeans``, a stack of one otherwise."""
-    if ALGORITHMS[plan.algo_id].pso is None:
-        return run_kmeans(dataset, plan.k, None, rng, plan.kmeans_max_iter)
+    """``plan`` run on ``dataset`` with ``rng``, as a :func:`run_stack` of one."""
     return run_stack(dataset, [(plan, rng)])[0].outcome
 
 
 def run_stack(dataset: Dataset, runs) -> list[StackedRun]:
-    """Run the swarms of ``runs``, (:class:`Plan`, rng) pairs, on
-    ``dataset`` as one :class:`~swarmclust.swarm.SwarmStack`; one
-    :class:`StackedRun` per run, in order. Each run's seeding and
-    initialization run in order, as they would alone; the runs must then
-    agree on k, ``swarm_size``, ``c1``, ``c2`` and ``v_max_fraction``, or
-    ContractViolation is raised. The first error of any swarm ends the
-    whole stack (see the module docstring)."""
+    """Run ``runs``, (:class:`Plan`, rng) pairs, on ``dataset``: one
+    :class:`StackedRun` per run, in order. Lloyd's algorithm runs alone and
+    the swarms in stacks, as the module docstring says; the first error of
+    any run ends the call."""
     clock = time.perf_counter
     runs = list(runs)
-    swarms, configs, seconds = [], [], []
-    k = fitness = None
-    for plan, rng in runs:
+    n = len(runs)
+    swarms, configs, traces, finals, outcomes, converged_at = ([None] * n for _ in range(6))
+    seconds, streaks = [0.0] * n, [0] * n
+    rejected = [None] * n  # gbest fitness at the last rejected refine
+    stacks = {}  # (k, swarm_size, c1, c2, v_max_fraction) -> (fitness, runs in the stack)
+    for i, (plan, rng) in enumerate(runs):
         start = clock()
-        run_k, seed_centers = _seed_run(dataset, plan, rng)
-        if fitness is None:
-            k, fitness = run_k, _fitness_for(dataset, run_k)
-        elif run_k != k:
-            raise ContractViolation(f"stacked swarms need one k, got {k} and {run_k}")
-        config = plan.config or ALGORITHMS[plan.algo_id].pso
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                swarms.append(init_swarm(seed_centers, k, dataset, config, rng, fitness))
-        except FloatingPointError as exc:
-            raise DegenerateInput(f"swarm not finite during initialization: {exc}") from None
-        configs.append(config)
-        seconds.append(clock() - start)
-    if not swarms:
-        raise ContractViolation("a stack needs at least one swarm")
-    stack = SwarmStack(swarms, configs)
+        algo = ALGORITHMS[plan.algo_id]
+        if algo.pso is None:
+            outcomes[i] = run_kmeans(dataset, plan.k, None, rng, plan.kmeans_max_iter)
+        else:
+            k, seed_centers = _seed_run(dataset, plan, rng)
+            config = configs[i] = plan.config or algo.pso
+            key = (k, config.swarm_size, config.c1, config.c2, config.v_max_fraction)
+            if key not in stacks:
+                stacks[key] = (_fitness_for(dataset, k), [])
+            fitness, members = stacks[key]
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    swarms[i] = init_swarm(seed_centers, k, dataset, config, rng, fitness)
+            except FloatingPointError as exc:
+                raise DegenerateInput(f"swarm not finite during initialization: {exc}") from None
+            traces[i] = [swarms[i].gbest_fitness]
+            members.append(i)
+        seconds[i] = clock() - start
 
     rngs = [rng for _, rng in runs]
     refines = [ALGORITHMS[plan.algo_id].refine for plan, _ in runs]
-    traces = [[swarm.gbest_fitness] for swarm in swarms]
-    streaks = [0] * len(runs)
-    rejected = [None] * len(runs)  # gbest fitness at the last rejected refine
-    converged_at, finals = [None] * len(runs), [None] * len(runs)
-    active = list(range(len(runs)))  # run of each stacked swarm
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            while active:
-                start = clock()
-                stack.step(fitness, [rngs[i] for i in active])
-                gbest = stack.gbest_fitness.tolist()
-                refiners = [j for j, i in enumerate(active)
-                            if refines[i] and gbest[j] != rejected[i]]
-                if refiners:
-                    refined = _refine(dataset, stack.gbest_position[refiners], k)
-                    for j, position, value in zip(refiners, refined, fitness(refined).tolist()):
-                        if value < gbest[j]:
-                            stack.replace_gbest(j, position, value)
-                            gbest[j] = value
+    for (k, *_), (fitness, members) in stacks.items():
+        stack = SwarmStack([swarms[i] for i in members], [configs[i] for i in members])
+        active = members  # run of each stacked swarm
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                while active:
+                    start = clock()
+                    stack.step(fitness, [rngs[i] for i in active])
+                    gbest = stack.gbest_fitness.tolist()
+                    refiners = [j for j, i in enumerate(active)
+                                if refines[i] and gbest[j] != rejected[i]]
+                    if refiners:
+                        refined = _refine(dataset, stack.gbest_position[refiners], k)
+                        for j, position, value in zip(refiners, refined,
+                                                      fitness(refined).tolist()):
+                            if value < gbest[j]:
+                                stack.replace_gbest(j, position, value)
+                                gbest[j] = value
+                            else:
+                                rejected[active[j]] = gbest[j]
+                    leaving = []
+                    for j, i in enumerate(active):
+                        trace, config = traces[i], configs[i]
+                        trace.append(gbest[j])
+                        streaks[i] = streaks[i] + 1 if stalled(trace[-2], trace[-1],
+                                                               config.rel_tol) else 0
+                        if streaks[i] >= config.stall_iters:
+                            converged_at[i] = stack.iters[j] - config.stall_iters
+                        elif stack.iters[j] == config.max_iter:
+                            converged_at[i] = len(trace)
                         else:
-                            rejected[active[j]] = gbest[j]
-                leaving = []
-                for j, i in enumerate(active):
-                    trace, config = traces[i], configs[i]
-                    trace.append(gbest[j])
-                    streaks[i] = streaks[i] + 1 if stalled(trace[-2], trace[-1],
-                                                           config.rel_tol) else 0
-                    if streaks[i] >= config.stall_iters:
-                        converged_at[i] = stack.iters[j] - config.stall_iters
-                    elif stack.iters[j] == config.max_iter:
-                        converged_at[i] = len(trace)
-                    else:
-                        continue
-                    leaving.append(j)
-                share = (clock() - start) / len(active)
-                for i in active:
-                    seconds[i] += share
-                if leaving:
-                    for j, swarm in zip(leaving, stack.remove(leaving)):
-                        finals[active[j]] = swarm
-                    active = [i for j, i in enumerate(active) if j not in leaving]
-    except FloatingPointError as exc:
-        raise DegenerateInput(f"swarm velocity or position not finite at iteration "
-                              f"{min(stack.iters)}: {exc}") from None
+                            continue
+                        leaving.append(j)
+                    share = (clock() - start) / len(active)
+                    for i in active:
+                        seconds[i] += share
+                    if leaving:
+                        for j, swarm in zip(leaving, stack.remove(leaving)):
+                            finals[active[j]] = swarm
+                        active = [i for j, i in enumerate(active) if j not in leaving]
+        except FloatingPointError as exc:
+            raise DegenerateInput(f"swarm velocity or position not finite at iteration "
+                                  f"{min(stack.iters)}: {exc}") from None
 
-    results = []
-    for swarm, config, trace, at, spent in zip(finals, configs, traces, converged_at, seconds):
-        start = clock()
-        # A linear schedule's weight is Python arithmetic, which numpy's error
-        # state does not see: past some iteration its product overflows, and
-        # the weight is -inf from there on, which the v_max clamp can hide.
-        # So the last weight used tells whether any was not finite.
-        if not math.isfinite(inertia_weight(config, swarm.iter - 1)):
-            first = next(i for i in range(swarm.iter)
-                         if not math.isfinite(inertia_weight(config, i)))
-            raise DegenerateInput(f"swarm velocity not finite at iteration {first}: inertia "
-                                  f"weight {inertia_weight(config, first)}")
-        centroids = decode(swarm.gbest_position, k, dataset.d)
-        outcome = ClusteringOutcome(
-            centroids=centroids,
-            assignment=assign_nearest(dataset, centroids),
-            iterations_used=swarm.iter,
-            sicd_trace=np.asarray(trace),
-            iterations_to_converge=at,
-        )
-        results.append(StackedRun(outcome, swarm, spent + clock() - start))
-    return results
+        for i in members:
+            start = clock()
+            swarm, config = finals[i], configs[i]
+            # A linear schedule's weight is Python arithmetic, which numpy's error
+            # state does not see: past some iteration its product overflows, and
+            # the weight is -inf from there on, which the v_max clamp can hide.
+            # So the last weight used tells whether any was not finite.
+            if not math.isfinite(inertia_weight(config, swarm.iter - 1)):
+                first = next(it for it in range(swarm.iter)
+                             if not math.isfinite(inertia_weight(config, it)))
+                raise DegenerateInput(f"swarm velocity not finite at iteration {first}: "
+                                      f"inertia weight {inertia_weight(config, first)}")
+            centroids = decode(swarm.gbest_position, k, dataset.d)
+            outcomes[i] = ClusteringOutcome(
+                centroids=centroids,
+                assignment=assign_nearest(dataset, centroids),
+                iterations_used=swarm.iter,
+                sicd_trace=np.asarray(traces[i]),
+                iterations_to_converge=converged_at[i],
+            )
+            seconds[i] += clock() - start
+    return [StackedRun(*result) for result in zip(outcomes, finals, seconds)]
 
 
 def run_kmeans(

@@ -1171,9 +1171,9 @@ class TestRunGrid:
             assert re.fullmatch(r"DegenerateInput: swarm velocity (or position )?not finite "
                                 r"at iteration \d+: .+", rec["error"]), rec["error"]
 
-    def test_cells_are_dispatched_by_kind(self, monkeypatch):
-        # Lloyd's cells run alone through pipelines.run; each dataset's
-        # swarm cells run as one stack, never alone
+    def test_each_dataset_is_one_run_stack_call(self, monkeypatch):
+        # at --jobs 1 every cell of a dataset, Lloyd's included, runs in one
+        # run_stack call, and none runs alone
         lone, stacks = [], []
         real_run, real_stack = pipelines.run, pipelines.run_stack
 
@@ -1189,19 +1189,15 @@ class TestRunGrid:
         monkeypatch.setattr(pipelines, "run_stack", stack_spy)
         report = run_grid(parse_config(two_datasets_config(2, FIXTURES["algorithms"])))
         assert report.failed_cells == 0
-        assert lone == [("two_blob", "kmeans")] * 2 + [("grid4", "kmeans")] * 2
-        swarm_ids = [row.id for row in ALGORITHMS.values() if row.pso is not None]
-        assert stacks == [(name, [i for i in swarm_ids for _ in range(2)])
+        assert lone == []
+        ids = [entry["id"] for entry in FIXTURES["algorithms"]]
+        assert stacks == [(name, [i for i in ids for _ in range(2)])
                           for name in ("two_blob", "grid4")]
 
-    @pytest.mark.parametrize("jobs, fixture_parts, pair_parts", [
-        (1, [10], [2]), (2, [5, 5], [1, 1]), (3, [3, 3, 4], [1, 1]), (11, [1] * 10, [1, 1])])
-    def test_jobs_cut_each_stack_into_one_part_per_job(self, monkeypatch, jobs, fixture_parts,
-                                                        pair_parts):
-        # A dataset's ten fixture swarm cells share one k and one stack; a
-        # swarm_size or a k of their own makes a stack of two. --jobs J cuts
-        # each into min(J, cells) stacks of neighbouring cells; kmeans cells
-        # run alone.
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 11, 17])
+    def test_jobs_cut_each_dataset_into_one_part_per_job(self, monkeypatch, jobs):
+        # --jobs J cuts each dataset's 16 cells into min(J, 16) units of
+        # neighbouring cells, whatever their kinds and stack keys
         calls = []
         real = bench._work_units
 
@@ -1218,17 +1214,13 @@ class TestRunGrid:
         run_grid(parse_config(raw))
         cells = calls[-1][0]
         units = real(cells, jobs)
-        assert [unit for unit in units if not isinstance(unit, list)] == [
-            args for args in cells if args[5].algo_id == "kmeans"]
-        stacks = [unit for unit in units if isinstance(unit, list)]
-        assert [len(stack) for stack in stacks] == (fixture_parts + pair_parts * 2) * 2
-        groups = {}
-        for args in cells:
-            if args[5].algo_id != "kmeans":
-                groups.setdefault((args[0], args[2] in ("pso_5", "brapso_k3") and args[2]),
-                                  []).append(args)
-        assert [cell for stack in stacks for cell in stack] == [
-            cell for group in groups.values() for cell in group]
+        for name in ("two_blob", "grid4"):
+            own = [unit for unit in units if unit[0][0] == name]
+            sizes = [len(unit) for unit in own]
+            assert len(own) == min(jobs, 16) and max(sizes) - min(sizes) <= 1
+            assert [args for unit in own for args in unit] == [
+                args for args in cells if args[0] == name]
+        assert [args for unit in units for args in unit] == cells
 
     def test_aggregates_match_recomputation(self):
         cfg = parse_config(fixture_config(reps=4))

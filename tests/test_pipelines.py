@@ -684,11 +684,6 @@ def test_numpy_integers_pass_as_k_and_lloyd_limit(entry):
     assert same_outcome(got, want)
 
 
-def test_stack_refuses_a_plan_without_a_swarm():
-    with pytest.raises(ContractViolation, match="^kmeans runs no swarm$"):
-        run_stack(blob_fixture(), [(Plan("kmeans", 2), Rng(0))])
-
-
 # (id, PsoConfig overrides): each swarm runs under its row's config with them
 STALL_RULES = [
     ("defaults", {}),
@@ -906,13 +901,17 @@ def bits(value):
 
 
 def assert_same_run(a, b):
-    """Two StackedRuns' outcomes and final swarms equal bit for bit."""
+    """Two StackedRuns' outcomes and final swarms (None for Lloyd's
+    algorithm) equal bit for bit."""
     for f in fields(a.outcome):
         x, y = getattr(a.outcome, f.name), getattr(b.outcome, f.name)
         if f.name == "assignment":
             assert x.k == y.k
             x, y = x.cluster_of, y.cluster_of
         assert bits(x) == bits(y), f.name
+    if a.swarm is None or b.swarm is None:
+        assert a.swarm is b.swarm is None
+        return
     for name in ("position", "velocity", "pbest_position", "pbest_fitness", "gbest_position",
                  "gbest_fitness", "iter", "lower", "upper"):
         assert bits(getattr(a.swarm, name)) == bits(getattr(b.swarm, name)), name
@@ -951,14 +950,44 @@ class TestStackedRuns:
         stacked = run_stack(self.dataset(), swarm_runs(STACK_MATES))
         assert all(got.seconds > 0 for got in stacked)
 
-    @pytest.mark.parametrize("change, message", [
-        ({"k": 3}, "stacked swarms need one k, got 4 and 3"),
-        ({"config": replace(pipelines.PLAIN_PSO, swarm_size=6, c2=1.0)},
-         "stacked swarms need one shape, one search box and one c1, c2 and v_max_fraction"),
-        ({"config": replace(pipelines.PLAIN_PSO, swarm_size=5)},
-         "stacked swarms need one shape, one search box and one c1, c2 and v_max_fraction"),
-    ])
-    def test_swarms_that_cannot_share_a_stack_are_refused(self, change, message):
-        first, (second, rng) = swarm_runs([("pso", {}), ("pso", {})])
-        with pytest.raises(ContractViolation, match=f"^{message}$"):
-            run_stack(self.dataset(), [first, (replace(second, **change), rng)])
+    @pytest.mark.parametrize("case", ["k", "swarm_size", "c1", "c2", "v_max_fraction", "kmeans",
+                                      "all"])
+    def test_swarms_that_cannot_share_a_stack_get_stacks_of_their_own(self, monkeypatch, case):
+        # the first pso swarm, a copy of it with the case's field of the stack
+        # key changed ("all" changes each field in a copy of its own), a mate
+        # of the first swarm, and for "kmeans" and "all" Lloyd's algorithm,
+        # which runs alone
+        sizes = []
+        real = pipelines.SwarmStack
+
+        def spy(swarms, configs):
+            sizes.append(len(swarms))
+            return real(swarms, configs)
+
+        def runs():
+            first, mate = swarm_runs([("pso", {}), ("pso", {})])
+            plan, config = first[0], first[0].config
+            changes = {"k": {"k": 3}, "swarm_size": {"config": replace(config, swarm_size=5)},
+                       "c1": {"config": replace(config, c1=1.0)},
+                       "c2": {"config": replace(config, c2=1.0)},
+                       "v_max_fraction": {"config": replace(config, v_max_fraction=0.5)}}
+            changed = [(replace(plan, **change), Rng(seed))
+                       for seed, (field, change) in enumerate(changes.items(), 2)
+                       if case in (field, "all")]
+            lloyd = [(Plan("kmeans", 4, kmeans_max_iter=5), Rng(9))] * (case in ("kmeans", "all"))
+            return [first, *changed, mate, *lloyd]
+
+        monkeypatch.setattr(pipelines, "SwarmStack", spy)
+        ds = self.dataset()
+        stacked = run_stack(ds, runs())
+        changed = {"all": 5, "kmeans": 0}.get(case, 1)
+        assert sizes == [2] + [1] * changed
+        assert len(stacked) == len(runs()) and all(got.seconds > 0 for got in stacked)
+        for run, got in zip(runs(), stacked):
+            [alone] = run_stack(ds, [run])
+            assert_same_run(got, alone)
+        if case in ("kmeans", "all"):
+            lloyd = run_kmeans(ds, 4, rng=Rng(9), max_iter=5)
+            assert stacked[-1].swarm is None
+            assert all(bits(getattr(lloyd, f.name)) == bits(getattr(stacked[-1].outcome, f.name))
+                       for f in fields(lloyd) if f.name != "assignment")
