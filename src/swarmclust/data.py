@@ -316,20 +316,21 @@ def make_blobs(kind: str, params: Optional[dict] = None, seed: int = 0) -> Datas
         raise ContractViolation(f"need at least {k} points for {k} blobs")
 
     rng = Rng(seed)
-    if kind == "two_blob":
-        half = (p["sep"] / 2.0) / np.sqrt(d)
-        centers = np.array([[-half] * d, [half] * d])
-    elif kind == "grid":
-        axes = np.arange(p["side"]) * p["scale"]
-        centers = np.array(np.meshgrid(*([axes] * d))).reshape(d, -1).T.astype(float)
-    else:
-        centers = rng.uniform(0.0, p["box"], size=(k, d))
-
     sizes = [n // k + (1 if i < n % k else 0) for i in range(k)]
     chunks, labels = [], []
-    for i, (center, size) in enumerate(zip(centers, sizes)):
-        chunks.append(center + rng.normal(0.0, 1.0, size=(size, d)) * p["spread"])
-        labels.extend([i] * size)
+    # A point past the float range is Dataset's to refuse, without a warning first.
+    with np.errstate(over="ignore"):
+        if kind == "two_blob":
+            half = (p["sep"] / 2.0) / np.sqrt(d)
+            centers = np.array([[-half] * d, [half] * d])
+        elif kind == "grid":
+            axes = np.arange(p["side"]) * p["scale"]
+            centers = np.array(np.meshgrid(*([axes] * d))).reshape(d, -1).T.astype(float)
+        else:
+            centers = rng.uniform(0.0, p["box"], size=(k, d))
+        for i, (center, size) in enumerate(zip(centers, sizes)):
+            chunks.append(center + rng.normal(0.0, 1.0, size=(size, d)) * p["spread"])
+            labels.extend([i] * size)
     return Dataset(
         points=np.vstack(chunks),
         labels=np.array(labels),

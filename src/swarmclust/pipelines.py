@@ -11,12 +11,10 @@ traced cost once; when ``max_iter`` ends it, the last update's cost follows
 unless it equals the last traced one.
 
 A swarm's initialization and iterations, after seeding, run under one
-``np.errstate(over="raise", invalid="raise")``, so a velocity or position
-that stops being finite raises ``DegenerateInput`` naming the iteration
-without a per-step check. The error state is per thread: the kernels'
-helper threads keep their own. A linear inertia weight that overflows to
-``-inf`` does so in Python arithmetic, out of numpy's sight, and is caught
-after the loop from the last weight used.
+``np.errstate(over="raise", invalid="raise")``, so every swarm overflow, of
+a velocity, a position or a linear inertia weight, raises
+``DegenerateInput`` naming the iteration without a per-step check. The
+error state is per thread: the kernels' helper threads keep their own.
 
 The algorithms differ only in seeding, boundary, inertia and gbest refine.
 :data:`ALGORITHMS` holds one row per algorithm with those choices; the
@@ -45,8 +43,9 @@ of its plan. This is where the stacking rule lives:
 - Each iteration moves every swarm still in the stack with one step and
   one fitness call, then refines the gbests of the swarms that refine in
   that iteration with one batched Lloyd step and one fitness call.
-- Each swarm stops on its own stall or ``max_iter`` rule and leaves the
-  stack, which goes on with the others.
+- Each swarm stops on its own stall or ``max_iter`` rule. Its outcome is
+  built from the stack's gbest row and iteration count in the iteration
+  it stops, and it leaves the stack, which goes on with the others.
 
 Every run's trajectory, and so its outcome, is bit for bit the one it has
 alone. A call's time is split over its runs for :class:`StackedRun`'s
@@ -83,7 +82,6 @@ points, and a refine of m gbests about 2m times.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -103,11 +101,9 @@ from .schema import TYPES, field_rules
 from .subtractive import DensityRatio, SeedingResult, SubtractiveConfig, select_centers
 from .swarm import (  # noqa: F401  (step: perfbench/tracer.py wraps it here)
     PsoConfig,
-    Swarm,
     SwarmStack,
     decode,
     exponential_normalized,
-    inertia_weight,
     init_swarm,
     linear,
     step,
@@ -349,12 +345,10 @@ class Plan:
 
 @dataclass(frozen=True)
 class StackedRun:
-    """What :func:`run_stack` gives for one run: its outcome, its swarm's
-    final state (None for Lloyd's algorithm) and the seconds spent on it
-    (see the module docstring)."""
+    """What :func:`run_stack` gives for one run: its outcome and the seconds
+    spent on it (see the module docstring)."""
 
     outcome: ClusteringOutcome
-    swarm: Optional[Swarm]
     seconds: float
 
 
@@ -368,6 +362,20 @@ def _check_k(dataset: Dataset, k) -> None:
         raise DegenerateInput(f"k={k} outside [1, {dataset.n}]")
 
 
+def _check_distances(dataset: Dataset) -> None:
+    """Raise DegenerateInput when a squared distance across the data's
+    bounding box, the sum of its columns' squared spans, overflows: the
+    fitness and the assignment square every difference before any root,
+    and neither scipy's kernel nor ``einsum`` raises a numpy flag when one
+    does, so the run would end with an infinite SICD."""
+    span = dataset.points.max(axis=0) - dataset.points.min(axis=0)
+    with np.errstate(over="ignore"):
+        reach = (span * span).sum()
+    if not np.isfinite(reach):
+        raise DegenerateInput("dataset's squared distances overflow: its columns' squared "
+                              "spans sum past the float range")
+
+
 def _seed_run(dataset: Dataset, plan: Plan, rng) -> tuple[int, Optional[np.ndarray]]:
     """(k, seed centers or None) of ``plan``'s swarm on ``rng``, after
     checking its inputs."""
@@ -376,6 +384,7 @@ def _seed_run(dataset: Dataset, plan: Plan, rng) -> tuple[int, Optional[np.ndarr
         raise ContractViolation(f"{algo.entry} needs an rng")
     if plan.seeding is not None and plan.sub_config is not None:
         raise ContractViolation(f"{algo.entry} takes a seeding or a sub_config, not both")
+    _check_distances(dataset)
     if algo.seeding == "subtractive":
         seeding = plan.seeding or select_centers(dataset, plan.sub_config or SubtractiveConfig())
         return seeding.k, seeding.centers
@@ -398,7 +407,7 @@ def run_stack(dataset: Dataset, runs) -> list[StackedRun]:
     clock = time.perf_counter
     runs = list(runs)
     n = len(runs)
-    swarms, configs, traces, finals, outcomes, converged_at = ([None] * n for _ in range(6))
+    swarms, configs, traces, outcomes = ([None] * n for _ in range(4))
     seconds, streaks = [0.0] * n, [0] * n
     rejected = [None] * n  # gbest fitness at the last rejected refine
     stacks = {}  # (k, swarm_size, c1, c2, v_max_fraction) -> (fitness, runs in the stack)
@@ -445,52 +454,38 @@ def run_stack(dataset: Dataset, runs) -> list[StackedRun]:
                                 gbest[j] = value
                             else:
                                 rejected[active[j]] = gbest[j]
-                    leaving = []
+                    leaving = []  # (member, iterations to converge)
                     for j, i in enumerate(active):
                         trace, config = traces[i], configs[i]
                         trace.append(gbest[j])
                         streaks[i] = streaks[i] + 1 if stalled(trace[-2], trace[-1],
                                                                config.rel_tol) else 0
                         if streaks[i] >= config.stall_iters:
-                            converged_at[i] = stack.iters[j] - config.stall_iters
-                        elif stack.iters[j] == config.max_iter:
-                            converged_at[i] = len(trace)
-                        else:
-                            continue
-                        leaving.append(j)
+                            leaving.append((j, stack.iter - config.stall_iters))
+                        elif stack.iter == config.max_iter:
+                            leaving.append((j, len(trace)))
                     share = (clock() - start) / len(active)
                     for i in active:
                         seconds[i] += share
                     if leaving:
-                        for j, swarm in zip(leaving, stack.remove(leaving)):
-                            finals[active[j]] = swarm
-                        active = [i for j, i in enumerate(active) if j not in leaving]
+                        for j, converged in leaving:
+                            start = clock()
+                            i = active[j]
+                            centroids = decode(stack.gbest_position[j], k, dataset.d)
+                            outcomes[i] = ClusteringOutcome(
+                                centroids=centroids,
+                                assignment=assign_nearest(dataset, centroids),
+                                iterations_used=stack.iter,
+                                sicd_trace=np.asarray(traces[i]),
+                                iterations_to_converge=converged,
+                            )
+                            seconds[i] += clock() - start
+                        stack.remove([j for j, _ in leaving])
+                        active = [i for i in active if outcomes[i] is None]
         except FloatingPointError as exc:
             raise DegenerateInput(f"swarm velocity or position not finite at iteration "
-                                  f"{min(stack.iters)}: {exc}") from None
-
-        for i in members:
-            start = clock()
-            swarm, config = finals[i], configs[i]
-            # A linear schedule's weight is Python arithmetic, which numpy's error
-            # state does not see: past some iteration its product overflows, and
-            # the weight is -inf from there on, which the v_max clamp can hide.
-            # So the last weight used tells whether any was not finite.
-            if not math.isfinite(inertia_weight(config, swarm.iter - 1)):
-                first = next(it for it in range(swarm.iter)
-                             if not math.isfinite(inertia_weight(config, it)))
-                raise DegenerateInput(f"swarm velocity not finite at iteration {first}: "
-                                      f"inertia weight {inertia_weight(config, first)}")
-            centroids = decode(swarm.gbest_position, k, dataset.d)
-            outcomes[i] = ClusteringOutcome(
-                centroids=centroids,
-                assignment=assign_nearest(dataset, centroids),
-                iterations_used=swarm.iter,
-                sicd_trace=np.asarray(traces[i]),
-                iterations_to_converge=converged_at[i],
-            )
-            seconds[i] += clock() - start
-    return [StackedRun(*result) for result in zip(outcomes, finals, seconds)]
+                                  f"{stack.iter}: {exc}") from None
+    return [StackedRun(*result) for result in zip(outcomes, seconds)]
 
 
 def run_kmeans(
@@ -507,6 +502,7 @@ def run_kmeans(
     if not (TYPES["integer"](max_iter) and max_iter >= 1):
         raise ContractViolation(f"k-means needs an integer max_iter >= 1, got {max_iter!r}")
     _check_k(dataset, k)
+    _check_distances(dataset)
     if init is not None:
         centroids = core.given_centers(init, k, dataset.d)
     elif rng is None:

@@ -176,10 +176,14 @@ def decode(position: np.ndarray, k: int, d: int) -> np.ndarray:
 
 
 def inertia_weight(config: PsoConfig, iter: int) -> float:
-    """Inertia weight at a given iteration, always in [0, w_max]."""
+    """Inertia weight at a given iteration, always in [0, w_max]. The
+    linear ramp is taken in ``np.float64``, whose operations are Python's
+    float ones, so that an overflow of its product is seen by numpy's error
+    state."""
     sched = config.inertia
     if sched.kind == LINEAR:
-        return sched.w_max - (sched.w_max - sched.w_min) * iter / config.max_iter
+        w_max = np.float64(sched.w_max)
+        return w_max - (w_max - sched.w_min) * iter / config.max_iter
     if sched.kind == EXPONENTIAL_LITERAL:
         return sched.w_max * math.exp(-iter)
     return sched.w_max * math.exp(-iter / config.max_iter)
@@ -217,21 +221,20 @@ def _apply_boundary(
 
 
 def _evaluate(fitness: Callable[[np.ndarray], np.ndarray], positions: np.ndarray,
-              iterations: Optional[list] = None, size: int = 0) -> np.ndarray:
+              iteration: Optional[int] = None, size: int = 0) -> np.ndarray:
     """One batched fitness call; a NaN names the first particle that gave it
-    and the iteration of its swarm, ``iterations[j]`` for member j of a
-    stack of ``size``-row members, and the member too when there are
-    several. ``iterations`` is None during initialization."""
+    and the ``iteration``, and its member too in a stack of several
+    ``size``-row members. ``iteration`` is None during initialization."""
     evals = np.asarray(fitness(positions), dtype=np.float64)
     nan = np.isnan(evals)
     if np.count_nonzero(nan):
         particle = int(np.argmax(nan))
-        if iterations is None:
+        if iteration is None:
             when = "during swarm initialization"
         else:
             member, particle = divmod(particle, size)
-            when = f"at iteration {iterations[member]}"
-            if len(iterations) > 1:
+            when = f"at iteration {iteration}"
+            if len(evals) > size:
                 when += f", stacked swarm {member}"
         raise RuntimeError(f"fitness returned NaN {when}, particle {particle}")
     return evals
@@ -290,11 +293,14 @@ class SwarmStack:
     """Swarms of one shape moved together, one block of rows (see the module
     docstring). Built from lone swarms and their configs, in member order;
     a lone swarm's arrays are used as they are, several swarms' are copied
-    into the block. ``iters[j]`` counts member j's steps.
+    into the block. The members step together, so ``iter`` counts the
+    steps of them all; :meth:`remove` drops members' rows, and what a
+    leaving member ends with is read from the stack before.
 
     The members must share ``lower`` and ``upper`` (equal values), the
-    shape of their arrays, and ``c1``, ``c2`` and ``v_max_fraction``;
-    otherwise building the stack raises ContractViolation."""
+    shape of their arrays, their ``iter``, and ``c1``, ``c2`` and
+    ``v_max_fraction``; otherwise building the stack raises
+    ContractViolation."""
 
     def __init__(self, swarms: Sequence[Swarm], configs: Sequence[PsoConfig]):
         if not swarms or len(swarms) != len(configs):
@@ -303,11 +309,12 @@ class SwarmStack:
         shared = (base.c1, base.c2, base.v_max_fraction)
         for swarm, config in zip(swarms[1:], configs[1:]):
             if (swarm.position.shape != first.position.shape
+                    or swarm.iter != first.iter
                     or (config.c1, config.c2, config.v_max_fraction) != shared
                     or not np.array_equal(swarm.lower, first.lower)
                     or not np.array_equal(swarm.upper, first.upper)):
-                raise ContractViolation("stacked swarms need one shape, one search box "
-                                        "and one c1, c2 and v_max_fraction")
+                raise ContractViolation("stacked swarms need one shape, one search box, "
+                                        "one iter and one c1, c2 and v_max_fraction")
 
         def block(name):
             if len(swarms) == 1:
@@ -320,7 +327,7 @@ class SwarmStack:
                                        dtype=np.float64)
         self.gbest_fitness = np.array([swarm.gbest_fitness for swarm in swarms],
                                       dtype=np.float64)
-        self.iters = [swarm.iter for swarm in swarms]
+        self.iter = first.iter
         self.configs = list(configs)
         self.lower, self.upper = first.lower, first.upper
         self.size = first.position.shape[0]
@@ -378,7 +385,7 @@ class SwarmStack:
         np.subtract(self.gbest_position[:, None], previous.reshape(n, size, kd),
                     out=pull[1].reshape(n, size, kd))
         terms *= pull
-        weights = np.array([inertia_weight(c, i) for c, i in zip(self.configs, self.iters)])
+        weights = np.array([inertia_weight(c, self.iter) for c in self.configs])
         velocity = np.multiply(self.velocity.reshape(n, size, kd),
                                weights[:, None, None]).reshape(rows, kd)
         velocity += terms[0]
@@ -392,7 +399,7 @@ class SwarmStack:
         self.velocity = velocity
         self.position = position
 
-        evals = _evaluate(fitness, position, self.iters, size)
+        evals = _evaluate(fitness, position, self.iter, size)
         improved = evals < self.pbest_fitness
         np.copyto(self.pbest_fitness, evals, where=improved)
         np.copyto(self.pbest_position, position, where=improved[:, None])
@@ -403,7 +410,7 @@ class SwarmStack:
         if better.size:
             self.gbest_fitness[better] = values[better]
             self.gbest_position[better] = self.pbest_position[better * size + best[better]]
-        self.iters = [i + 1 for i in self.iters]
+        self.iter += 1
 
     def replace_gbest(self, member: int, position: np.ndarray, value: float) -> None:
         """Make ``position``, whose fitness ``value`` is below member's gbest
@@ -416,35 +423,20 @@ class SwarmStack:
         self.gbest_position[member] = position
         self.gbest_fitness[member] = value
 
-    def remove(self, members: Sequence[int]) -> list[Swarm]:
-        """Take ``members`` out of the stack; returns each one's state as a
-        lone swarm of copied arrays, in the order given. The others keep
-        their order, renumbered from 0."""
-        size = self.size
-        out = [Swarm(
-            position=self.position[j * size:(j + 1) * size].copy(),
-            velocity=self.velocity[j * size:(j + 1) * size].copy(),
-            pbest_position=self.pbest_position[j * size:(j + 1) * size].copy(),
-            pbest_fitness=self.pbest_fitness[j * size:(j + 1) * size].copy(),
-            gbest_position=self.gbest_position[j].copy(),
-            gbest_fitness=float(self.gbest_fitness[j]),
-            iter=self.iters[j],
-            lower=self.lower,
-            upper=self.upper,
-        ) for j in members]
+    def remove(self, members: Sequence[int]) -> None:
+        """Take ``members`` out of the stack. The others keep their order,
+        renumbered from 0."""
         keep = np.ones(len(self.configs), dtype=bool)
         keep[list(members)] = False
         self.configs = [c for c, kept in zip(self.configs, keep) if kept]
-        self.iters = [i for i, kept in zip(self.iters, keep) if kept]
         if self.configs:
-            rows = np.repeat(keep, size)
+            rows = np.repeat(keep, self.size)
             self.position, self.velocity = self.position[rows], self.velocity[rows]
             self.pbest_position = self.pbest_position[rows]
             self.pbest_fitness = self.pbest_fitness[rows]
             self.gbest_position = self.gbest_position[keep]
             self.gbest_fitness = self.gbest_fitness[keep]
             self._fit()
-        return out
 
 
 def step(
@@ -460,5 +452,5 @@ def step(
     swarm.position, swarm.velocity = stack.position, stack.velocity
     swarm.gbest_position = stack.gbest_position[0]
     swarm.gbest_fitness = float(stack.gbest_fitness[0])
-    swarm.iter = stack.iters[0]
+    swarm.iter = stack.iter
     return swarm

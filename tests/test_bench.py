@@ -7,6 +7,7 @@ import os
 import re
 import string
 import textwrap
+import warnings
 from dataclasses import fields, replace
 from importlib import resources
 
@@ -38,6 +39,7 @@ from swarmclust.swarm import Inertia, PsoConfig, linear
 from swarmclust.subtractive import DensityRatio, FixedK, SubtractiveConfig, density_initial
 
 from oracles import assign_nearest_ref, sicd_ref
+from test_data import PAST_THE_FLOAT_RANGE
 
 # A value of the right type for every benchmark-config param name
 VALID_PARAM_VALUES = {
@@ -1154,9 +1156,8 @@ class TestRunGrid:
         assert report.failed_cells == 1
 
     @pytest.mark.parametrize("algo", [
-        # the linear weight overflows to -inf from iteration 2 on: 0 * -inf
-        # is NaN on grid4, and on two_blob the v_max clamp hides the
-        # infinite velocities
+        # the linear weight's own product overflows at iteration 2, which
+        # the v_max clamp would hide in the velocities
         {"id": "pso", "params": {"inertia": {"kind": "linear", "w_max": 1.0e308}}},
         {"id": "pso", "params": {"c1": 1.0e200, "v_max_fraction": None}},
         {"id": "brapso", "params": {"v_max_fraction": None, "inertia": {
@@ -1170,6 +1171,22 @@ class TestRunGrid:
         for rec in report.records:
             assert re.fullmatch(r"DegenerateInput: swarm velocity (or position )?not finite "
                                 r"at iteration \d+: .+", rec["error"]), rec["error"]
+
+    def test_weight_overflow_in_a_stack_fails_only_its_cells(self):
+        # the pso swarms' linear weight overflows at iteration 180, in stacks
+        # they share with default brapso swarms
+        overflows = {"id": "pso", "params": {"inertia": {"kind": "linear", "w_max": 1.0e306},
+                                             "max_iter": 200, "stall_iters": 200}}
+        cells = TestFailingSwarmInAStack.cells
+        together, without = cells([{"id": "brapso"}, overflows]), cells([{"id": "brapso"}])
+        assert len(together) == 8
+        for key, cell in together.items():
+            if key[1] == "pso":
+                assert json.loads(cell)[0]["error"] == (
+                    "DegenerateInput: swarm velocity or position not finite at iteration 180: "
+                    "overflow encountered in scalar multiply")
+            else:
+                assert cell == without[key]
 
     def test_each_dataset_is_one_run_stack_call(self, monkeypatch):
         # at --jobs 1 every cell of a dataset, Lloyd's included, runs in one
@@ -1514,6 +1531,22 @@ class TestCli:
         path = self.write_config(tmp_path, raw)
         result = CliRunner().invoke(main, ["validate", "--config", path])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("kind, params", PAST_THE_FLOAT_RANGE)
+    def test_blobs_past_the_float_range_exit_2_without_a_warning(self, tmp_path, kind, params):
+        raw = fixture_config(reps=1)
+        raw["datasets"][0]["synthetic"] = {"kind": kind, "seed": 0, "params": params}
+        message = "config invalid for dataset two_blob: dataset contains non-finite values"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            config = parse_config(raw)
+            with pytest.raises(ConfigError) as info:
+                bench.load_grid(config, config.algorithms)
+            result = CliRunner().invoke(main, ["run", "--config", self.write_config(tmp_path, raw),
+                                               "--out", str(tmp_path / "out")])
+        assert str(info.value) == message
+        assert result.exit_code == 2
+        assert result.output == f"error: {message}\n"
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_unknown_param_exits_2(self, tmp_path, command):
@@ -2049,8 +2082,7 @@ class TestFailingSwarmInAStack:
                 assert cell == without[key]
 
     def test_overflowing_swarm(self, monkeypatch):
-        # the linear weight is -inf from iteration 2 on: an invalid product
-        # on grid4, and the last weight's check on two_blob
+        # the linear weight's own product overflows at iteration 2
         self.check(monkeypatch, {"id": "pso", "label": "overflows", "params": {
             "inertia": {"kind": "linear", "w_max": 1.0e308}}})
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,6 +24,12 @@ from swarmclust.data import (
 )
 
 from oracles import exhaustive_best_sicd
+
+# Blob params whose points overflow the float range: a spread of 1e308
+# scales normal draws past it, and a third grid axis sits at 2e308.
+PAST_THE_FLOAT_RANGE = [("two_blob", {"spread": 1.0e308}), ("grid", {"spread": 1.0e308}),
+                        ("art_like", {"spread": 1.0e308}),
+                        ("grid", {"side": 3, "scale": 1.0e308})]
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -203,6 +211,13 @@ class TestMakeBlobs:
         b = make_blobs(kind, SYNTHETIC_PARAMS[kind], seed=4)
         assert a.n == SYNTHETIC_PARAMS[kind]["n"] and a.d == SYNTHETIC_PARAMS[kind]["d"]
         assert np.array_equal(a.points, b.points) and np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("kind, params", PAST_THE_FLOAT_RANGE)
+    def test_points_past_the_float_range_refused_without_a_warning(self, kind, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractViolation, match="^dataset contains non-finite values$"):
+                make_blobs(kind, params, seed=0)
 
     def test_too_few_points_refused_before_the_grid_is_built(self):
         # 2**40 corners: building them first would exhaust memory

@@ -6,6 +6,7 @@ centroids, a valid ``Assignment`` of every point) or refuse the input with
 an infinite cost is a failure.
 """
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import yaml
+from click.testing import CliRunner
+
 from swarmclust import pipelines
+from swarmclust.cli import main
 from swarmclust.core import Assignment, ContractViolation, Dataset, DegenerateInput, Rng
 from swarmclust.data import CsvSource, DatasetSpec, load_dataset, make_blobs, normalize_minmax
 from swarmclust.subtractive import DensityRatio, FixedK, SubtractiveConfig, select_centers
@@ -179,3 +184,48 @@ def test_column_range_at_the_float_range_is_normalized():
     scaled, record = normalize_minmax(Dataset(points=points))
     assert np.array_equal(scaled.points, [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
     assert record.constant_columns == ()
+
+
+# A column whose squared span overflows, though its span does not: the
+# squared distances the fitness and the assignment take overflow with it.
+SQUARE_OVERFLOWS = [[0.0], [1.0e200], [5.0e199]]
+SQUARES_REFUSED = ("^dataset's squared distances overflow: its columns' squared spans sum "
+                   "past the float range$")
+
+
+@pytest.mark.parametrize("call_site", [
+    lambda ds: pipelines.run_kmeans(ds, 2, rng=Rng(0)),
+    lambda ds: pipelines.run_pso(ds, 2, rng=Rng(0)),
+    lambda ds: pipelines.run_sc_br_apso(ds, SubtractiveConfig(stop_rule=FixedK(2)), rng=Rng(0)),
+], ids=["run_kmeans", "run_pso", "run_sc_br_apso"])
+def test_squared_distances_past_the_float_range_are_refused(call_site):
+    dataset = Dataset(points=np.array(SQUARE_OVERFLOWS))
+    with pytest.raises(DegenerateInput, match=SQUARES_REFUSED):
+        call_site(dataset)
+    normalized = normalize_minmax(dataset)[0]
+    check_outcome(call_site(normalized), normalized)
+
+
+def test_squared_distances_past_the_float_range_fail_each_cell(tmp_path):
+    # sep 1e300 puts the two blobs' squared distance past the float range
+    raw = {"base_seed": 1, "repetitions": 2, "output_dir": str(tmp_path / "out"),
+           "emit": ["json"],
+           "datasets": [{"name": "far", "normalize": False, "synthetic": {
+               "kind": "two_blob", "seed": 3, "params": {"sep": 1.0e300}}}],
+           "algorithms": [{"id": "kmeans", "params": {"k": 2}},
+                          {"id": "pso", "params": {"k": 2}}]}
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(raw), encoding="utf-8")
+    result = CliRunner().invoke(main, ["run", "--config", str(path)])
+    assert result.exit_code == 1
+    assert "0/4 cells ok" in result.output
+
+    def refuse(constant):
+        raise ValueError(f"report.json holds {constant}")
+
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"),
+                        parse_constant=refuse)
+    assert len(report["records"]) == 4
+    for record in report["records"]:
+        assert record["error"] == ("DegenerateInput: dataset's squared distances overflow: "
+                                   "its columns' squared spans sum past the float range")

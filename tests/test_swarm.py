@@ -475,15 +475,16 @@ def swarm_states(draw, size, kd, lower, upper, target):
 
 @st.composite
 def stack_cases(draw):
-    """Members of one stack: one shape, box, c1, c2 and v_max_fraction, and
-    each its own state, inertia schedule, boundary mode, max_iter and
-    iteration count. Returns ([(state, config)], target, seeds, steps)."""
+    """Members of one stack: one shape, box, iteration count, c1, c2 and
+    v_max_fraction, and each its own state, inertia schedule, boundary mode
+    and max_iter. Returns ([(state, config)], target, seeds, steps)."""
     state, config, target, _, steps = draw(step_cases())
     size, kd = state["position"].shape
     members = [(state, config)]
     for _ in range(draw(st.integers(1, 6))):
         members.append((
-            draw(swarm_states(size, kd, state["lower"], state["upper"], target)),
+            {**draw(swarm_states(size, kd, state["lower"], state["upper"], target)),
+             "iter": state["iter"]},
             replace(config, inertia=draw(inertias()), max_iter=draw(st.integers(1, 50)),
                     boundary=draw(st.sampled_from(["restricted", "none"]))),
         ))
@@ -567,7 +568,7 @@ def member_of(stack, j):
     rows = slice(j * stack.size, (j + 1) * stack.size)
     return Swarm(stack.position[rows], stack.velocity[rows], stack.pbest_position[rows],
                  stack.pbest_fitness[rows], stack.gbest_position[j],
-                 float(stack.gbest_fitness[j]), stack.iters[j], stack.lower, stack.upper)
+                 float(stack.gbest_fitness[j]), stack.iter, stack.lower, stack.upper)
 
 
 class TestStackLockstep:
@@ -631,14 +632,15 @@ class TestStackLockstep:
         stack, alone = SwarmStack(swarms(), configs), swarms()
         rngs, lone_rngs = [Rng(10 + i) for i in range(3)], [Rng(10 + i) for i in range(3)]
         stack.step(fitness, rngs)
-        [left] = stack.remove([1])
+        left = build(vars(member_of(stack, 1)))
+        assert stack.remove([1]) is None
         stack.step(fitness, [rngs[0], rngs[2]])
         for j, (swarm, config, rng) in enumerate(zip(alone, configs, lone_rngs)):
             step(swarm, fitness, config, rng)
             if j != 1:
                 step(swarm, fitness, config, rng)
         assert_same_bits(left, alone[1])
-        assert stack.iters == [2, 2] and stack.position.shape == (8, 4)
+        assert stack.iter == 2 and stack.position.shape == (8, 4)
         assert_same_bits(member_of(stack, 0), alone[0])
         assert_same_bits(member_of(stack, 1), alone[2])
 
@@ -648,3 +650,6 @@ class TestStackLockstep:
         b = init_swarm(None, 2, ds, PsoConfig(swarm_size=4), Rng(1), quadratic_fitness(0.5))
         with pytest.raises(ContractViolation, match="one c1, c2 and v_max_fraction"):
             SwarmStack([a, b], [PsoConfig(swarm_size=4), PsoConfig(swarm_size=4, c1=1.0)])
+        b.iter = 1
+        with pytest.raises(ContractViolation, match="one iter and one c1"):
+            SwarmStack([a, b], [PsoConfig(swarm_size=4), PsoConfig(swarm_size=4)])
