@@ -56,7 +56,7 @@ from .subtractive import (
 from .swarm import (
     Inertia,
     PsoConfig,
-    Swarm,
+    SwarmStack,
     decode,
     encode,
     exponential_literal,
@@ -64,5 +64,4 @@ from .swarm import (
     inertia_weight,
     init_swarm,
     linear,
-    step,
 )

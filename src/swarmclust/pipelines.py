@@ -32,14 +32,14 @@ plans, each on its own rng, on one dataset; :func:`run` is a
 of its plan. This is where the stacking rule lives:
 
 - Each run's checks and seeding (a subtractive selection or a k-means
-  pre-run on the run's own stream) and its swarm's initialization run in
-  run order, as they would alone. Lloyd's algorithm (``kmeans``) runs
-  there, whole and alone.
+  pre-run on the run's own stream) run in run order, as they would
+  alone. Lloyd's algorithm (``kmeans``) runs there, whole and alone.
 - The swarms of one k, ``swarm_size``, ``c1``, ``c2`` and
   ``v_max_fraction``, which shape a stack's arrays, then run as one
   :class:`~swarmclust.swarm.SwarmStack`, whose layout and per-swarm draw
   order the ``swarmclust.swarm`` docstring gives; the stacks run one
-  after another.
+  after another. One :func:`~swarmclust.swarm.init_swarm` call builds a
+  stack, each swarm drawing from its run's stream, with one fitness call.
 - Each iteration moves every swarm still in the stack with one step and
   one fitness call, then refines the gbests of the swarms that refine in
   that iteration with one batched Lloyd step and one fitness call.
@@ -49,10 +49,10 @@ of its plan. This is where the stacking rule lives:
 
 Every run's trajectory, and so its outcome, is bit for bit the one it has
 alone. A call's time is split over its runs for :class:`StackedRun`'s
-``seconds``: each run's seeding and initialization, or its Lloyd's
-algorithm, and each swarm's outcome are timed on their own, and each
-iteration's time is shared equally by the swarms in the stack during it
-(they have equal rows).
+``seconds``: each run's seeding, or its Lloyd's algorithm, and each
+swarm's outcome are timed on their own, and the time of a stack's
+initialization and of each of its iterations is shared equally by the
+swarms in the stack during it (they have equal rows).
 
 The first error of any run ends the whole call: its exception says what
 failed, but not always in the words a lone run would use. A caller that
@@ -75,9 +75,10 @@ N-sized passes on ``swarmclust.core.map_blocks``, within the threads and
 memory budget the ``swarmclust.core`` docstring describes: the fitness over
 rows, each block walking its rows' points in tiles that fit a thread's
 share of the budget (all N unless a row is larger), and the assignment
-over points, for every center set of a batched refine at once.
+over points, for every center set of a refine chunk at once.
 ``recompute_centroids`` is not blocked; its bincount holds about twice the
-points, and a refine of m gbests about 2m times.
+points. A refine of m gbests walks them in chunks whose bincounts fit the
+budget, one set a chunk at large N.
 """
 
 from __future__ import annotations
@@ -101,7 +102,6 @@ from .schema import TYPES, field_rules
 from .subtractive import DensityRatio, SeedingResult, SubtractiveConfig, select_centers
 from .swarm import (  # noqa: F401  (step: perfbench/tracer.py wraps it here)
     PsoConfig,
-    SwarmStack,
     decode,
     exponential_normalized,
     init_swarm,
@@ -229,7 +229,8 @@ def recompute_centroids(dataset: Dataset, assignment: Assignment) -> np.ndarray:
 
     The bincount holds about twice the points: the N*d bin of every
     coordinate and an N-entry step towards it. The assignment is copied
-    only when a cluster is empty.
+    only when a cluster is empty. A mean past the float range raises
+    DegenerateInput: the sums raise no numpy flag.
     """
     if assignment.n != dataset.n:
         raise ContractViolation("assignment length differs from dataset size")
@@ -252,6 +253,9 @@ def _means(dataset: Dataset, cluster_of: np.ndarray, k: int) -> np.ndarray:
     centroids = np.bincount(bins, weights=weights, minlength=m * k * d).reshape(m * k, d)
     nonempty = counts > 0
     centroids[nonempty] /= counts[nonempty, None]
+    if not np.isfinite(centroids).all():
+        raise DegenerateInput("cluster means overflow: a cluster's coordinate sum passes "
+                              "the float range")
     centroids = centroids.reshape(m, k, d)
 
     for i in range(m):
@@ -268,10 +272,16 @@ def _means(dataset: Dataset, cluster_of: np.ndarray, k: int) -> np.ndarray:
 
 def _refine(dataset: Dataset, gbests: np.ndarray, k: int) -> np.ndarray:
     """One Lloyd step from each row of the (m, k*d) ``gbests``: the (m, k*d)
-    means of their nearest-center assignments."""
-    m = gbests.shape[0]
-    centers = gbests.reshape(m, k, dataset.d)
-    return _means(dataset, _nearest(dataset, centers), k).reshape(m, -1)
+    means of their nearest-center assignments. The sets go in chunks of at
+    most ``max(1, KERNEL_BLOCK // (2*N*d))``, one :func:`_nearest` and one
+    :func:`_means` each, so that the chunk's copy of the points and its
+    bins fit the kernel budget; each set's picks and bins are its own, so
+    the chunks change no bit."""
+    m, d = gbests.shape[0], dataset.d
+    centers = gbests.reshape(m, k, d)
+    chunk = max(1, core.KERNEL_BLOCK // (2 * dataset.n * d))
+    return np.concatenate([_means(dataset, _nearest(dataset, centers[lo:lo + chunk]), k)
+                           for lo in range(0, m, chunk)]).reshape(m, -1)
 
 
 def _fitness_for(dataset: Dataset, k: int):
@@ -407,10 +417,10 @@ def run_stack(dataset: Dataset, runs) -> list[StackedRun]:
     clock = time.perf_counter
     runs = list(runs)
     n = len(runs)
-    swarms, configs, traces, outcomes = ([None] * n for _ in range(4))
+    configs, traces, outcomes = ([None] * n for _ in range(3))
     seconds, streaks = [0.0] * n, [0] * n
     rejected = [None] * n  # gbest fitness at the last rejected refine
-    stacks = {}  # (k, swarm_size, c1, c2, v_max_fraction) -> (fitness, runs in the stack)
+    stacks = {}  # (k, swarm_size, c1, c2, v_max_fraction) -> [(run, seed centers or None)]
     for i, (plan, rng) in enumerate(runs):
         start = clock()
         algo = ALGORITHMS[plan.algo_id]
@@ -420,22 +430,25 @@ def run_stack(dataset: Dataset, runs) -> list[StackedRun]:
             k, seed_centers = _seed_run(dataset, plan, rng)
             config = configs[i] = plan.config or algo.pso
             key = (k, config.swarm_size, config.c1, config.c2, config.v_max_fraction)
-            if key not in stacks:
-                stacks[key] = (_fitness_for(dataset, k), [])
-            fitness, members = stacks[key]
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    swarms[i] = init_swarm(seed_centers, k, dataset, config, rng, fitness)
-            except FloatingPointError as exc:
-                raise DegenerateInput(f"swarm not finite during initialization: {exc}") from None
-            traces[i] = [swarms[i].gbest_fitness]
-            members.append(i)
+            stacks.setdefault(key, []).append((i, seed_centers))
         seconds[i] = clock() - start
 
     rngs = [rng for _, rng in runs]
     refines = [ALGORITHMS[plan.algo_id].refine for plan, _ in runs]
-    for (k, *_), (fitness, members) in stacks.items():
-        stack = SwarmStack([swarms[i] for i in members], [configs[i] for i in members])
+    for (k, *_), group in stacks.items():
+        start = clock()
+        members = [i for i, _ in group]
+        fitness = _fitness_for(dataset, k)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                stack = init_swarm([(seed_centers, configs[i], rngs[i])
+                                    for i, seed_centers in group], k, dataset, fitness)
+        except FloatingPointError as exc:
+            raise DegenerateInput(f"swarm not finite during initialization: {exc}") from None
+        share = (clock() - start) / len(members)
+        for i, gbest in zip(members, stack.gbest_fitness.tolist()):
+            traces[i] = [gbest]
+            seconds[i] += share
         active = members  # run of each stacked swarm
         try:
             with np.errstate(over="raise", invalid="raise"):

@@ -16,24 +16,25 @@ Boundary handling ("restricted"): a component that leaves the search box is
 reverted to its pre-update value; a component that was already out of
 bounds before the update is clamped to the nearer bound.
 
-Array layout: a :class:`Swarm` holds one swarm as arrays with one row per
-particle, ``position``, ``velocity`` and ``pbest_position`` of shape
-(S, k*d) and ``pbest_fitness`` of shape (S,). A :class:`SwarmStack` holds
-several swarms of one shape in one block of those arrays: member j owns
-rows ``j*S`` to ``(j+1)*S`` (its row offset is ``j*S``), and row j of the
-stack's (n, k*d) ``gbest_position`` and (n,) ``gbest_fitness``. The
-members share the search box, ``swarm_size``, ``c1``, ``c2`` and
-``v_max_fraction``, which set the arrays' shapes and the constants every
-row is multiplied or clipped by. What else a member's config sets becomes
-a per-row column: the inertia weight each step, and whether the boundary
-restriction applies to the member's rows. A step is a handful of
-whole-block array operations and one fitness call for all members; every
-update is elementwise, so each row gets exactly the floating-point
-operations a lone particle would, whatever the other rows are. The weight
-column multiplies as the scalar weight does, and the clips take the
-(k*d,) bounds row by row as a lone swarm's do, so a stacked member's
-trajectory is its lone trajectory bit for bit, signs of zeros included.
-:func:`step` moves a lone swarm as a stack of one.
+Array layout: a :class:`SwarmStack` holds one or more swarms of one shape
+in one block of arrays with one row per particle: ``position``,
+``velocity`` and ``pbest_position`` of shape (n*S, k*d) and
+``pbest_fitness`` of shape (n*S,), for n members of S particles each.
+Member j owns rows ``j*S`` to ``(j+1)*S`` (its row offset is ``j*S``), and
+row j of the stack's (n, k*d) ``gbest_position`` and (n,)
+``gbest_fitness``. A lone swarm is a stack of one. :func:`init_swarm`
+fills a stack's block for all its members at once. The members share the
+search box, ``swarm_size``, ``c1``, ``c2`` and ``v_max_fraction``, which
+set the arrays' shapes and the constants every row is multiplied or
+clipped by. What else a member's config sets becomes a per-row column:
+the inertia weight each step, and whether the boundary restriction
+applies to the member's rows. A step is a handful of whole-block array
+operations and one fitness call for all members; every update is
+elementwise, so each row gets exactly the floating-point operations a
+lone particle would, whatever the other rows are. The weight column
+multiplies as the scalar weight does, and the clips take the (k*d,)
+bounds row by row as a lone swarm's do, so a stacked member's trajectory
+is its lone trajectory bit for bit, signs of zeros included.
 
 A step makes a few dozen numpy calls, so on small data their fixed cost, not
 the arithmetic, sets its time; stacking swarms spreads that cost over them.
@@ -50,25 +51,25 @@ where it can, in place where it may:
   c1*rand1*(pbest - x) and c2*rand2*(gbest - x), each product in the order
   of the plain update.
 - ``position`` and ``velocity`` are new arrays every step.
-  ``pbest_position`` and ``pbest_fitness`` are updated in place, so they
-  must not share memory with other arrays; a lone swarm's are its own
-  arrays, updated in place too, and its new gbest is a new array.
+  ``pbest_position``, ``pbest_fitness``, ``gbest_position`` and
+  ``gbest_fitness`` are updated in place, so they must not share memory
+  with other arrays.
 
 Draw order is part of the engine contract so runs are reproducible and can
 be replayed against a straight-line reference with a stubbed stream. Each
 swarm draws from its own stream, and a stacked swarm draws exactly what it
-would alone. Unseeded init draws one S*k*d block, row by row; seeded init
-draws one (S-1)*k*d jitter block for the non-seed particles. Each step
-draws one flat S*2*k*d block per member, from the member's stream, and
-reads it as (S, 2, k*d): per particle in order, first the rand1 block,
-then the rand2 block, which is the same stream as drawing rand1 and rand2
-particle by particle. Any object with a ``random(size)`` method taking an
+would alone. Init draws member by member: one S*k*d block, row by row,
+for an unseeded member, and one (S-1)*k*d jitter block for the non-seed
+particles of a seeded one. Each step draws one flat S*2*k*d block per
+member, from the member's stream, and reads it as (S, 2, k*d): per
+particle in order, first the rand1 block, then the rand2 block, which is
+the same stream as drawing rand1 and rand2 particle by particle. Any object with a ``random(size)`` method taking an
 int and returning draws in [0, 1) can stand in for the stream.
 
 Fitness is batched: ``fitness(positions)`` maps an (m, k*d) block of
-positions to an (m,) vector, lower is better. The engine makes one call per
-init and one per step of a whole stack, and updates pbest and gbest only
-after it returns. The SICD fitness built in :mod:`swarmclust.pipelines`
+positions to an (m,) vector, lower is better. The engine makes one call for
+a whole stack's init and one per step of it, and updates pbest and gbest
+only after it returns. The SICD fitness built in :mod:`swarmclust.pipelines`
 gives each row the value of evaluating that particle alone, bit for bit,
 whatever the batch, thread count or block size.
 """
@@ -144,21 +145,6 @@ class PsoConfig(Checked):
             raise ContractViolation(f"inertia: {self.inertia!r} is not an Inertia")
 
 
-@dataclass
-class Swarm:
-    """Whole-swarm state, one row per particle (see the module docstring)."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    pbest_position: np.ndarray
-    pbest_fitness: np.ndarray
-    gbest_position: np.ndarray
-    gbest_fitness: float
-    iter: int
-    lower: np.ndarray
-    upper: np.ndarray
-
-
 def encode(centroids: np.ndarray) -> np.ndarray:
     """Flatten a k x d centroid matrix row-major into a position vector."""
     c = np.asarray(centroids, dtype=np.float64)
@@ -221,116 +207,103 @@ def _apply_boundary(
 
 
 def _evaluate(fitness: Callable[[np.ndarray], np.ndarray], positions: np.ndarray,
-              iteration: Optional[int] = None, size: int = 0) -> np.ndarray:
-    """One batched fitness call; a NaN names the first particle that gave it
-    and the ``iteration``, and its member too in a stack of several
-    ``size``-row members. ``iteration`` is None during initialization."""
+              size: int, iteration: Optional[int] = None) -> np.ndarray:
+    """One batched fitness call over a stack of ``size``-row members; a NaN
+    names the first particle that gave it and the ``iteration``, and its
+    member too in a stack of several. ``iteration`` is None during
+    initialization."""
     evals = np.asarray(fitness(positions), dtype=np.float64)
     nan = np.isnan(evals)
     if np.count_nonzero(nan):
-        particle = int(np.argmax(nan))
-        if iteration is None:
-            when = "during swarm initialization"
-        else:
-            member, particle = divmod(particle, size)
-            when = f"at iteration {iteration}"
-            if len(evals) > size:
-                when += f", stacked swarm {member}"
+        member, particle = divmod(int(np.argmax(nan)), size)
+        when = "during swarm initialization" if iteration is None else f"at iteration {iteration}"
+        if len(evals) > size:
+            when += f", stacked swarm {member}"
         raise RuntimeError(f"fitness returned NaN {when}, particle {particle}")
     return evals
 
 
 def init_swarm(
-    seed_centers: Optional[np.ndarray],
+    members: Sequence[tuple],
     k: int,
     dataset: Dataset,
-    config: PsoConfig,
-    rng,
     fitness: Callable[[np.ndarray], np.ndarray],
-) -> Swarm:
-    """Build and evaluate the initial swarm.
+) -> SwarmStack:
+    """Build and evaluate the initial swarms of one stack, one per member: a
+    (seed centers or None, config, rng) triple, in member order.
 
     The search box is the dataset's bounding box (each column's min and
     max) tiled once per centroid: ``lower`` and ``upper`` are k*d vectors.
-    With ``seed_centers``, a finite k x d matrix, the first particle sits
-    exactly at the seeds and the rest jitter around them by up to +/-5% of
-    each dimension's range, clipped into the box. Without seeds, positions
-    are uniform inside the box. Velocities start at zero and pbest at the
-    initial position.
+    With seed centers, a finite k x d matrix, the member's first particle
+    sits exactly at the seeds and the rest jitter around them by up to +/-5%
+    of each dimension's range, clipped into the box. Without seeds,
+    positions are uniform inside the box. Each member draws from its own
+    stream, in the order the module docstring gives, and one fitness call
+    evaluates the whole block. Velocities start at zero, pbest at the
+    initial position, and each member's gbest at its best particle (the
+    lowest index on ties).
     """
     if k < 1:
         raise ContractViolation("k must be >= 1")
+    if not members:
+        raise ContractViolation("a stack needs a swarm")
     lower = np.tile(dataset.points.min(axis=0), k)
     upper = np.tile(dataset.points.max(axis=0), k)
     span = upper - lower
     kd = k * dataset.d
-    size = config.swarm_size
+    configs = [config for _, config, _ in members]
+    n, size = len(members), configs[0].swarm_size
 
-    if seed_centers is not None:
-        base = given_centers(seed_centers, k, dataset.d).reshape(-1)
-        draws = rng.random((size - 1) * kd).reshape(size - 1, kd)
-        jitter = (draws * 2.0 - 1.0) * 0.05 * span
-        position = np.vstack([base, np.clip(base + jitter, lower, upper)])
-    else:
-        position = lower + rng.random(size * kd).reshape(size, kd) * span
+    position = np.empty((n * size, kd))
+    for rows, (seed_centers, _, rng) in zip(position.reshape(n, size, kd), members):
+        if seed_centers is not None:
+            base = given_centers(seed_centers, k, dataset.d).reshape(-1)
+            draws = rng.random((size - 1) * kd).reshape(size - 1, kd)
+            jitter = (draws * 2.0 - 1.0) * 0.05 * span
+            rows[0] = base
+            rows[1:] = np.clip(base + jitter, lower, upper)
+        else:
+            rows[:] = lower + rng.random(size * kd).reshape(size, kd) * span
 
-    evals = _evaluate(fitness, position, None)
-    best = int(np.argmin(evals))
-    return Swarm(
-        position=position,
-        velocity=np.zeros_like(position),
-        pbest_position=position.copy(),
-        pbest_fitness=evals.copy(),  # updated in place by step
-        gbest_position=position[best].copy(),
-        gbest_fitness=float(evals[best]),
-        iter=0,
-        lower=lower,
-        upper=upper,
-    )
+    evals = _evaluate(fitness, position, size)
+    best = np.arange(n) * size + evals.reshape(n, size).argmin(axis=1)
+    return SwarmStack(configs, lower, upper, position, np.zeros_like(position),
+                      position.copy(), evals.copy(), position[best], evals[best])
 
 
+@dataclass(eq=False)
 class SwarmStack:
     """Swarms of one shape moved together, one block of rows (see the module
-    docstring). Built from lone swarms and their configs, in member order;
-    a lone swarm's arrays are used as they are, several swarms' are copied
-    into the block. The members step together, so ``iter`` counts the
-    steps of them all; :meth:`remove` drops members' rows, and what a
-    leaving member ends with is read from the stack before.
+    docstring): member j has ``configs[j]`` and the j-th ``len(position) //
+    len(configs)`` rows of the block arrays. :func:`init_swarm` builds a
+    stack's initial state; a stack can be built from any state too. The
+    members step together, so ``iter`` counts the steps of them all;
+    :meth:`remove` drops members' rows, and what a leaving member ends with
+    is read from the stack before.
 
-    The members must share ``lower`` and ``upper`` (equal values), the
-    shape of their arrays, their ``iter``, and ``c1``, ``c2`` and
+    The members must share ``swarm_size``, ``c1``, ``c2`` and
     ``v_max_fraction``; otherwise building the stack raises
     ContractViolation."""
 
-    def __init__(self, swarms: Sequence[Swarm], configs: Sequence[PsoConfig]):
-        if not swarms or len(swarms) != len(configs):
-            raise ContractViolation("a stack needs one config per swarm, and a swarm")
-        first, base = swarms[0], configs[0]
-        shared = (base.c1, base.c2, base.v_max_fraction)
-        for swarm, config in zip(swarms[1:], configs[1:]):
-            if (swarm.position.shape != first.position.shape
-                    or swarm.iter != first.iter
-                    or (config.c1, config.c2, config.v_max_fraction) != shared
-                    or not np.array_equal(swarm.lower, first.lower)
-                    or not np.array_equal(swarm.upper, first.upper)):
-                raise ContractViolation("stacked swarms need one shape, one search box, "
-                                        "one iter and one c1, c2 and v_max_fraction")
+    configs: list
+    lower: np.ndarray
+    upper: np.ndarray
+    position: np.ndarray
+    velocity: np.ndarray
+    pbest_position: np.ndarray
+    pbest_fitness: np.ndarray
+    gbest_position: np.ndarray
+    gbest_fitness: np.ndarray
+    iter: int = 0
 
-        def block(name):
-            if len(swarms) == 1:
-                return getattr(first, name)
-            return np.concatenate([getattr(swarm, name) for swarm in swarms])
-
-        self.position, self.velocity = block("position"), block("velocity")
-        self.pbest_position, self.pbest_fitness = block("pbest_position"), block("pbest_fitness")
-        self.gbest_position = np.array([swarm.gbest_position for swarm in swarms],
-                                       dtype=np.float64)
-        self.gbest_fitness = np.array([swarm.gbest_fitness for swarm in swarms],
-                                      dtype=np.float64)
-        self.iter = first.iter
-        self.configs = list(configs)
-        self.lower, self.upper = first.lower, first.upper
-        self.size = first.position.shape[0]
+    def __post_init__(self):
+        self.configs = list(self.configs)
+        base = self.configs[0]
+        shared = (base.swarm_size, base.c1, base.c2, base.v_max_fraction)
+        if any((c.swarm_size, c.c1, c.c2, c.v_max_fraction) != shared for c in self.configs):
+            raise ContractViolation("stacked swarms need one swarm_size, c1, c2 and "
+                                    "v_max_fraction")
+        self.size = self.position.shape[0] // len(self.configs)
         self.v_max = self.neg_v_max = None
         if base.v_max_fraction is not None:
             self.v_max = base.v_max_fraction * (self.upper - self.lower)
@@ -399,7 +372,7 @@ class SwarmStack:
         self.velocity = velocity
         self.position = position
 
-        evals = _evaluate(fitness, position, self.iter, size)
+        evals = _evaluate(fitness, position, size, self.iter)
         improved = evals < self.pbest_fitness
         np.copyto(self.pbest_fitness, evals, where=improved)
         np.copyto(self.pbest_position, position, where=improved[:, None])
@@ -439,18 +412,7 @@ class SwarmStack:
             self._fit()
 
 
-def step(
-    swarm: Swarm,
-    fitness: Callable[[np.ndarray], np.ndarray],
-    config: PsoConfig,
-    rng,
-) -> Swarm:
-    """Advance a lone swarm one iteration in place (and return it), as a
-    stack of one (see :meth:`SwarmStack.step`)."""
-    stack = SwarmStack([swarm], [config])
-    stack.step(fitness, [rng])
-    swarm.position, swarm.velocity = stack.position, stack.velocity
-    swarm.gbest_position = stack.gbest_position[0]
-    swarm.gbest_fitness = float(stack.gbest_fitness[0])
-    swarm.iter = stack.iter
-    return swarm
+
+# The stack's step under its module-level name, which perfbench/tracer.py
+# wraps where swarmclust.pipelines imports it.
+step = SwarmStack.step

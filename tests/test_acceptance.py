@@ -40,7 +40,6 @@ from swarmclust.swarm import (
     exponential_normalized,
     init_swarm,
     linear,
-    step,
 )
 from swarmclust.core import Assignment
 
@@ -163,11 +162,11 @@ def test_criterion_1_equation_oracles():
             seeds = pts[:k].copy() if seeded else None
             fitness = _fitness_for(ds, k)
             stub = StubStream(1000 + i)
-            swarm = init_swarm(seeds, k, ds, cfg, stub, fitness)
-            trace = [swarm.gbest_fitness]
+            swarm = init_swarm([(seeds, cfg, stub)], k, ds, fitness)
+            trace = [float(swarm.gbest_fitness[0])]
             for _ in range(10):
-                step(swarm, fitness, cfg, stub)
-                trace.append(swarm.gbest_fitness)
+                swarm.step(fitness, [stub])
+                trace.append(float(swarm.gbest_fitness[0]))
             ref_trace, _ = pso_replay(
                 pts.tolist(), k, seeds.tolist() if seeded else None,
                 StubStream(1000 + i), c1=1.5, c2=1.7, inertia=sched_ref,
@@ -218,9 +217,9 @@ def test_criterion_3_boundary_containment():
         fitness = _fitness_for(ds, 2)
         for s in range(50):
             rng = Rng(derive_seed(31337, s))
-            swarm = init_swarm(None, 2, ds, cfg, rng, fitness)
+            swarm = init_swarm([(None, cfg, rng)], 2, ds, fitness)
             for _ in range(100):
-                step(swarm, fitness, cfg, rng)
+                swarm.step(fitness, [rng])
                 for position in swarm.position:
                     sampled += 1
                     if np.any(position < swarm.lower) or np.any(position > swarm.upper):

@@ -28,7 +28,7 @@ from swarmclust.swarm import PsoConfig, init_swarm
 def box_of(dataset, k=1):
     """The search box ``init_swarm`` gives a k-centroid swarm, reshaped to
     one (lower, upper) row pair per centroid."""
-    swarm = init_swarm(None, k, dataset, PsoConfig(swarm_size=2), Rng(0),
+    swarm = init_swarm([(None, PsoConfig(swarm_size=2), Rng(0))], k, dataset,
                        lambda positions: np.zeros(len(positions)))
     return swarm.lower.reshape(k, dataset.d), swarm.upper.reshape(k, dataset.d)
 

@@ -229,3 +229,19 @@ def test_squared_distances_past_the_float_range_fail_each_cell(tmp_path):
     for record in report["records"]:
         assert record["error"] == ("DegenerateInput: dataset's squared distances overflow: "
                                    "its columns' squared spans sum past the float range")
+
+
+# A column at the float maximum: its span and squared distances are
+# finite, but a cluster's coordinate sum, and so its mean, overflows.
+MEANS_OVERFLOW = [[1.7e308, 0.0], [1.7e308, 1.0], [1.7e308, 2.0], [1.7e308, 5.0]]
+
+
+@pytest.mark.parametrize("call_site", [
+    lambda ds: pipelines.run_kmeans(ds, 2, rng=Rng(0)),
+    lambda ds: pipelines.run_kmeans_pso(ds, 2, rng=Rng(0)),
+    lambda ds: pipelines.run_brapso(ds, 2, rng=Rng(0)),
+], ids=["run_kmeans", "run_kmeans_pso", "run_brapso"])
+def test_cluster_means_past_the_float_range_are_refused(call_site):
+    with pytest.raises(DegenerateInput, match="^cluster means overflow: a cluster's "
+                       "coordinate sum passes the float range$"):
+        call_site(Dataset(points=np.array(MEANS_OVERFLOW)))

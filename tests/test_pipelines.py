@@ -3,9 +3,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from swarmclust import core, pipelines
+from swarmclust import bench, core, pipelines
 
 from swarmclust.core import (
     Assignment,
@@ -232,9 +234,13 @@ class TestBlockedPasses:
 class TestLargeNCellMemory:
     """At N = 200 000, d = 2 and k = 16 no cell holds a k x N matrix or a
     whole (k+1) x N fitness row: a brapso and a kmeans cell peak within
-    three times the points plus the kernel budget, on 1-3 threads."""
+    three times the points plus the kernel budget, on 1-3 threads. A stack
+    of M brapso swarms, and a grid of M repetitions, which runs them as
+    one, may add only their outcomes' M assignments of N indices."""
 
-    N, D, K = 200_000, 2, 16
+    N, D, K, M = 200_000, 2, 16, 16
+    CONFIG = PsoConfig(inertia=exponential_normalized(0.9), boundary="restricted",
+                       max_iter=2, swarm_size=4)
 
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -253,6 +259,30 @@ class TestLargeNCellMemory:
         runs[cell]()  # starts the helper threads before the trace
         limit = 3 * dataset.points.nbytes + 8 * core.KERNEL_BLOCK
         assert traced_peak(runs[cell]) <= limit
+
+    def stacked_limit(self, dataset):
+        run_brapso(dataset, self.K, self.CONFIG, Rng(3))  # starts the helper threads
+        return 3 * dataset.points.nbytes + 8 * core.KERNEL_BLOCK + self.M * self.N * 8
+
+    def test_stack_peak_within_the_budget_and_its_assignments(self, traced_peak, dataset):
+        runs = [(Plan("brapso", self.K, self.CONFIG), Rng(seed)) for seed in range(self.M)]
+        limit = self.stacked_limit(dataset)
+        assert traced_peak(lambda: run_stack(dataset, runs)) <= limit
+
+    def test_grid_peak_within_the_budget_and_its_assignments(self, traced_peak, dataset):
+        # the grid makes its own points, as many as the fixture's
+        config = bench.parse_config({
+            "base_seed": 1, "repetitions": self.M, "emit": ["json"],
+            "datasets": [{"name": "big", "normalize": False, "synthetic": {
+                "kind": "art_like", "seed": 3,
+                "params": {"n": self.N, "d": self.D, "k": self.K}}}],
+            "algorithms": [{"id": "brapso", "params": {
+                "k": self.K, "swarm_size": self.CONFIG.swarm_size,
+                "max_iter": self.CONFIG.max_iter}}]})
+        limit = self.stacked_limit(dataset)
+        report = []
+        assert traced_peak(lambda: report.append(bench.run_grid(config))) <= limit
+        assert [r["status"] for r in report[0].records] == ["ok"] * self.M
 
 
 def test_euclidean_is_sqrt_of_sqeuclidean():
@@ -478,7 +508,7 @@ class TestRunKmeans:
         with pytest.raises(ContractViolation) as lloyd:
             run_kmeans(ds, 2, np.array(centers))
         with pytest.raises(ContractViolation) as swarm:
-            init_swarm(np.array(centers), 2, ds, PsoConfig(swarm_size=2), Rng(0),
+            init_swarm([(np.array(centers), PsoConfig(swarm_size=2), Rng(0))], 2, ds,
                        lambda positions: np.zeros(len(positions)))
         assert str(lloyd.value) == str(swarm.value) == message
 
@@ -553,13 +583,13 @@ class TestSwarmOverflow:
         # the pso swarm's weight overflows at iteration 180, in the stack it
         # shares with a default brapso swarm, which leaves the stack first
         sizes = []
-        real = pipelines.SwarmStack
+        real = pipelines.init_swarm
 
-        def spy(swarms, configs):
-            sizes.append(len(swarms))
-            return real(swarms, configs)
+        def spy(members, *args):
+            sizes.append(len(members))
+            return real(members, *args)
 
-        monkeypatch.setattr(pipelines, "SwarmStack", spy)
+        monkeypatch.setattr(pipelines, "init_swarm", spy)
         config = replace(ALGORITHMS["pso"].pso, inertia=linear(1.0e306, 0.4), max_iter=200,
                          stall_iters=200)
         with pytest.raises(DegenerateInput, match="^swarm velocity or position not finite at "
@@ -779,24 +809,25 @@ def refine_every_iteration(ds, k, sub, config, rng):
         seeding = select_centers(ds, sub)
         k, seed_centers = seeding.k, seeding.centers
     fit = _fitness_for(ds, k)
-    swarm = init_swarm(seed_centers, k, ds, config, rng, fit)
-    trace, accepts, streak = [swarm.gbest_fitness], [], 0
+    swarm = init_swarm([(seed_centers, config, rng)], k, ds, fit)  # a stack of one
+    trace, accepts, streak = [float(swarm.gbest_fitness[0])], [], 0
     for it in range(config.max_iter):
-        step(swarm, fit, config, rng)
+        step(swarm, fit, [rng])
         refined = encode(recompute_centroids(
-            ds, assign_nearest(ds, decode(swarm.gbest_position, k, ds.d))))
+            ds, assign_nearest(ds, decode(swarm.gbest_position[0], k, ds.d))))
         value = float(fit(refined[None])[0])
-        if value < swarm.gbest_fitness:
+        if value < swarm.gbest_fitness[0]:
             owner = int(np.argmin(swarm.pbest_fitness))
             swarm.pbest_position[owner] = refined
             swarm.pbest_fitness[owner] = value
-            swarm.gbest_position, swarm.gbest_fitness = refined, value
+            swarm.gbest_position[0], swarm.gbest_fitness[0] = refined, value
             accepts.append(it)
-        trace.append(swarm.gbest_fitness)
+        trace.append(float(swarm.gbest_fitness[0]))
         streak = streak + 1 if pipelines.stalled(trace[-2], trace[-1], config.rel_tol) else 0
         if streak >= config.stall_iters:
             break
-    return decode(swarm.gbest_position, k, ds.d), swarm.gbest_fitness, np.asarray(trace), accepts
+    return (decode(swarm.gbest_position[0], k, ds.d), float(swarm.gbest_fitness[0]),
+            np.asarray(trace), accepts)
 
 
 # Overlapping clusters, so that Lloyd steps keep improving and refine is
@@ -970,11 +1001,11 @@ class TestStackedRuns:
         # of the first swarm, and for "kmeans" and "all" Lloyd's algorithm,
         # which runs alone
         sizes = []
-        real = pipelines.SwarmStack
+        real = pipelines.init_swarm
 
-        def spy(swarms, configs):
-            sizes.append(len(swarms))
-            return real(swarms, configs)
+        def spy(members, *args):
+            sizes.append(len(members))
+            return real(members, *args)
 
         def runs():
             first, mate = swarm_runs([("pso", {}), ("pso", {})])
@@ -989,7 +1020,7 @@ class TestStackedRuns:
             lloyd = [(Plan("kmeans", 4, kmeans_max_iter=5), Rng(9))] * (case in ("kmeans", "all"))
             return [first, *changed, mate, *lloyd]
 
-        monkeypatch.setattr(pipelines, "SwarmStack", spy)
+        monkeypatch.setattr(pipelines, "init_swarm", spy)
         ds = self.dataset()
         stacked = run_stack(ds, runs())
         changed = {"all": 5, "kmeans": 0}.get(case, 1)
@@ -1002,3 +1033,50 @@ class TestStackedRuns:
             lloyd = run_kmeans(ds, 4, rng=Rng(9), max_iter=5)
             assert all(bits(getattr(lloyd, f.name)) == bits(getattr(stacked[-1].outcome, f.name))
                        for f in fields(lloyd) if f.name != "assignment")
+
+
+@st.composite
+def stack_mixes(draw):
+    """2-6 (Plan, seed) runs for one dataset: any algorithm, k, swarm size,
+    inertia, boundary, max_iter (at most 5) and stall rule. Subtractive
+    runs take a fixed k, so they share stacks with the others."""
+    runs = []
+    for _ in range(draw(st.integers(2, 6))):
+        algo_id = draw(st.sampled_from(pipelines.ALGORITHM_IDS))
+        row, k = ALGORITHMS[algo_id], draw(st.integers(2, 3))
+        lloyd = draw(st.integers(1, 5))
+        if row.pso is None:
+            plan = Plan(algo_id, k, kmeans_max_iter=lloyd)
+        else:
+            config = replace(
+                row.pso, swarm_size=draw(st.sampled_from([3, 4])), max_iter=draw(st.integers(1, 5)),
+                inertia=draw(st.sampled_from([linear(0.9, 0.4), linear(1.2, 0.1),
+                                              exponential_literal(0.9),
+                                              exponential_normalized(0.9)])),
+                boundary=draw(st.sampled_from(["restricted", "none"])),
+                stall_iters=draw(st.integers(1, 3)),
+                rel_tol=draw(st.sampled_from([0.0, 1e-8, 1e-3])))
+            if row.seeding == "subtractive":
+                plan = Plan(algo_id, config=config,
+                            sub_config=SubtractiveConfig(r_a=0.2, stop_rule=FixedK(k)))
+            else:
+                plan = Plan(algo_id, k, config, kmeans_max_iter=lloyd)
+        runs.append((plan, draw(st.integers(0, 2**32))))
+    return runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack_mixes())
+def test_stacked_runs_equal_their_lone_runs(runs):
+    # one process, no pool: each run of one run_stack call against
+    # pipelines.run of its plan on a fresh stream of the same seed
+    ds = TestStackedRuns.dataset()
+    stacked = run_stack(ds, [(plan, Rng(seed)) for plan, seed in runs])
+    for (plan, seed), got in zip(runs, stacked):
+        alone = pipelines.run(ds, plan, Rng(seed))
+        for f in fields(alone):
+            x, y = getattr(got.outcome, f.name), getattr(alone, f.name)
+            if f.name == "assignment":
+                assert x.k == y.k
+                x, y = x.cluster_of, y.cluster_of
+            assert bits(x) == bits(y), f.name

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from hypothesis.extra import numpy as hnp
 from swarmclust.core import ContractViolation, Dataset, Rng
 from swarmclust.swarm import (
     PsoConfig,
-    Swarm,
     SwarmStack,
     decode,
     encode,
@@ -19,7 +19,6 @@ from swarmclust.swarm import (
     inertia_weight,
     init_swarm,
     linear,
-    step,
 )
 
 from oracles import StubStream, pso_replay, reference_step
@@ -45,24 +44,20 @@ def quadratic_fitness(target):
 
 def one_step(position, velocity, pbest, gbest, *, w, c1=2.0, c2=2.0, v_max_fraction=None,
              boundary="none", lower=(-100.0,), upper=(100.0,), rand=0.5):
-    """Run ``step`` on a hand-built one-particle swarm whose first-iteration
-    inertia weight is ``w``, drawing the constant ``rand``."""
-    position = np.array([position], dtype=np.float64)
-    swarm = Swarm(
-        position=position,
-        velocity=np.array([velocity], dtype=np.float64),
-        pbest_position=np.array([pbest], dtype=np.float64),
-        pbest_fitness=np.array([np.inf]),
-        gbest_position=np.array(gbest, dtype=np.float64),
-        gbest_fitness=np.inf,
-        iter=0,
-        lower=np.array(lower * position.shape[1]),
-        upper=np.array(upper * position.shape[1]),
-    )
+    """Step a hand-built stack of one one-particle swarm whose
+    first-iteration inertia weight is ``w``, drawing the constant ``rand``,
+    and return the stack."""
+    d = len(position)
     cfg = PsoConfig(c1=c1, c2=c2, inertia=exponential_literal(w),
                     v_max_fraction=v_max_fraction, boundary=boundary)
     assert inertia_weight(cfg, 0) == w
-    return step(swarm, quadratic_fitness(0.0), cfg, ConstantStream(rand))
+    stack = SwarmStack([cfg], np.array(lower * d), np.array(upper * d),
+                       np.array([position], dtype=np.float64),
+                       np.array([velocity], dtype=np.float64),
+                       np.array([pbest], dtype=np.float64), np.array([np.inf]),
+                       np.array([gbest], dtype=np.float64), np.array([np.inf]))
+    stack.step(quadratic_fitness(0.0), [ConstantStream(rand)])
+    return stack
 
 
 class TestEncodeDecode:
@@ -138,9 +133,10 @@ class TestVelocityAndPosition:
         draws = Rng(8).random(5 * 2 * 4).reshape(5, 2, 4)
         cfg = PsoConfig(c1=1.3, c2=1.9, inertia=exponential_literal(0.7),
                         v_max_fraction=None, boundary="none")
-        swarm = Swarm(pos.copy(), vel.copy(), pbest.copy(), np.full(5, np.inf),
-                      gbest.copy(), np.inf, 0, np.full(4, -9.0), np.full(4, 9.0))
-        step(swarm, quadratic_fitness(0.0), cfg, Rng(8))
+        swarm = SwarmStack([cfg], np.full(4, -9.0), np.full(4, 9.0), pos.copy(), vel.copy(),
+                           pbest.copy(), np.full(5, np.inf), gbest[None].copy(),
+                           np.array([np.inf]))
+        swarm.step(quadratic_fitness(0.0), [Rng(8)])
         for i in range(5):
             v = (0.7 * vel[i] + 1.3 * draws[i, 0] * (pbest[i] - pos[i])
                  + 1.9 * draws[i, 1] * (gbest - pos[i]))
@@ -190,14 +186,14 @@ class TestInitSwarm:
         ds = tiny_dataset()
         seeds = np.array([[0.5, 0.5], [4.5, 0.5]])
         cfg = PsoConfig(swarm_size=4)
-        swarm = init_swarm(seeds, 2, ds, cfg, Rng(0), quadratic_fitness(0.0))
+        swarm = init_swarm([(seeds, cfg, Rng(0))], 2, ds, quadratic_fitness(0.0))
         assert np.array_equal(decode(swarm.position[0], 2, 2), seeds)
 
     def test_positions_within_bounds(self):
         ds = tiny_dataset()
         cfg = PsoConfig(swarm_size=8)
         for seeds in (None, ds.points[:2].copy()):
-            swarm = init_swarm(seeds, 2, ds, cfg, Rng(3), quadratic_fitness(1.0))
+            swarm = init_swarm([(seeds, cfg, Rng(3))], 2, ds, quadratic_fitness(1.0))
             assert swarm.position.shape == (8, 4)
             assert np.all(swarm.position >= swarm.lower)
             assert np.all(swarm.position <= swarm.upper)
@@ -215,15 +211,15 @@ class TestInitSwarm:
 
         seeds = np.array([[bad, 0.5], [4.5, 0.5]])
         with pytest.raises(ContractViolation) as info:
-            init_swarm(seeds, 2, tiny_dataset(), PsoConfig(swarm_size=4), Rng(0), fitness)
+            init_swarm([(seeds, PsoConfig(swarm_size=4), Rng(0))], 2, tiny_dataset(), fitness)
         assert str(info.value) == "given centers must be finite"
         assert calls == []
 
     def test_equal_seeds_identical_swarms(self):
         ds = tiny_dataset()
         cfg = PsoConfig(swarm_size=5)
-        a = init_swarm(None, 2, ds, cfg, Rng(42), quadratic_fitness(0.0))
-        b = init_swarm(None, 2, ds, cfg, Rng(42), quadratic_fitness(0.0))
+        a = init_swarm([(None, cfg, Rng(42))], 2, ds, quadratic_fitness(0.0))
+        b = init_swarm([(None, cfg, Rng(42))], 2, ds, quadratic_fitness(0.0))
         assert np.array_equal(a.position, b.position)
         assert a.gbest_fitness == b.gbest_fitness
 
@@ -267,15 +263,16 @@ class TestInitSwarm:
 
     def test_gbest_is_min_pbest(self):
         ds = tiny_dataset()
-        swarm = init_swarm(None, 2, ds, PsoConfig(swarm_size=6), Rng(7),
-                           quadratic_fitness(0.5))
-        assert swarm.gbest_fitness == min(swarm.pbest_fitness)
+        members = [(None, PsoConfig(swarm_size=6), Rng(seed)) for seed in (7, 8)]
+        swarm = init_swarm(members, 2, ds, quadratic_fitness(0.5))
+        assert swarm.gbest_fitness.tolist() == [min(swarm.pbest_fitness[:6]),
+                                                min(swarm.pbest_fitness[6:])]
 
     def test_gbest_ties_go_to_lowest_index(self):
         ds = tiny_dataset()
-        swarm = init_swarm(None, 2, ds, PsoConfig(swarm_size=6), Rng(7),
-                           lambda positions: np.ones(len(positions)))
-        assert np.array_equal(swarm.gbest_position, swarm.position[0])
+        members = [(None, PsoConfig(swarm_size=6), Rng(seed)) for seed in (7, 8)]
+        swarm = init_swarm(members, 2, ds, lambda positions: np.ones(len(positions)))
+        assert np.array_equal(swarm.gbest_position, swarm.position[[0, 6]])
 
     def test_one_fitness_call_per_init_and_step(self):
         ds = tiny_dataset()
@@ -287,9 +284,48 @@ class TestInitSwarm:
             return base(positions)
 
         cfg = PsoConfig(swarm_size=6)
-        swarm = init_swarm(None, 2, ds, cfg, Rng(7), fitness)
-        step(swarm, fitness, cfg, Rng(8))
-        assert calls == [(6, 4), (6, 4)]
+        swarm = init_swarm([(None, cfg, Rng(7))], 2, ds, fitness)
+        swarm.step(fitness, [Rng(8)])
+        stack = init_swarm([(None, cfg, Rng(7)), (ds.points[:2], cfg, Rng(8)),
+                            (None, cfg, Rng(9))], 2, ds, fitness)
+        stack.step(fitness, [Rng(1), Rng(2), Rng(3)])
+        assert calls == [(6, 4), (6, 4), (18, 4), (18, 4)]
+
+    def test_members_init_as_they_do_alone(self):
+        # seeded and unseeded members, linear and exponential inertia,
+        # restricted and unrestricted: each member's rows, pbest and gbest
+        # are those of its one-member init, bit for bit
+        ds = Dataset(points=Rng(5).uniform(-2, 3, size=(12, 3)))
+        seeds = ds.points[[0, 4]]
+        members = [
+            (None, PsoConfig(swarm_size=5, inertia=linear()), 11),
+            (seeds, PsoConfig(swarm_size=5, boundary="none"), 12),
+            (seeds * 0.5, PsoConfig(swarm_size=5, inertia=exponential_literal(0.8)), 13),
+            (None, PsoConfig(swarm_size=5, boundary="none",
+                             inertia=exponential_normalized(0.7)), 14),
+        ]
+        fitness = quadratic_fitness(0.25)
+        stack = init_swarm([(c, config, Rng(seed)) for c, config, seed in members], 2, ds,
+                           fitness)
+        for j, (c, config, seed) in enumerate(members):
+            alone = init_swarm([(c, config, Rng(seed))], 2, ds, fitness)
+            assert_same_bits(member_of(stack, j), alone)
+        assert stack.configs == [config for _, config, _ in members]
+
+    def test_nan_names_member_and_particle(self):
+        def fitness(positions):
+            out = np.zeros(len(positions))
+            out[[6, 7]] = np.nan
+            return out
+
+        members = [(None, PsoConfig(swarm_size=4), Rng(seed)) for seed in range(3)]
+        with pytest.raises(RuntimeError, match="^fitness returned NaN during swarm "
+                           "initialization, stacked swarm 1, particle 2$"):
+            init_swarm(members, 2, tiny_dataset(), fitness)
+        with pytest.raises(RuntimeError, match="^fitness returned NaN during swarm "
+                           "initialization, particle 3$"):
+            init_swarm(members[:1], 2, tiny_dataset(),
+                       lambda positions: np.array([0.0, 1.0, 2.0, np.nan]))
 
 
 class TestStep:
@@ -298,57 +334,57 @@ class TestStep:
         target = np.array([0.5, 0.5, 4.5, 0.5])
         fitness = quadratic_fitness(target)
         cfg = PsoConfig(swarm_size=3, c1=1.0, c2=1.0)
-        swarm = init_swarm(decode(target, 2, 2), 2, ds, cfg, Rng(1), fitness)
+        swarm = init_swarm([(decode(target, 2, 2), cfg, Rng(1))], 2, ds, fitness)
         # park every particle exactly at the optimum with zero velocity
         at_target = np.tile(target, (3, 1))
         swarm.position = at_target.copy()
         swarm.velocity = np.zeros_like(at_target)
         swarm.pbest_position = at_target.copy()
         swarm.pbest_fitness = fitness(at_target)
-        swarm.gbest_position = target.copy()
-        swarm.gbest_fitness = float(fitness(target[None])[0])
-        step(swarm, fitness, cfg, Rng(2))
-        assert swarm.gbest_fitness == float(fitness(target[None])[0])
-        assert np.array_equal(swarm.gbest_position, target)
+        swarm.gbest_position = target[None].copy()
+        swarm.gbest_fitness = fitness(target[None])
+        swarm.step(fitness, [Rng(2)])
+        assert swarm.gbest_fitness[0] == float(fitness(target[None])[0])
+        assert np.array_equal(swarm.gbest_position[0], target)
 
     def test_gbest_never_worsens(self):
         ds = tiny_dataset()
         fitness = quadratic_fitness(2.0)
         cfg = PsoConfig(swarm_size=4, boundary="none")
-        swarm = init_swarm(None, 2, ds, cfg, Rng(5), fitness)
+        swarm = init_swarm([(None, cfg, Rng(5))], 2, ds, fitness)
         rng = Rng(6)
-        prev = swarm.gbest_fitness
+        prev = swarm.gbest_fitness[0]
         for _ in range(30):
-            step(swarm, fitness, cfg, rng)
-            assert swarm.gbest_fitness <= prev
-            prev = swarm.gbest_fitness
+            swarm.step(fitness, [rng])
+            assert swarm.gbest_fitness[0] <= prev
+            prev = swarm.gbest_fitness[0]
 
     def test_pbest_consistency(self):
         ds = tiny_dataset()
         fitness = quadratic_fitness(1.0)
         cfg = PsoConfig(swarm_size=4)
-        swarm = init_swarm(None, 2, ds, cfg, Rng(9), fitness)
+        swarm = init_swarm([(None, cfg, Rng(9))], 2, ds, fitness)
         rng = Rng(10)
         for _ in range(10):
-            step(swarm, fitness, cfg, rng)
+            swarm.step(fitness, [rng])
             for i in range(4):
                 assert swarm.pbest_fitness[i] == fitness(swarm.pbest_position[i:i + 1])[0]
 
     def test_nan_fitness_aborts(self):
         ds = tiny_dataset()
         cfg = PsoConfig(swarm_size=2)
-        swarm = init_swarm(None, 2, ds, cfg, Rng(1), quadratic_fitness(0.0))
+        swarm = init_swarm([(None, cfg, Rng(1))], 2, ds, quadratic_fitness(0.0))
         with pytest.raises(RuntimeError, match="NaN"):
-            step(swarm, lambda positions: np.full(len(positions), np.nan), cfg, Rng(2))
+            swarm.step(lambda positions: np.full(len(positions), np.nan), [Rng(2)])
 
     def test_boundary_containment_under_steps(self):
         ds = tiny_dataset()
         fitness = quadratic_fitness(0.0)
         cfg = PsoConfig(swarm_size=5, boundary="restricted")
-        swarm = init_swarm(None, 2, ds, cfg, Rng(21), fitness)
+        swarm = init_swarm([(None, cfg, Rng(21))], 2, ds, fitness)
         rng = Rng(22)
         for _ in range(50):
-            step(swarm, fitness, cfg, rng)
+            swarm.step(fitness, [rng])
             assert np.all(swarm.position >= swarm.lower)
             assert np.all(swarm.position <= swarm.upper)
 
@@ -394,11 +430,11 @@ class TestLockstepOracle:
 
         fitness = _fitness_for(ds, k)
         stub_engine = StubStream(2024)
-        swarm = init_swarm(seeds, k, ds, cfg, stub_engine, fitness)
-        trace = [swarm.gbest_fitness]
+        swarm = init_swarm([(seeds, cfg, stub_engine)], k, ds, fitness)
+        trace = [float(swarm.gbest_fitness[0])]
         for _ in range(10):
-            step(swarm, fitness, cfg, stub_engine)
-            trace.append(swarm.gbest_fitness)
+            swarm.step(fitness, [stub_engine])
+            trace.append(float(swarm.gbest_fitness[0]))
 
         ref_trace, ref_gbest = pso_replay(
             pts.tolist(), k, seeds.tolist() if seeded else None, StubStream(2024),
@@ -406,7 +442,7 @@ class TestLockstepOracle:
             boundary=boundary, v_max_fraction=0.7, iters=10,
         )
         assert trace == pytest.approx(ref_trace, rel=1e-12)
-        assert swarm.gbest_position == pytest.approx(ref_gbest, rel=1e-12)
+        assert swarm.gbest_position[0] == pytest.approx(ref_gbest, rel=1e-12)
 
 
 # Values that exercise the boundary and the clamp: signed zeros, points
@@ -494,11 +530,36 @@ def stack_cases(draw):
 
 
 def build(state):
-    return Swarm(**{key: value.copy() if isinstance(value, np.ndarray) else value
-                    for key, value in state.items()})
+    """A lone swarm's hand-built state, as the reference step takes it."""
+    return SimpleNamespace(**{key: value.copy() if isinstance(value, np.ndarray) else value
+                              for key, value in state.items()})
+
+
+def stack_of(states, configs):
+    """A stack of the hand-built lone ``states``, one member each, in order."""
+    first = states[0]
+    return SwarmStack(
+        configs, first["lower"].copy(), first["upper"].copy(),
+        **{key: np.concatenate([state[key] for state in states])
+           for key in ("position", "velocity", "pbest_position", "pbest_fitness")},
+        gbest_position=np.array([state["gbest_position"] for state in states]),
+        gbest_fitness=np.array([state["gbest_fitness"] for state in states], dtype=np.float64),
+        iter=first["iter"])
+
+
+def member_of(stack, j):
+    """Member j of ``stack`` as a lone swarm sharing the stack's arrays."""
+    rows = slice(j * stack.size, (j + 1) * stack.size)
+    return SimpleNamespace(
+        position=stack.position[rows], velocity=stack.velocity[rows],
+        pbest_position=stack.pbest_position[rows], pbest_fitness=stack.pbest_fitness[rows],
+        gbest_position=stack.gbest_position[j], gbest_fitness=float(stack.gbest_fitness[j]),
+        iter=stack.iter, lower=stack.lower, upper=stack.upper)
 
 
 def assert_same_bits(a, b):
+    """Two lone swarms, or stacks of one, hold the same bits."""
+    a, b = (member_of(x, 0) if isinstance(x, SwarmStack) else x for x in (a, b))
     for key in ("position", "velocity", "pbest_position", "pbest_fitness",
                 "gbest_position"):
         x, y = getattr(a, key), getattr(b, key)
@@ -519,31 +580,11 @@ class TestReferenceStep:
         def fitness(positions):
             return np.round(quadratic_fitness(target)(positions), 1)
 
-        new, ref = build(state), build(state)
+        new, ref = stack_of([state], [config]), build(state)
         new_rng, ref_rng = Rng(seed), Rng(seed)
         for _ in range(steps):
-            step(new, fitness, config, new_rng)
+            new.step(fitness, [new_rng])
             reference_step(ref, fitness, config, ref_rng)
-            assert_same_bits(new, ref)
-
-    def test_rebound_box_and_config_are_picked_up(self):
-        # the step keeps v_max and the tiled box between steps; rebinding
-        # lower, upper or the config must rebuild them
-        rng = Rng(3)
-        state = dict(position=rng.uniform(-1, 1, (4, 6)), velocity=np.zeros((4, 6)),
-                     pbest_position=rng.uniform(-1, 1, (4, 6)), pbest_fitness=np.full(4, np.inf),
-                     gbest_position=np.zeros(6), gbest_fitness=np.inf, iter=0,
-                     lower=np.full(6, -1.0), upper=np.full(6, 1.0))
-        new, ref = build(state), build(state)
-        fitness = quadratic_fitness(0.3)
-        configs = [PsoConfig(c1=1.5, c2=2.5, swarm_size=4, v_max_fraction=0.5),
-                   PsoConfig(c1=0.5, c2=2.0, swarm_size=4, v_max_fraction=0.1)]
-        for i in range(6):
-            if i == 2:
-                for swarm in (new, ref):
-                    swarm.lower, swarm.upper = np.full(6, -0.2), np.full(6, 0.1)
-            for swarm, advance in ((new, step), (ref, reference_step)):
-                advance(swarm, fitness, configs[i // 4], Rng(40 + i))
             assert_same_bits(new, ref)
 
     def test_nan_message_names_the_particle(self):
@@ -555,20 +596,13 @@ class TestReferenceStep:
         def fitness(positions):
             return np.array([1.0, 2.0, np.nan, 0.5, np.nan])
 
-        messages = []
-        for advance in (step, reference_step):
+        config, messages = PsoConfig(swarm_size=5), []
+        for advance in (lambda: stack_of([state], [config]).step(fitness, [Rng(1)]),
+                        lambda: reference_step(build(state), fitness, config, Rng(1))):
             with pytest.raises(RuntimeError) as err:
-                advance(build(state), fitness, PsoConfig(swarm_size=5), Rng(1))
+                advance()
             messages.append(str(err.value))
         assert messages[0] == messages[1] == "fitness returned NaN at iteration 7, particle 2"
-
-
-def member_of(stack, j):
-    """Member j of ``stack`` as a lone swarm sharing the stack's arrays."""
-    rows = slice(j * stack.size, (j + 1) * stack.size)
-    return Swarm(stack.position[rows], stack.velocity[rows], stack.pbest_position[rows],
-                 stack.pbest_fitness[rows], stack.gbest_position[j],
-                 float(stack.gbest_fitness[j]), stack.iter, stack.lower, stack.upper)
 
 
 class TestStackLockstep:
@@ -586,8 +620,7 @@ class TestStackLockstep:
         def fitness(positions):
             return np.round(quadratic_fitness(target)(positions), 1)
 
-        stack = SwarmStack([build(state) for state, _ in members],
-                           [config for _, config in members])
+        stack = stack_of([state for state, _ in members], [config for _, config in members])
         alone = [build(state) for state, _ in members]
         stack_rngs, lone_rngs = [Rng(s) for s in seeds], [Rng(s) for s in seeds]
         for _ in range(steps):
@@ -610,7 +643,7 @@ class TestStackLockstep:
         configs = [PsoConfig(c1=0.0, c2=0.0, inertia=exponential_literal(0.5), swarm_size=2,
                              v_max_fraction=None, boundary=boundary)
                    for boundary in ("restricted", "none", "restricted")]
-        stack = SwarmStack([build(state()) for _ in configs], configs)
+        stack = stack_of([state() for _ in configs], configs)
         stack.step(quadratic_fitness(0.0), [ConstantStream(0.5)] * 3)
         for j, config in enumerate(configs):
             lone = reference_step(build(state()), quadratic_fitness(0.0), config,
@@ -626,30 +659,27 @@ class TestStackLockstep:
         configs = [PsoConfig(swarm_size=4, inertia=linear()), PsoConfig(swarm_size=4),
                    PsoConfig(swarm_size=4, boundary="none")]
 
-        def swarms():
-            return [init_swarm(None, 2, ds, c, Rng(i), fitness) for i, c in enumerate(configs)]
-
-        stack, alone = SwarmStack(swarms(), configs), swarms()
+        stack = init_swarm([(None, c, Rng(i)) for i, c in enumerate(configs)], 2, ds, fitness)
+        alone = [init_swarm([(None, c, Rng(i))], 2, ds, fitness) for i, c in enumerate(configs)]
         rngs, lone_rngs = [Rng(10 + i) for i in range(3)], [Rng(10 + i) for i in range(3)]
         stack.step(fitness, rngs)
         left = build(vars(member_of(stack, 1)))
         assert stack.remove([1]) is None
         stack.step(fitness, [rngs[0], rngs[2]])
-        for j, (swarm, config, rng) in enumerate(zip(alone, configs, lone_rngs)):
-            step(swarm, fitness, config, rng)
+        for j, (swarm, rng) in enumerate(zip(alone, lone_rngs)):
+            swarm.step(fitness, [rng])
             if j != 1:
-                step(swarm, fitness, config, rng)
+                swarm.step(fitness, [rng])
         assert_same_bits(left, alone[1])
         assert stack.iter == 2 and stack.position.shape == (8, 4)
         assert_same_bits(member_of(stack, 0), alone[0])
         assert_same_bits(member_of(stack, 1), alone[2])
 
-    def test_mismatched_members_rejected(self):
-        ds = tiny_dataset()
-        a = init_swarm(None, 2, ds, PsoConfig(swarm_size=4), Rng(0), quadratic_fitness(0.5))
-        b = init_swarm(None, 2, ds, PsoConfig(swarm_size=4), Rng(1), quadratic_fitness(0.5))
-        with pytest.raises(ContractViolation, match="one c1, c2 and v_max_fraction"):
-            SwarmStack([a, b], [PsoConfig(swarm_size=4), PsoConfig(swarm_size=4, c1=1.0)])
-        b.iter = 1
-        with pytest.raises(ContractViolation, match="one iter and one c1"):
-            SwarmStack([a, b], [PsoConfig(swarm_size=4), PsoConfig(swarm_size=4)])
+    @pytest.mark.parametrize("change", [{"swarm_size": 5}, {"c1": 1.0}, {"c2": 1.0},
+                                        {"v_max_fraction": 0.5}])
+    def test_mismatched_members_rejected(self, change):
+        members = [(None, PsoConfig(swarm_size=4), Rng(0)),
+                   (None, replace(PsoConfig(swarm_size=4), **change), Rng(1))]
+        with pytest.raises(ContractViolation, match="^stacked swarms need one swarm_size, "
+                           "c1, c2 and v_max_fraction$"):
+            init_swarm(members, 2, tiny_dataset(), quadratic_fitness(0.5))
