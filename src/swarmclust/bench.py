@@ -21,31 +21,31 @@ All cells of a (dataset, algorithm entry) pair run one
 :func:`load_grid` resolves that plan once per pair, for ``bench validate``
 and :func:`run_grid` alike, and raises ``ConfigError`` for a pair no cell
 could run. :func:`run_grid` hands each pair's plan to its cells inside
-their arguments, so ``--jobs`` workers get it too. Subtractive seeding
-draws no random numbers, so :func:`run_grid` seeds each distinct (dataset,
-:class:`~swarmclust.subtractive.SubtractiveConfig`) once, before any cell
-runs and failures included, and puts the result in the plan; seeding time
-counts toward the grid's time, not a cell's ``wall_ms``. A failed seeding
-(such as ``DegenerateInput``) is the only error a pair passes on to its
-cells: each records it, and none runs.
+their arguments, so ``--jobs`` workers get it too.
 
 Each dataset's cells run as one :func:`swarmclust.pipelines.run_stack`
 call, whose module docstring says which runs share a stack; at ``--jobs``
 J above 1 they are cut into ``min(J, cells)`` calls of neighbouring
 cells, so that every worker has work. A call gives each cell the outcome
 it has alone, so reports do not depend on how cells are cut or stacked.
-If a call raises, each of its cells runs again alone, on a fresh
-``Rng(seed)``, and records its own outcome or error; the failed call's
-time counts toward the grid's time, not a cell's.
+A call also seeds each distinct
+:class:`~swarmclust.subtractive.SubtractiveConfig` its cells use once, and
+charges that to none of them: at ``--jobs 1`` a grid seeds each distinct
+(dataset, config) once, and at J above 1 up to once per call that holds
+its cells. If a call raises, each of its cells runs again alone, on a
+fresh ``Rng(seed)``, and records its own outcome or error, so a failed
+seeding (such as ``DegenerateInput``) is recorded by each cell that seeds
+with it; the failed call's time counts toward the grid's time, not a
+cell's.
 
 A cell's ``wall_ms`` is the time spent on that cell: the ``seconds`` its
-run gets from :func:`~swarmclust.pipelines.run_stack` (its own seeding and
-initialization, or its Lloyd's algorithm, its outcome, and an equal share
-of each iteration of its stack with the other swarms in it), plus its
-evaluation. So the ``wall_ms`` of one grid's cells add up to the grid's
-time in them, but a cell's ``wall_ms`` depends on its stack-mates:
-``cells_per_s`` is the figure to compare across changes that stack cells
-differently.
+run gets from :func:`~swarmclust.pipelines.run_stack` (its own checks and
+k-means pre-run, or its Lloyd's algorithm, its outcome, and an equal share
+of its stack's initialization and of each of its iterations with the other
+swarms in it), plus its evaluation. So the ``wall_ms`` of one grid's cells
+add up to the grid's time in them, but a cell's ``wall_ms`` depends on its
+stack-mates: ``cells_per_s`` is the figure to compare across changes that
+stack cells differently.
 
 :func:`parse_config` checks a config against :data:`CONFIG_SCHEMA` with
 the in-house :class:`~swarmclust.schema.SchemaChecker`, which reports the
@@ -99,7 +99,7 @@ from .pipelines import (  # noqa: F401
 )
 from .schema import SchemaChecker, field_rules
 from .subtractive import DensityRatio, FixedK, SubtractiveConfig
-from .swarm import INERTIA_KINDS, Inertia, PsoConfig
+from .swarm import INERTIA_KINDS, LINEAR, Inertia, PsoConfig
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
@@ -254,6 +254,10 @@ def parse_config(raw: dict) -> BenchConfig:
         _, problem = _stop_of(params, params.get("k"))
         if problem:
             raise ConfigError(f"config invalid at algorithms/{i}/params: {problem}")
+        inertia = params.get("inertia")
+        if isinstance(inertia, dict) and "w_min" in inertia and inertia["kind"] != LINEAR:
+            raise ConfigError(f"config invalid at algorithms/{i}/params/inertia: w_min applies "
+                              f"only to kind: {LINEAR}, but this entry's kind is {inertia['kind']}")
 
     data_dir = raw.get("data_dir")
     datasets = []
@@ -522,9 +526,8 @@ def run_grid(
 ) -> BenchReport:
     """Execute the grid, or its cells of the dataset names and algorithm
     labels the filters give, each of which must be in the config. Datasets
-    must all load and every pair's plan resolve up front, and each distinct
-    seeding runs once before the first cell (see the module docstring);
-    individual cell failures are recorded and do not stop the grid."""
+    must all load and every pair's plan resolve up front; individual cell
+    failures are recorded and do not stop the grid."""
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
     unmatched = [f"dataset={name}" for name in sorted(
@@ -538,37 +541,16 @@ def run_grid(
     ]
     loaded, normalization, plans = load_grid(config, algorithms, dataset_filter)
 
-    seedings: dict = {}  # (dataset name, SubtractiveConfig) -> result or exception
-    cells, results = [], []
-    for name, algo, plan in plans:
-        failed = None
-        if (sub := plan.sub_config) is not None:
-            if (name, sub) not in seedings:
-                try:
-                    # through the module attribute, so perfbench/tracer.py times it
-                    seedings[name, sub] = pipelines.select_centers(loaded[name], sub)
-                except Exception as exc:  # recorded by each of the pair's cells
-                    seedings[name, sub] = exc
-            seeding = seedings[name, sub]
-            if isinstance(seeding, Exception):
-                failed = seeding
-            else:
-                plan = replace(plan, sub_config=None, seeding=seeding)
-        for rep in range(config.repetitions):
-            seed = derive_seed(config.base_seed, name, algo.key, rep)
-            args = (name, loaded[name], algo.key, rep, seed, plan)
-            if failed is None:
-                cells.append(args)
-            else:
-                results.append(_cell_result(args, failed, time.perf_counter()))
-
+    cells = [(name, loaded[name], algo.key, rep,
+              derive_seed(config.base_seed, name, algo.key, rep), plan)
+             for name, algo, plan in plans for rep in range(config.repetitions)]
     units = _work_units(cells, jobs)
     if jobs > 1 and len(units) > 1:
         with _process_pool(jobs) as pool:
             done = list(pool.map(_execute_unit, units, chunksize=1))
     else:
         done = [_execute_unit(unit) for unit in units]
-    results += [result for unit in done for result in unit]
+    results = [result for unit in done for result in unit]
 
     records = [rec for rec, _ in results]
     traces = {

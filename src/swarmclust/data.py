@@ -167,6 +167,8 @@ def load_csv(spec: DatasetSpec) -> Dataset:
             raise LoadError(f"{spec.name}: {path} has a header but no data rows")
 
     width = len(rows[0])
+    if header_names is not None and len(header_names) != width:
+        raise LoadError(f"{spec.name}: header has {len(header_names)} fields, rows have {width}")
     label_idx: Optional[int] = None
     if src.label_column is not None:
         if isinstance(src.label_column, str):

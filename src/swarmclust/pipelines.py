@@ -22,18 +22,19 @@ frozen baseline defaults (version 1) let ablations vary only these
 dimensions.
 
 A :class:`Plan` is one run but for its rng: the algorithm id, k, the
-swarm config, the subtractive config or a precomputed ``seeding`` (a
-:class:`~swarmclust.subtractive.SeedingResult`, which depends only on the
-dataset and the config: a benchmark grid seeds each distinct (dataset,
-config) once and hands the result to every cell), and the Lloyd limit of
-Lloyd's algorithm or of a k-means pre-run. :func:`run_stack` runs several
-plans, each on its own rng, on one dataset; :func:`run` is a
-:func:`run_stack` of one, and each ``run_*`` entry point is :func:`run`
-of its plan. This is where the stacking rule lives:
+swarm config, the subtractive config, and the Lloyd limit of Lloyd's
+algorithm or of a k-means pre-run. :func:`run_stack` runs several plans,
+each on its own rng, on one dataset; :func:`run` is a :func:`run_stack` of
+one, and each ``run_*`` entry point is :func:`run` of its plan. This is
+where the stacking rule lives:
 
-- Each run's checks and seeding (a subtractive selection or a k-means
-  pre-run on the run's own stream) run in run order, as they would
-  alone. Lloyd's algorithm (``kmeans``) runs there, whole and alone.
+- Subtractive seeding draws no random numbers and depends only on the
+  dataset and its config, so a call first selects the centers of each
+  distinct config its subtractive plans use, once, and every such plan
+  takes them from there.
+- Each run's checks and the rest of its seeding (a k-means pre-run on the
+  run's own stream) run in run order, as they would alone. Lloyd's
+  algorithm (``kmeans``) runs there, whole and alone.
 - The swarms of one k, ``swarm_size``, ``c1``, ``c2`` and
   ``v_max_fraction``, which shape a stack's arrays, then run as one
   :class:`~swarmclust.swarm.SwarmStack`, whose layout and per-swarm draw
@@ -49,8 +50,9 @@ of its plan. This is where the stacking rule lives:
 
 Every run's trajectory, and so its outcome, is bit for bit the one it has
 alone. A call's time is split over its runs for :class:`StackedRun`'s
-``seconds``: each run's seeding, or its Lloyd's algorithm, and each
-swarm's outcome are timed on their own, and the time of a stack's
+``seconds``: each run's checks and k-means pre-run, or its Lloyd's
+algorithm, and each swarm's outcome are timed on their own, the
+subtractive seeding is charged to no run, and the time of a stack's
 initialization and of each of its iterations is shared equally by the
 swarms in the stack during it (they have equal rows).
 
@@ -342,15 +344,14 @@ def _fitness_for(dataset: Dataset, k: int):
 class Plan:
     """One run of ``ALGORITHMS[algo_id]`` but for its rng (see the module
     docstring). ``k`` is unused by subtractive seeding, which picks k
-    itself; a given ``seeding`` stands in for selecting the centers from
-    ``sub_config``; ``config`` defaults to the row's."""
+    itself; ``sub_config`` and ``config`` default to ``SubtractiveConfig()``
+    and the row's swarm config."""
 
     algo_id: str
     k: Optional[int] = None
     config: Optional[PsoConfig] = None
     sub_config: Optional[SubtractiveConfig] = None
     kmeans_max_iter: int = 100
-    seeding: Optional[SeedingResult] = None
 
 
 @dataclass(frozen=True)
@@ -386,17 +387,15 @@ def _check_distances(dataset: Dataset) -> None:
                               "spans sum past the float range")
 
 
-def _seed_run(dataset: Dataset, plan: Plan, rng) -> tuple[int, Optional[np.ndarray]]:
+def _seed_run(dataset: Dataset, plan: Plan, rng,
+              seeding: Optional[SeedingResult]) -> tuple[int, Optional[np.ndarray]]:
     """(k, seed centers or None) of ``plan``'s swarm on ``rng``, after
-    checking its inputs."""
+    checking its inputs; a subtractive plan's are those of ``seeding``."""
     algo = ALGORITHMS[plan.algo_id]
     if rng is None:
         raise ContractViolation(f"{algo.entry} needs an rng")
-    if plan.seeding is not None and plan.sub_config is not None:
-        raise ContractViolation(f"{algo.entry} takes a seeding or a sub_config, not both")
     _check_distances(dataset)
     if algo.seeding == "subtractive":
-        seeding = plan.seeding or select_centers(dataset, plan.sub_config or SubtractiveConfig())
         return seeding.k, seeding.centers
     _check_k(dataset, plan.k)
     if algo.seeding == "kmeans":
@@ -411,12 +410,19 @@ def run(dataset: Dataset, plan: Plan, rng: Optional[Rng]) -> ClusteringOutcome:
 
 def run_stack(dataset: Dataset, runs) -> list[StackedRun]:
     """Run ``runs``, (:class:`Plan`, rng) pairs, on ``dataset``: one
-    :class:`StackedRun` per run, in order. Lloyd's algorithm runs alone and
-    the swarms in stacks, as the module docstring says; the first error of
-    any run ends the call."""
+    :class:`StackedRun` per run, in order. Each distinct subtractive config
+    is seeded once, first; Lloyd's algorithm runs alone and the swarms in
+    stacks, as the module docstring says; the first error of any run ends
+    the call."""
     clock = time.perf_counter
     runs = list(runs)
     n = len(runs)
+    subs = [plan.sub_config or SubtractiveConfig()
+            if ALGORITHMS[plan.algo_id].seeding == "subtractive" else None for plan, _ in runs]
+    seedings = {}  # SubtractiveConfig -> SeedingResult
+    for sub in subs:
+        if sub is not None and sub not in seedings:
+            seedings[sub] = select_centers(dataset, sub)
     configs, traces, outcomes = ([None] * n for _ in range(3))
     seconds, streaks = [0.0] * n, [0] * n
     rejected = [None] * n  # gbest fitness at the last rejected refine
@@ -427,7 +433,7 @@ def run_stack(dataset: Dataset, runs) -> list[StackedRun]:
         if algo.pso is None:
             outcomes[i] = run_kmeans(dataset, plan.k, None, rng, plan.kmeans_max_iter)
         else:
-            k, seed_centers = _seed_run(dataset, plan, rng)
+            k, seed_centers = _seed_run(dataset, plan, rng, seedings.get(subs[i]))
             config = configs[i] = plan.config or algo.pso
             key = (k, config.swarm_size, config.c1, config.c2, config.v_max_fraction)
             stacks.setdefault(key, []).append((i, seed_centers))
@@ -575,12 +581,9 @@ def run_subtractive_pso(
     sub_config: Optional[SubtractiveConfig] = None,
     config: Optional[PsoConfig] = None,
     rng: Optional[Rng] = None,
-    seeding: Optional[SeedingResult] = None,
 ) -> ClusteringOutcome:
-    """Subtractive seeding determines k and the seeds; plain PSO refines.
-    ``seeding``, if given, is ``select_centers(dataset, sub_config)``
-    computed beforehand, and replaces ``sub_config``."""
-    return run(dataset, Plan("sub_pso", None, config, sub_config, seeding=seeding), rng)
+    """Subtractive seeding determines k and the seeds; plain PSO refines."""
+    return run(dataset, Plan("sub_pso", None, config, sub_config), rng)
 
 
 def run_brapso(
@@ -599,10 +602,8 @@ def run_sc_br_apso(
     sub_config: Optional[SubtractiveConfig] = None,
     config: Optional[PsoConfig] = None,
     rng: Optional[Rng] = None,
-    seeding: Optional[SeedingResult] = None,
 ) -> ClusteringOutcome:
     """The full pipeline: subtractive seeding supplies k and the initial
     centers, then boundary-restricted adaptive PSO with per-iteration center
-    recalculation refines them until convergence. ``seeding`` is as for
-    :func:`run_subtractive_pso`."""
-    return run(dataset, Plan("sc_br_apso", None, config, sub_config, seeding=seeding), rng)
+    recalculation refines them until convergence."""
+    return run(dataset, Plan("sc_br_apso", None, config, sub_config), rng)

@@ -162,10 +162,12 @@ def decode(position: np.ndarray, k: int, d: int) -> np.ndarray:
 
 
 def inertia_weight(config: PsoConfig, iter: int) -> float:
-    """Inertia weight at a given iteration, always in [0, w_max]. The
-    linear ramp is taken in ``np.float64``, whose operations are Python's
-    float ones, so that an overflow of its product is seen by numpy's error
-    state."""
+    """Inertia weight at a given iteration. The linear ramp goes from
+    ``w_max`` at iteration 0 to ``w_min`` at ``max_iter``, so it rises when
+    ``w_min`` is the larger; it is taken in ``np.float64``, whose operations
+    are Python's float ones, so that an overflow of its product is seen by
+    numpy's error state. The exponential kinds decay from ``w_max`` towards
+    0 and read no ``w_min``."""
     sched = config.inertia
     if sched.kind == LINEAR:
         w_max = np.float64(sched.w_max)

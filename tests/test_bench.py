@@ -266,6 +266,25 @@ class TestConfigParsing:
             "stop: density_ratio, but this entry seeds with stop: fixed_k"
         )
 
+    @pytest.mark.parametrize("kind", ["exponential_normalized", "exponential_literal"])
+    def test_w_min_under_exponential_inertia_rejected(self, kind):
+        # the exponential kinds decay from w_max and never read w_min
+        params = {"inertia": {"kind": kind, "w_max": 0.8, "w_min": 0.3}}
+        raw = fixture_config(algorithms=[{"id": "kmeans"}, {"id": "brapso", "params": params}])
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw)
+        assert str(info.value) == (
+            "config invalid at algorithms/1/params/inertia: w_min applies only to "
+            f"kind: linear, but this entry's kind is {kind}"
+        )
+
+    @pytest.mark.parametrize("inertia", [
+        {"kind": "linear", "w_min": 0.3}, {"kind": "exponential_normalized", "w_max": 0.8},
+        "exponential_literal",
+    ], ids=repr)
+    def test_inertia_without_an_unread_w_min_accepted(self, inertia):
+        parse_config(fixture_config(algorithms=[{"id": "pso", "params": {"inertia": inertia}}]))
+
     @pytest.mark.parametrize("params", [
         {"epsilon": 0.3},
         {"stop": "density_ratio", "epsilon": 0.3},
@@ -749,8 +768,9 @@ def select_centers_spy(monkeypatch):
 
 
 class TestSeedingPass:
-    """run_grid seeds each distinct (dataset, SubtractiveConfig) once, before
-    any cell runs, and the cells run on that result."""
+    """At one job, run_grid seeds each distinct (dataset, SubtractiveConfig)
+    once, in the dataset's run_stack call, and the cells run on that
+    result."""
 
     def test_one_call_for_the_default_entries(self, monkeypatch):
         calls = select_centers_spy(monkeypatch)
@@ -816,8 +836,9 @@ class TestSeedingPass:
         assert [r["error"] for r in report.records] == [
             "DegenerateInput: cannot select 9 centers: after 8, suppression around "
             "negative-density centers raised the remaining densities"] * 4
-        # one attempt for the (dataset, config) pair both entries share
-        assert len(calls) == 1
+        # the unit's one attempt for the config both entries share, then
+        # each of the four cells' own when it runs again alone
+        assert len(calls) == 1 + 4
 
     def test_k_above_n_rejected_before_any_cell(self, monkeypatch):
         calls = select_centers_spy(monkeypatch)
@@ -1492,6 +1513,7 @@ CSV_FILES = {
     "empty.csv": "",
     "header.csv": "x,y,class\n",
     "labelled.csv": "x,y,class\n0,0,a\n0,1,a\n5,5,b\n5,6,b\n",
+    "short_rows.csv": "x,y,class\n0,0\n0,1\n5,5\n5,6\n",
 }
 
 
@@ -1761,6 +1783,15 @@ class TestCli:
         pytest.param([(("datasets", 0), {"name": "lab", "csv": {
                          "path": "labelled.csv", "label_column": "klass", "header": True}})],
                      "error: lab: no column named 'klass' in header", id="csv-unknown-column"),
+        pytest.param([(("datasets", 0), {"name": "lab", "csv": {
+                         "path": "short_rows.csv", "label_column": "class", "header": True}})],
+                     "error: lab: header has 3 fields, rows have 2", id="csv-header-wider"),
+        *(pytest.param([(("algorithms", 0), {"id": "sc_br_apso", "params": {
+                          "inertia": {"kind": kind, "w_min": 0.3}}})],
+                       "error: config invalid at algorithms/0/params/inertia: w_min applies "
+                       f"only to kind: linear, but this entry's kind is {kind}",
+                       id=f"w_min-under-{kind}")
+          for kind in ("exponential_normalized", "exponential_literal")),
         pytest.param([(("datasets", 0), {"name": "nolab", "csv": {
                          "path": "nolab.csv", "label_column": 2}})],
                      "error: nolab: label column 2 out of range", id="csv-label-index"),
@@ -1791,7 +1822,7 @@ class TestCli:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert message in result.output
+        assert message in result.stderr
         assert "Traceback" not in result.output
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["config.yaml", *CSV_FILES])
 

@@ -52,6 +52,16 @@ class TestLoadCsv:
         # first-appearance factorization: x -> 0, y -> 1
         assert ds.labels.tolist() == [0, 1, 0]
 
+    @pytest.mark.parametrize("text, fields", [
+        ("a,b,class\n1,2\n3,4\n", (3, 2)),
+        ("a,b\n1,2,x\n3,4,y\n", (2, 3)),
+    ], ids=["header-wider", "header-narrower"])
+    def test_header_and_rows_of_different_widths_fail(self, tmp_path, text, fields):
+        path = write(tmp_path, text)
+        with pytest.raises(LoadError) as info:
+            load_csv(DatasetSpec("s", CsvSource(path, label_column="class", header=True)))
+        assert str(info.value) == f"s: header has {fields[0]} fields, rows have {fields[1]}"
+
     def test_label_by_negative_index(self, tmp_path):
         path = write(tmp_path, "1,2,red\n3,4,blue\n")
         ds = load_csv(DatasetSpec("indexed", CsvSource(path, label_column=-1)))

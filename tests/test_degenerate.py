@@ -118,6 +118,15 @@ def test_negative_density_fixed_k_is_degenerate(algo_id, k):
         run(algo_id, grid4(), None, SubtractiveConfig(stop_rule=FixedK(k)), 0)
 
 
+@pytest.mark.parametrize("algo_id", SUBTRACTIVE)
+def test_failed_seeding_precedes_the_missing_rng(algo_id):
+    # run_stack seeds before any run's checks, so the seeding's error comes
+    # first
+    entry = getattr(pipelines, pipelines.ALGORITHMS[algo_id].entry)
+    with pytest.raises(DegenerateInput, match="negative-density"):
+        entry(grid4(), SubtractiveConfig(stop_rule=FixedK(9)))
+
+
 @pytest.mark.parametrize("algo_id", pipelines.ALGORITHM_IDS)
 @pytest.mark.parametrize("points", [
     np.full((6, 2), 3.0),  # all points the same

@@ -770,33 +770,42 @@ def same_outcome(a, b):
             and a.iterations_to_converge == b.iterations_to_converge)
 
 
-class TestPrecomputedSeeding:
-    @pytest.mark.parametrize("entry, pso", [
-        (run_subtractive_pso, FAST_PLAIN), (run_sc_br_apso, FAST_ADAPTIVE),
-    ], ids=["sub_pso", "sc_br_apso"])
-    @pytest.mark.parametrize("sub", [
-        SubtractiveConfig(stop_rule=FixedK(2)), SubtractiveConfig(r_a=0.3),
-    ], ids=["fixed_k", "density_ratio"])
-    def test_equals_seeding_in_the_run(self, entry, pso, sub):
-        ds = blob_fixture(seed=3)
-        seeding = select_centers(ds, sub)
-        for s in range(3):
-            assert same_outcome(entry(ds, sub, pso, Rng(s)),
-                                entry(ds, config=pso, rng=Rng(s), seeding=seeding))
+class TestStackSeeding:
+    """run_stack selects the centers of each distinct subtractive config its
+    plans use once, a plan without one seeding with SubtractiveConfig(), and
+    every run still ends as it does alone."""
 
-    def test_default_config_when_neither_given(self):
-        ds = blob_fixture(seed=3)
-        seeding = select_centers(ds, SubtractiveConfig())
-        assert same_outcome(run_sc_br_apso(ds, rng=Rng(1)),
-                            run_sc_br_apso(ds, rng=Rng(1), seeding=seeding))
+    @staticmethod
+    def select_centers_spy(monkeypatch):
+        calls = []
+        real = pipelines.select_centers
 
-    @pytest.mark.parametrize("entry", [run_subtractive_pso, run_sc_br_apso],
-                             ids=lambda entry: entry.__name__)
-    def test_seeding_and_sub_config_together_rejected(self, entry):
-        ds = blob_fixture()
-        sub = SubtractiveConfig(stop_rule=FixedK(2))
-        with pytest.raises(ContractViolation, match="a seeding or a sub_config, not both"):
-            entry(ds, sub, rng=Rng(1), seeding=select_centers(ds, sub))
+        def spy(dataset, config):
+            calls.append(config)
+            return real(dataset, config)
+
+        monkeypatch.setattr(pipelines, "select_centers", spy)
+        return calls
+
+    def test_one_selection_per_distinct_config(self, monkeypatch):
+        ds = blob_fixture(seed=3)
+        fixed = SubtractiveConfig(stop_rule=FixedK(2))
+        runs = [(Plan("sc_br_apso", config=FAST_ADAPTIVE), 0),
+                (Plan("brapso", 2, FAST_ADAPTIVE), 1),
+                (Plan("sub_pso", config=FAST_PLAIN, sub_config=fixed), 2),
+                (Plan("kmeans", 2, kmeans_max_iter=5), 3),
+                (Plan("sc_br_apso", config=FAST_ADAPTIVE, sub_config=fixed), 4)]
+        calls = self.select_centers_spy(monkeypatch)
+        stacked = run_stack(ds, [(plan, Rng(seed)) for plan, seed in runs])
+        assert calls == [SubtractiveConfig(), fixed]
+        for (plan, seed), got in zip(runs, stacked):
+            assert same_outcome(got.outcome, pipelines.run(ds, plan, Rng(seed)))
+
+    def test_no_selection_without_a_subtractive_plan(self, monkeypatch):
+        calls = self.select_centers_spy(monkeypatch)
+        run_stack(blob_fixture(), [(Plan("pso", 2, FAST_PLAIN), Rng(0)),
+                                   (Plan("kmeans", 2), Rng(1))])
+        assert calls == []
 
 
 def refine_every_iteration(ds, k, sub, config, rng):
